@@ -51,7 +51,7 @@ REGISTRY: dict[str, EnvVar] = {
         EnvVar(
             name="REPRO_SHM",
             usage="`REPRO_SHM=0`",
-            effect="Disable shared-memory payload transport (fork-inheritance fallback)",
+            effect="Disable shared-memory payload transport (payloads ship pickled, unpickled once per worker)",
         ),
         EnvVar(
             name="REPRO_OVERSUBSCRIBE",
@@ -72,11 +72,6 @@ REGISTRY: dict[str, EnvVar] = {
             name="REPRO_CONTEXT_SPILL_MAX_AGE",
             usage="`REPRO_CONTEXT_SPILL_MAX_AGE=SECONDS`",
             effect="Evict spill files older than this",
-        ),
-        EnvVar(
-            name="REPRO_CONTEXT_DTYPE",
-            usage="`REPRO_CONTEXT_DTYPE=float32`",
-            effect="Publish float32 bound/cost tables to worker shm segments (survivors re-scored in float64; results bit-identical)",
         ),
         EnvVar(
             name="REPRO_SANITIZE",

@@ -23,7 +23,9 @@ SYNC_CONSTRUCTORS = frozenset(
 )
 
 #: Call names that ship work (and therefore pickled arguments) to workers.
-DISPATCH_CALLS = frozenset({"parallel_map", "submit", "apply_async", "map_async"})
+DISPATCH_CALLS = frozenset(
+    {"parallel_map", "parallel_map_ordered", "submit", "apply_async", "map_async"}
+)
 
 #: Calls that can block while a lock is held.
 BLOCKING_CALLS = frozenset(
@@ -121,8 +123,8 @@ class SyncInDispatchRule(Rule):
     had to be threaded through the pool *initializer* (``initargs``) for
     exactly this reason, with a small picklable token in the dispatch tuple.
     This rule flags (a) synchronized primitives (or the slot-handle helpers
-    that return them) appearing in arguments of ``parallel_map``/``submit``
-    -style dispatch calls, (b) construction of synchronized primitives
+    that return them) appearing in arguments of ``parallel_map`` /
+    ``parallel_map_ordered`` / ``submit``-style dispatch calls, (b) construction of synchronized primitives
     outside ``runtime/incumbent.py`` (the slot owner), and (c) ad-hoc pool
     construction outside ``runtime/pool.py``, because a pool built elsewhere
     bypasses the initializer discipline that makes (a) safe.

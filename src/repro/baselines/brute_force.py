@@ -60,22 +60,29 @@ records ``evaluated_rows`` / ``pruned_rows`` next to ``requested_k`` /
 ``effective_k`` so the win is observable (counts are deterministic serially;
 under workers they depend on cross-shard timing while results never do).
 
-Process parallelism
--------------------
+One enumeration runner
+----------------------
 Every enumeration is chunked into ``(B, .)`` batches of at most
 ``chunk_rows`` rows (default :data:`~repro.cost.context.DEFAULT_CHUNK_ROWS`,
-which also bounds per-worker batch memory) and the chunks are mapped over
-:func:`repro.runtime.parallel.parallel_map`.  ``workers=1`` — the default —
-runs the identical chunk loop in-process, and a requested worker count is
-clamped to the CPUs actually available, so ``workers=N`` is never slower
-than serial on a small box.  The fully built context (pinned supports,
-sorted CDF columns, rank-merge tables where needed) is published to shared
-memory once and each chunk dispatch to the persistent worker pool carries
-only the descriptor, its work slice and the incumbent token (``shm=False``
-falls back to shipping the payload per call via fork inheritance); chunks
-reduce in submission order with the same first-strict-minimum rule serial
-execution applies, so results are bit-identical for every worker count, with
-shared memory on or off.
+which also bounds per-worker batch memory) and run by one runner,
+:func:`_enumerate`: the admissible chunk bounds when pruning, then one
+:func:`repro.runtime.parallel.parallel_map_ordered` call (best-first when
+pruning, enumeration order otherwise), then the completed chunk results by
+chunk index.  The five enumerations — restricted score-matrix, restricted
+black-box, unassigned, and the unrestricted subset and exhaustive-assignment
+stages — differ only in their chunk task and their reduction, and the
+anytime ones share one certificate fold (:func:`_certificate_metadata`).
+
+``workers=1`` — the default — runs the identical chunk loop in-process, and
+a requested worker count is clamped to the CPUs actually available, so
+``workers=N`` is never slower than serial on a small box.  The fully built
+context (pinned supports, sorted CDF columns, rank-merge tables where
+needed) is published to shared memory once and each chunk dispatch to the
+persistent worker pool carries only the descriptor, its work slice and the
+incumbent token (``shm=False`` ships the payload pickled instead, unpickled
+once per worker); chunks reduce in enumeration order with the same
+first-strict-minimum rule serial execution applies, so results are
+bit-identical for every worker count, with shared memory on or off.
 
 When ``k`` exceeds the number of available candidates the solvers run with
 the largest feasible ``k`` and record both ``requested_k`` and
@@ -85,9 +92,10 @@ different problem.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -95,14 +103,13 @@ from .._validation import as_point_array, check_positive_int
 from ..algorithms.result import UncertainKCenterResult
 from ..assignments.base import AssignmentPolicy
 from ..assignments.policies import ExpectedDistanceAssignment
-from ..bounds.lower_bounds import FLOAT32_SLACK, PRUNE_SLACK, prune_margin
+from ..bounds.lower_bounds import prune_margin
 from ..cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from ..exceptions import ValidationError
 from ..runtime import incumbent as incumbent_module
 from ..runtime.parallel import (
     MapOutcome,
     iter_chunk_bounds,
-    parallel_map,
     parallel_map_ordered,
     resolve_workers,
 )
@@ -225,56 +232,28 @@ def _seed_restricted_incumbent(
     return float(context.evaluator.cost(candidate_indices)), columns, candidate_indices
 
 
-def _seed_unassigned_incumbent(context: CostContext, k: int) -> tuple[float, np.ndarray]:
-    """Exact unassigned cost of the greedy seed subset, with the subset."""
-    columns = _greedy_seed_columns(context, k)
-    return float(context.unassigned_cost(columns)), columns
+def _seed_unassigned_incumbent(
+    context: CostContext, k: int
+) -> tuple[float, np.ndarray, None]:
+    """Exact unassigned cost of the greedy seed subset: ``(cost, columns, None)``.
 
-
-def _deadline_certificate(best_cost: float, skipped_bounds: list[float]) -> dict:
-    """``(cost, lower_bound, gap)`` certificate for a deadline-truncated run.
-
-    ``best_cost`` is achieved by a feasible solution (an upper bound on the
-    enumeration optimum ``C*``), and every skipped chunk contributes the
-    minimum of its admissible per-row lower bounds, so
-    ``lower_bound = min(best_cost, min over skipped chunks)`` satisfies
-    ``lower_bound <= C* <= cost`` — rows pruned inside *completed* chunks
-    had ``cost > threshold >= best_cost`` by the branch-and-bound exactness
-    argument, so they can never undercut it.  Folded chunk bounds are
-    relaxed by the same floating-point slack the pruning layer grants
-    (:func:`~repro.bounds.lower_bounds.prune_margin`): the bound kernels
-    batch differently than the cost kernels, so a mathematically tight
-    bound can land an ulp *above* the achievable cost.  A run that
-    completes every chunk certifies ``gap = 0``.
+    The same shape as the restricted seed (no assignment), so both reduce
+    through :func:`_reduce_best`.
     """
-    cost = float(best_cost)
-    lower_bound = cost
-    for bound in skipped_bounds:
-        if bound < lower_bound:
-            lower_bound = bound
-    if skipped_bounds:
-        lower_bound -= prune_margin(lower_bound)
-    if lower_bound > 0:
-        gap = (cost - lower_bound) / lower_bound
-    else:
-        gap = 0.0 if cost == lower_bound else float("inf")
-    return {"cost": cost, "lower_bound": float(lower_bound), "gap": float(gap)}
+    columns = _greedy_seed_columns(context, k)
+    return float(context.unassigned_cost(columns)), columns, None
 
 
-def _prune_mask(
-    bounds: np.ndarray, threshold: float, slack: float = PRUNE_SLACK
-) -> np.ndarray | None:
+def _prune_mask(bounds: np.ndarray, threshold: float) -> np.ndarray | None:
     """Keep-mask for one chunk, or ``None`` when nothing can be pruned.
 
     A row survives unless its lower bound exceeds the incumbent by more than
     the floating-point slack — so bound-kernel rounding can only reduce
-    pruning, never drop a row that ties the optimum.  Float32 contexts pass
-    :data:`~repro.bounds.lower_bounds.FLOAT32_SLACK` so the wider cast drift
-    is absorbed the same way.
+    pruning, never drop a row that ties the optimum.
     """
     if not np.isfinite(threshold):
         return None
-    keep = bounds <= threshold + prune_margin(threshold, slack)
+    keep = bounds <= threshold + prune_margin(threshold)
     if keep.all():
         return None
     return keep
@@ -286,7 +265,6 @@ def _two_level_prune(
     threshold: float,
     *,
     objective: str = "assigned",
-    slack: float = PRUNE_SLACK,
 ) -> np.ndarray | None:
     """Staged two-level keep-mask for one chunk of candidate subsets.
 
@@ -305,7 +283,7 @@ def _two_level_prune(
         if objective == "assigned"
         else context.subset_unassigned_lower_bounds(subset_rows)
     )
-    cut = threshold + prune_margin(threshold, slack)
+    cut = threshold + prune_margin(threshold)
     keep = level1 <= cut
     survivors = np.flatnonzero(keep)
     if survivors.size:
@@ -430,6 +408,144 @@ def _assignment_prefix_bound(
 
 
 # ---------------------------------------------------------------------------
+# The enumeration runner
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Enumeration:
+    """One driven enumeration: its chunks, their bounds and the map outcome."""
+
+    chunks: list
+    bounds: list[float] | None
+    outcome: MapOutcome
+
+    def completed(self) -> list:
+        """Results of every completed chunk, in enumeration order."""
+        return [self.outcome.results[index] for index in sorted(self.outcome.results)]
+
+
+def _enumerate(
+    task: Callable[[Any, Any], Any],
+    chunks: list,
+    payload: Any,
+    *,
+    seed: float | None,
+    chunk_bounds: Callable[[], list[float]],
+    workers: int,
+    shm: bool | None,
+    time_budget: float | None = None,
+    gap_target: float | None = None,
+) -> _Enumeration:
+    """The one enumeration runner: chunk bounds, one map, results by index.
+
+    With pruning on, ``seed`` is the incumbent's starting value (an achieved
+    feasible cost, or ``inf``): the admissible per-chunk bounds are computed
+    up front by ``chunk_bounds()`` and the chunks are submitted best-first,
+    in ascending-bound order (:func:`_best_first_order`), with the bounds
+    doubling as the gap tracker's outstanding bound.  ``seed=None`` runs the
+    chunks in enumeration order with no incumbent at all.  Either way the
+    reduction walks completed chunks by enumeration index
+    (:meth:`_Enumeration.completed`), so the schedule never changes a result.
+    """
+    bounds = chunk_bounds() if seed is not None else None
+    outcome = parallel_map_ordered(
+        task,
+        chunks,
+        payload=payload,
+        workers=workers,
+        shm=shm,
+        incumbent_seed=seed,
+        time_budget=time_budget,
+        order=None if bounds is None else _best_first_order(bounds),
+        chunk_bounds=bounds,
+        gap_target=gap_target,
+    )
+    return _Enumeration(chunks, bounds, outcome)
+
+
+def _reduce_best(results: list, fallback: tuple | None) -> tuple[tuple, int, int]:
+    """First strict minimum over ``(cost, subset, assignment, pruned, evaluated)``.
+
+    ``results`` come in enumeration order, so the first row reaching the
+    minimum wins exactly as in a serial scan.  ``fallback`` — the greedy
+    seed solution of an anytime run — is a feasible solution evaluated by
+    the same kernels; it can only win when a stop skipped every chunk that
+    would have beaten it (a completed run always contains the seed's own
+    row, so the strict ``<`` is a no-op there).  Returns
+    ``((cost, subset, assignment), pruned_rows, evaluated_rows)``.
+    """
+    best: tuple = (np.inf, None, None)
+    pruned_rows = 0
+    evaluated_rows = 0
+    for cost, subset, assignment, pruned, evaluated in results:
+        pruned_rows += pruned
+        evaluated_rows += evaluated
+        if cost < best[0]:
+            best = (float(cost), subset, assignment)
+    if fallback is not None and (best[1] is None or fallback[0] < best[0]):
+        best = (float(fallback[0]), fallback[1], fallback[2])
+    assert best[1] is not None
+    return best, pruned_rows, evaluated_rows
+
+
+def _certificate_metadata(
+    context: CostContext,
+    run: _Enumeration,
+    best_cost: float,
+    time_budget: float | None,
+    gap_target: float | None,
+    objective: str,
+) -> dict:
+    """The anytime metadata of one driven enumeration, certificate included.
+
+    ``deadline_hit`` / ``gap_target_hit`` say why submission stopped and
+    ``chunks_total`` / ``chunks_completed`` how far it got.  ``certificate``
+    is ``(cost, lower_bound, gap)``: ``best_cost`` is achieved by a feasible
+    solution (an upper bound on the enumeration optimum ``C*``), and every
+    skipped chunk contributes the minimum of its admissible per-row lower
+    bounds — the runner's chunk bounds when the run pruned, otherwise its
+    two-level bound for ``objective`` — so
+    ``lower_bound = min(best_cost, min over skipped chunks)`` satisfies
+    ``lower_bound <= C* <= cost``: rows pruned inside *completed* chunks had
+    ``cost > threshold >= best_cost`` by the branch-and-bound exactness
+    argument, so they can never undercut it.  Folded chunk bounds are
+    relaxed by the same floating-point slack the pruning layer grants
+    (:func:`~repro.bounds.lower_bounds.prune_margin`): the bound kernels
+    batch differently than the cost kernels, so a mathematically tight bound
+    can land an ulp *above* the achievable cost.  A run that completes every
+    chunk certifies ``gap = 0``.
+    """
+    metadata: dict = {}
+    if time_budget is not None:
+        metadata["time_budget"] = float(time_budget)
+    metadata["deadline_hit"] = bool(run.outcome.deadline_hit)
+    if gap_target is not None:
+        metadata["gap_target"] = float(gap_target)
+        metadata["gap_target_hit"] = bool(run.outcome.gap_target_hit)
+    metadata["chunks_total"] = len(run.chunks)
+    metadata["chunks_completed"] = len(run.outcome.results)
+    skipped = [index for index in range(len(run.chunks)) if index not in run.outcome.results]
+    cost = float(best_cost)
+    lower_bound = cost
+    for index in skipped:
+        if run.bounds is not None:
+            bound = run.bounds[index]
+        else:
+            rows = run.chunks[index]
+            bound = float(context.subset_two_level_lower_bounds(rows, objective=objective).min())
+        lower_bound = min(lower_bound, bound)
+    if skipped:
+        lower_bound -= prune_margin(lower_bound)
+    if lower_bound > 0:
+        gap = (cost - lower_bound) / lower_bound
+    else:
+        gap = 0.0 if cost == lower_bound else float("inf")
+    metadata["certificate"] = {"cost": cost, "lower_bound": float(lower_bound), "gap": float(gap)}
+    return metadata
+
+
+# ---------------------------------------------------------------------------
 # Chunk tasks (module level so pool workers resolve them by reference)
 # ---------------------------------------------------------------------------
 
@@ -442,25 +558,14 @@ def _chunk_best(costs: np.ndarray) -> tuple[int, float]:
 def _restricted_chunk_task(payload, subset_rows: np.ndarray):
     """Score one chunk of subsets under a score-matrix assignment rule.
 
-    Returns ``(cost, subset, assignment, pruned, evaluated)``; a fully
-    pruned chunk returns ``(inf, None, None, total, 0)``.
-
-    On a float32 context (``REPRO_CONTEXT_DTYPE=float32``) the chunk runs
-    the **survivor protocol** instead: prune margins widen by
-    :data:`~repro.bounds.lower_bounds.FLOAT32_SLACK`, the incumbent proposal
-    is inflated by the same margin (so it stays an upper bound on the
-    winner's exact cost), and the task returns
-    ``(None, survivor_rows, None, pruned, evaluated)`` — every row whose
-    float32 cost lands within the margin of the chunk minimum.  The parent
-    re-scores survivors through the exact float64 kernels, which is what
-    keeps final results bit-identical to the float64 path.
+    Returns ``(cost, subset, candidate_indices, pruned, evaluated)``; a
+    fully pruned chunk returns ``(inf, None, None, total, 0)``.
     """
     context, scores, chunk_rows = payload
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
-    slack = FLOAT32_SLACK if context.float32 else PRUNE_SLACK
     if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value(), slack=slack)
+        keep = _two_level_prune(context, subset_rows, handle.value())
         if keep is not None:
             subset_rows = subset_rows[keep]
     evaluated = subset_rows.shape[0]
@@ -468,13 +573,6 @@ def _restricted_chunk_task(payload, subset_rows: np.ndarray):
         return np.inf, None, None, total, 0
     candidate_index_rows = context.score_assignments(scores, subset_rows)
     costs = context.assigned_costs(candidate_index_rows, chunk_rows=chunk_rows)
-    if context.float32:
-        floor = float(costs.min())
-        margin = prune_margin(floor, FLOAT32_SLACK)
-        if handle is not None:
-            handle.propose(floor + margin)
-        survivors = np.flatnonzero(costs <= floor + margin)
-        return None, subset_rows[survivors], None, total - evaluated, evaluated
     winner, cost = _chunk_best(costs)
     if handle is not None:
         handle.propose(cost)
@@ -492,7 +590,8 @@ def _blackbox_chunk_task(payload, subset_rows: np.ndarray):
     ``candidate_scores`` evaluation; local-search rules share one evaluator
     across every row) and one batched exact cost kernel, instead of one
     policy call and one single-row sweep per subset.  Returns
-    ``(cost, subset, labels, pruned, evaluated)``.
+    ``(cost, subset, candidate_indices, pruned, evaluated)`` — the shape of
+    :func:`_restricted_chunk_task`, so both reduce the same way.
     """
     context, policy = payload
     handle = incumbent_module.active()
@@ -509,9 +608,7 @@ def _blackbox_chunk_task(payload, subset_rows: np.ndarray):
     winner, cost = _chunk_best(costs)
     if handle is not None:
         handle.propose(cost)
-    columns = subset_rows[winner]
-    labels = np.searchsorted(columns, candidate_index_rows[winner])
-    return cost, columns, labels, total - evaluated, evaluated
+    return cost, subset_rows[winner], candidate_index_rows[winner], total - evaluated, evaluated
 
 
 def _ed_scored_chunk_task(payload, subset_rows: np.ndarray):
@@ -597,36 +694,25 @@ def _exhaustive_chunk_task(payload, item):
 def _unassigned_chunk_task(payload, subset_rows: np.ndarray):
     """Score one chunk of subsets on the unassigned objective.
 
-    Returns ``(cost, subset, pruned, evaluated)``; on a float32 context,
-    ``(None, survivor_rows, pruned, evaluated)`` for exact parent re-scoring.
+    Returns ``(cost, subset, None, pruned, evaluated)`` — the restricted
+    tasks' shape with no assignment — or ``(inf, None, None, total, 0)``
+    for a fully pruned chunk.
     """
     context, chunk_rows = payload
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
-    slack = FLOAT32_SLACK if context.float32 else PRUNE_SLACK
     if handle is not None:
-        keep = _two_level_prune(
-            context, subset_rows, handle.value(), objective="unassigned", slack=slack
-        )
+        keep = _two_level_prune(context, subset_rows, handle.value(), objective="unassigned")
         if keep is not None:
             subset_rows = subset_rows[keep]
     evaluated = subset_rows.shape[0]
     if evaluated == 0:
-        return np.inf, None, total, 0
+        return np.inf, None, None, total, 0
     costs = context.unassigned_costs(subset_rows, chunk_rows=chunk_rows)
-    if context.float32:
-        # Survivor protocol (see _restricted_chunk_task): margin-zone rows
-        # go back for exact float64 re-scoring in the parent.
-        floor = float(costs.min())
-        margin = prune_margin(floor, FLOAT32_SLACK)
-        if handle is not None:
-            handle.propose(floor + margin)
-        survivors = np.flatnonzero(costs <= floor + margin)
-        return None, subset_rows[survivors], total - evaluated, evaluated
     winner, cost = _chunk_best(costs)
     if handle is not None:
         handle.propose(cost)
-    return cost, subset_rows[winner], total - evaluated, evaluated
+    return cost, subset_rows[winner], None, total - evaluated, evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +760,7 @@ def brute_force_restricted_assigned(
     together with a ``certificate`` metadata entry,
     ``(cost, lower_bound, gap)``, where the lower bound folds the admissible
     chunk bounds of every subset chunk never run
-    (:func:`_deadline_certificate`'s exactness argument).  ``None`` (the
+    (:func:`_certificate_metadata`'s exactness argument).  ``None`` (the
     default) never truncates and adds no metadata.
 
     ``gap_target`` stops the same way on *precision* instead of time: once
@@ -705,138 +791,36 @@ def brute_force_restricted_assigned(
         if prune or time_budget is not None
         else None
     )
-    seed = seed_solution[0] if prune and seed_solution is not None else None
     gap_target = _check_gap_target(gap_target, prune)
     anytime = time_budget is not None or gap_target is not None
     total_rows = _checked_subset_count(candidates.shape[0], k)
-    pruned_rows = 0
-    evaluated_rows = 0
-    best_cost = np.inf
-    best_subset: tuple[int, ...] | None = None
-    best_assignment: np.ndarray | None = None
-    chunk_list = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
-    chunk_bounds = _chunk_lower_bounds(context, chunk_list, "assigned") if prune else None
-    outcome: MapOutcome | None = None
+    chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
     if scores is not None:
-        if workers > 1:
-            context.evaluator  # build sorted columns once, ship to workers
-        if prune:
-            assert seed is not None and chunk_bounds is not None
-            outcome = parallel_map_ordered(
-                _restricted_chunk_task,
-                chunk_list,
-                payload=(context, scores, chunk_rows),
-                workers=workers,
-                shm=shm,
-                incumbent_seed=seed,
-                time_budget=time_budget,
-                order=_best_first_order(chunk_bounds),
-                chunk_bounds=chunk_bounds,
-                gap_target=gap_target,
-                float32_ok=True,
-            )
-            results_by_index = outcome.results
-        else:
-            results_by_index = dict(
-                enumerate(
-                    parallel_map(
-                        _restricted_chunk_task,
-                        chunk_list,
-                        payload=(context, scores, chunk_rows),
-                        workers=workers,
-                        shm=shm,
-                        incumbent_seed=None,
-                        time_budget=time_budget,
-                    )
-                )
-            )
-        best_candidate_indices: np.ndarray | None = None
-        for index in sorted(results_by_index):
-            cost, subset_row, candidate_indices, pruned, evaluated = results_by_index[index]
-            pruned_rows += pruned
-            evaluated_rows += evaluated
-            if cost is None:
-                # Float32 survivors: re-derive assignments and costs through
-                # the parent's exact float64 kernels.  np.argmin returns the
-                # first minimum, and the survivor rows preserve the chunk's
-                # enumeration order, so this is the same first-strict-minimum
-                # the float64 chunk task applies.
-                if subset_row.shape[0] == 0:
-                    continue
-                exact_assignments = context.score_assignments(scores, subset_row)
-                exact_costs = context.assigned_costs(exact_assignments, chunk_rows=chunk_rows)
-                winner = int(np.argmin(exact_costs))
-                cost = float(exact_costs[winner])
-                subset_row = subset_row[winner]
-                candidate_indices = exact_assignments[winner]
-            if cost < best_cost:
-                best_cost = float(cost)
-                best_subset = tuple(int(c) for c in subset_row)
-                best_candidate_indices = candidate_indices
-        if seed_solution is not None and anytime:
-            # Anytime fallback: the seed is a feasible solution evaluated by
-            # the same kernels; it can only win when the deadline (or gap
-            # stop) skipped every chunk that would have beaten it (a
-            # completed run always contains the seed's own row, so the
-            # strict < is a no-op there).
-            seed_cost, seed_columns, seed_indices = seed_solution
-            if best_subset is None or seed_cost < best_cost:
-                best_cost = float(seed_cost)
-                best_subset = tuple(int(c) for c in seed_columns)
-                best_candidate_indices = seed_indices
-        assert best_subset is not None and best_candidate_indices is not None
-        best_assignment = np.searchsorted(np.asarray(best_subset), best_candidate_indices)
+        task, payload = _restricted_chunk_task, (context, scores, chunk_rows)
     else:
         # Black-box assignment rule: one batched chunk_assignments call per
         # chunk, with the exact costs still coming from the shared
-        # evaluator's cached columns (built once up front and shipped to
-        # every worker — without this, every subset would fall back to the
-        # context's lazy single-score path and re-derive distances).
+        # evaluator's cached columns.
+        task, payload = _blackbox_chunk_task, (context, policy)
+    if scores is None or workers > 1:
+        # Build the sorted columns once and ship them to every worker —
+        # without this, black-box rules would fall back to the context's
+        # lazy single-score path and re-derive distances per subset.
         context.evaluator
-        if prune:
-            assert seed is not None and chunk_bounds is not None
-            outcome = parallel_map_ordered(
-                _blackbox_chunk_task,
-                chunk_list,
-                payload=(context, policy),
-                workers=workers,
-                shm=shm,
-                incumbent_seed=seed,
-                time_budget=time_budget,
-                order=_best_first_order(chunk_bounds),
-                chunk_bounds=chunk_bounds,
-                gap_target=gap_target,
-            )
-            results_by_index = outcome.results
-        else:
-            results_by_index = dict(
-                enumerate(
-                    parallel_map(
-                        _blackbox_chunk_task,
-                        chunk_list,
-                        payload=(context, policy),
-                        workers=workers,
-                        shm=shm,
-                        incumbent_seed=None,
-                        time_budget=time_budget,
-                    )
-                )
-            )
-        for index in sorted(results_by_index):
-            cost, columns, labels, pruned, evaluated = results_by_index[index]
-            pruned_rows += pruned
-            evaluated_rows += evaluated
-            if cost < best_cost:
-                best_cost = float(cost)
-                best_subset = tuple(int(c) for c in columns)
-                best_assignment = labels
-        if seed_solution is not None and anytime:
-            seed_cost, seed_columns, seed_indices = seed_solution
-            if best_subset is None or seed_cost < best_cost:
-                best_cost = float(seed_cost)
-                best_subset = tuple(int(c) for c in seed_columns)
-                best_assignment = np.searchsorted(seed_columns, seed_indices)
-    assert best_subset is not None and best_assignment is not None
+    run = _enumerate(
+        task,
+        chunks,
+        payload,
+        seed=seed_solution[0] if prune and seed_solution is not None else None,
+        chunk_bounds=lambda: _chunk_lower_bounds(context, chunks, "assigned"),
+        workers=workers,
+        shm=shm,
+        time_budget=time_budget,
+        gap_target=gap_target,
+    )
+    (best_cost, best_subset, candidate_indices), pruned_rows, evaluated_rows = _reduce_best(
+        run.completed(), seed_solution if anytime else None
+    )
     metadata = {
         "algorithm": "brute-force-restricted",
         "candidate_count": int(candidates.shape[0]),
@@ -848,33 +832,14 @@ def brute_force_restricted_assigned(
         "pruned_rows": int(pruned_rows),
     }
     if anytime:
-        skipped = [index for index in range(len(chunk_list)) if index not in results_by_index]
-        if time_budget is not None:
-            metadata["time_budget"] = float(time_budget)
-        metadata["deadline_hit"] = (
-            bool(outcome.deadline_hit) if outcome is not None else bool(skipped)
+        metadata.update(
+            _certificate_metadata(context, run, best_cost, time_budget, gap_target, "assigned")
         )
-        if gap_target is not None:
-            assert outcome is not None
-            metadata["gap_target"] = float(gap_target)
-            metadata["gap_target_hit"] = bool(outcome.gap_target_hit)
-        metadata["chunks_total"] = len(chunk_list)
-        metadata["chunks_completed"] = len(results_by_index)
-        if chunk_bounds is not None:
-            skipped_bounds = [chunk_bounds[index] for index in skipped]
-        else:
-            skipped_bounds = [
-                float(
-                    context.subset_two_level_lower_bounds(chunk_list[index]).min()
-                )
-                for index in skipped
-            ]
-        metadata["certificate"] = _deadline_certificate(best_cost, skipped_bounds)
     return UncertainKCenterResult(
-        centers=candidates[list(best_subset)],
+        centers=candidates[best_subset],
         expected_cost=float(best_cost),
         objective="restricted-assigned",
-        assignment=np.asarray(best_assignment, dtype=int),
+        assignment=np.asarray(np.searchsorted(best_subset, candidate_indices), dtype=int),
         assignment_policy=policy.name,
         guaranteed_factor=None,
         metadata=metadata,
@@ -931,37 +896,24 @@ def brute_force_unrestricted_assigned(
         context.expected  # pin before shipping: workers share, never rebuild
         context.evaluator
     top_k = max(1, int(polish_top))
-    scored: list[tuple[float, tuple[int, ...], np.ndarray]] = []
     subset_chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
     subset_total = sum(chunk.shape[0] for chunk in subset_chunks)
-    if prune:
-        # Best-first submission tightens the shared top-K threshold early:
-        # low-bound chunks hold the cheap subsets, so the threshold other
-        # shards prune against drops within the first few completions.
-        stage_bounds = _chunk_lower_bounds(context, subset_chunks, "assigned")
-        stage_outcome = parallel_map_ordered(
-            _ed_scored_chunk_task,
-            subset_chunks,
-            payload=(context, chunk_rows, top_k),
-            workers=workers,
-            shm=shm,
-            incumbent_seed=np.inf,
-            order=_best_first_order(stage_bounds),
-            chunk_bounds=stage_bounds,
-        )
-        chunk_results = [stage_outcome.results[index] for index in range(len(subset_chunks))]
-    else:
-        chunk_results = parallel_map(
-            _ed_scored_chunk_task,
-            subset_chunks,
-            payload=(context, chunk_rows, top_k),
-            workers=workers,
-            shm=shm,
-            incumbent_seed=None,
-        )
+    # Best-first submission tightens the shared top-K threshold early:
+    # low-bound chunks hold the cheap subsets, so the threshold other shards
+    # prune against drops within the first few completions.
+    stage = _enumerate(
+        _ed_scored_chunk_task,
+        subset_chunks,
+        (context, chunk_rows, top_k),
+        seed=np.inf if prune else None,
+        chunk_bounds=lambda: _chunk_lower_bounds(context, subset_chunks, "assigned"),
+        workers=workers,
+        shm=shm,
+    )
+    scored: list[tuple[float, tuple[int, ...], np.ndarray]] = []
     subset_pruned = 0
     for subset_rows, (kept, costs, candidate_index_rows, pruned) in zip(
-        subset_chunks, chunk_results
+        subset_chunks, stage.completed()
     ):
         subset_pruned += pruned
         rows = subset_rows[kept]
@@ -984,34 +936,23 @@ def brute_force_unrestricted_assigned(
             for _, subset, _ in scored[:polish_top]
             for start, stop in iter_chunk_bounds(k**n, chunk_rows)
         ]
-        if prune:
-            # The same shared-prefix bound the shards prune with, computed
-            # up front per item, doubles as the best-first priority.
-            item_bounds = [
+        # The shared-prefix bound the shards prune with, computed up front
+        # per item, doubles as the best-first priority.
+        exhaustive = _enumerate(
+            _exhaustive_chunk_task,
+            items,
+            (context, n, chunk_rows),
+            seed=best_cost if prune else None,
+            chunk_bounds=lambda: [
                 _assignment_prefix_bound(context, columns, start, stop)
                 for columns, start, stop in items
-            ]
-            exhaustive_outcome = parallel_map_ordered(
-                _exhaustive_chunk_task,
-                items,
-                payload=(context, n, chunk_rows),
-                workers=workers,
-                shm=shm,
-                incumbent_seed=best_cost,
-                order=_best_first_order(item_bounds),
-                chunk_bounds=item_bounds,
-            )
-            results = [exhaustive_outcome.results[index] for index in range(len(items))]
-        else:
-            results = parallel_map(
-                _exhaustive_chunk_task,
-                items,
-                payload=(context, n, chunk_rows),
-                workers=workers,
-                shm=shm,
-                incumbent_seed=None,
-            )
-        for (columns, _, _), (cost, assignment_row, pruned, evaluated) in zip(items, results):
+            ],
+            workers=workers,
+            shm=shm,
+        )
+        for (columns, _, _), (cost, assignment_row, pruned, evaluated) in zip(
+            items, exhaustive.completed()
+        ):
             assignment_pruned += pruned
             assignment_evaluated += evaluated
             if cost < best_cost:
@@ -1138,69 +1079,24 @@ def brute_force_unassigned(
     seed_solution = (
         _seed_unassigned_incumbent(context, k) if prune or time_budget is not None else None
     )
-    seed = seed_solution[0] if prune and seed_solution is not None else None
     gap_target = _check_gap_target(gap_target, prune)
     anytime = time_budget is not None or gap_target is not None
     total_rows = _checked_subset_count(candidates.shape[0], k)
-    pruned_rows = 0
-    evaluated_rows = 0
-    best_cost = np.inf
-    best_subset: tuple[int, ...] | None = None
-    chunk_list = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
-    chunk_bounds = _chunk_lower_bounds(context, chunk_list, "unassigned") if prune else None
-    outcome: MapOutcome | None = None
-    if prune:
-        assert seed is not None and chunk_bounds is not None
-        outcome = parallel_map_ordered(
-            _unassigned_chunk_task,
-            chunk_list,
-            payload=(context, chunk_rows),
-            workers=workers,
-            shm=shm,
-            incumbent_seed=seed,
-            time_budget=time_budget,
-            order=_best_first_order(chunk_bounds),
-            chunk_bounds=chunk_bounds,
-            gap_target=gap_target,
-            float32_ok=True,
-        )
-        results_by_index = outcome.results
-    else:
-        results_by_index = dict(
-            enumerate(
-                parallel_map(
-                    _unassigned_chunk_task,
-                    chunk_list,
-                    payload=(context, chunk_rows),
-                    workers=workers,
-                    shm=shm,
-                    incumbent_seed=None,
-                    time_budget=time_budget,
-                )
-            )
-        )
-    for index in sorted(results_by_index):
-        cost, subset_row, pruned, evaluated = results_by_index[index]
-        pruned_rows += pruned
-        evaluated_rows += evaluated
-        if cost is None:
-            # Float32 survivors: exact re-scoring, first-minimum tie rule
-            # (see the restricted solver's reduction).
-            if subset_row.shape[0] == 0:
-                continue
-            exact_costs = context.unassigned_costs(subset_row, chunk_rows=chunk_rows)
-            winner = int(np.argmin(exact_costs))
-            cost = float(exact_costs[winner])
-            subset_row = subset_row[winner]
-        if cost < best_cost:
-            best_cost = float(cost)
-            best_subset = tuple(int(c) for c in subset_row)
-    if seed_solution is not None and anytime:
-        seed_cost, seed_columns = seed_solution
-        if best_subset is None or seed_cost < best_cost:
-            best_cost = float(seed_cost)
-            best_subset = tuple(int(c) for c in seed_columns)
-    assert best_subset is not None
+    chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
+    run = _enumerate(
+        _unassigned_chunk_task,
+        chunks,
+        (context, chunk_rows),
+        seed=seed_solution[0] if prune and seed_solution is not None else None,
+        chunk_bounds=lambda: _chunk_lower_bounds(context, chunks, "unassigned"),
+        workers=workers,
+        shm=shm,
+        time_budget=time_budget,
+        gap_target=gap_target,
+    )
+    (best_cost, best_subset, _), pruned_rows, evaluated_rows = _reduce_best(
+        run.completed(), seed_solution if anytime else None
+    )
     metadata = {
         "algorithm": "brute-force-unassigned",
         "candidate_count": int(candidates.shape[0]),
@@ -1212,32 +1108,11 @@ def brute_force_unassigned(
         "pruned_rows": int(pruned_rows),
     }
     if anytime:
-        skipped = [index for index in range(len(chunk_list)) if index not in results_by_index]
-        if time_budget is not None:
-            metadata["time_budget"] = float(time_budget)
-        metadata["deadline_hit"] = (
-            bool(outcome.deadline_hit) if outcome is not None else bool(skipped)
+        metadata.update(
+            _certificate_metadata(context, run, best_cost, time_budget, gap_target, "unassigned")
         )
-        if gap_target is not None:
-            assert outcome is not None
-            metadata["gap_target"] = float(gap_target)
-            metadata["gap_target_hit"] = bool(outcome.gap_target_hit)
-        metadata["chunks_total"] = len(chunk_list)
-        metadata["chunks_completed"] = len(results_by_index)
-        if chunk_bounds is not None:
-            skipped_bounds = [chunk_bounds[index] for index in skipped]
-        else:
-            skipped_bounds = [
-                float(
-                    context.subset_two_level_lower_bounds(
-                        chunk_list[index], objective="unassigned"
-                    ).min()
-                )
-                for index in skipped
-            ]
-        metadata["certificate"] = _deadline_certificate(best_cost, skipped_bounds)
     return UncertainKCenterResult(
-        centers=candidates[list(best_subset)],
+        centers=candidates[best_subset],
         expected_cost=float(best_cost),
         objective="unassigned",
         guaranteed_factor=None,

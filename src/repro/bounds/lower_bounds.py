@@ -127,31 +127,17 @@ def assigned_cost_lower_bound(dataset: UncertainDataset, k: int) -> float:
 #: than kernel rounding — while pruning essentially nothing extra.
 PRUNE_SLACK = 1e-9
 
-#: Relative slack for comparisons involving *float32* kernel output (the
-#: opt-in ``REPRO_CONTEXT_DTYPE=float32`` context layout).  float32 carries
-#: ~1.2e-7 relative rounding per operation and the sweep kernels accumulate a
-#: few of those, so the float64 slack above is far too tight; 1e-5 is ~100x
-#: wider than the worst observed float32 drift (pinned by the differential
-#: tests in ``tests/test_best_first.py``) while still pruning essentially
-#: everything the exact bound would.  Admissibility is preserved the same way
-#: as with :data:`PRUNE_SLACK`: a row is dropped only when its float32 bound
-#: exceeds the incumbent by more than the margin, and every float32 *winner*
-#: is re-scored through the exact float64 kernels before it can become a
-#: result, so the wider margin can only reduce pruning, never change output.
-FLOAT32_SLACK = 1e-5
 
-
-def prune_margin(threshold: float, slack: float = PRUNE_SLACK) -> float:
+def prune_margin(threshold: float) -> float:
     """The absolute slack added to ``threshold`` before pruning against it.
 
     The bounds are admissible in *real* arithmetic; this relative slack
-    (:data:`PRUNE_SLACK` by default, :data:`FLOAT32_SLACK` when the float32
-    context layout computed the bound) absorbs cross-kernel floating-point
-    rounding so a row is pruned only when its bound exceeds the incumbent by
-    more than any rounding could explain — widening the margin can only
-    reduce pruning, never change a result.
+    (:data:`PRUNE_SLACK`) absorbs cross-kernel floating-point rounding so a
+    row is pruned only when its bound exceeds the incumbent by more than any
+    rounding could explain — widening the margin can only reduce pruning,
+    never change a result.
     """
-    return slack * max(1.0, abs(threshold))
+    return PRUNE_SLACK * max(1.0, abs(threshold))
 
 
 def subset_assigned_lower_bounds(context: CostContext, subset_rows: np.ndarray) -> np.ndarray:

@@ -138,16 +138,6 @@ class CostContext:
         self._expected: np.ndarray | None = None
         self._rank_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._rank_merge: _RankMergeTables | None = None
-        #: True only on worker-side rebuilds of a float32-published context
-        #: (``REPRO_CONTEXT_DTYPE=float32``): the cached tables carry float32
-        #: precision, so chunk tasks must widen their prune margins and
-        #: return survivor sets for exact float64 re-scoring instead of
-        #: picking winners locally.  Parent-built contexts are always exact.
-        self.float32 = False
-        #: Float32 shadow of ``expected`` for bound gathers, present only on
-        #: float32 worker rebuilds (``expected`` itself stays float64 there so
-        #: argmin-based assignment selection is exact).
-        self._expected32: np.ndarray | None = None
         #: Bumped on every in-place candidate mutation; shared-memory
         #: publications key on it so a spliced context is republished.
         self._version = 0
@@ -329,7 +319,6 @@ class CostContext:
             self._evaluator.replace_candidate_columns(columns, blocks)
         self._rank_tables = None
         self._rank_merge = None
-        self._expected32 = None
         self._version += 1
 
     def with_candidates(self, new_candidates: np.ndarray) -> "CostContext":
@@ -358,8 +347,6 @@ class CostContext:
         twin._expected = None if self._expected is None else self._expected.copy()
         twin._rank_tables = None
         twin._rank_merge = None
-        twin.float32 = False
-        twin._expected32 = None
         twin._version = 0
         twin.replace_candidate_columns(changed, new_candidates[changed])
         return twin
@@ -547,8 +534,7 @@ class CostContext:
         beyond the ``(n, B, kk)`` gather.
         """
         subset_rows = self._check_subset_rows(subset_rows)
-        table = self._expected32 if self._expected32 is not None else self.expected
-        return table[:, subset_rows].min(axis=2).max(axis=0)
+        return self.expected[:, subset_rows].min(axis=2).max(axis=0)
 
     def subset_unassigned_lower_bounds(self, subset_rows: np.ndarray) -> np.ndarray:
         """``(B,)`` lower bounds on the unassigned cost of candidate subsets.

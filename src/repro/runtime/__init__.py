@@ -14,8 +14,10 @@ payload bytes, a **store** tier that owns built-context reuse, and an
   down explicitly via :func:`~repro.runtime.pool.shutdown` (also at
   interpreter exit).  Fork/spawn hazards degrade safely: a stale executor
   inherited through ``fork`` is discarded and respawned, a dead worker
-  (:class:`BrokenProcessPool`) triggers a serial fallback with identical
-  results, and any parallel request made *inside* a worker runs serially.
+  (:class:`BrokenProcessPool`) costs only its lost chunks — the pool is
+  rebuilt and they are resubmitted, and a map that exhausts its rebuild
+  budget finishes in-process with identical results — and any parallel
+  request made *inside* a worker runs serially.
 
 * :mod:`repro.runtime.shm` — zero-copy payload publication.  The arrays of
   a :class:`~repro.cost.context.CostContext` payload (supports,
@@ -30,15 +32,19 @@ payload bytes, a **store** tier that owns built-context reuse, and an
   identity + materialized parts + mutation version), so twenty calls over
   one memoized context publish once.
 
-* :mod:`repro.runtime.parallel` — the front door.
-  :func:`~repro.runtime.parallel.parallel_map` picks the cheapest transport
-  (shared memory for context payloads, inline pickle for small settings, a
-  per-call fork-inheritance pool for large payloads with shared memory
-  off), clamps the requested worker count to the CPUs actually available
-  and to the amount of work (``workers=N`` is never slower than serial on a
-  small box), and reduces results in submission order.  Serial
-  (``workers=1``) is the default; worker counts and transports change wall
-  clock only, never results.
+* :mod:`repro.runtime.parallel` — the front door: one map engine behind
+  two adapters, :func:`~repro.runtime.parallel.parallel_map` (a result
+  list, for trial loops) and
+  :func:`~repro.runtime.parallel.parallel_map_ordered` (results by item
+  index with best-first submission and a gap-target stop, for the
+  enumerators).  The engine picks the cheapest transport (shared memory for
+  context payloads, a blob segment for settings, a per-worker-memoized
+  pickle with shared memory off), clamps the requested worker count to the
+  CPUs actually available and to the amount of work (``workers=N`` is never
+  slower than serial on a small box), and runs serial maps and degraded
+  maps' remainders through one in-process loop.  Serial (``workers=1``) is
+  the default; worker counts and transports change wall clock only, never
+  results.
 
 * :mod:`repro.runtime.store` — cross-call and cross-process context reuse.
   :class:`~repro.runtime.store.ContextStore` memoizes ``CostContext``
@@ -57,8 +63,8 @@ payload bytes, a **store** tier that owns built-context reuse, and an
   One process-wide slot (a ``multiprocessing.Value`` double plus a
   generation counter sharing its lock) is created before the pool spawns —
   inherited by ``fork`` workers, shipped through the pool initializer under
-  ``spawn`` — and each pruned :func:`~repro.runtime.parallel.parallel_map`
-  activates a fresh generation seeded with a heuristic feasible cost.  The
+  ``spawn`` — and each pruned pooled map activates a fresh generation
+  seeded with a heuristic feasible cost.  The
   shared-incumbent protocol: a small picklable token rides in every chunk
   dispatch tuple; chunk tasks read the threshold **once per chunk** (under
   the slot lock — torn reads could over-prune) and publish achieved costs
@@ -67,7 +73,8 @@ payload bytes, a **store** tier that owns built-context reuse, and an
   Exactness never depends on freshness: every stored value is an achieved
   feasible cost, i.e. an upper bound on the enumeration optimum, so a
   stale read only prunes less.  Serial maps thread a plain in-process
-  incumbent through the identical chunk loop.
+  incumbent through the identical chunk loop, bound per thread so
+  concurrent in-process solves never prune against each other.
 
 Consumers: the three brute-force enumerators (sharded subset/assignment
 chunks over shared-memory descriptors, pruned against the shared incumbent

@@ -34,11 +34,6 @@ Cases
     PR-10 bound win: the two-level (level-1 max pair) bound plus best-first
     incumbent must prune > 80% of the n=12, m=16, k=4 subset rows, with
     results bit-identical to ``prune=False``.
-``context_float32_bandwidth``
-    PR-10 bandwidth win: total shared-memory segment bytes of the compact
-    ``REPRO_CONTEXT_DTYPE=float32`` context layout vs the exact float64
-    publication — target ratio <= 0.6 (supports halve; the expected matrix
-    stays exact for argmin label selection).
 ``shm_dispatch_bytes``
     Bytes a chunk dispatch ships under shared memory (descriptor only)
     against pickling the full brute-force payload — the zero-copy win,
@@ -128,9 +123,6 @@ BEST_FIRST_CHUNK_RATIO_TARGET = 0.5
 #: Fraction of subset rows the two-level bound must prune on the PR-10
 #: acceptance instance.
 TWO_LEVEL_PRUNE_RATE_TARGET = 0.8
-#: Shared-memory segment bytes ratio (float32 layout / exact float64) the
-#: compact context publication targets.
-FLOAT32_BYTES_RATIO_TARGET = 0.6
 #: Slowdown (new/old) past which ``--compare`` reports a regression.
 REGRESSION_TOLERANCE = 1.2
 #: Timings below this are dominated by noise; ``--compare`` skips them.
@@ -412,42 +404,6 @@ def bench_prune_rate_two_level(repeats: int = 3) -> dict:
         "target": TWO_LEVEL_PRUNE_RATE_TARGET,
         "target_met": bool(prune_rate > TWO_LEVEL_PRUNE_RATE_TARGET),
         "note": "two-level bound + best-first incumbent; bit-identical to prune=False",
-    }
-
-
-def bench_context_float32_bandwidth() -> dict:
-    """Shared-memory segment bytes: float32 context layout vs exact float64.
-
-    Publishes the same context under both layouts and compares total
-    segment bytes.  The compact layout halves the support tables (the bulk
-    of a publication at realistic ``z``) while keeping the expected matrix
-    exact for argmin label selection, so the ratio lands near — but above —
-    0.5; the target is <= 0.6.  Deterministic (sizes, not timings).
-    """
-    dataset, _ = gaussian_clusters(n=12, z=12, dimension=2, k_true=4, seed=9)
-    candidates = dataset.all_locations()[:16]
-    context = CostContext(dataset, candidates)
-    context.supports  # materialize so both layouts publish the same parts
-
-    def published_bytes(float32: bool) -> int:
-        descriptor, call_lease = shm_module.publish_payload((context,), float32=float32)
-        try:
-            return sum(segment.nbytes for segment in descriptor.segments)
-        finally:
-            if call_lease is not None:
-                call_lease.close()
-            shm_module.close_all_publications()
-
-    float64_bytes = published_bytes(False)
-    float32_bytes = published_bytes(True)
-    ratio = float32_bytes / max(float64_bytes, 1)
-    return {
-        "float64_segment_bytes": float64_bytes,
-        "float32_segment_bytes": float32_bytes,
-        "bytes_ratio": ratio,
-        "target": FLOAT32_BYTES_RATIO_TARGET,
-        "target_met": bool(ratio <= FLOAT32_BYTES_RATIO_TARGET),
-        "note": "expected matrix stays float64 (exact argmin labels); supports halve",
     }
 
 
@@ -924,7 +880,6 @@ CASES: dict[str, Callable[[], dict]] = {
     "brute_force_parallel_speedup": bench_brute_force_parallel,
     "best_first_gap_trajectory": bench_best_first_gap_trajectory,
     "prune_rate_two_level": bench_prune_rate_two_level,
-    "context_float32_bandwidth": bench_context_float32_bandwidth,
     "shm_dispatch_bytes": bench_shm_dispatch_bytes,
     "persistent_pool_amortization": bench_persistent_pool,
     "context_store_disk_spill": bench_context_store_disk_spill,
@@ -947,7 +902,6 @@ QUICK_CASES: tuple[str, ...] = (
     "brute_force_prune_unassigned",
     "best_first_gap_trajectory",
     "prune_rate_two_level",
-    "context_float32_bandwidth",
     "shm_dispatch_bytes",
     "unassigned_rank_merge",
     "wang_zhang_column_splice",

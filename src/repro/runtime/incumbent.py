@@ -30,21 +30,24 @@ One process-wide *slot* (a ``multiprocessing.Value('d')`` plus a generation
 counter sharing its lock) is created in the parent **before** the persistent
 pool spawns, so fork workers inherit it and spawn workers receive it through
 the pool initializer (:mod:`repro.runtime.pool` passes
-:func:`slot_handles` / :func:`adopt_slot`).  Each
-:func:`~repro.runtime.parallel.parallel_map` call that wants pruning
-activates a fresh *generation* with a seed value and ships a small picklable
+:func:`slot_handles` / :func:`adopt_slot`).  Each pooled map
+(:mod:`repro.runtime.parallel`) that wants pruning activates a fresh
+*generation* with a seed value and ships a small picklable
 :class:`IncumbentToken` inside every chunk dispatch tuple; workers bind the
 token to the inherited slot and expose it to the chunk task via
 :func:`active`.  A generation mismatch (a stale bind) degrades to the
 token's seed — less pruning, identical results.  Serial execution binds a
 plain in-process :class:`SerialIncumbent` instead and never touches
-``multiprocessing`` at all.
+``multiprocessing`` at all.  The active handle is **thread-local**: serve
+threads run serial solves concurrently in one process, and each must prune
+against its own incumbent only.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -90,8 +93,7 @@ class SharedIncumbent:
     """Worker-side (or parent-side) view of the shared slot for one token.
 
     Tracks a process-local best alongside the shared value, so pruning keeps
-    working at full strength even if the slot vanished (fresh pool without
-    initargs) or another generation took it over.
+    working at full strength even if another generation took the slot over.
     """
 
     __slots__ = ("_slot", "_generation", "_best")
@@ -186,7 +188,7 @@ def certified_gap(cost: float, outstanding_bound: float) -> float:
 class GapTracker:
     """Live optimality-gap monitor for one best-first enumeration.
 
-    Constructed by :func:`repro.runtime.parallel.parallel_map_ordered` when a
+    Constructed by the map engine of :mod:`repro.runtime.parallel` when a
     ``gap_target`` is set; the submission loop asks :meth:`should_stop` with
     the minimum admissible bound over the chunks not yet submitted.  Stopping
     is sound *at submission time*: in-flight chunks still drain (they can
@@ -229,7 +231,8 @@ class _Slot:
 
 
 _SLOT: _Slot | None = None
-_ACTIVE: IncumbentHandle | None = None
+#: Per-thread active handle: serve threads solve concurrently in one process.
+_LOCAL = threading.local()
 
 
 def _fork_preferred_context():
@@ -307,49 +310,51 @@ def activate(seed: float) -> IncumbentToken:
     return IncumbentToken(generation=generation, seed=float(seed))
 
 
-def parent_handle(token: IncumbentToken) -> SharedIncumbent:
-    """A parent-side read/propose handle on the slot behind ``token``.
+def token_handle(token: IncumbentToken | None) -> IncumbentHandle | None:
+    """The handle a chunk task prunes through for ``token`` in this process.
 
-    The gap tracker of a best-first map lives in the *parent* (submission
-    loop) while workers tighten the slot; this is the handle it reads the
-    live incumbent through.
+    ``None`` for unpruned maps; a :class:`SharedIncumbent` on the slot when
+    this process has one; otherwise a :class:`SerialIncumbent` at the
+    token's seed (less pruning, identical results).
     """
-    return SharedIncumbent(ensure_slot(), token)
+    if token is None:
+        return None
+    if _SLOT is not None:
+        return SharedIncumbent(_SLOT, token)
+    return SerialIncumbent(token.seed)
 
 
 def bind_token(token: IncumbentToken | None) -> None:
-    """Make ``token`` the active incumbent for subsequent task calls.
-
-    Called by the pool dispatch before every chunk task (cheap: allocates
-    one small handle) and by the serial fallback paths.  ``None`` unbinds.
-    """
-    global _ACTIVE
-    if token is None:
-        _ACTIVE = None
-    elif _SLOT is not None:
-        _ACTIVE = SharedIncumbent(_SLOT, token)
-    else:  # no slot in this process: prune against the seed alone
-        _ACTIVE = SerialIncumbent(token.seed)
+    """Make ``token`` the calling thread's active incumbent (``None`` unbinds)."""
+    _LOCAL.handle = token_handle(token)
 
 
 def active() -> IncumbentHandle | None:
-    """The incumbent handle bound to the current task, if any."""
-    return _ACTIVE
+    """The incumbent handle bound to the calling thread's task, if any."""
+    handle: IncumbentHandle | None = getattr(_LOCAL, "handle", None)
+    return handle
+
+
+@contextmanager
+def bound(handle: IncumbentHandle | None) -> Iterator[IncumbentHandle | None]:
+    """Bind exactly ``handle`` (``None`` included) around a block of tasks.
+
+    The binding is per thread, and whatever was active before is restored on
+    exit, so a map nested inside another task (pool workers degrade nested
+    maps to serial) cannot clobber the outer incumbent, and concurrent
+    solves in different threads (``repro serve``) never see each other's.
+    """
+    previous = active()
+    _LOCAL.handle = handle
+    try:
+        yield handle
+    finally:
+        _LOCAL.handle = previous
 
 
 @contextmanager
 def serial_incumbent(seed: float) -> Iterator[SerialIncumbent]:
-    """Bind a :class:`SerialIncumbent` around an in-process chunk loop.
-
-    Restores whatever was active before, so a pruned map nested inside
-    another task (pool workers degrade nested maps to serial) cannot clobber
-    the outer incumbent.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
+    """Bind a fresh :class:`SerialIncumbent` around an in-process loop."""
     handle = SerialIncumbent(seed)
-    _ACTIVE = handle
-    try:
+    with bound(handle):
         yield handle
-    finally:
-        _ACTIVE = previous

@@ -1,13 +1,21 @@
-"""Process-parallel execution runtime: map work items over worker pools.
+"""Process-parallel execution runtime: one map engine over the worker pool.
 
 Every enumeration- and trial-heavy path in the repo shares one execution
 shape: a *payload* that is expensive to build or ship (an
 :class:`~repro.cost.context.CostContext` with its pinned supports and sorted
 CDF columns, or an experiment settings object), plus a stream of cheap,
 independent *work items* (chunks of candidate subsets, trial descriptors).
-:func:`parallel_map` runs that shape serially (``workers <= 1``, the default
-— bit-identical to calling the task function in a plain loop) or across a
-process pool, choosing the cheapest transport for the payload:
+One private engine runs that shape serially (``workers <= 1``, the default
+— bit-identical to calling the task function in a plain loop) or across the
+persistent process pool, and two public adapters expose it:
+
+* :func:`parallel_map` returns a plain list (the trial loops and the public
+  API);
+* :func:`parallel_map_ordered` returns a :class:`MapOutcome` keyed by item
+  index and adds best-first submission order plus a gap-target stop (the
+  branch-and-bound enumerators of :mod:`repro.baselines.brute_force`).
+
+Payload transport is resolved once per map, cheapest first:
 
 * **shared memory** (the default for payloads containing a ``CostContext``):
   the payload's arrays are published once to
@@ -17,33 +25,36 @@ process pool, choosing the cheapest transport for the payload:
   repeated calls over a memoized context ship the payload **zero** times;
 * **blob segment** for context-free payloads (experiment settings): the
   pickle bytes sit in one shared-memory segment, unpickled once per worker;
-* **pre-pickled inline** (small payloads) or a **per-call pool** with an
-  initializer (the PR 3 path — payload shipped once per worker by ``fork``
-  inheritance, for large payloads) when shared memory is unavailable or
-  disabled.
+* **pickled** when shared memory is unavailable or disabled: the pre-pickled
+  payload rides with each dispatch but is unpickled once per worker, memoized
+  by its sha1.
 
 The pool itself is persistent (:mod:`repro.runtime.pool`): lazily spawned,
 grown on demand, reused across brute-force calls and experiment trials, and
 shut down explicitly (or at exit).  If a worker dies mid-map, recovery is
 **chunk-granular**: completed chunk results are kept, the pool is rebuilt
 with bounded retries and backoff, and only the lost chunks are resubmitted;
-a map that exhausts its rebuild budget finishes the *remainder* serially in
-the parent (:class:`~repro.runtime.pool.PoolDegradedError` carries the
-completed work).  Results are identical under every degradation path by the
-determinism contract below, every recovery event is counted in
+a map that exhausts its rebuild budget finishes the *remainder* in the
+engine's one in-process loop (:class:`~repro.runtime.pool.PoolDegradedError`
+carries the completed work).  Results are identical under every degradation
+path by the determinism contract below, every recovery event is counted in
 :mod:`repro.runtime.health`, and all of it can be driven deterministically
 via :mod:`repro.faults`.
 
-Deadlines (the anytime-solver plumbing)
----------------------------------------
+Stops (the anytime-solver plumbing)
+-----------------------------------
 ``time_budget=SECONDS`` turns a map into an anytime computation: chunk
 submission stops once the monotonic deadline passes, in-flight work drains,
-and the longest completed prefix of results comes back (a short list is how
-callers detect truncation — they pair the prefix with an admissible lower
-bound over the chunks never run to certify ``(cost, lower_bound, gap)``;
-see :mod:`repro.baselines.brute_force`).  Deadline-truncated maps are
+and the completed chunks come back (:func:`parallel_map` returns the longest
+completed prefix — a short list is how callers detect truncation).  An
+ordered map with a ``gap_target`` stops the same way once the certified gap
+between the live incumbent and the outstanding chunk bounds reaches the
+target.  Callers pair the completed chunks with an admissible lower bound
+over the chunks never run to certify ``(cost, lower_bound, gap)``; see
+:mod:`repro.baselines.brute_force`.  Both stops behave the same on every
+transport, serially and in a degraded map's remainder.  Truncated maps are
 exempt from ``det`` fingerprinting the same way pruned maps are: *which*
-prefix completes is timing-dependent by design, while each returned chunk
+chunks complete is timing-dependent by design, while each returned chunk
 value is still bit-identical.
 
 Serial fallback (never slower than ``workers=1``)
@@ -60,20 +71,21 @@ small machines enable :func:`set_oversubscribe` (or set
 Determinism contract
 --------------------
 ``parallel_map(fn, items, workers=w)`` returns ``[fn(payload, item) for item
-in items]`` for every ``w``, with shared memory on or off: the same chunk
-boundaries are used, every chunk is computed by the same NumPy kernels on
-the same bytes (shared-memory views alias the publisher's arrays exactly),
-and the parent reduces in item order.  Only wall-clock time may differ —
-never a returned value.
+in items]`` for every ``w``, on every transport: the same chunk boundaries
+are used, every chunk is computed by the same NumPy kernels on the same
+bytes (shared-memory views alias the publisher's arrays exactly), and the
+parent reduces in item order.  Only wall-clock time may differ — never a
+returned value.
 
 Pruned maps (``incumbent_seed`` set) relax this one notch by design: tasks
 may *skip* work whose admissible lower bound exceeds the shared incumbent
 (:mod:`repro.runtime.incumbent`), and which rows get skipped depends on
 cross-shard timing — but the callers' reductions are constructed so the
 reduced result is still bit-identical at every worker count (see the
-exactness contract in :mod:`repro.baselines.brute_force`).  Serial pruned
-maps thread the identical incumbent through the in-process loop, so their
-skip sets are deterministic too.
+exactness contract in :mod:`repro.baselines.brute_force`).  The in-process
+loop binds exactly its own map's incumbent in the calling thread (none for
+an unpruned map), so serial skip sets are deterministic too, and concurrent
+solves in different threads never prune against each other.
 
 Worker memory is bounded by the work-item granularity: the brute-force
 shards pass ``chunk_rows`` (default
@@ -85,40 +97,29 @@ is.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import time
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from .. import faults, sanitize
-from .._env import env_flag, env_str
+from .._env import env_flag
 from ..sanitize import det_san
 from . import health
 from . import incumbent as incumbent_module
 from . import pool as pool_module
 from . import shm as shm_module
+from .pool import MapOutcome
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Without shared memory, payloads whose pickle is at most this many bytes
-#: ride inline with the persistent pool's dispatch tuples (unpickled once per
-#: worker); larger ones fall back to the per-call initializer pool.
-INLINE_PAYLOAD_BYTES = 65536
 
 #: Fewest work items worth dispatching to a pool at all.
 DEFAULT_MIN_ITEMS = 2
 
 _OVERSUBSCRIBE = env_flag("REPRO_OVERSUBSCRIBE", default=False)
 _SHM_DEFAULT = env_flag("REPRO_SHM", default=True)
-
-# -- compatibility state for the per-call initializer pool -------------------
-
-_WORKER_PAYLOAD: Any = None
-_WORKER_TASK: Callable[..., Any] | None = None
-_WORKER_TOKEN: Any = None
 
 
 def set_oversubscribe(enabled: bool) -> bool:
@@ -165,71 +166,6 @@ def effective_workers(workers: int | None, item_count: int, min_items: int = DEF
     return max(1, workers)
 
 
-def _init_worker(
-    task: Callable[..., Any],
-    payload: Any,
-    incumbent_handles: tuple | None = None,
-    incumbent_token: Any = None,
-    sanitizer_names: tuple[str, ...] = (),
-    fault_spec: str = "",
-) -> None:
-    global _WORKER_PAYLOAD, _WORKER_TASK, _WORKER_TOKEN
-    pool_module._mark_in_worker()
-    # Sanitizers first, so adopt_slot wraps the incumbent lock when LOCK-SAN
-    # is on (same ordering as pool._init_pool_worker).
-    sanitize.set_enabled(sanitizer_names)
-    faults.set_enabled(fault_spec)
-    incumbent_module.adopt_slot(incumbent_handles)
-    _WORKER_PAYLOAD = payload
-    _WORKER_TASK = task
-    _WORKER_TOKEN = incumbent_token
-
-
-def _run_item(item: Any) -> Any:
-    assert _WORKER_TASK is not None
-    incumbent_module.bind_token(_WORKER_TOKEN)
-    try:
-        return _WORKER_TASK(_WORKER_PAYLOAD, item)
-    finally:
-        incumbent_module.bind_token(None)
-
-
-def _pool_context():
-    """Prefer ``fork`` (payload shipped by inheritance) where available."""
-    return pool_module._pool_context()
-
-
-def _map_with_fresh_pool(
-    task: Callable[[Any, T], R],
-    items: list[T],
-    payload: Any,
-    workers: int,
-    incumbent_token: Any = None,
-) -> list[R]:
-    """The PR 3 path: per-call pool, payload shipped once via initializer.
-
-    Used for large payloads when shared memory is off — ``fork`` inheritance
-    still ships the payload only once per worker.  The incumbent slot (when
-    this map is pruned) travels through the same initializer.
-    """
-    context = _pool_context()
-    handles = incumbent_module.slot_handles() if incumbent_token is not None else None
-    # repro: noqa[SYNC-IN-DISPATCH] -- the sanctioned PR 3 fallback: the slot travels via initargs through _init_worker, exactly the initializer protocol the rule enforces
-    with context.Pool(
-        processes=workers,
-        initializer=_init_worker,
-        initargs=(
-            task,
-            payload,
-            handles,
-            incumbent_token,
-            sanitize.enabled_names(),
-            faults.enabled_spec(),
-        ),
-    ) as process_pool:
-        return process_pool.map(_run_item, items, chunksize=1)
-
-
 def parallel_map(
     task: Callable[[Any, T], R],
     items: Sequence[T],
@@ -252,7 +188,7 @@ def parallel_map(
         Picklable work items; results are returned in the same order.
     payload:
         Shipped to the workers once — via a shared-memory descriptor, a
-        small inline pickle, or a per-call pool initializer — never per
+        blob segment, or a pickle memoized per worker — never rebuilt per
         work item.  Build expensive state (contexts, pinned supports) here,
         not per item.
     workers:
@@ -262,10 +198,8 @@ def parallel_map(
         import cost and bit-identical results.
     shm:
         Force shared-memory payload transport on or off; ``None`` uses the
-        default (on when the payload contains a
-        :class:`~repro.cost.context.CostContext`, overridable via the
-        ``REPRO_SHM`` environment variable).  Results are identical either
-        way.
+        default (on, overridable via the ``REPRO_SHM`` environment
+        variable).  Results are identical either way.
     min_items:
         Fewest items worth dispatching to a pool; below it the call is
         serial.
@@ -275,8 +209,8 @@ def parallel_map(
         value (``inf`` for "no heuristic seed").  Chunk tasks reach it via
         :func:`repro.runtime.incumbent.active` to prune work and publish
         achieved costs; serial execution threads the identical incumbent
-        through the in-process loop.  ``None`` (the default) binds nothing
-        and tasks see no incumbent.  Pruning changes *which* rows tasks
+        through the in-process loop.  ``None`` (the default) binds no
+        incumbent, so tasks see none.  Pruning changes *which* rows tasks
         evaluate, never the reduced result — see the exactness contract in
         :mod:`repro.baselines.brute_force`.
     time_budget:
@@ -284,8 +218,7 @@ def parallel_map(
         submission stops, in-flight chunks drain, and the longest completed
         *prefix* of results is returned — possibly empty, always shorter
         than ``items`` (which is how callers detect truncation).  ``None``
-        (the default) never truncates.  See the module docstring's deadline
-        section for the anytime-certificate pattern built on this.
+        (the default) never truncates.
 
     Notes
     -----
@@ -294,163 +227,15 @@ def parallel_map(
     ``task`` propagate to the caller under every execution mode.
     """
     items = list(items)
-    workers = effective_workers(workers, len(items), min_items)
-    pruned = incumbent_seed is not None
-    deadline = None if time_budget is None else time.monotonic() + float(time_budget)
-
-    def _audited(results: list[R], used_workers: int, *, partial: bool = False) -> list[R]:
-        # DET-SAN fingerprints per-chunk results of un-pruned maps so a
-        # workers=1 vs workers=N divergence is caught at the first
-        # differing chunk; no-op unless REPRO_SANITIZE enables ``det``.
-        # Deadline-truncated maps are exempt like pruned ones: a shorter
-        # result list under the same (task, items, payload) key would
-        # false-positive against a completed run.
-        if not partial:
-            det_san.record_map(
-                task, items, payload, results, workers=used_workers, pruned=pruned
-            )
-        return results
-
-    if workers <= 1:
-        serial_results = _serial_map(task, items, payload, incumbent_seed, deadline)
-        if len(serial_results) < len(items):
-            health.record(deadline_hits=1)
-            return _audited(serial_results, 1, partial=True)
-        return _audited(serial_results, 1)
-
-    incumbent_token = (
-        incumbent_module.activate(incumbent_seed) if incumbent_seed is not None else None
+    outcome = _Map(task, items, payload, list(range(len(items))), time_budget).run(
+        workers, shm, min_items, incumbent_seed
     )
-    transport = _resolve_transport(payload, shm)
-    if transport is None:
-        # Large payload without shared memory: a per-call pool with fork
-        # inheritance beats pickling the payload into every dispatch
-        # tuple.
-        return _audited(
-            _map_with_fresh_pool(task, items, payload, workers, incumbent_token),
-            workers,
-        )
-    spec, call_lease, fallback_spec = transport
-    try:
-        pooled = pool_module.executor().map(
-            task,
-            items,
-            spec,
-            workers,
-            incumbent_token,
-            fallback_spec=fallback_spec,
-            deadline=deadline,
-        )
-        if len(pooled) < len(items):
-            return _audited(pooled, workers, partial=True)
-        return _audited(pooled, workers)
-    except pool_module.PoolDegradedError as degraded:
-        # The pool broke more times than the retry budget allows.  Keep
-        # every chunk that did complete and finish only the remainder
-        # serially in the parent — identical results by the determinism
-        # contract, degraded wall clock, all of it counted.
-        health.record(serial_fallbacks=1)
-        merged = _complete_serially(
-            task, items, payload, dict(degraded.completed), incumbent_token, deadline
-        )
-        if len(merged) < len(items):
-            health.record(deadline_hits=1)
-            return _audited(merged, workers, partial=True)
-        return _audited(merged, workers)
-    except BrokenProcessPool:
-        # Last-resort net (e.g. the executor broke before the map loop
-        # could take over): rerun the whole map serially.
-        health.record(serial_fallbacks=1)
-        serial_results = _serial_map(task, items, payload, incumbent_seed, deadline)
-        if len(serial_results) < len(items):
-            health.record(deadline_hits=1)
-            return _audited(serial_results, 1, partial=True)
-        return _audited(serial_results, 1)
-    finally:
-        if call_lease is not None:
-            call_lease.close()
-
-
-def _context_dtype_float32() -> bool:
-    """Whether ``REPRO_CONTEXT_DTYPE=float32`` opts publications into float32.
-
-    Read per call (not at import) so tests and long-lived processes can flip
-    it; only shared-memory publications of pruned ordered maps honor it —
-    every other transport ships the exact float64 payload.
-    """
-    return env_str("REPRO_CONTEXT_DTYPE") == "float32"
-
-
-def _resolve_transport(
-    payload: Any, shm: bool | None, *, float32: bool = False
-) -> tuple[tuple, Any, Callable[[], tuple] | None] | None:
-    """Pick the payload transport: ``(spec, call_lease, fallback_spec)``.
-
-    ``None`` means "use the per-call fresh pool" (large payload, no shared
-    memory).  ``float32`` requests the compact float32 context layout for
-    shared-memory publication; all other transports (and the pickled
-    fallback a worker retries on after a failed attach) carry the exact
-    float64 payload, which chunk tasks detect via ``context.float32``.
-    """
-    if shm is None:
-        shm = _SHM_DEFAULT
-    # ``shm=False`` / ``REPRO_SHM=0`` must mean NO shared-memory segments at
-    # all (e.g. containers with a tiny /dev/shm), not just "no zero-copy
-    # context" — every transport below honors it.
-    shm_usable = shm and shm_module.shm_available()
-    use_shm = shm_usable and shm_module.find_context(payload) is not None
-    call_lease = None
-    if use_shm:
-        descriptor, call_lease = shm_module.publish_payload(payload, float32=float32)
-        spec: tuple = ("shm", descriptor)
-    elif payload is None:
-        spec = ("none",)
-    else:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        if shm_usable:
-            # Context-free payload (settings, policies): park the pickle in
-            # one segment so its bytes ship once, not once per item.
-            blob_descriptor, call_lease = shm_module.publish_blob(blob)
-            spec = ("blob", blob_descriptor)
-        elif len(blob) <= INLINE_PAYLOAD_BYTES:
-            import hashlib
-
-            spec = ("pickled", hashlib.sha1(blob).hexdigest(), blob)
-        else:
-            return None
-    fallback_spec: Callable[[], tuple] | None = None
-    if spec[0] in ("shm", "blob"):
-
-        def _pickled_fallback() -> tuple:
-            # Lazily built (at most once per map) when a worker reports a
-            # failed segment attach: that one chunk re-rides as plain
-            # pickle bytes instead of poisoning the whole pool.
-            import hashlib
-
-            fallback_blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            return ("pickled", hashlib.sha1(fallback_blob).hexdigest(), fallback_blob)
-
-        fallback_spec = _pickled_fallback
-    return spec, call_lease, fallback_spec
-
-
-@dataclass
-class MapOutcome:
-    """What a best-first ordered map produced.
-
-    ``results`` is keyed by *original* item index (whatever the submission
-    order was), so reductions can walk ``sorted(results)`` and keep the
-    submission-order first-strict-minimum tie rule.  ``deadline_hit`` /
-    ``gap_target_hit`` say why submission stopped early, if it did;
-    ``complete`` is the common "nothing skipped" check.
-    """
-
-    results: dict[int, Any]
-    deadline_hit: bool = False
-    gap_target_hit: bool = False
-
-    def complete(self, total: int) -> bool:
-        return len(self.results) == total
+    prefix: list[R] = []
+    for index in range(len(items)):
+        if index not in outcome.results:
+            break
+        prefix.append(outcome.results[index])
+    return prefix
 
 
 def parallel_map_ordered(
@@ -461,272 +246,207 @@ def parallel_map_ordered(
     workers: int | None = 1,
     shm: bool | None = None,
     min_items: int = DEFAULT_MIN_ITEMS,
-    incumbent_seed: float,
+    incumbent_seed: float | None = None,
     time_budget: float | None = None,
     order: Sequence[int] | None = None,
     chunk_bounds: Sequence[float] | None = None,
     gap_target: float | None = None,
-    float32_ok: bool = False,
 ) -> MapOutcome:
     """Best-first :func:`parallel_map`: priority submission + gap-target stop.
 
-    The enumerators' anytime branch-and-bound entry point.  ``order`` is a
-    permutation of item indexes (ascending admissible chunk bound — the
-    caller computes the bounds up front); chunks are *submitted* in that
+    The enumerators' map.  ``order`` is a permutation of item indexes
+    (ascending admissible chunk bound — the caller computes the bounds up
+    front; ``None`` submits in item order); chunks are *submitted* in that
     order while results come back keyed by original index, so the final
     reduction is order-independent.  ``chunk_bounds[i]`` must lower-bound
-    every solution in item ``i``; with ``gap_target`` set, submission stops
-    as soon as the certified gap between the live incumbent and the minimum
-    outstanding chunk bound reaches the target
+    every solution in item ``i``; with ``gap_target`` set (which needs both
+    the bounds and an ``incumbent_seed``), submission stops as soon as the
+    certified gap between the live incumbent and the minimum outstanding
+    chunk bound reaches the target
     (:class:`repro.runtime.incumbent.GapTracker`) — exactly like a
-    ``time_budget`` deadline, and combinable with one.  ``incumbent_seed``
-    is required: best-first scheduling only exists for pruned maps, which
-    also makes every ordered map exempt from ``det`` fingerprinting (like
-    any pruned map, its *skip set* is timing-dependent while the reduced
-    result is not).
-
-    ``float32_ok`` marks the task as implementing the float32 survivor
-    protocol (it checks ``context.float32`` and returns margin-zone
-    survivors for exact parent-side re-scoring); only then — and only when
-    ``REPRO_CONTEXT_DTYPE=float32`` is set and shared memory carries the
-    payload — is the compact float32 layout published.  Serial execution
-    and every fallback transport stay exact float64.
+    ``time_budget`` deadline, and combinable with one.  Every other
+    parameter means what it means for :func:`parallel_map`.
     """
     items = list(items)
     total = len(items)
     submission = list(range(total)) if order is None else [int(i) for i in order]
     if len(submission) != total or set(submission) != set(range(total)):
         raise ValueError("order must be a permutation of the item indexes")
-    if gap_target is not None and chunk_bounds is None:
-        raise ValueError("gap_target requires chunk_bounds")
-    workers = effective_workers(workers, total, min_items)
-    deadline = None if time_budget is None else time.monotonic() + float(time_budget)
-    if workers <= 1:
-        return _serial_ordered(
-            task, items, payload, incumbent_seed, deadline, submission, chunk_bounds, gap_target
-        )
-    incumbent_token = incumbent_module.activate(incumbent_seed)
-    tracker: incumbent_module.GapTracker | None = None
-    stop_check: Callable[[list[int]], bool] | None = None
-    if gap_target is not None:
-        assert chunk_bounds is not None
-        bounds = chunk_bounds
-        tracker = incumbent_module.GapTracker(
-            gap_target, incumbent_module.parent_handle(incumbent_token)
-        )
-
-        def _stop_check(pending_indexes: list[int]) -> bool:
-            assert tracker is not None
-            outstanding = min(float(bounds[i]) for i in pending_indexes)
-            return tracker.should_stop(outstanding)
-
-        stop_check = _stop_check
-    publish_float32 = bool(float32_ok) and _context_dtype_float32()
-    transport = _resolve_transport(payload, shm, float32=publish_float32)
-    if transport is None:
-        # Large payload, no shared memory: the per-call fresh pool has no
-        # mid-map submission loop to stop, so the map runs to completion in
-        # submission order (sound — completing everything trivially meets
-        # any gap target; the certificate just reports gap 0).
-        values = _map_with_fresh_pool(
-            task, [items[i] for i in submission], payload, workers, incumbent_token
-        )
-        return MapOutcome(dict(zip(submission, values)))
-    spec, call_lease, fallback_spec = transport
-    try:
-        results, deadline_hit, stopped = pool_module.executor().map_ordered(
-            task,
-            items,
-            spec,
-            workers,
-            incumbent_token,
-            fallback_spec=fallback_spec,
-            deadline=deadline,
-            order=submission,
-            stop_check=stop_check,
-        )
-        return MapOutcome(results, deadline_hit, stopped)
-    except pool_module.PoolDegradedError as degraded:
-        # Retry budget exhausted: keep completed chunks, finish the
-        # remainder serially in order — with the same gap/deadline stops.
-        health.record(serial_fallbacks=1)
-        return _finish_ordered(
-            task,
-            items,
-            payload,
-            dict(degraded.completed),
-            incumbent_token,
-            deadline,
-            submission,
-            chunk_bounds,
-            tracker,
-        )
-    except BrokenProcessPool:
-        health.record(serial_fallbacks=1)
-        return _serial_ordered(
-            task, items, payload, incumbent_seed, deadline, submission, chunk_bounds, gap_target
-        )
-    finally:
-        if call_lease is not None:
-            call_lease.close()
+    if gap_target is not None and (chunk_bounds is None or incumbent_seed is None):
+        raise ValueError("gap_target requires chunk_bounds and an incumbent_seed")
+    return _Map(task, items, payload, submission, time_budget, chunk_bounds, gap_target).run(
+        workers, shm, min_items, incumbent_seed
+    )
 
 
-def _suffix_minima(submission: list[int], chunk_bounds: Sequence[float] | None) -> list[float]:
-    """``suffix[p] = min(bounds[submission[p:]])`` — the outstanding bound.
+@dataclass
+class _Map:
+    """The map engine behind both public adapters: one map's fixed inputs."""
 
-    Under ascending-bound submission this is just ``bounds[submission[p]]``,
-    but computing the true suffix minimum keeps the gap certificate sound
-    for *any* caller-supplied order.
-    """
-    suffix = [float("inf")] * (len(submission) + 1)
-    if chunk_bounds is not None:
-        for position in range(len(submission) - 1, -1, -1):
-            suffix[position] = min(
-                float(chunk_bounds[submission[position]]), suffix[position + 1]
+    task: Callable[[Any, Any], Any]
+    items: list[Any]
+    payload: Any
+    submission: list[int]
+    time_budget: float | None
+    chunk_bounds: Sequence[float] | None = None
+    gap_target: float | None = None
+    deadline: float | None = field(init=False, default=None)
+
+    def run(
+        self, workers: int | None, shm: bool | None, min_items: int, seed: float | None
+    ) -> MapOutcome:
+        """Run serially or pooled, then the bookkeeping every path shares.
+
+        That is the stop counters and the ``det`` fingerprint of complete
+        maps.  ``seed`` is the incumbent seed (``None``: an unpruned map).
+        """
+        workers = effective_workers(workers, len(self.items), min_items)
+        if self.time_budget is not None:
+            self.deadline = time.monotonic() + float(self.time_budget)
+        outcome = self.serial(seed) if workers <= 1 else self.pooled(workers, shm, seed)
+        if outcome.deadline_hit:
+            health.record(deadline_hits=1)
+        if outcome.gap_target_hit:
+            health.record(gap_target_hits=1)
+        if len(outcome.results) == len(self.items):
+            # DET-SAN fingerprints per-chunk results of complete, un-pruned
+            # maps so a workers=1 vs workers=N divergence is caught at the
+            # first differing chunk; no-op unless REPRO_SANITIZE enables det.
+            det_san.record_map(
+                self.task,
+                self.items,
+                self.payload,
+                [outcome.results[index] for index in range(len(self.items))],
+                workers=workers,
+                pruned=seed is not None,
             )
-    return suffix
+        return outcome
+
+    def _tracker(
+        self, handle: "incumbent_module.IncumbentHandle | None"
+    ) -> "incumbent_module.GapTracker | None":
+        if self.gap_target is None or handle is None:
+            return None
+        return incumbent_module.GapTracker(self.gap_target, handle)
+
+    def serial(self, seed: float | None) -> MapOutcome:
+        """The whole map in-process, under a fresh serial incumbent."""
+        handle = None if seed is None else incumbent_module.SerialIncumbent(seed)
+        return self.finish({}, handle, self._tracker(handle))
+
+    def pooled(self, workers: int, shm: bool | None, seed: float | None) -> MapOutcome:
+        """The map across the persistent pool, finished here if it degrades."""
+        token = None if seed is None else incumbent_module.activate(seed)
+        handle = incumbent_module.token_handle(token)
+        tracker = self._tracker(handle)
+        stop_check: Callable[[list[int]], bool] | None = None
+        if tracker is not None:
+            assert self.chunk_bounds is not None
+            bounds: Sequence[float] = self.chunk_bounds
+            gap: incumbent_module.GapTracker = tracker
+
+            def _stop_check(pending_indexes: list[int]) -> bool:
+                return gap.should_stop(min(float(bounds[i]) for i in pending_indexes))
+
+            stop_check = _stop_check
+
+        spec, call_lease, fallback_spec = _resolve_transport(self.payload, shm)
+        try:
+            return pool_module.executor().map(
+                self.task,
+                self.items,
+                spec,
+                workers,
+                token,
+                fallback_spec=fallback_spec,
+                deadline=self.deadline,
+                order=self.submission,
+                stop_check=stop_check,
+            )
+        except pool_module.PoolDegradedError as degraded:
+            # The pool broke more times than the retry budget allows (the
+            # map handles every other BrokenProcessPool itself).  Keep every
+            # chunk that did complete and finish only the remainder in the
+            # parent — identical results by the determinism contract,
+            # degraded wall clock, all of it counted.
+            health.record(serial_fallbacks=1)
+            return self.finish(dict(degraded.completed), handle, tracker)
+        finally:
+            if call_lease is not None:
+                call_lease.close()
+
+    def finish(
+        self,
+        completed: dict[int, Any],
+        handle: "incumbent_module.IncumbentHandle | None",
+        tracker: "incumbent_module.GapTracker | None",
+    ) -> MapOutcome:
+        """The one in-process loop: serial maps and degraded maps' remainders.
+
+        Runs the items not yet in ``completed`` in submission order with
+        ``handle`` bound as the calling thread's incumbent — a fresh serial
+        incumbent for a serial pruned map, the parent's view of the shared
+        slot for a degraded one, ``None`` for an unpruned map — so each chunk
+        sees exactly the improvements of its predecessors and no other map's.
+        The deadline and gap stops fire between chunks.  The outstanding
+        bound at each position is the suffix minimum of the chunk bounds,
+        which conservatively includes already completed chunks — a smaller
+        outstanding bound only *delays* the gap stop, never unsoundly
+        triggers it.
+        """
+        submission = self.submission
+        suffix = [float("inf")] * (len(submission) + 1)
+        if tracker is not None and self.chunk_bounds is not None:
+            for position in range(len(submission) - 1, -1, -1):
+                chunk_bound = float(self.chunk_bounds[submission[position]])
+                suffix[position] = min(chunk_bound, suffix[position + 1])
+        deadline_hit = False
+        with incumbent_module.bound(handle):
+            for position, index in enumerate(submission):
+                if index in completed:
+                    continue
+                if self.deadline is not None and time.monotonic() >= self.deadline:
+                    deadline_hit = True
+                    break
+                if tracker is not None and tracker.should_stop(suffix[position]):
+                    break
+                completed[index] = self.task(self.payload, self.items[index])
+        return MapOutcome(completed, deadline_hit, tracker is not None and tracker.hit)
 
 
-def _serial_ordered(
-    task: Callable[[Any, T], R],
-    items: list[T],
-    payload: Any,
-    incumbent_seed: float,
-    deadline: float | None,
-    submission: list[int],
-    chunk_bounds: Sequence[float] | None,
-    gap_target: float | None,
-) -> MapOutcome:
-    """The in-process best-first loop: same stop rules, same incumbent."""
-    suffix = _suffix_minima(submission, chunk_bounds)
-    results: dict[int, Any] = {}
-    deadline_hit = False
-    with incumbent_module.serial_incumbent(incumbent_seed) as handle:
-        tracker = (
-            incumbent_module.GapTracker(gap_target, handle) if gap_target is not None else None
-        )
-        for position, index in enumerate(submission):
-            if deadline is not None and time.monotonic() >= deadline:
-                deadline_hit = True
-                break
-            if tracker is not None and tracker.should_stop(suffix[position]):
-                break
-            results[index] = task(payload, items[index])
-    gap_hit = tracker is not None and tracker.hit
-    if deadline_hit:
-        health.record(deadline_hits=1)
-    if gap_hit:
-        health.record(gap_target_hits=1)
-    return MapOutcome(results, deadline_hit, gap_hit)
+def _pickled_spec(payload: Any) -> tuple:
+    """``("pickled", sha1, blob)``: the payload bytes, memoized per worker."""
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return ("pickled", hashlib.sha1(blob).hexdigest(), blob)
 
 
-def _finish_ordered(
-    task: Callable[[Any, T], R],
-    items: list[T],
-    payload: Any,
-    completed: dict[int, Any],
-    incumbent_token: Any,
-    deadline: float | None,
-    submission: list[int],
-    chunk_bounds: Sequence[float] | None,
-    tracker: "incumbent_module.GapTracker | None",
-) -> MapOutcome:
-    """Finish a degraded ordered map in the parent, keeping completed chunks.
+def _resolve_transport(
+    payload: Any, shm: bool | None
+) -> tuple[tuple, Any, Callable[[], tuple] | None]:
+    """Pick the payload transport: ``(spec, call_lease, fallback_spec)``.
 
-    The suffix minimum at each position conservatively includes already
-    completed chunks' bounds — a smaller outstanding bound only *delays* the
-    gap stop, never unsoundly triggers it.
+    ``fallback_spec`` builds (lazily, at most once per map) the pickled spec
+    a chunk re-rides on when its worker fails to attach a segment.
     """
-    suffix = _suffix_minima(submission, chunk_bounds)
-    deadline_hit = False
-    if incumbent_token is not None:
-        incumbent_module.bind_token(incumbent_token)
-    try:
-        for position, index in enumerate(submission):
-            if index in completed:
-                continue
-            if deadline is not None and time.monotonic() >= deadline:
-                deadline_hit = True
-                break
-            if tracker is not None and tracker.should_stop(suffix[position]):
-                break
-            completed[index] = task(payload, items[index])
-    finally:
-        if incumbent_token is not None:
-            incumbent_module.bind_token(None)
-    gap_hit = tracker is not None and tracker.hit
-    if deadline_hit:
-        health.record(deadline_hits=1)
-    if gap_hit:
-        health.record(gap_target_hits=1)
-    return MapOutcome(completed, deadline_hit, gap_hit)
-
-
-def _serial_map(
-    task: Callable[[Any, T], R],
-    items: list[T],
-    payload: Any,
-    incumbent_seed: float | None,
-    deadline: float | None = None,
-) -> list[R]:
-    """The in-process chunk loop, with the incumbent threaded through.
-
-    Serial pruning is deterministic: chunks run in submission order and each
-    sees exactly the improvements of its predecessors.  A ``deadline``
-    (monotonic instant) truncates the loop between chunks, returning the
-    completed prefix.
-    """
-    if incumbent_seed is None:
-        return _serial_loop(task, items, payload, deadline)
-    with incumbent_module.serial_incumbent(incumbent_seed):
-        return _serial_loop(task, items, payload, deadline)
-
-
-def _serial_loop(
-    task: Callable[[Any, T], R], items: list[T], payload: Any, deadline: float | None
-) -> list[R]:
-    if deadline is None:
-        return [task(payload, item) for item in items]
-    results: list[R] = []
-    for item in items:
-        if time.monotonic() >= deadline:
-            break
-        results.append(task(payload, item))
-    return results
-
-
-def _complete_serially(
-    task: Callable[[Any, T], R],
-    items: list[T],
-    payload: Any,
-    completed: dict[int, R],
-    incumbent_token: Any,
-    deadline: float | None,
-) -> list[R]:
-    """Finish a degraded map in the parent, reusing completed chunk results.
-
-    The parent owns the incumbent slot (it activated it), so binding the
-    token threads the *same* shared incumbent through the serial remainder
-    that the pooled chunks used — the skip-set may differ, the reduced
-    result cannot (the callers' exactness contract).
-    """
-    missing = [index for index in range(len(items)) if index not in completed]
-    if incumbent_token is not None:
-        incumbent_module.bind_token(incumbent_token)
-    try:
-        for index in missing:
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            completed[index] = task(payload, items[index])
-    finally:
-        if incumbent_token is not None:
-            incumbent_module.bind_token(None)
-    prefix: list[R] = []
-    for index in range(len(items)):
-        if index not in completed:
-            break
-        prefix.append(completed[index])
-    return prefix
+    if shm is None:
+        shm = _SHM_DEFAULT
+    if payload is None:
+        return ("none",), None, None
+    # ``shm=False`` / ``REPRO_SHM=0`` must mean NO shared-memory segments at
+    # all (e.g. containers with a tiny /dev/shm), not just "no zero-copy
+    # context" — every transport below honors it.
+    if not (shm and shm_module.shm_available()):
+        return _pickled_spec(payload), None, None
+    if shm_module.find_context(payload) is not None:
+        descriptor, call_lease = shm_module.publish_payload(payload)
+        spec: tuple = ("shm", descriptor)
+    else:
+        # Context-free payload (settings, policies): park the pickle in one
+        # segment so its bytes ship once, not once per item.
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        blob_descriptor, call_lease = shm_module.publish_blob(blob)
+        spec = ("blob", blob_descriptor)
+    return spec, call_lease, lambda: _pickled_spec(payload)
 
 
 def iter_chunk_bounds(total: int, chunk_rows: int) -> Iterator[tuple[int, int]]:

@@ -13,17 +13,20 @@ startup dominated (the ``BENCH_PR3.json`` 0.76x case).  This module keeps
   fresh one instead of deadlocking on inherited pipes;
 * safe against nesting: pool workers mark themselves via :func:`in_worker`
   and any parallel request made inside one degrades to serial;
-* safe against worker death: on :class:`BrokenProcessPool`,
-  :meth:`PersistentPool.map` keeps every chunk result already harvested
-  (futures that completed before the break retain their values), rebuilds
-  the executor with exponential backoff, and resubmits **only the lost
-  chunks** — bounded by :data:`MAP_MAX_RETRIES` rounds before raising
+* one submission loop: :meth:`PersistentPool.map` submits chunks in the
+  caller's order (best-first for the enumerators) and returns a
+  :class:`MapOutcome` keyed by item index;
+* safe against worker death: on :class:`BrokenProcessPool`, the map keeps
+  every chunk result already harvested (futures that completed before the
+  break retain their values), rebuilds the executor with exponential
+  backoff, and resubmits **only the lost chunks** — bounded by :data:`MAP_MAX_RETRIES` rounds before raising
   :class:`PoolDegradedError` carrying the completed work, so the caller can
   finish the remainder serially instead of recomputing everything (results
   are identical either way by the determinism contract);
-* bounded in time: an optional monotonic ``deadline`` stops chunk
-  submission when it passes and returns the longest completed prefix — the
-  plumbing the anytime-solver ``time_budget`` stands on;
+* stoppable: an optional monotonic ``deadline`` or a caller predicate
+  (the gap-target check) stops chunk submission, drains in-flight work and
+  returns what completed — the plumbing the anytime solvers'
+  ``time_budget`` and ``gap_target`` stand on;
 * degradable per transport: a worker that cannot attach a shared-memory
   segment (injected or real) returns a :class:`_TransportFailure` marker
   instead of poisoning the pool, and the chunk is resubmitted on the
@@ -62,9 +65,10 @@ tuples.  The payload spec is one of
 * ``("blob", descriptor)`` — a :class:`~repro.runtime.shm.BlobDescriptor`
   for small context-free payloads (experiment settings): the pickle bytes
   sit in one segment, workers unpickle once and memoize by token;
-* ``("pickled", token, blob)`` — fallback when shared memory is
-  unavailable: the pre-pickled payload rides with each item but is
-  unpickled once per worker and memoized by token.
+* ``("pickled", token, blob)`` — when shared memory is disabled or
+  unavailable, and for chunks whose segment attach failed: the pre-pickled
+  payload rides with each item but is unpickled once per worker and
+  memoized by its sha1 token.
 
 Workers therefore receive payload *bytes* at most once each under shared
 memory — no matter how many chunks they process or how many calls reuse the
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
@@ -114,6 +119,21 @@ class PoolDegradedError(RuntimeError):
     def __init__(self, message: str, completed: dict[int, Any]) -> None:
         super().__init__(message)
         self.completed = completed
+
+
+@dataclass
+class MapOutcome:
+    """What one map produced.
+
+    ``results`` is keyed by *original* item index (whatever the submission
+    order was), so reductions can walk ``sorted(results)`` and keep the
+    submission-order first-strict-minimum tie rule.  ``deadline_hit`` /
+    ``gap_target_hit`` say why submission stopped early, if it did.
+    """
+
+    results: dict[int, Any]
+    deadline_hit: bool = False
+    gap_target_hit: bool = False
 
 
 @dataclass(frozen=True)
@@ -174,39 +194,26 @@ def _cache_payload(token: str, payload: Any, closer: Callable[[], None] | None) 
 
 
 def _resolve_payload(spec: tuple) -> Any:
+    """The payload behind ``spec``, materialized once per worker per token."""
     kind = spec[0]
     if kind == "none":
         return None
+    if kind not in ("pickled", "blob", "shm"):
+        raise ValueError(f"unknown payload spec kind: {kind!r}")
+    token = spec[1] if kind == "pickled" else spec[1].token
+    cached = _PAYLOAD_CACHE.get(token)
+    if cached is not None:
+        _PAYLOAD_CACHE.move_to_end(token)
+        return cached[0]
+    closer: Callable[[], None] | None = None
     if kind == "pickled":
-        token, blob = spec[1], spec[2]
-        cached = _PAYLOAD_CACHE.get(token)
-        if cached is not None:
-            _PAYLOAD_CACHE.move_to_end(token)
-            return cached[0]
-        import pickle
-
-        payload = pickle.loads(blob)
-        _cache_payload(token, payload, None)
-        return payload
-    if kind == "blob":
-        descriptor = spec[1]
-        cached = _PAYLOAD_CACHE.get(descriptor.token)
-        if cached is not None:
-            _PAYLOAD_CACHE.move_to_end(descriptor.token)
-            return cached[0]
-        payload = shm_module.materialize_blob(descriptor)
-        _cache_payload(descriptor.token, payload, None)
-        return payload
-    if kind == "shm":
-        descriptor = spec[1]
-        cached = _PAYLOAD_CACHE.get(descriptor.token)
-        if cached is not None:
-            _PAYLOAD_CACHE.move_to_end(descriptor.token)
-            return cached[0]
-        payload, closer = shm_module.materialize_payload(descriptor)
-        _cache_payload(descriptor.token, payload, closer)
-        return payload
-    raise ValueError(f"unknown payload spec kind: {kind!r}")
+        payload = pickle.loads(spec[2])
+    elif kind == "blob":
+        payload = shm_module.materialize_blob(spec[1])
+    else:
+        payload, closer = shm_module.materialize_payload(spec[1])
+    _cache_payload(token, payload, closer)
+    return payload
 
 
 def _dispatch(args: tuple) -> Any:
@@ -218,8 +225,7 @@ def _dispatch(args: tuple) -> Any:
     # rebuilt pool forever.
     faults.inject("crash", "pool.dispatch", token=fault_key)
     faults.inject("slow", "pool.dispatch", token=fault_key)
-    incumbent_module.bind_token(incumbent_token)
-    try:
+    with incumbent_module.bound(incumbent_module.token_handle(incumbent_token)):
         try:
             payload = _resolve_payload(spec)
         except (faults.FaultInjected, OSError) as error:
@@ -229,8 +235,6 @@ def _dispatch(args: tuple) -> Any:
                 return _TransportFailure(kind=spec[0], error=repr(error))
             raise
         return task(payload, item)
-    finally:
-        incumbent_module.bind_token(None)
 
 
 # -- parent-side executor ----------------------------------------------------
@@ -309,16 +313,21 @@ class PersistentPool:
         *,
         fallback_spec: Callable[[], tuple] | None = None,
         deadline: float | None = None,
-    ) -> list[Any]:
-        """``[task(payload, item) for item in items]`` across the pool.
+        order: "list[int] | None" = None,
+        stop_check: Callable[[list[int]], bool] | None = None,
+    ) -> MapOutcome:
+        """``task(payload, item)`` for every item across the pool.
 
-        Results come back in item order (the determinism contract).  The
-        pool is grow-only, so it may hold more processes than this call
-        requested; at most ``workers`` items are kept in flight regardless,
-        keeping ``workers`` a real concurrency cap per call.
-        ``incumbent_token`` (from :func:`repro.runtime.incumbent.activate`)
-        rides in every dispatch tuple so chunk tasks of a pruned enumeration
-        share one branch-and-bound incumbent.
+        Chunks are *submitted* in ``order`` (a permutation of the item
+        indexes, item order when ``None``) and results come back keyed by
+        original index, so the caller's reduction can keep the
+        submission-order first-strict-minimum rule.  The pool is grow-only,
+        so it may hold more processes than this call requested; at most
+        ``workers`` items are kept in flight regardless, keeping ``workers``
+        a real concurrency cap per call.  ``incumbent_token`` (from
+        :func:`repro.runtime.incumbent.activate`) rides in every dispatch
+        tuple so chunk tasks of a pruned enumeration share one
+        branch-and-bound incumbent.
 
         Crash recovery is chunk-granular: when a worker dies mid-map
         (:class:`BrokenProcessPool`), every future that already completed
@@ -333,79 +342,12 @@ class PersistentPool:
         ``("pickled", ...)`` spec a chunk is resubmitted on when its worker
         reports a failed shared-memory attach (:class:`_TransportFailure`).
         ``deadline`` (a ``time.monotonic`` instant) stops chunk submission
-        once passed; in-flight work is drained and the longest completed
-        prefix is returned — a short list, which is how callers detect
-        truncation.  Task-level exceptions propagate as-is.
+        once passed; ``stop_check`` receives the indexes not yet submitted
+        before each new submission and returns ``True`` to stop submitting
+        (the ``gap_target`` predicate).  Either way in-flight work is
+        drained and the :class:`MapOutcome` says why submission stopped.
+        Task-level exceptions propagate as-is.
         """
-        items = list(items)
-        results, _, _ = self._map_impl(
-            task,
-            items,
-            spec,
-            workers,
-            incumbent_token,
-            fallback_spec=fallback_spec,
-            deadline=deadline,
-        )
-        total = len(items)
-        if len(results) == total:
-            return [results[i] for i in range(total)]
-        prefix: list[Any] = []
-        for i in range(total):
-            if i not in results:
-                break
-            prefix.append(results[i])
-        return prefix
-
-    def map_ordered(
-        self,
-        task: Callable[[Any, Any], Any],
-        items: Iterable[Any],
-        spec: tuple,
-        workers: int,
-        incumbent_token: Any = None,
-        *,
-        fallback_spec: Callable[[], tuple] | None = None,
-        deadline: float | None = None,
-        order: "list[int] | None" = None,
-        stop_check: Callable[[list[int]], bool] | None = None,
-    ) -> tuple[dict[int, Any], bool, bool]:
-        """Best-first variant of :meth:`map`: explicit submission order.
-
-        ``order`` is a permutation of the item indexes (ascending admissible
-        bound, for best-first scheduling); chunks are *submitted* in that
-        order but results come back keyed by original index, so the caller's
-        reduction can keep the submission-order first-strict-minimum rule.
-        ``stop_check`` receives the indexes not yet submitted before each new
-        submission and returns ``True`` to stop submitting (the ``gap_target``
-        predicate); in-flight work is still drained.  Returns
-        ``(results_by_index, deadline_hit, stopped_by_check)``.
-        """
-        return self._map_impl(
-            task,
-            items,
-            spec,
-            workers,
-            incumbent_token,
-            fallback_spec=fallback_spec,
-            deadline=deadline,
-            order=order,
-            stop_check=stop_check,
-        )
-
-    def _map_impl(
-        self,
-        task: Callable[[Any, Any], Any],
-        items: Iterable[Any],
-        spec: tuple,
-        workers: int,
-        incumbent_token: Any = None,
-        *,
-        fallback_spec: Callable[[], tuple] | None = None,
-        deadline: float | None = None,
-        order: "list[int] | None" = None,
-        stop_check: Callable[[list[int]], bool] | None = None,
-    ) -> tuple[dict[int, Any], bool, bool]:
         workers = max(1, int(workers))
         executor = self.ensure(workers)
         items = list(items)
@@ -490,11 +432,7 @@ class PersistentPool:
                 continue
             results[index] = value
             health.record(chunks_completed=1)
-        if deadline_hit or (pending and not stopped):
-            health.record(deadline_hits=1)
-        if stopped:
-            health.record(gap_target_hits=1)
-        return results, deadline_hit or bool(pending), stopped
+        return MapOutcome(results, deadline_hit or bool(pending), stopped)
 
     def shutdown(self) -> None:
         """Stop the workers (idempotent).  Cached publications are separate.

@@ -253,11 +253,6 @@ class _ContextMeta:
     has_expected: bool
     has_evaluator: bool
     rank_merge_groups: tuple[tuple[int, tuple[int, ...]], ...]  # (z, point indices)
-    #: The compact layout of ``REPRO_CONTEXT_DTYPE=float32``: the heavy
-    #: tables were cast to float32 (rank keys to int32) before packing, and
-    #: the rebuilt context carries ``float32=True`` so chunk tasks widen
-    #: their prune margins and return survivor sets for exact re-scoring.
-    float32: bool = False
 
 
 @dataclass(frozen=True)
@@ -283,42 +278,13 @@ def _context_parts(context: CostContext) -> tuple[bool, bool, bool, bool]:
     )
 
 
-def _compact(array: np.ndarray) -> np.ndarray:
-    """The float32-layout cast: float64 -> float32, int64 rank keys -> int32.
-
-    Anything else (bool masks, already-narrow dtypes) passes through.  Only
-    ever applied to *published copies* — the parent's exact tables are
-    untouched, which is what lets survivors be re-scored in float64.
-    """
-    if array.dtype == np.float64:
-        return array.astype(np.float32)
-    if array.dtype == np.int64:
-        return array.astype(np.int32)
-    return array
-
-
-def context_arrays(
-    context: CostContext, *, float32: bool = False
-) -> tuple[dict[str, np.ndarray], _ContextMeta]:
+def context_arrays(context: CostContext) -> tuple[dict[str, np.ndarray], _ContextMeta]:
     """Flatten every materialized array of ``context`` for publication.
 
     Ragged per-point lists are concatenated along the point axis;
     :func:`_context_from_views` re-slices them.  Only materialized caches are
     published — callers pre-build exactly what their chunk task touches.
-
-    ``float32=True`` applies the compact layout of
-    ``REPRO_CONTEXT_DTYPE=float32``: the heavy tables (pinned supports, the
-    evaluator's CDF columns, rank-merge values/weights) are published as
-    float32 and rank keys as int32, roughly halving the segment.  The cast is admissible-by-margin, not exact: rebuilt contexts
-    carry ``float32=True`` and chunk tasks must widen prune margins by
-    :data:`repro.bounds.lower_bounds.FLOAT32_SLACK` and hand margin-zone
-    survivors back for exact float64 re-scoring (see
-    :mod:`repro.baselines.brute_force`), keeping final results bit-identical.
-    Candidate/location coordinates and probability weights stay float64 —
-    they are small, and exact weights keep worker-side bound sums within the
-    single-cast drift the slack is budgeted for.
     """
-    cast = _compact if float32 else (lambda array: array)
     dataset = context.dataset
     arrays: dict[str, np.ndarray] = {
         "candidates": context.candidates,
@@ -327,31 +293,23 @@ def context_arrays(
     }
     has_supports, has_expected, has_evaluator, has_rank_merge = _context_parts(context)
     if has_supports:
-        arrays["supports"] = cast(np.concatenate(context._supports, axis=0))
+        arrays["supports"] = np.concatenate(context._supports, axis=0)
     if has_expected:
-        # The expected matrix stays float64 even in the compact layout: it
-        # selects assignments by argmin, and a float32 cast could flip a
-        # near-tie — changing *labels*, a discrete error no scalar margin
-        # can absorb.  Bound gathers get a float32 shadow instead; it is the
-        # one table published twice, and it is small next to the per-support
-        # tables the cast halves.
         arrays["expected"] = context._expected
-        if float32:
-            arrays["expected32"] = context._expected.astype(np.float32)
     if has_evaluator:
         evaluator = context._evaluator
-        arrays["ev_values"] = cast(np.concatenate(evaluator._values, axis=0))
-        arrays["ev_cdfs"] = cast(np.concatenate(evaluator._cdfs, axis=0))
-        arrays["ev_log_deltas"] = cast(np.concatenate(evaluator._log_deltas, axis=0))
-        arrays["ev_zero_deltas"] = cast(np.concatenate(evaluator._zero_deltas, axis=0))
+        arrays["ev_values"] = np.concatenate(evaluator._values, axis=0)
+        arrays["ev_cdfs"] = np.concatenate(evaluator._cdfs, axis=0)
+        arrays["ev_log_deltas"] = np.concatenate(evaluator._log_deltas, axis=0)
+        arrays["ev_zero_deltas"] = np.concatenate(evaluator._zero_deltas, axis=0)
     groups: tuple[tuple[int, tuple[int, ...]], ...] = ()
     if has_rank_merge:
         tables = context._rank_merge
-        arrays["rm_values"] = cast(tables.values_by_rank)
+        arrays["rm_values"] = tables.values_by_rank
         group_meta = []
         for index, (points, ranks, weights) in enumerate(tables.groups):
-            arrays[f"rm_ranks_{index}"] = cast(ranks)
-            arrays[f"rm_weights_{index}"] = cast(weights)
+            arrays[f"rm_ranks_{index}"] = ranks
+            arrays[f"rm_weights_{index}"] = weights
             group_meta.append((int(ranks.shape[1]), tuple(int(p) for p in points)))
         groups = tuple(group_meta)
     meta = _ContextMeta(
@@ -364,7 +322,6 @@ def context_arrays(
         has_expected=has_expected,
         has_evaluator=has_evaluator,
         rank_merge_groups=groups,
-        float32=float32,
     )
     return arrays, meta
 
@@ -418,12 +375,6 @@ def _context_from_views(views: dict[str, np.ndarray], meta: _ContextMeta) -> Cos
         _point_slices(views["supports"], sizes) if meta.has_supports else None
     )
     context._expected = views["expected"] if meta.has_expected else None
-    # Compact-layout flag: chunk tasks branch on it to widen prune margins
-    # and switch to the survivor protocol; bound kernels gather from the
-    # float32 shadow while argmin assignment selection stays on the exact
-    # float64 expected matrix.
-    context.float32 = meta.float32
-    context._expected32 = views.get("expected32")
     context._rank_tables = None
     if meta.has_evaluator:
         evaluator = AssignedCostEvaluator.__new__(AssignedCostEvaluator)
@@ -502,20 +453,15 @@ class _PublicationCache:
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
 
-    def publish(
-        self, context: CostContext, *, float32: bool = False
-    ) -> tuple[SegmentDescriptor, _ContextMeta]:
-        # float32 is part of the key: the exact and compact layouts of one
-        # context are distinct publications (a float64 map must never attach
-        # a float32 segment, and vice versa).
-        key = (id(context), _context_parts(context), context._version, float32)
+    def publish(self, context: CostContext) -> tuple[SegmentDescriptor, _ContextMeta]:
+        key = (id(context), _context_parts(context), context._version)
         entry = self._entries.pop(key, None)
         if entry is not None:
             if entry[0]() is context:
                 self._entries[key] = entry  # back to most-recently-used
                 return entry[1], entry[2]
             entry[3].close()  # a dead context's recycled id aliased the key
-        arrays, meta = context_arrays(context, float32=float32)
+        arrays, meta = context_arrays(context)
         descriptor, lease = pack_arrays(arrays)
 
         def _collected(_reference, *, entries=self._entries, key=key, lease=lease):
@@ -547,9 +493,7 @@ def close_all_publications() -> None:
 atexit.register(close_all_publications)
 
 
-def publish_payload(
-    payload: Any, *, float32: bool = False
-) -> tuple[PayloadDescriptor, SegmentLease | None]:
+def publish_payload(payload: Any) -> tuple[PayloadDescriptor, SegmentLease | None]:
     """Publish ``payload`` to shared memory; returns descriptor + call lease.
 
     The context's arrays land in a memoized segment (owned by the module's
@@ -557,15 +501,11 @@ def publish_payload(
     per-call segment whose :class:`SegmentLease` is returned for the caller
     to close right after its map completes; ``None`` when the payload had no
     extra arrays.
-
-    ``float32=True`` publishes the context under the compact float32 layout
-    (see :func:`context_arrays`); extra arrays outside the context stay
-    exact either way.
     """
     context = find_context(payload)
     if context is None:
         raise ValueError("publish_payload needs a payload containing a CostContext")
-    context_descriptor, meta = _PUBLICATIONS.publish(context, float32=float32)
+    context_descriptor, meta = _PUBLICATIONS.publish(context)
     extras: dict[str, np.ndarray] = {}
     structure = _replace_leaves(payload, context, extras)
     segments = [context_descriptor]

@@ -136,6 +136,38 @@ class TestSyncInDispatchRule:
         ids = rule_ids(report)
         assert ids.count("SYNC-IN-DISPATCH") == 2  # ctor outside owner + dispatch arg
 
+    def test_flags_slot_handles_in_ordered_map(self, tmp_path):
+        report = lint_fixture(
+            tmp_path,
+            "baselines/solver.py",
+            """
+            from repro.runtime.incumbent import slot_handles
+            from repro.runtime.parallel import parallel_map_ordered
+
+            def go(task, chunks):
+                return parallel_map_ordered(task, chunks, payload=slot_handles())
+            """,
+            SyncInDispatchRule(),
+        )
+        assert rule_ids(report) == ["SYNC-IN-DISPATCH"]
+        assert "slot_handles() result shipped" in report.findings[0].message
+
+    def test_ordered_map_with_token_payload_passes(self, tmp_path):
+        report = lint_fixture(
+            tmp_path,
+            "baselines/solver.py",
+            """
+            from repro.runtime.parallel import parallel_map_ordered
+
+            def go(task, chunks, context, seed):
+                return parallel_map_ordered(
+                    task, chunks, payload=(context, 32), incumbent_seed=seed
+                )
+            """,
+            SyncInDispatchRule(),
+        )
+        assert report.findings == []
+
     def test_flags_pool_outside_owner(self, tmp_path):
         report = lint_fixture(
             tmp_path,

@@ -1,6 +1,6 @@
 """Best-first anytime branch-and-bound (PR 10): bounds, schedule, certificates.
 
-Four contracts under test:
+Three contracts under test:
 
 * **Pair-bound admissibility** — the second-level subset bound
   (:meth:`~repro.cost.context.CostContext.subset_pair_lower_bounds`, the
@@ -15,9 +15,6 @@ Four contracts under test:
   returns bit-identical results to plain submission-order pruning and to
   the ``prune=False`` exhaustive reference, at workers in {1, 2, 4} with
   shared memory on and off.
-* **Float32 layout** — ``REPRO_CONTEXT_DTYPE=float32`` changes shm segment
-  bytes, never results: the margin-zone survivor re-score keeps pooled
-  solves bit-identical to the float64 reference.
 * **Certificate soundness** — the ``(cost, lower_bound, gap)`` metadata
   satisfies ``lower_bound <= C* <= cost`` whenever a gap target or
   deadline truncates the run, including under ``crash:p=0.1`` fault
@@ -235,45 +232,6 @@ class TestBestFirstBitIdentity:
             _check_gap_target(-0.5, True)
         with pytest.raises(ValidationError):
             _check_gap_target(float("nan"), True)
-
-
-class TestFloat32Differential:
-    """f32 tables + exact re-score == f64 results, bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def micro(self):
-        dataset, _ = gaussian_clusters(n=8, z=4, dimension=2, k_true=3, seed=11)
-        return dataset, dataset.all_locations()[:12]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_restricted_float32_matches_float64(self, micro, workers, monkeypatch):
-        dataset, candidates = micro
-        reference = brute_force_restricted_assigned(
-            dataset, 3, candidates=candidates, workers=workers, shm=True, chunk_rows=16
-        )
-        monkeypatch.setenv("REPRO_CONTEXT_DTYPE", "float32")
-        shutdown_runtime()  # drop pools/publications keyed on the f64 layout
-        compact = brute_force_restricted_assigned(
-            dataset, 3, candidates=candidates, workers=workers, shm=True, chunk_rows=16
-        )
-        assert_same_result(compact, reference)
-        monkeypatch.delenv("REPRO_CONTEXT_DTYPE")
-        shutdown_runtime()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_unassigned_float32_matches_float64(self, micro, workers, monkeypatch):
-        dataset, candidates = micro
-        reference = brute_force_unassigned(
-            dataset, 2, candidates=candidates, workers=workers, shm=True, chunk_rows=16
-        )
-        monkeypatch.setenv("REPRO_CONTEXT_DTYPE", "float32")
-        shutdown_runtime()
-        compact = brute_force_unassigned(
-            dataset, 2, candidates=candidates, workers=workers, shm=True, chunk_rows=16
-        )
-        assert_same_result(compact, reference)
-        monkeypatch.delenv("REPRO_CONTEXT_DTYPE")
-        shutdown_runtime()
 
 
 class TestGapCertificateSoundness:

@@ -36,7 +36,6 @@ class TestRegistry:
             "REPRO_CONTEXT_SPILL",
             "REPRO_CONTEXT_SPILL_MAX",
             "REPRO_CONTEXT_SPILL_MAX_AGE",
-            "REPRO_CONTEXT_DTYPE",
             "REPRO_SANITIZE",
             "REPRO_FAULTS",
             "REPRO_SERVE_MAX_INFLIGHT",

@@ -276,14 +276,15 @@ class TestDetSan:
 
 class TestWorkerHandoff:
     def test_initargs_carry_enabled_sanitizers_into_workers(self):
-        # The fresh-pool path (large payload, shm off) ships
-        # ``sanitize.enabled_names()`` through the pool initializer — the
-        # same channel the incumbent handles use — so programmatically
-        # enabled sanitizers are live inside every worker.
+        # The persistent pool ships ``sanitize.enabled_names()`` through its
+        # initializer arguments — the same channel the incumbent handles
+        # use — and respawns when they change, so programmatically enabled
+        # sanitizers are live inside every worker (here on the pickled
+        # transport: a large payload with shm off).
         previous = set_oversubscribe(True)
         try:
             sanitize.set_enabled(("shm", "lock"))
-            payload = os.urandom(100_000)  # > INLINE_PAYLOAD_BYTES
+            payload = os.urandom(100_000)
             results = parallel_map(
                 _probe_enabled, range(4), payload=payload, workers=2, shm=False
             )
