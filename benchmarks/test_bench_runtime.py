@@ -1,6 +1,6 @@
 """Benchmarks for the execution runtime: sharded enumeration, the persistent
-pool, shared-memory dispatch, memoized/spilled contexts, column splices and
-the rank-merge unassigned sweep.
+pool, shared-memory dispatch, memoized contexts, column splices and the
+rank-merge unassigned sweep.
 
 Timing comes from pytest-benchmark; the assertions pin the *quality*
 contracts (parallel determinism, splice-vs-rebuild win, store hits,
@@ -25,11 +25,7 @@ from repro.baselines.brute_force import brute_force_restricted_assigned
 from repro.cost.context import CostContext
 from repro.runtime import ContextStore, set_oversubscribe, shutdown_runtime
 from repro.runtime import shm as shm_module
-from repro.runtime.bench import (
-    bench_context_store_disk_spill,
-    bench_persistent_pool,
-    bench_rank_merge,
-)
+from repro.runtime.bench import bench_persistent_pool, bench_rank_merge
 from repro.workloads import gaussian_clusters, line_workload
 
 #: Wall-clock target for the sharded enumeration at 2+ workers (achievable
@@ -172,14 +168,6 @@ def test_bench_persistent_pool_amortization():
         f"persistent pool amortization {record['speedup']:.2f}x across "
         f"{record['calls']} calls below the {POOL_AMORTIZATION_TARGET}x floor"
     )
-
-
-def test_bench_context_store_disk_spill_across_processes():
-    """A second process hits the disk tier instead of rebuilding."""
-    record = bench_context_store_disk_spill()
-    assert record["cross_process_hit"], record
-    assert record["first_process"]["misses"] == 1
-    assert record["first_process"]["disk_hits"] == 0
 
 
 def test_bench_rank_merge_sweep():

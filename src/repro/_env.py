@@ -59,29 +59,14 @@ REGISTRY: dict[str, EnvVar] = {
             effect="Allow pools wider than the CPU count (tests/benchmarks)",
         ),
         EnvVar(
-            name="REPRO_CONTEXT_SPILL",
-            usage="`REPRO_CONTEXT_SPILL=DIR`",
-            effect="Enable the cross-process context disk-spill tier",
-        ),
-        EnvVar(
-            name="REPRO_CONTEXT_SPILL_MAX",
-            usage="`REPRO_CONTEXT_SPILL_MAX=BYTES`",
-            effect="Bound the spill directory's total size (oldest evicted first)",
-        ),
-        EnvVar(
-            name="REPRO_CONTEXT_SPILL_MAX_AGE",
-            usage="`REPRO_CONTEXT_SPILL_MAX_AGE=SECONDS`",
-            effect="Evict spill files older than this",
-        ),
-        EnvVar(
             name="REPRO_SANITIZE",
             usage="`REPRO_SANITIZE=shm,lock,det`",
             effect="Enable runtime sanitizers (shm lifecycle, lock order, chunk determinism)",
         ),
         EnvVar(
             name="REPRO_FAULTS",
-            usage="`REPRO_FAULTS=crash:p=0.05,slow:p=0.1:ms=200,shm_attach,spill_corrupt,serve_reject:p=0.2`",
-            effect="Arm deterministic fault injection (worker crashes, slow chunks, shm attach failures, spill corruption, admission-path 503s)",
+            usage="`REPRO_FAULTS=crash:p=0.05,slow:p=0.1:ms=200,shm_attach,serve_reject:p=0.2`",
+            effect="Arm deterministic fault injection (worker crashes, slow chunks, shm attach failures, admission-path 503s)",
         ),
         EnvVar(
             name="REPRO_SERVE_MAX_INFLIGHT",
@@ -138,8 +123,9 @@ def env_number(name: str, cast: Callable[[float], _N]) -> _N | None:
     """A declared positive-number variable; anything else reads as unset.
 
     ``cast`` is ``int`` or ``float``; garbage, overflow, infinities and
-    non-positive values all mean "no limit" rather than an error, matching
-    the spill-bound semantics these variables configure.
+    non-positive values all read as unset rather than raising, so a bad
+    value falls back to the built-in default of the ``repro serve`` bound it
+    configures.
     """
     raw = env_raw(name)
     if not raw:

@@ -4,7 +4,7 @@ An AST-based rule engine (:mod:`.core`) plus ~8 repo-specific rules
 (:mod:`.rules`) that machine-check the runtime's load-bearing invariants —
 shm lifecycle, dispatch hygiene, lock discipline, solver determinism,
 hot-path sort policy, env-var registry routing, bound-docstring citations
-and the spill-tier boundary.  Each rule's docstring cites the PR/incident
+and the pickle/spill-path boundary.  Each rule's docstring cites the PR/incident
 that motivated it; ``python -m repro lint --list-rules`` prints them.
 
 Since PR 7 the default run also assembles every parsed module into a

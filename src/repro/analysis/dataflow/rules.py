@@ -208,7 +208,7 @@ class ShmEscapeRule(ProjectRule):
     ``SegmentLease`` and unlinked exactly once.  The intra-module
     SHM-LIFECYCLE rule checks the *creation* site is leased immediately;
     this rule summarises which functions hand leases to their callers
-    (``pack_arrays``/``publish_blob`` return ``(payload, lease)``) and
+    (``pack_arrays`` returns ``(descriptor, lease)``) and
     verifies each call site actually consumes the lease — binds it and
     uses it again (``close()``, a ``finally``, re-return), stores it, or
     forwards it.  A call whose lease-carrying result is discarded, or

@@ -5,7 +5,7 @@
 * :mod:`.determinism` — bit-determinism of solver paths and the hot-path
   no-float-sort rule;
 * :mod:`.hygiene` — env-var registry routing, bound-docstring citations and
-  the spill-tier access boundary;
+  the pickle/spill-path boundary;
 * :mod:`.faultpoints` — fault-injection sites (PR 8/PR 9): registered kinds
   only, owned by the runtime or serve tier, reachable from a public entry
   point;

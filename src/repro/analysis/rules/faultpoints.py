@@ -12,15 +12,15 @@ from ..core import Finding, ModuleContext, Rule, Severity
 #: the numpy-heavy package in CI), so the kinds are pinned here and a tier-1
 #: test asserts this tuple equals ``repro.faults.FAULT_KINDS`` — drift fails
 #: the suite, not the lint run.
-FAULT_KINDS = ("crash", "slow", "shm_attach", "spill_corrupt", "serve_reject")
+FAULT_KINDS = ("crash", "slow", "shm_attach", "serve_reject")
 
 #: The module that owns the injection machinery (its own ``inject`` calls
 #: are the implementation, not injection sites).
 FAULTS_OWNER = "repro/faults.py"
 
 #: Directories allowed to carry injection sites: the runtime tier the fault
-#: harness models (worker dispatch, shm attach, spill writes) and — since
-#: PR 9 — the serve tier (admission-path rejections driving client retry).
+#: harness models (worker dispatch, shm attach) and — since PR 9 — the
+#: serve tier (admission-path rejections driving client retry).
 FAULT_TIERS = ("runtime", "serve")
 
 
@@ -35,8 +35,8 @@ class FaultPointRule(Rule):
     different place.  This rule keeps every ``faults.inject(...)`` call
     honest: the kind must be a string literal drawn from the registered
     :data:`FAULT_KINDS`, the site must live in one of the :data:`FAULT_TIERS`
-    directories the fault harness models (``runtime/`` — worker dispatch,
-    shm attach, spill writes — and, since PR 9, ``serve/`` for the
+    directories the fault harness models (``runtime/`` — worker dispatch and
+    shm attach — and, since PR 9, ``serve/`` for the
     admission-path rejection fault), and the enclosing function must be
     reachable — through the module's own call graph — from a public entry
     point of its module, so armed faults provably sit on live paths.
@@ -78,8 +78,8 @@ class FaultPointRule(Rule):
                     call,
                     "fault injection outside repro/runtime and repro/serve —"
                     " the fault harness models runtime and admission failures"
-                    " (worker crashes, shm attach, spill corruption, serve"
-                    " rejects); inject at those tier boundaries instead"
+                    " (worker crashes, shm attach, serve rejects); inject"
+                    " at those tier boundaries instead"
                     " (PR 8/PR 9)",
                 )
             function = self._outermost_function(module, call)
@@ -129,7 +129,7 @@ class FaultPointRule(Rule):
         Roots are the public top-level functions, the public methods of
         top-level classes, and every definition referenced from module-level
         code.  Edges follow simple name loads and attribute accesses
-        (``executor.submit(_dispatch, ...)``, ``self._write_spill(...)``)
+        (``executor.submit(_dispatch, ...)``, ``self._send_json(...)``)
         whose name matches a known definition — an over-approximation, which
         is the right direction for a reachability *requirement*.
         """

@@ -1,4 +1,4 @@
-"""Hygiene rules: env registry, bound docstring citations, spill boundary."""
+"""Hygiene rules: env registry, bound docstring citations, pickle/spill-path boundary."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from ..core import Finding, ModuleContext, Rule, Severity
 #: The one module allowed to read the process environment.
 ENV_OWNER = "repro/_env.py"
 
-#: Modules that legitimately serialize runtime payloads/spill files.
+#: Modules that legitimately serialize runtime payloads.
 SERIALIZATION_OWNERS = (
     "runtime/store.py",
     "runtime/shm.py",
@@ -19,7 +19,7 @@ SERIALIZATION_OWNERS = (
     "runtime/parallel.py",
 )
 
-#: The one module allowed to touch spill files (``*.ctx``) directly.
+#: The one module allowed to touch context files (``*.ctx``) directly.
 SPILL_OWNER = "runtime/store.py"
 
 #: What counts as a lemma citation in a bound docstring.
@@ -149,17 +149,16 @@ class BoundAdmissibleDocRule(Rule):
 class SpillPathRule(Rule):
     """``SPILL-PATH`` — spill files and payload pickles have one owner each.
 
-    Motivation: PR 4/PR 5's disk-spill tier.  Spill files are version-tagged
-    pickles with a strict read protocol (tag check, ``SPILL_FORMAT`` check,
-    corrupt-file tolerance, bounded-directory eviction) that lives in
-    ``runtime/store.py``; a direct ``open()``/``pickle.load`` on a ``*.ctx``
-    path anywhere else bypasses every one of those guards and will break
-    silently on the next format bump.  More broadly, pickle is the repo's
-    *transport* layer (dispatch payloads, shm blobs, spill files) and its
-    use is confined to the runtime modules that own those protocols —
-    ``pickle.load``/``dump`` anywhere else is either a new ad-hoc
-    persistence format (use the store) or a measurement (justify the
-    suppression).
+    Motivation: PR 4/PR 5's disk-spill tier, whose version-tagged ``*.ctx``
+    pickles had a strict read protocol in ``runtime/store.py`` that a direct
+    ``open()``/``pickle.load`` anywhere else bypassed.  The tier has since
+    been deleted (contexts are reused in memory only); the ``*.ctx`` check
+    stays so an ad-hoc on-disk context format cannot reappear outside the
+    store.  More broadly, pickle is the repo's *transport* layer (dispatch
+    payloads, shm descriptors) and its use is confined to the runtime
+    modules that own those protocols — ``pickle.load``/``dump`` anywhere
+    else is either a new ad-hoc persistence format or a measurement
+    (justify the suppression).
     """
 
     id = "SPILL-PATH"

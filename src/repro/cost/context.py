@@ -43,18 +43,16 @@ baselines (:mod:`repro.baselines.brute_force`,
 :mod:`repro.baselines.cormode_mcgregor`) and the ablation/sensitivity
 experiment loops.  Rebuild the context whenever the dataset *or* the
 candidate set changes; assignments and subsets over a fixed candidate set
-never require a rebuild.  Two cheaper-than-rebuild paths exist for the
-"candidates changed" case:
+never require a rebuild.  Two paths are cheaper than a rebuild:
 
 * when only *some* candidate rows changed,
-  :meth:`CostContext.replace_candidate_columns` (in place) or
-  :meth:`CostContext.with_candidates` (copy-on-write) splice the affected
-  columns — one metric pass over the replacements and a re-sort of just
+  :meth:`CostContext.replace_candidate_columns` splices the affected columns
+  in place — one metric pass over the replacements and a re-sort of just
   those CDF columns (``wang_zhang_1d``'s coordinate descent runs on this);
 * when the *same* pair recurs across calls,
   :class:`repro.runtime.store.ContextStore` memoizes whole contexts by
-  content fingerprint (LRU-bounded; a changed dataset or candidate byte is
-  a miss and rebuilds).
+  content fingerprint in memory (LRU-bounded; a changed dataset or candidate
+  byte is a miss and rebuilds).
 
 Contexts with their lazy caches materialized pickle cleanly, which is how
 :mod:`repro.runtime.parallel` ships one fully built context to every worker
@@ -320,36 +318,6 @@ class CostContext:
         self._rank_tables = None
         self._rank_merge = None
         self._version += 1
-
-    def with_candidates(self, new_candidates: np.ndarray) -> "CostContext":
-        """A context over ``new_candidates`` reusing every unchanged column.
-
-        When the new set has the same shape as the current one, the cached
-        structure is cloned and only the differing columns are spliced via
-        :meth:`replace_candidate_columns`; a changed shape falls back to a
-        fresh build.  Returns ``self`` unchanged when nothing differs.
-        """
-        new_candidates = as_point_array(new_candidates, name="new_candidates")
-        if new_candidates.shape != self.candidates.shape:
-            return CostContext(self.dataset, new_candidates, pin_supports=self._pin_supports)
-        changed = np.flatnonzero(np.any(new_candidates != self.candidates, axis=1))
-        if changed.shape[0] == 0:
-            return self
-        twin = CostContext.__new__(CostContext)
-        twin.dataset = self.dataset
-        twin.candidates = self.candidates
-        twin.probabilities = self.probabilities
-        twin._pin_supports = self._pin_supports
-        twin._supports = (
-            None if self._supports is None else [support.copy() for support in self._supports]
-        )
-        twin._evaluator = None if self._evaluator is None else self._evaluator.clone()
-        twin._expected = None if self._expected is None else self._expected.copy()
-        twin._rank_tables = None
-        twin._rank_merge = None
-        twin._version = 0
-        twin.replace_candidate_columns(changed, new_candidates[changed])
-        return twin
 
     # -- assigned objective -------------------------------------------------
 

@@ -629,27 +629,6 @@ class AssignedCostEvaluator:
                 self._log_deltas[index][:, columns] = log_delta[position]
                 self._zero_deltas[index][:, columns] = zero_delta[position]
 
-    def replace_candidate_column(self, column: int, supports: Sequence[np.ndarray]) -> None:
-        """Single-column form of :meth:`replace_candidate_columns`.
-
-        ``supports[i]`` is variable ``i``'s ``(z_i,)`` distance vector to the
-        replacement candidate.
-        """
-        blocks = [np.asarray(values, dtype=float).reshape(-1, 1) for values in supports]
-        self.replace_candidate_columns(np.asarray([column], dtype=int), blocks)
-
-    def clone(self) -> "AssignedCostEvaluator":
-        """A deep copy whose columns can be replaced without mutating this one."""
-        twin = AssignedCostEvaluator.__new__(AssignedCostEvaluator)
-        twin.n = self.n
-        twin.columns = self.columns
-        twin._values = [values.copy() for values in self._values]
-        twin._cdfs = [cdf.copy() for cdf in self._cdfs]
-        twin._log_deltas = [delta.copy() for delta in self._log_deltas]
-        twin._zero_deltas = [delta.copy() for delta in self._zero_deltas]
-        twin._probabilities = list(self._probabilities)
-        return twin
-
 
 class LocalSearchSweep:
     """Round-amortized rest profiles for single-point local search.

@@ -2,13 +2,13 @@
 
 The recovery paths PR 8 added to :mod:`repro.runtime` — chunk-granular
 crash recovery, transport fallback on a failed shared-memory attach,
-corrupt-spill tolerance, deadline truncation — are exactly the paths that
-never execute on a healthy box, which means they rot unless CI can trigger
-them on demand.  This module is the trigger: a registry of *fault kinds*
-with injection points inside ``runtime/pool.py``, ``runtime/shm.py`` and
-``runtime/store.py``, armed through the :mod:`repro._env` registry::
+deadline truncation — are exactly the paths that never execute on a
+healthy box, which means they rot unless CI can trigger them on demand.
+This module is the trigger: a registry of *fault kinds* with injection
+points inside ``runtime/pool.py``, ``runtime/shm.py`` and ``serve/``, armed
+through the :mod:`repro._env` registry::
 
-    REPRO_FAULTS=crash:p=0.05,slow:p=0.1:ms=200,shm_attach,spill_corrupt
+    REPRO_FAULTS=crash:p=0.05,slow:p=0.1:ms=200,shm_attach,serve_reject
 
 * ``crash`` — the worker process dies with ``os._exit`` (no cleanup, no
   atexit: the honest simulation of an OOM kill) before running a chunk;
@@ -17,8 +17,6 @@ with injection points inside ``runtime/pool.py``, ``runtime/shm.py`` and
 * ``shm_attach`` — a worker's shared-memory segment attach raises
   :class:`FaultInjected`, driving the per-call fallback to the
   ``("pickled", ...)`` transport;
-* ``spill_corrupt`` — a context spill write truncates its payload, driving
-  the checksum-verified read path's delete-and-rebuild recovery;
 * ``serve_reject`` — the server's admission path (PR 9, :mod:`repro.serve`)
   rejects the request with a 503 + ``Retry-After`` as if overloaded,
   driving the client's retry/backoff machinery deterministically.
@@ -56,7 +54,6 @@ FAULT_KINDS: tuple[str, ...] = (
     "crash",
     "slow",
     "shm_attach",
-    "spill_corrupt",
     "serve_reject",
 )
 
@@ -197,9 +194,9 @@ def inject(kind: str, site: str, token: object = None) -> bool:
 
     Zero-cost when nothing is armed (one empty-dict lookup).  Returns
     ``True`` when the fault fired and execution continues (``slow``,
-    ``spill_corrupt``, ``serve_reject`` — the caller applies the corruption
-    or rejection itself so the fault model stays next to the path it
-    perturbs); ``crash`` never returns and ``shm_attach`` raises
+    ``serve_reject`` — the caller applies the rejection itself so the fault
+    model stays next to the path it perturbs); ``crash`` never returns and
+    ``shm_attach`` raises
     :class:`FaultInjected`.  ``token`` identifies the unit of work so
     retries re-roll deterministically.
     """

@@ -4,7 +4,7 @@ Architecture
 ------------
 The runtime is four coordinated tiers behind every heavy loop in the repo —
 a **pool** tier that owns processes, a **shared-memory** tier that owns
-payload bytes, a **store** tier that owns built-context reuse, and an
+context payload bytes, a **store** tier that owns built-context reuse, and an
 **incumbent** tier that owns the cross-shard branch-and-bound state:
 
 * :mod:`repro.runtime.pool` — the persistent worker pool.  One process-wide
@@ -37,27 +37,19 @@ payload bytes, a **store** tier that owns built-context reuse, and an
   list, for trial loops) and
   :func:`~repro.runtime.parallel.parallel_map_ordered` (results by item
   index with best-first submission and a gap-target stop, for the
-  enumerators).  The engine picks the cheapest transport (shared memory for
-  context payloads, a blob segment for settings, a per-worker-memoized
-  pickle with shared memory off), clamps the requested worker count to the
-  CPUs actually available and to the amount of work (``workers=N`` is never
-  slower than serial on a small box), and runs serial maps and degraded
-  maps' remainders through one in-process loop.  Serial (``workers=1``) is
-  the default; worker counts and transports change wall clock only, never
-  results.
+  enumerators).  The engine picks the payload transport (shared memory for
+  payloads that contain a context, a per-worker-memoized pickle for
+  everything else and whenever shared memory is off), clamps the requested
+  worker count to the CPUs actually available and to the amount of work
+  (``workers=N`` is never slower than serial on a small box), and runs
+  serial maps and degraded maps' remainders through one in-process loop.
+  Serial (``workers=1``) is the default; worker counts and transports
+  change wall clock only, never results.
 
-* :mod:`repro.runtime.store` — cross-call and cross-process context reuse.
+* :mod:`repro.runtime.store` — cross-call context reuse.
   :class:`~repro.runtime.store.ContextStore` memoizes ``CostContext``
-  instances in a content-fingerprint-keyed LRU and, when a spill directory
-  is configured (``spill_dir`` or ``REPRO_CONTEXT_SPILL``), writes built
-  contexts through to disk under the same fingerprints so separate
-  processes — repeated CLI invocations — reuse each other's builds.  The
-  spill directory is bounded by age and total size (``spill_max_bytes`` /
-  ``REPRO_CONTEXT_SPILL_MAX``, ``spill_max_age_seconds`` /
-  ``REPRO_CONTEXT_SPILL_MAX_AGE``; stat-only, oldest-first) and
-  :meth:`~repro.runtime.store.ContextStore.scan_spill_dir` deep-cleans
-  corrupt or version-mismatched files via the same tag check the read path
-  uses.  Rebuild happens exactly when the dataset or candidate set changes.
+  instances in an in-memory, content-fingerprint-keyed LRU.  Rebuild happens
+  exactly when the dataset or candidate set changes.
 
 * :mod:`repro.runtime.incumbent` — the shared branch-and-bound incumbent.
   One process-wide slot (a ``multiprocessing.Value`` double plus a

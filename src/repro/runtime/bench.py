@@ -42,10 +42,6 @@ Cases
     >= 20 small brute-force calls on one memoized context: fresh pool per
     call (PR-3 behavior) vs the persistent pool with memoized shared-memory
     publication.  Target >= 2x.
-``context_store_disk_spill``
-    Two *separate processes* building the same context through a spill-
-    enabled :class:`~repro.runtime.store.ContextStore`: the second process
-    must hit the disk tier instead of rebuilding.
 ``unassigned_rank_merge``
     The rank-merge unassigned sweep against the historical per-row
     float-sort sweep on the same context — bit-identical costs, target
@@ -81,7 +77,6 @@ import pickle
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -461,54 +456,6 @@ def bench_persistent_pool(calls: int = 20, repeats: int = 1) -> dict:
     }
 
 
-_SPILL_SNIPPET = """
-import sys, time
-from repro.runtime.store import ContextStore
-from repro.workloads.synthetic import gaussian_clusters
-
-dataset, _ = gaussian_clusters(n=60, z=6, dimension=2, k_true=4, seed=31)
-candidates = dataset.all_locations()[:48]
-store = ContextStore(spill_dir=sys.argv[1])
-start = time.perf_counter()
-context = store.get(dataset, candidates)
-context.evaluator
-elapsed = time.perf_counter() - start
-print(f"{store.misses} {store.disk_hits} {elapsed:.6f}")
-"""
-
-
-def bench_context_store_disk_spill() -> dict:
-    """Two separate processes share one context build via the disk tier."""
-    with tempfile.TemporaryDirectory(prefix="repro-spill-") as spill_dir:
-        runs = []
-        for _ in range(2):
-            # repro: noqa[ENV-REGISTRY] -- whole-environment copy for a subprocess, not a read of any one repro variable
-            env = dict(os.environ)
-            src_root = str(Path(__file__).resolve().parents[2])
-            env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-            output = subprocess.run(
-                [sys.executable, "-c", _SPILL_SNIPPET, spill_dir],
-                capture_output=True,
-                text=True,
-                check=True,
-                env=env,
-            )
-            misses, disk_hits, seconds = output.stdout.split()
-            runs.append((int(misses), int(disk_hits), float(seconds)))
-    (first_misses, first_disk, first_seconds), (second_misses, second_disk, second_seconds) = runs
-    return {
-        "first_process": {"misses": first_misses, "disk_hits": first_disk, "seconds": first_seconds},
-        "second_process": {
-            "misses": second_misses,
-            "disk_hits": second_disk,
-            "seconds": second_seconds,
-        },
-        "cross_process_hit": bool(second_disk == 1 and second_misses == 0),
-        "target_met": bool(second_disk == 1 and second_misses == 0),
-        "note": "the second CLI invocation loads the first one's spilled build",
-    }
-
-
 def bench_rank_merge(repeats: int = 3) -> dict:
     """Rank-merge unassigned sweep vs the historical per-row float sort."""
     from itertools import combinations
@@ -882,7 +829,6 @@ CASES: dict[str, Callable[[], dict]] = {
     "prune_rate_two_level": bench_prune_rate_two_level,
     "shm_dispatch_bytes": bench_shm_dispatch_bytes,
     "persistent_pool_amortization": bench_persistent_pool,
-    "context_store_disk_spill": bench_context_store_disk_spill,
     "unassigned_rank_merge": bench_rank_merge,
     "wang_zhang_column_splice": bench_column_splice,
     "batch_cost_kernel": bench_batch_cost_kernel,
@@ -895,7 +841,7 @@ CASES: dict[str, Callable[[], dict]] = {
 }
 
 #: The fast smoke subset ``--quick`` runs (CI's bench step): everything that
-#: completes in milliseconds, skipping the subprocess-spawning and
+#: completes in milliseconds, skipping the pool-spawning, crash-recovery and
 #: many-call amortization cases.
 QUICK_CASES: tuple[str, ...] = (
     "brute_force_prune_restricted",

@@ -30,11 +30,19 @@ broken audit identity (``submitted == completed + retries`` no longer
 held per window).  Snapshots therefore carry a **reset generation**: when
 the generation moved, :func:`delta` knows the counters restarted from
 zero and re-baselines instead of subtracting a stale snapshot.
+
+Serve threads record concurrently (the deadline and gap stops of
+concurrent serial solves), so :func:`record`, :func:`snapshot`,
+:func:`delta` and :func:`reset` all run under one module lock; an unlocked
+read-add-write loses increments.  Callers may hold their own locks around
+these functions, but this module never takes any lock but its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 from dataclasses import dataclass
 
 
@@ -48,7 +56,8 @@ class RuntimeHealth:
     retries: int = 0
     #: In-flight chunk results lost to a pool break and recomputed.
     lost_chunks: int = 0
-    #: Per-call downgrades from shm/blob transport to ``("pickled", ...)``.
+    #: Chunks resubmitted on the ``("pickled", ...)`` transport after their
+    #: worker failed to attach the shared-memory payload.
     transport_fallbacks: int = 0
     #: Maps truncated by a ``time_budget`` deadline (partial results returned).
     deadline_hits: int = 0
@@ -98,11 +107,26 @@ _HEALTH = RuntimeHealth()
 #: were taken in so :func:`delta` can detect a restart-from-zero.
 _GENERATION = 0
 
+#: Guards ``_HEALTH`` and ``_GENERATION``.
+_LOCK = threading.Lock()
+
+
+def _reinit_lock() -> None:
+    # A pool worker forked while another thread held the lock would inherit
+    # it locked forever; give the child a fresh one.
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_lock)
+
 
 def record(**counts: int) -> None:
     """Increment named counters; an unknown name is a programming error."""
-    for name, amount in counts.items():
-        setattr(_HEALTH, name, getattr(_HEALTH, name) + amount)
+    with _LOCK:
+        for name, amount in counts.items():
+            setattr(_HEALTH, name, getattr(_HEALTH, name) + amount)
 
 
 def generation() -> int:
@@ -116,6 +140,11 @@ def snapshot() -> RuntimeHealth:
     The copy is tagged with the current reset generation so a later
     :func:`delta` against it survives an interleaved :func:`reset`.
     """
+    with _LOCK:
+        return _snapshot_locked()
+
+
+def _snapshot_locked() -> RuntimeHealth:
     copy = dataclasses.replace(_HEALTH)
     copy._generation = _GENERATION  # type: ignore[attr-defined]
     return copy
@@ -131,8 +160,10 @@ def delta(since: RuntimeHealth) -> RuntimeHealth:
     holding.  Snapshots from before this API existed carry no generation
     tag and are trusted as current-generation baselines.
     """
-    current = snapshot()
-    if getattr(since, "_generation", _GENERATION) != _GENERATION:
+    with _LOCK:
+        current = _snapshot_locked()
+    current_generation = current._generation  # type: ignore[attr-defined]
+    if getattr(since, "_generation", current_generation) != current_generation:
         since = RuntimeHealth()
     movement = RuntimeHealth(
         **{
@@ -140,7 +171,7 @@ def delta(since: RuntimeHealth) -> RuntimeHealth:
             for field in dataclasses.fields(RuntimeHealth)
         }
     )
-    movement._generation = _GENERATION  # type: ignore[attr-defined]
+    movement._generation = current_generation  # type: ignore[attr-defined]
     return movement
 
 
@@ -151,9 +182,10 @@ def reset() -> None:
     re-baseline at zero instead of going negative (see :func:`delta`).
     """
     global _GENERATION
-    _GENERATION += 1
-    for field in dataclasses.fields(RuntimeHealth):
-        setattr(_HEALTH, field.name, 0)
+    with _LOCK:
+        _GENERATION += 1
+        for field in dataclasses.fields(RuntimeHealth):
+            setattr(_HEALTH, field.name, 0)
 
 
 __all__ = ["RuntimeHealth", "delta", "generation", "record", "reset", "snapshot"]

@@ -15,7 +15,7 @@ persistent process pool, and two public adapters expose it:
   index and adds best-first submission order plus a gap-target stop (the
   branch-and-bound enumerators of :mod:`repro.baselines.brute_force`).
 
-Payload transport is resolved once per map, cheapest first:
+Payload transport is resolved once per map, one of two:
 
 * **shared memory** (the default for payloads containing a ``CostContext``):
   the payload's arrays are published once to
@@ -23,11 +23,10 @@ Payload transport is resolved once per map, cheapest first:
   chunk dispatch carries only a small descriptor plus its work slice; the
   persistent pool's workers attach zero-copy and memoize the attachment, so
   repeated calls over a memoized context ship the payload **zero** times;
-* **blob segment** for context-free payloads (experiment settings): the
-  pickle bytes sit in one shared-memory segment, unpickled once per worker;
-* **pickled** when shared memory is unavailable or disabled: the pre-pickled
-  payload rides with each dispatch but is unpickled once per worker, memoized
-  by its sha1.
+* **pickled** for everything else — context-free payloads such as
+  experiment settings, and any payload when shared memory is unavailable or
+  disabled: the pre-pickled payload rides with each dispatch but is
+  unpickled once per worker, memoized by its sha1.
 
 The pool itself is persistent (:mod:`repro.runtime.pool`): lazily spawned,
 grown on demand, reused across brute-force calls and experiment trials, and
@@ -187,10 +186,9 @@ def parallel_map(
     items:
         Picklable work items; results are returned in the same order.
     payload:
-        Shipped to the workers once — via a shared-memory descriptor, a
-        blob segment, or a pickle memoized per worker — never rebuilt per
-        work item.  Build expensive state (contexts, pinned supports) here,
-        not per item.
+        Shipped to the workers once — via a shared-memory descriptor or a
+        pickle memoized per worker — never rebuilt per work item.  Build
+        expensive state (contexts, pinned supports) here, not per item.
     workers:
         Upper bound on processes; clamped to the CPU count and the item
         count (see the module docstring's serial-fallback rules).  ``<= 1``
@@ -433,20 +431,12 @@ def _resolve_transport(
     if payload is None:
         return ("none",), None, None
     # ``shm=False`` / ``REPRO_SHM=0`` must mean NO shared-memory segments at
-    # all (e.g. containers with a tiny /dev/shm), not just "no zero-copy
-    # context" — every transport below honors it.
-    if not (shm and shm_module.shm_available()):
+    # all (e.g. containers with a tiny /dev/shm); context-free payloads never
+    # take a segment either.
+    if not (shm and shm_module.shm_available()) or shm_module.find_context(payload) is None:
         return _pickled_spec(payload), None, None
-    if shm_module.find_context(payload) is not None:
-        descriptor, call_lease = shm_module.publish_payload(payload)
-        spec: tuple = ("shm", descriptor)
-    else:
-        # Context-free payload (settings, policies): park the pickle in one
-        # segment so its bytes ship once, not once per item.
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        blob_descriptor, call_lease = shm_module.publish_blob(blob)
-        spec = ("blob", blob_descriptor)
-    return spec, call_lease, lambda: _pickled_spec(payload)
+    descriptor, call_lease = shm_module.publish_payload(payload)
+    return ("shm", descriptor), call_lease, lambda: _pickled_spec(payload)
 
 
 def iter_chunk_bounds(total: int, chunk_rows: int) -> Iterator[tuple[int, int]]:

@@ -62,15 +62,13 @@ tuples.  The payload spec is one of
   for payloads containing a ``CostContext``; the worker attaches the
   shared-memory segments zero-copy and memoizes the materialized payload by
   the descriptor's token, closing evicted attachments;
-* ``("blob", descriptor)`` — a :class:`~repro.runtime.shm.BlobDescriptor`
-  for small context-free payloads (experiment settings): the pickle bytes
-  sit in one segment, workers unpickle once and memoize by token;
-* ``("pickled", token, blob)`` — when shared memory is disabled or
+* ``("pickled", token, blob)`` — for context-free payloads (experiment
+  settings), for every payload when shared memory is disabled or
   unavailable, and for chunks whose segment attach failed: the pre-pickled
   payload rides with each item but is unpickled once per worker and
   memoized by its sha1 token.
 
-Workers therefore receive payload *bytes* at most once each under shared
+Workers therefore receive context *bytes* at most once each under shared
 memory — no matter how many chunks they process or how many calls reuse the
 same context — and payload *objects* are materialized once per worker under
 every transport.
@@ -198,7 +196,7 @@ def _resolve_payload(spec: tuple) -> Any:
     kind = spec[0]
     if kind == "none":
         return None
-    if kind not in ("pickled", "blob", "shm"):
+    if kind not in ("pickled", "shm"):
         raise ValueError(f"unknown payload spec kind: {kind!r}")
     token = spec[1] if kind == "pickled" else spec[1].token
     cached = _PAYLOAD_CACHE.get(token)
@@ -208,8 +206,6 @@ def _resolve_payload(spec: tuple) -> Any:
     closer: Callable[[], None] | None = None
     if kind == "pickled":
         payload = pickle.loads(spec[2])
-    elif kind == "blob":
-        payload = shm_module.materialize_blob(spec[1])
     else:
         payload, closer = shm_module.materialize_payload(spec[1])
     _cache_payload(token, payload, closer)
@@ -229,7 +225,7 @@ def _dispatch(args: tuple) -> Any:
         try:
             payload = _resolve_payload(spec)
         except (faults.FaultInjected, OSError) as error:
-            if spec[0] in ("shm", "blob"):
+            if spec[0] == "shm":
                 # A failed segment attach degrades this one call to the
                 # pickled transport instead of poisoning the pool.
                 return _TransportFailure(kind=spec[0], error=repr(error))

@@ -15,7 +15,9 @@ segments zero-copy (NumPy views straight into the mapped buffer, marked
 read-only).  Pruned maps need the expected matrix (and, for the unassigned
 objective, the pinned supports) materialized before publication so the
 workers' bound kernels run on the shared bytes — the brute-force callers'
-seeding step guarantees that ordering.
+seeding step guarantees that ordering.  Only payloads that contain a
+``CostContext`` are published here; every other payload (experiment
+settings, plain values) takes the parallel runtime's pickled transport.
 
 Layout
 ------
@@ -566,52 +568,6 @@ def materialize_payload(
                 pass
 
     return payload, closer
-
-
-@dataclass(frozen=True)
-class BlobDescriptor:
-    """A pickled (non-context) payload parked in one shared-memory segment.
-
-    Used by :func:`repro.runtime.parallel.parallel_map` for small payloads
-    without a :class:`CostContext` (experiment settings): the pickle bytes
-    ship through shared memory **once** instead of riding inside every
-    dispatch tuple.  Workers copy the bytes out on first use (unpickling
-    copies anyway), so they can close the mapping immediately and cache the
-    object by ``token``.
-    """
-
-    name: str
-    nbytes: int
-    token: str
-
-
-def publish_blob(blob: bytes) -> tuple[BlobDescriptor, SegmentLease]:
-    """Park ``blob`` in a fresh segment; caller closes the lease after its map."""
-    import hashlib
-
-    name = f"{SEGMENT_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}"
-    segment = shared_memory.SharedMemory(name=name, create=True, size=max(1, len(blob)))
-    # Lease immediately: a failed buffer write must not orphan the segment
-    # (SHM-LIFECYCLE, same rule as pack_arrays).
-    lease = SegmentLease(segment, origin="publish_blob")
-    try:
-        segment.buf[: len(blob)] = blob
-    except BaseException:
-        lease.close()
-        raise
-    descriptor = BlobDescriptor(
-        name=name, nbytes=len(blob), token=hashlib.sha1(blob).hexdigest()
-    )
-    return descriptor, lease
-
-
-def materialize_blob(descriptor: BlobDescriptor) -> Any:
-    """Unpickle a blob payload out of its segment (mapping closed before return)."""
-    segment = _attach_segment(descriptor.name)
-    try:
-        return pickle.loads(bytes(segment.buf[: descriptor.nbytes]))
-    finally:
-        segment.close()
 
 
 def live_segments() -> list[str]:

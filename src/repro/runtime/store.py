@@ -18,78 +18,26 @@ assignments, subsets and local-search rounds over fixed candidates never
 invalidate.  Any changed byte in either fingerprint is a miss and builds a
 fresh context; the old entry ages out of the LRU.
 
-Disk spill tier
----------------
-The in-memory LRU is per process; a second tier spills built contexts to
-disk under the **same** content fingerprints, so separate processes —
-repeated CLI invocations, benchmark subprocesses — reuse each other's
-builds.  Pass ``spill_dir`` (or set the ``REPRO_CONTEXT_SPILL`` environment
-variable, which becomes the default for every store) to enable it:
-
-* every in-memory miss that builds a context also writes it through to
-  ``<spill_dir>/<dataset-fp>-<candidate-fp>-<pin>.ctx`` (atomic
-  write-then-rename; version-tagged pickle carrying a **content checksum**
-  over the pickled context bytes);
-* a later miss — in this process after eviction, or in a brand-new process —
-  verifies the checksum and loads the spilled context instead of rebuilding
-  (``disk_hits`` counts these); a truncated, corrupt, stale or
-  version-mismatched file is **deleted and treated as a miss** — the
-  context is rebuilt and re-spilled, never raised mid-solve (a torn write
-  from a killed process must not poison every later run);
-* invalidation is free: any changed dataset/candidate byte changes the
-  fingerprint and therefore the filename.
-
-The directory is **bounded**: after every write-through the store prunes it
-by age (files older than ``spill_max_age_seconds`` /
-``REPRO_CONTEXT_SPILL_MAX_AGE``) and by size (oldest-first eviction until
-the directory fits ``spill_max_bytes`` / ``REPRO_CONTEXT_SPILL_MAX``) —
-stat-only, so a solve never pays an unpickle for housekeeping.  Limits are
-off by default (``None``); evictions are counted in ``spill_evictions``.
-:meth:`ContextStore.scan_spill_dir` is the deeper, explicit sweep: it loads
-every ``.ctx`` file through the same version-tag check the read path uses
-and deletes the corrupt or mismatched ones, so a directory shared by many
-processes can be reconditioned without guessing which files still parse.
-
-Pool workers still never share a store (the parallel runtime ships built
-contexts via shared-memory descriptors instead, which is cheaper than
-re-keying).  Reusing a cached context — memory or disk — is bit-identical to
-rebuilding it: the arrays were produced by the same kernels from the same
-inputs, and pickling restores their exact bytes.  Memoization never changes
-results, only wall-clock time.
+The store is per process.  Pool workers never share one (the parallel
+runtime ships built contexts via shared-memory descriptors instead, which is
+cheaper than re-keying).  Reusing a cached context is bit-identical to
+rebuilding it: its arrays were produced by the same kernels from the same
+inputs.  Memoization never changes results, only wall-clock time.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from collections import OrderedDict
-from pathlib import Path
 
 import numpy as np
 
-from .. import faults
-from .._env import env_number, env_str
 from ..cost.context import CostContext
-from ..sanitize import det_san
 from ..uncertain.dataset import UncertainDataset
 
 #: Default number of contexts a store keeps before evicting least-recently-used.
 DEFAULT_STORE_SIZE = 8
-
-#: Environment variable naming a default spill directory for every store.
-SPILL_ENV = "REPRO_CONTEXT_SPILL"
-
-#: Environment variable bounding the spill directory's total size in bytes.
-SPILL_MAX_ENV = "REPRO_CONTEXT_SPILL_MAX"
-
-#: Environment variable bounding spill-file age in seconds.
-SPILL_MAX_AGE_ENV = "REPRO_CONTEXT_SPILL_MAX_AGE"
-
-#: Bumped whenever the pickled context layout changes; mismatched spill
-#: files are deleted and rebuilt.  Version 2 added the content checksum
-#: over the pickled context bytes.
-SPILL_FORMAT = 2
 
 
 def _hash_array(hasher: "hashlib._Hash", array: np.ndarray) -> None:
@@ -125,42 +73,16 @@ class ContextStore:
     >>> same = store.get(dataset, candidates)      # cache hit, same object
     >>> assert same is context
 
-    ``hits`` / ``misses`` / ``disk_hits`` / ``spill_evictions`` counters make
-    reuse observable in tests and benchmarks.  ``spill_dir`` enables the
-    cross-process disk tier (defaults to the ``REPRO_CONTEXT_SPILL``
-    environment variable; ``None`` with the variable unset keeps the store
-    memory-only).  ``spill_max_bytes`` / ``spill_max_age_seconds`` bound the
-    directory (env defaults ``REPRO_CONTEXT_SPILL_MAX`` /
-    ``REPRO_CONTEXT_SPILL_MAX_AGE``; ``None`` = unbounded), enforced
-    oldest-first after every write-through.
+    ``hits`` / ``misses`` counters make reuse observable in tests and
+    benchmarks.
     """
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_STORE_SIZE,
-        *,
-        spill_dir: str | Path | None = None,
-        spill_max_bytes: int | None = None,
-        spill_max_age_seconds: float | None = None,
-    ):
+    def __init__(self, maxsize: int = DEFAULT_STORE_SIZE):
         self.maxsize = max(1, int(maxsize))
-        if spill_dir is None:
-            spill_dir = env_str(SPILL_ENV)
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        if spill_max_bytes is None:
-            spill_max_bytes = env_number(SPILL_MAX_ENV, int)
-        if spill_max_age_seconds is None:
-            spill_max_age_seconds = env_number(SPILL_MAX_AGE_ENV, float)
-        self.spill_max_bytes = int(spill_max_bytes) if spill_max_bytes else None
-        self.spill_max_age_seconds = (
-            float(spill_max_age_seconds) if spill_max_age_seconds else None
-        )
-        self._entries: OrderedDict[tuple[str, str, bool], CostContext] = OrderedDict()
+        self._entries: OrderedDict[tuple[str, str], CostContext] = OrderedDict()
         self._dataset_keys: dict[int, tuple[UncertainDataset, str]] = {}
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
-        self.spill_evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -179,197 +101,25 @@ class ContextStore:
         self._dataset_keys[id(dataset)] = (dataset, key)
         return key
 
-    def _spill_path(self, key: tuple[str, str, bool]) -> Path | None:
-        if self.spill_dir is None:
-            return None
-        dataset_key, candidate_key, pin = key
-        return self.spill_dir / f"{dataset_key}-{candidate_key}-{int(pin)}.ctx"
-
-    def _load_spilled(
-        self, path: Path | None, *, discard_corrupt: bool = True
-    ) -> CostContext | None:
-        """Checksum-verified disk load; anything suspicious is a miss.
-
-        A file that fails *any* check — unreadable, truncated pickle, wrong
-        tag, stale :data:`SPILL_FORMAT`, content checksum mismatch, wrong
-        payload type — is deleted on the spot (unless ``discard_corrupt``
-        is off, for :meth:`scan_spill_dir`'s own accounting) and ``None``
-        is returned so the caller rebuilds: corruption costs one rebuild,
-        never an exception mid-solve and never a poisoned future run.
-        """
-        if path is None or not path.is_file():
-            return None
-        try:
-            with path.open("rb") as handle:
-                tag, version, checksum, blob = pickle.load(handle)
-            if tag != "repro-context" or version != SPILL_FORMAT:
-                raise ValueError("stale or foreign spill header")
-            if not isinstance(blob, bytes) or hashlib.sha1(blob).hexdigest() != checksum:
-                raise ValueError("spill content checksum mismatch")
-            context = pickle.loads(blob)
-            if not isinstance(context, CostContext):
-                raise ValueError("spill payload is not a CostContext")
-        except Exception:
-            if discard_corrupt:
-                try:
-                    path.unlink(missing_ok=True)
-                except OSError:  # pragma: no cover - raced with another process
-                    pass
-            return None
-        return context
-
-    def _write_spill(self, path: Path | None, context: CostContext) -> None:
-        """Best-effort atomic write-through (a failed write never fails a solve)."""
-        if path is None:
-            return
-        temporary = path.with_suffix(f".tmp{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-            checksum = hashlib.sha1(blob).hexdigest()
-            if faults.inject("spill_corrupt", "store.write_spill", token=path.name):
-                # Chaos harness: persist a truncated payload whose checksum
-                # no longer matches — the read path must treat it as a miss.
-                blob = blob[: len(blob) // 2]
-            with temporary.open("wb") as handle:
-                pickle.dump(
-                    ("repro-context", SPILL_FORMAT, checksum, blob),
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            temporary.replace(path)
-        except Exception:
-            # Full disk, read-only directory, unpicklable metric, ... — the
-            # spill tier is an optimization, never a failure mode.  Don't
-            # leave a half-written temp file behind either.
-            try:
-                temporary.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return
-        self._prune_spill_dir(keep=path)
-
-    def _spill_files(self) -> list[tuple[float, int, Path]]:
-        """``(mtime, bytes, path)`` for every spill file, oldest first."""
-        if self.spill_dir is None or not self.spill_dir.is_dir():
-            return []
-        entries = []
-        for path in self.spill_dir.glob("*.ctx"):
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - raced with another process
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()  # repro: noqa[FLOAT-SORT-HOTPATH] -- eviction housekeeping over (mtime, size, path) stat tuples, not a cost sweep
-        return entries
-
-    def _evict_spill_file(self, path: Path) -> bool:
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - raced with another process
-            return False
-        self.spill_evictions += 1
-        return True
-
-    def _prune_spill_dir(self, *, keep: Path | None = None) -> None:
-        """Enforce the age and size bounds, oldest files first.
-
-        Stat-only (no unpickling), so the write path stays cheap; the file
-        just written (``keep``) is never evicted — a size bound smaller than
-        one context must not make the tier thrash itself empty.  Eviction
-        can never lose data, only a future ``disk_hit``: any evicted context
-        is rebuilt (and re-spilled) on its next miss.
-        """
-        if self.spill_max_bytes is None and self.spill_max_age_seconds is None:
-            return
-        entries = self._spill_files()
-        if self.spill_max_age_seconds is not None:
-            import time
-
-            cutoff = time.time() - self.spill_max_age_seconds
-            fresh = []
-            for mtime, size, path in entries:
-                if mtime < cutoff and path != keep:
-                    self._evict_spill_file(path)
-                else:
-                    fresh.append((mtime, size, path))
-            entries = fresh
-        if self.spill_max_bytes is not None:
-            total = sum(size for _, size, _ in entries)
-            for _, size, path in entries:
-                if total <= self.spill_max_bytes:
-                    break
-                if path == keep:
-                    continue
-                if self._evict_spill_file(path):
-                    total -= size
-
-    def scan_spill_dir(self) -> dict[str, int]:
-        """Deep-scan the spill directory, deleting files that cannot load.
-
-        Every ``.ctx`` file is pushed through the same checksum-verified
-        load the read path applies (:meth:`_load_spilled`): truncated
-        pickles, wrong tags, stale ``SPILL_FORMAT`` versions and content
-        checksum mismatches are removed so cross-process consumers stop
-        re-stat'ing garbage.  (The read path now deletes corrupt files
-        itself on first touch; the scan remains the way to recondition a
-        shared directory *eagerly*, without waiting for misses.)  Returns
-        ``{"kept": ..., "removed": ...}``.
-        """
-        kept = 0
-        removed = 0
-        for _, _, path in self._spill_files():
-            if self._load_spilled(path, discard_corrupt=False) is None:
-                self._evict_spill_file(path)
-                removed += 1
-            else:
-                kept += 1
-        return {"kept": kept, "removed": removed}
-
-    def get(
-        self,
-        dataset: UncertainDataset,
-        candidates: np.ndarray,
-        *,
-        pin_supports: bool = True,
-    ) -> CostContext:
-        """The memoized context for ``(dataset, candidates)``.
-
-        Lookup order: in-memory LRU, then the disk spill tier (when
-        enabled), then a fresh build (written through to disk).
-        """
+    def get(self, dataset: UncertainDataset, candidates: np.ndarray) -> CostContext:
+        """The memoized context for ``(dataset, candidates)``, built on a miss."""
         candidates = np.asarray(candidates, dtype=float)
-        key = (self._dataset_key(dataset), candidate_fingerprint(candidates), pin_supports)
+        key = (self._dataset_key(dataset), candidate_fingerprint(candidates))
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
             self._entries.move_to_end(key)
             return entry
-        spill_path = self._spill_path(key)
-        entry = self._load_spilled(spill_path)
-        if entry is not None:
-            self.disk_hits += 1
-            # The disk tier trusts filenames; DET-SAN (when enabled)
-            # re-derives both fingerprints from the loaded context and
-            # reports a corrupted or cross-wired spill file instead of
-            # silently serving a wrong-but-plausible cost surface.
-            det_san.verify_context_fingerprints(
-                entry, key[0], key[1], origin=str(spill_path)
-            )
-        else:
-            self.misses += 1
-            entry = CostContext(dataset, candidates, pin_supports=pin_supports)
-            self._write_spill(spill_path, entry)
+        self.misses += 1
+        entry = CostContext(dataset, candidates)
         self._entries[key] = entry
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return entry
 
     def clear(self) -> None:
-        """Drop the in-memory tier and counters (spilled files stay valid)."""
+        """Drop every cached context and reset the counters."""
         self._entries.clear()
         self._dataset_keys.clear()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
-        self.spill_evictions = 0

@@ -43,7 +43,7 @@ def _fingerprint(value: Any) -> str | None:
     import pickle
 
     try:
-        # repro: noqa[SPILL-PATH] -- fingerprinting only: bytes are hashed and discarded, never persisted or shipped, so the spill-tier ownership rule does not apply
+        # repro: noqa[SPILL-PATH] -- fingerprinting only: bytes are hashed and discarded, never persisted or shipped, so the pickle-confinement rule does not apply
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # unpicklable values cannot be fingerprinted
         return None
@@ -96,36 +96,6 @@ def record_map(
     )
 
 
-def verify_context_fingerprints(
-    context: Any,
-    expected_dataset: str,
-    expected_candidates: str,
-    origin: str,
-) -> None:
-    """Cross-check a spill-tier context against the fingerprints that keyed it.
-
-    The disk tier trusts filenames: a context loaded from
-    ``<fingerprint>.ctx`` is assumed to *be* that fingerprint's context.
-    With DET-SAN on, re-derive both fingerprints from the loaded object and
-    report a mismatch (corrupted or cross-wired spill file) instead of
-    silently serving wrong-but-plausible cost surfaces.
-    """
-    if not enabled("det"):
-        return
-    from ..runtime.store import candidate_fingerprint, dataset_fingerprint
-
-    actual_dataset = dataset_fingerprint(context.dataset)
-    actual_candidates = candidate_fingerprint(context.candidates)
-    if actual_dataset != expected_dataset or actual_candidates != expected_candidates:
-        report_violation(
-            "det",
-            f"context loaded from {origin} does not match its key:"
-            f" dataset {actual_dataset[:12]}… vs expected {expected_dataset[:12]}…,"
-            f" candidates {actual_candidates[:12]}… vs expected"
-            f" {expected_candidates[:12]}…",
-        )
-
-
 def reset() -> None:
     _seen.clear()
 
@@ -134,5 +104,4 @@ __all__ = [
     "MAX_TRACKED_MAPS",
     "record_map",
     "reset",
-    "verify_context_fingerprints",
 ]

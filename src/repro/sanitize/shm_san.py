@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import enabled, report_violation
 
-#: Segment name -> short provenance label ("pack_arrays", "publish_blob").
+#: Segment name -> short provenance label (e.g. "pack_arrays").
 _created: dict[str, str] = {}
 #: Names this process attached to (diagnostic context for leak reports).
 _attached: set[str] = set()

@@ -260,11 +260,10 @@ class SingleFlightContexts:
     """Per-fingerprint single-flight builds over one shared context store.
 
     ``get`` collapses N concurrent builds of the same (dataset, candidates)
-    pair into one: the first caller builds through the store (write-through
-    to the spill tier and the in-memory LRU as usual), the rest wait on the
-    builder's event and then hit the store.  ``builds`` counts actual
-    context constructions — the single-flight bench asserts it stays at 1
-    for N concurrent same-fingerprint requests.
+    pair into one: the first caller builds through the store's in-memory
+    LRU, the rest wait on the builder's event and then hit the store.
+    ``builds`` counts actual context constructions — the single-flight bench
+    asserts it stays at 1 for N concurrent same-fingerprint requests.
     """
 
     def __init__(self, store: ContextStore) -> None:
@@ -303,7 +302,6 @@ class SingleFlightContexts:
             "single_flight_waits": self.waits,
             "hits": self.store.hits,
             "misses": self.store.misses,
-            "disk_hits": self.store.disk_hits,
         }
 
 

@@ -33,9 +33,6 @@ class TestRegistry:
         assert set(REGISTRY) == {
             "REPRO_SHM",
             "REPRO_OVERSUBSCRIBE",
-            "REPRO_CONTEXT_SPILL",
-            "REPRO_CONTEXT_SPILL_MAX",
-            "REPRO_CONTEXT_SPILL_MAX_AGE",
             "REPRO_SANITIZE",
             "REPRO_FAULTS",
             "REPRO_SERVE_MAX_INFLIGHT",
@@ -70,15 +67,15 @@ class TestAccessors:
             assert env_flag("REPRO_SHM", default=False) is True
 
     def test_str_treats_empty_as_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CONTEXT_SPILL", raising=False)
-        assert env_str("REPRO_CONTEXT_SPILL") is None
-        monkeypatch.setenv("REPRO_CONTEXT_SPILL", "")
-        assert env_str("REPRO_CONTEXT_SPILL") is None
-        monkeypatch.setenv("REPRO_CONTEXT_SPILL", "/tmp/spill")
-        assert env_str("REPRO_CONTEXT_SPILL") == "/tmp/spill"
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert env_str("REPRO_SANITIZE") is None
+        monkeypatch.setenv("REPRO_SANITIZE", "")
+        assert env_str("REPRO_SANITIZE") is None
+        monkeypatch.setenv("REPRO_SANITIZE", "shm,det")
+        assert env_str("REPRO_SANITIZE") == "shm,det"
 
     def test_number_accepts_positive_and_rejects_garbage(self, monkeypatch):
-        name = "REPRO_CONTEXT_SPILL_MAX"
+        name = "REPRO_SERVE_MAX_BYTES"
         monkeypatch.delenv(name, raising=False)
         assert env_number(name, int) is None
         monkeypatch.setenv(name, "1048576")

@@ -18,15 +18,12 @@ PR 8's contract, pinned here end to end:
   gap)`` certificate;
 * transport fallback — injected shared-memory attach failures degrade to
   the pickled transport with identical results;
-* spill corruption — checksum-verified reads delete and rebuild corrupt
-  spill files instead of raising mid-solve;
 * teardown — ``shutdown()`` tolerates workers the OS already reaped.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import uuid
 from collections import Counter
@@ -40,7 +37,6 @@ from repro.baselines.brute_force import brute_force_restricted_assigned, brute_f
 from repro.runtime import parallel_map, set_oversubscribe, shutdown_runtime
 from repro.runtime import health
 from repro.runtime import pool as pool_module
-from repro.runtime.store import ContextStore
 from repro.sanitize import enabled_names as sanitize_enabled_names
 from repro.sanitize import set_enabled as sanitize_set_enabled
 from repro.workloads import gaussian_clusters
@@ -70,12 +66,12 @@ def _micro_instance(n: int = 10, m: int = 12, k: int = 3, seed: int = 4):
 
 class TestSpecParsing:
     def test_full_spec_round_trips(self):
-        specs = faults.parse_spec("crash:p=0.05,slow:p=0.1:ms=200,shm_attach,spill_corrupt,serve_reject:p=0.2")
+        specs = faults.parse_spec("crash:p=0.05,slow:p=0.1:ms=200,shm_attach,serve_reject:p=0.2")
         assert [spec.kind for spec in specs] == list(faults.FAULT_KINDS)
-        crash, slow, attach, corrupt, reject = specs
+        crash, slow, attach, reject = specs
         assert crash.probability == 0.05
         assert slow.probability == 0.1 and slow.delay_ms == 200
-        assert attach.probability == 1.0 and corrupt.probability == 1.0
+        assert attach.probability == 1.0
         assert reject.probability == 0.2
         faults.set_enabled(specs)
         assert faults.parse_spec(faults.enabled_spec()) == specs
@@ -90,6 +86,13 @@ class TestSpecParsing:
     def test_unknown_kind_is_a_hard_error(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             faults.parse_spec("crsh:p=0.1")
+
+    def test_retired_spill_corrupt_kind_is_rejected(self):
+        # The context disk-spill tier it perturbed is gone; the kind is now
+        # as unknown as any typo.
+        assert "spill_corrupt" not in faults.FAULT_KINDS
+        with pytest.raises(ValueError, match="unknown fault kind 'spill_corrupt'"):
+            faults.parse_spec("spill_corrupt")
 
     def test_unknown_parameter_is_a_hard_error(self):
         with pytest.raises(ValueError, match="unknown fault parameter"):
@@ -141,9 +144,8 @@ class TestDeterministicDraws:
         assert faults._fires(never, "s", None) is False
 
     def test_inject_semantics_for_non_crash_kinds(self):
-        faults.set_enabled("slow:p=1:ms=1,shm_attach,spill_corrupt")
+        faults.set_enabled("slow:p=1:ms=1,shm_attach")
         assert faults.inject("slow", "site") is True
-        assert faults.inject("spill_corrupt", "site") is True
         with pytest.raises(faults.FaultInjected):
             faults.inject("shm_attach", "site")
 
@@ -317,53 +319,6 @@ class TestTransportFallback:
         assert faulted.expected_cost == clean.expected_cost
         assert np.array_equal(faulted.centers, clean.centers)
         assert delta.transport_fallbacks >= 1
-
-
-class TestSpillChecksum:
-    def test_injected_spill_corruption_is_deleted_and_rebuilt(self, tmp_path):
-        dataset, candidates = _micro_instance(n=8, m=8, k=2)
-        faults.set_enabled("spill_corrupt")
-        try:
-            corrupting = ContextStore(spill_dir=tmp_path)
-            corrupting.get(dataset, candidates).evaluator
-        finally:
-            faults.set_enabled(None)
-        assert list(tmp_path.glob("*.ctx"))  # a (corrupt) spill was written
-
-        # the checksum catches the corruption: no disk hit, no raise, rebuild
-        fresh = ContextStore(spill_dir=tmp_path)
-        context = fresh.get(dataset, candidates)
-        assert context is not None
-        assert fresh.disk_hits == 0 and fresh.misses == 1
-
-        # the rebuild wrote a *valid* spill: the next process disk-hits it
-        third = ContextStore(spill_dir=tmp_path)
-        third.get(dataset, candidates)
-        assert third.disk_hits == 1 and third.misses == 0
-
-    def test_checksum_mismatch_with_valid_pickle_is_caught(self, tmp_path):
-        dataset, candidates = _micro_instance(n=8, m=8, k=2)
-        store = ContextStore(spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        (spill_file,) = tmp_path.glob("*.ctx")
-        tag, version, checksum, blob = pickle.loads(spill_file.read_bytes())
-        spill_file.write_bytes(
-            pickle.dumps((tag, version, checksum, blob[: len(blob) // 2]))
-        )
-        fresh = ContextStore(spill_dir=tmp_path)
-        context = fresh.get(dataset, candidates)  # must not raise mid-solve
-        assert context is not None
-        assert fresh.disk_hits == 0 and fresh.misses == 1
-
-    def test_truncated_spill_file_is_tolerated(self, tmp_path):
-        dataset, candidates = _micro_instance(n=8, m=8, k=2)
-        store = ContextStore(spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        (spill_file,) = tmp_path.glob("*.ctx")
-        spill_file.write_bytes(spill_file.read_bytes()[:16])
-        fresh = ContextStore(spill_dir=tmp_path)
-        assert fresh.get(dataset, candidates) is not None
-        assert fresh.misses == 1
 
 
 class TestShutdownTolerance:

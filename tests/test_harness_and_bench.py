@@ -100,7 +100,6 @@ class TestBenchRunner:
         for case in (
             "shm_dispatch_bytes",
             "persistent_pool_amortization",
-            "context_store_disk_spill",
             "unassigned_rank_merge",
         ):
             assert case in CASES

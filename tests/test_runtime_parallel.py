@@ -127,18 +127,28 @@ class TestSerialFallback:
 
 
 class TestShmOptOut:
-    """``shm=False`` must mean no shared-memory segments of any kind."""
+    """No shared-memory segment for ``shm=False`` or a context-free payload.
 
-    def test_no_segment_allocation_with_shm_disabled(self, monkeypatch):
+    ``shm=False`` must mean no segments of any kind; with shm on (``None``,
+    the default) a payload without a ``CostContext`` takes the pickled
+    transport, so it creates no segment either.
+    """
+
+    @pytest.mark.parametrize("shm", [False, None])
+    def test_no_segment_allocation_for_context_free_payload(self, monkeypatch, shm):
         from repro.runtime import shm as shm_module
 
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("shm=False must not touch shared memory")
+        leases = []
+        original_init = shm_module.SegmentLease.__init__
 
-        monkeypatch.setattr(shm_module, "publish_payload", forbidden)
-        monkeypatch.setattr(shm_module, "publish_blob", forbidden)
-        result = parallel_map(_square, range(8), payload=3, workers=2, shm=False)
+        def counting_init(self, *args, **kwargs):
+            leases.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(shm_module.SegmentLease, "__init__", counting_init)
+        result = parallel_map(_square, range(8), payload=3, workers=2, shm=shm)
         assert result == [3 * i * i for i in range(8)]
+        assert leases == []
 
 
 @pytest.fixture(scope="module")

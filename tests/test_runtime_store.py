@@ -1,4 +1,4 @@
-"""ContextStore keying, invalidation, LRU and disk-spill behavior."""
+"""ContextStore keying, invalidation and LRU behavior."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.cost.context import CostContext
 from repro.runtime import ContextStore, candidate_fingerprint, dataset_fingerprint
-from repro.runtime.store import SPILL_ENV, SPILL_MAX_AGE_ENV, SPILL_MAX_ENV
 from repro.uncertain import UncertainDataset, UncertainPoint
 from repro.workloads import gaussian_clusters
 
@@ -91,170 +90,3 @@ class TestContextStore:
         store.get(dataset, candidates)
         store.clear()
         assert (len(store), store.hits, store.misses) == (0, 0, 0)
-
-
-class TestDiskSpill:
-    """The cross-process tier: same fingerprints, pickled write-through."""
-
-    def test_spill_disabled_by_default(self, instance, monkeypatch, tmp_path):
-        monkeypatch.delenv(SPILL_ENV, raising=False)
-        store = ContextStore()
-        assert store.spill_dir is None
-
-    def test_env_variable_enables_spill(self, instance, monkeypatch, tmp_path):
-        monkeypatch.setenv(SPILL_ENV, str(tmp_path))
-        store = ContextStore()
-        assert store.spill_dir == tmp_path
-
-    def test_build_writes_through(self, instance, tmp_path):
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        assert len(list(tmp_path.glob("*.ctx"))) == 1
-
-    def test_fresh_store_hits_disk_instead_of_rebuilding(self, instance, tmp_path):
-        dataset, candidates = instance
-        first = ContextStore(spill_dir=tmp_path)
-        first.get(dataset, candidates)
-        second = ContextStore(spill_dir=tmp_path)  # simulates a new process
-        loaded = second.get(dataset, candidates)
-        assert (second.misses, second.disk_hits) == (0, 1)
-        labels = np.zeros(dataset.size, dtype=int)
-        assert loaded.assigned_cost(labels) == CostContext(dataset, candidates).assigned_cost(labels)
-        subsets = np.asarray([[0, 1], [1, 2], [0, 3]])
-        assert np.array_equal(
-            loaded.unassigned_costs(subsets), CostContext(dataset, candidates).unassigned_costs(subsets)
-        )
-
-    def test_memory_hit_wins_over_disk(self, instance, tmp_path):
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        built = store.get(dataset, candidates)
-        again = store.get(dataset, candidates)
-        assert again is built
-        assert (store.hits, store.disk_hits) == (1, 0)
-
-    def test_eviction_then_reload_comes_from_disk(self, instance, tmp_path):
-        dataset, candidates = instance
-        store = ContextStore(maxsize=1, spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        store.get(dataset, candidates + 1.0)  # evicts the first entry
-        store.get(dataset, candidates)  # disk, not a rebuild
-        assert store.misses == 2
-        assert store.disk_hits == 1
-
-    def test_corrupt_spill_file_is_ignored_and_rebuilt(self, instance, tmp_path):
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        spill_file = next(tmp_path.glob("*.ctx"))
-        spill_file.write_bytes(b"not a pickle")
-        fresh = ContextStore(spill_dir=tmp_path)
-        context = fresh.get(dataset, candidates)
-        assert (fresh.misses, fresh.disk_hits) == (1, 0)
-        assert isinstance(context, CostContext)
-        # the rebuild overwrote the corrupt file with a loadable one
-        reread = ContextStore(spill_dir=tmp_path)
-        reread.get(dataset, candidates)
-        assert reread.disk_hits == 1
-
-    def test_changed_candidates_never_alias_on_disk(self, instance, tmp_path):
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        other = ContextStore(spill_dir=tmp_path)
-        other.get(dataset, candidates + 0.5)
-        assert (other.misses, other.disk_hits) == (1, 0)
-        assert len(list(tmp_path.glob("*.ctx"))) == 2
-
-
-class TestSpillBounds:
-    """The spill directory is bounded by size and age (ROADMAP follow-up)."""
-
-    def test_size_bound_evicts_oldest_first(self, instance, tmp_path):
-        import os
-        import time
-
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        first = next(tmp_path.glob("*.ctx"))
-        one_file_bytes = first.stat().st_size
-        # Backdate the first file so mtime ordering is unambiguous, then
-        # write more contexts through a size-bounded store.
-        backdated = time.time() - 3600
-        os.utime(first, (backdated, backdated))
-        bounded = ContextStore(spill_dir=tmp_path, spill_max_bytes=2 * one_file_bytes + 64)
-        bounded.get(dataset, candidates + 1.0)
-        bounded.get(dataset, candidates + 2.0)
-        remaining = set(tmp_path.glob("*.ctx"))
-        assert first not in remaining  # the oldest file went first
-        assert bounded.spill_evictions >= 1
-        total = sum(path.stat().st_size for path in remaining)
-        assert total <= 2 * one_file_bytes + 64
-
-    def test_just_written_file_survives_a_tiny_bound(self, instance, tmp_path):
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path, spill_max_bytes=1)
-        store.get(dataset, candidates)
-        # The bound is smaller than any context, but the write-through must
-        # not evict its own file — the tier would otherwise thrash empty.
-        assert len(list(tmp_path.glob("*.ctx"))) == 1
-        fresh = ContextStore(spill_dir=tmp_path)
-        fresh.get(dataset, candidates)
-        assert fresh.disk_hits == 1
-
-    def test_age_bound_evicts_stale_files(self, instance, tmp_path):
-        import os
-        import time
-
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        store.get(dataset, candidates)
-        stale = next(tmp_path.glob("*.ctx"))
-        backdated = time.time() - 7200
-        os.utime(stale, (backdated, backdated))
-        aged = ContextStore(spill_dir=tmp_path, spill_max_age_seconds=3600)
-        aged.get(dataset, candidates + 1.0)  # write-through triggers pruning
-        assert stale not in set(tmp_path.glob("*.ctx"))
-        assert aged.spill_evictions == 1
-
-    def test_env_variables_set_default_bounds(self, instance, monkeypatch, tmp_path):
-        monkeypatch.setenv(SPILL_MAX_ENV, "12345")
-        monkeypatch.setenv(SPILL_MAX_AGE_ENV, "60.5")
-        store = ContextStore(spill_dir=tmp_path)
-        assert store.spill_max_bytes == 12345
-        assert store.spill_max_age_seconds == 60.5
-        monkeypatch.setenv(SPILL_MAX_ENV, "not-a-number")
-        monkeypatch.setenv(SPILL_MAX_AGE_ENV, "0")
-        tolerant = ContextStore(spill_dir=tmp_path)
-        assert tolerant.spill_max_bytes is None  # garbage/zero = unbounded
-        assert tolerant.spill_max_age_seconds is None
-
-    def test_unbounded_store_never_prunes(self, instance, tmp_path):
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        for shift in range(4):
-            store.get(dataset, candidates + float(shift))
-        assert store.spill_evictions == 0
-        assert len(list(tmp_path.glob("*.ctx"))) == 4
-
-    def test_scan_removes_corrupt_and_mismatched_files(self, instance, tmp_path):
-        import pickle
-
-        dataset, candidates = instance
-        store = ContextStore(spill_dir=tmp_path)
-        context = store.get(dataset, candidates)
-        (tmp_path / "corrupt.ctx").write_bytes(b"not a pickle")
-        (tmp_path / "stale.ctx").write_bytes(
-            pickle.dumps(("repro-context", -1, context))  # version mismatch
-        )
-        (tmp_path / "wrong-tag.ctx").write_bytes(pickle.dumps(("other", 1, context)))
-        report = store.scan_spill_dir()
-        assert report == {"kept": 1, "removed": 3}
-        survivors = list(tmp_path.glob("*.ctx"))
-        assert len(survivors) == 1
-        # the survivor still loads through the read path
-        fresh = ContextStore(spill_dir=tmp_path)
-        fresh.get(dataset, candidates)
-        assert fresh.disk_hits == 1

@@ -22,7 +22,6 @@ from repro import sanitize
 from repro.runtime import shm as shm_module
 from repro.runtime.parallel import parallel_map, set_oversubscribe
 from repro.sanitize import det_san, lock_san, shm_san
-from repro.workloads import gaussian_clusters
 
 
 @pytest.fixture(autouse=True)
@@ -82,7 +81,7 @@ class TestShmSan:
 
     def test_balanced_lifecycle_is_clean(self):
         sanitize.set_enabled(("shm",))
-        shm_san.record_create("psm_ok", "publish_blob")
+        shm_san.record_create("psm_ok", "pack_arrays")
         shm_san.record_unlink("psm_ok")
         assert sanitize.check_exit() == ()
 
@@ -250,28 +249,6 @@ class TestDetSan:
         repeat = parallel_map(_square_chunk, range(6), payload=3, workers=1)
         assert serial == repeat
         assert sanitize.violations() == ()
-
-    def test_spill_fingerprint_crosscheck_flags_swapped_context(self):
-        from repro.cost.context import CostContext
-        from repro.runtime.store import candidate_fingerprint, dataset_fingerprint
-
-        dataset, _ = gaussian_clusters(n=6, z=3, dimension=2, k_true=2, seed=9)
-        candidates = dataset.expected_points()[:4]
-        context = CostContext(dataset, candidates)
-        expected_dataset = dataset_fingerprint(dataset)
-        expected_candidates = candidate_fingerprint(candidates)
-        sanitize.set_enabled(("det",))
-        det_san.verify_context_fingerprints(
-            context, expected_dataset, expected_candidates, origin="fake.ctx"
-        )
-        assert sanitize.violations() == ()  # honest spill file
-        det_san.verify_context_fingerprints(
-            context, "0" * 40, expected_candidates, origin="crosswired.ctx"
-        )
-        found = messages()
-        assert len(found) == 1
-        assert "does not match its key" in found[0]
-        assert "crosswired.ctx" in found[0]
 
 
 class TestWorkerHandoff:

@@ -18,13 +18,15 @@ Coverage, mechanism by mechanism:
   survives the ``serve_reject`` admission fault, transport-retries only
   idempotent requests;
 * satellites — the health reset-generation guard (no negative windows, the
-  audit identity holds per window) and ``runtime_health_summary``'s
-  ``always`` flag feeding ``/stats``.
+  audit identity holds per window), the health lock (no increment lost to
+  concurrent serve threads) and ``runtime_health_summary``'s ``always``
+  flag feeding ``/stats``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.request
@@ -566,6 +568,33 @@ class TestHealthGenerations:
         assert health.generation() == generation
         health.reset()
         assert health.generation() == generation + 1
+
+    def test_concurrent_records_lose_no_increments(self):
+        # Serve threads record concurrently (deadline and gap stops of
+        # concurrent serial solves); an unlocked read-add-write drops counts.
+        threads, rounds = 8, 20_000
+        barrier = threading.Barrier(threads)
+
+        def hammer():
+            barrier.wait()
+            for _ in range(rounds):
+                health.record(deadline_hits=1, gap_target_hits=1)
+
+        health.reset()
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous_interval)
+        assert not any(worker.is_alive() for worker in workers)
+        counters = health.snapshot()
+        assert counters.deadline_hits == threads * rounds
+        assert counters.gap_target_hits == threads * rounds
 
     def test_audit_ok_detects_the_broken_identity(self):
         counters = health.RuntimeHealth(chunks_submitted=3, chunks_completed=2, retries=1)
