@@ -21,6 +21,7 @@ from repro.cost import (
     monte_carlo_cost_assigned,
 )
 from repro.cost.expected import _expected_max_reference, distance_supports_for_assignment
+from repro.runtime.bench import SCALAR_OVERHEAD_TARGET, bench_scalar_cost_overhead
 from repro.workloads import gaussian_clusters
 
 
@@ -112,6 +113,15 @@ def test_local_search_speedup_over_reference_engine():
 
     speedup = reference_seconds / max(incremental_seconds, 1e-9)
     assert speedup >= 5.0, f"incremental path only {speedup:.1f}x faster than reference engine"
+
+
+def test_scalar_cost_overhead_ratio():
+    """Same-run ratio guard: one ``expected_one_center_cost`` call on an E1
+    instance (n=25, z=3, d=8) may take at most 3x the bare ``E[max]`` kernel
+    on the same distances.  A metric call per uncertain point puts the
+    scalar path near 15x; one call over the flat location layout, under 2x."""
+    case = bench_scalar_cost_overhead()
+    assert case["overhead_ratio"] <= SCALAR_OVERHEAD_TARGET, case
 
 
 def test_local_search_sweep_amortization_speedup():

@@ -131,11 +131,13 @@ def refined_uncertain_one_center(
         raise NotSupportedError("refined 1-center descent requires a Euclidean-style metric")
     check_positive_int(max_iterations, name="max_iterations")
     dim = dataset.dimension
-    starts = [expected_point_one_center(dataset).centers[0]]
-    starts.append(dataset.all_locations().mean(axis=0))
-    best_discrete = exact_uncertain_one_center_discrete(dataset)
-    starts.append(best_discrete.centers[0])
-    starts = starts[: max(restarts, 1)]
+    # Starts in a fixed order, built only as far as ``restarts`` keeps them:
+    # P̄_1 (Theorem 2.1's center), the mean location, the best discrete center.
+    starts = [dataset.points[0].expected_point()]
+    if restarts >= 2:
+        starts.append(dataset.all_locations().mean(axis=0))
+    if restarts >= 3:
+        starts.append(exact_uncertain_one_center_discrete(dataset).centers[0])
 
     scale = max(float(np.ptp(dataset.all_locations(), axis=0).max()), 1e-9)
     best_center = None

@@ -74,6 +74,7 @@ from .expected import (
     _log_zero_deltas,
     _sweep_rows,
     _sweep_rows_presorted,
+    expected_cost_assigned,
     expected_max_of_independent,
 )
 
@@ -263,14 +264,8 @@ class CostContext:
 
         One metric call over the stacked locations instead of one per point.
         """
-        metric = self.dataset.metric
-        stacked = metric.pairwise(self.dataset.all_locations(), new_candidates)
-        blocks = []
-        offset = 0
-        for point in self.dataset.points:
-            blocks.append(stacked[offset : offset + point.support_size])
-            offset += point.support_size
-        return blocks
+        layout = self.dataset.location_layout()
+        return layout.split(self.dataset.metric.pairwise(layout.locations, new_candidates))
 
     def replace_candidate_columns(self, columns: np.ndarray, new_candidates: np.ndarray) -> None:
         """Swap ``candidates[columns]`` for ``new_candidates``, splicing caches.
@@ -324,10 +319,13 @@ class CostContext:
     def assigned_cost(self, candidate_indices: np.ndarray) -> float:
         """Exact assigned cost when point ``i`` goes to ``candidate_indices[i]``.
 
-        Scoring a single assignment never *forces* the evaluator build: when
-        the per-candidate sorted columns are not pinned yet, the ``k``
-        assigned columns are scored directly (distances to the assigned
-        candidates only), which keeps one-shot consumers at ``O(n z)`` work.
+        Scoring a single assignment never *forces* the evaluator build or the
+        support pin.  With the sorted columns built it reads them; with only
+        the supports pinned it gathers the assigned columns; otherwise it is
+        :func:`~repro.cost.expected.expected_cost_assigned` — one metric call
+        to just the candidates the assignment uses, so one-shot consumers of
+        a huge candidate set stay at ``O(N u)`` work and memory for
+        ``N = sum_i z_i`` locations and ``u <= n`` used candidates.
         """
         candidate_indices = np.asarray(candidate_indices, dtype=int).reshape(-1)
         if self._evaluator is not None:
@@ -338,17 +336,9 @@ class CostContext:
             candidate_indices.min() < 0 or candidate_indices.max() >= self.candidate_count
         ):
             raise ValidationError("candidate index out of range")
-        if self._supports is not None:
-            values = [
-                support[:, column]
-                for support, column in zip(self._supports, candidate_indices)
-            ]
-        else:
-            metric = self.dataset.metric
-            values = [
-                metric.pairwise(point.locations, self.candidates[column : column + 1]).reshape(-1)
-                for point, column in zip(self.dataset.points, candidate_indices)
-            ]
+        if self._supports is None:
+            return expected_cost_assigned(self.dataset, self.candidates, candidate_indices)
+        values = [support[:, column] for support, column in zip(self._supports, candidate_indices)]
         return expected_max_of_independent(values, self.probabilities)
 
     def assigned_costs(

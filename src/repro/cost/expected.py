@@ -57,6 +57,25 @@ Batch and incremental APIs
   cumulative products, and an accepted move splices the moved variable's
   entries into the union by ``searchsorted`` instead of re-sorting.
 
+Dataset-facing helpers
+----------------------
+:func:`expected_cost_unassigned`, :func:`expected_cost_assigned` and
+:func:`expected_one_center_cost` score one configuration with one
+``metric.pairwise`` call over the dataset's cached flat location layout
+(:meth:`repro.uncertain.dataset.UncertainDataset.location_layout`) and hand
+the ``(N,)`` distances, with the layout's probabilities and owners, straight
+to the kernel — no per-point loop and no per-call re-validation.  The
+assigned form measures distances only to the centers its assignment uses.
+:func:`distance_supports_for_centers` and
+:func:`distance_supports_for_assignment` return per-point views of those same
+distances, so re-flattening them reproduces the scalar cost exactly.
+
+One BLAS product over ``N`` rows can round differently from ``n`` products
+over ``z_i`` rows, so in dimensions above 3 a scalar cost may differ from a
+per-point computation (or from a pinned :class:`~repro.cost.context.CostContext`
+support column) by a few ulps — about 1e-15 relative.  Finite-metric
+distances (a matrix lookup) are unaffected.
+
 Higher layers should not consume these primitives directly when they score
 many candidate configurations — :class:`repro.cost.context.CostContext`
 bundles them (plus the batched unassigned evaluator) into the shared
@@ -736,8 +755,42 @@ class LocalSearchSweep:
 
 
 # ---------------------------------------------------------------------------
-# Dataset-facing helpers (supports construction + cost wrappers)
+# Dataset-facing helpers (one metric call over the flat location layout)
 # ---------------------------------------------------------------------------
+
+
+def _nearest_center_distances(dataset: UncertainDataset, centers: np.ndarray) -> np.ndarray:
+    """``(N,)`` distance from every layout row to its nearest center."""
+    centers = as_point_array(centers, name="centers")
+    return dataset.metric.pairwise(dataset.location_layout().locations, centers).min(axis=1)
+
+
+def _assigned_center_distances(
+    dataset: UncertainDataset, centers: np.ndarray, assignment: np.ndarray
+) -> np.ndarray:
+    """``(N,)`` distance from every layout row to its point's assigned center.
+
+    Distances are taken only to the centers the assignment uses, so a
+    candidate set as large as every location still costs ``O(N u)`` memory
+    for ``u <= n`` used centers.
+    """
+    centers = as_point_array(centers, name="centers")
+    assignment = np.asarray(assignment, dtype=int).reshape(-1)
+    if assignment.shape[0] != dataset.size:
+        raise ValidationError("assignment must have one entry per uncertain point")
+    if assignment.min() < 0 or assignment.max() >= centers.shape[0]:
+        raise ValidationError("assignment refers to a center index that does not exist")
+    layout = dataset.location_layout()
+    used, columns = np.unique(assignment, return_inverse=True)
+    distances = dataset.metric.pairwise(layout.locations, centers[used])
+    return distances[np.arange(distances.shape[0]), columns[layout.owners]]
+
+
+def _layout_expected_max(dataset: UncertainDataset, values: np.ndarray) -> float:
+    """``E[max]`` of the per-point variables whose ``(N,)`` layout values are given."""
+    layout = dataset.location_layout()
+    log_delta, zero_delta = _entry_deltas(values, layout.probabilities, layout.owners, dataset.size)
+    return _sweep(values, log_delta, zero_delta, dataset.size)
 
 
 def distance_supports_for_assignment(
@@ -748,39 +801,25 @@ def distance_supports_for_assignment(
     """Per-point distance supports for a fixed assignment.
 
     ``assignment[i]`` is the index (into ``centers``) each uncertain point is
-    assigned to.
+    assigned to.  The supports are per-point views of the distances
+    :func:`expected_cost_assigned` scores.
     """
-    centers = as_point_array(centers, name="centers")
-    assignment = np.asarray(assignment, dtype=int).reshape(-1)
-    if assignment.shape[0] != dataset.size:
-        raise ValidationError("assignment must have one entry per uncertain point")
-    if assignment.min() < 0 or assignment.max() >= centers.shape[0]:
-        raise ValidationError("assignment refers to a center index that does not exist")
-    metric = dataset.metric
-    values = []
-    probabilities = []
-    for point, center_index in zip(dataset.points, assignment):
-        target = centers[center_index : center_index + 1]
-        distances = metric.pairwise(point.locations, target).reshape(-1)
-        values.append(distances)
-        probabilities.append(point.probabilities)
-    return values, probabilities
+    layout = dataset.location_layout()
+    values = _assigned_center_distances(dataset, centers, assignment)
+    return layout.split(values), layout.split(layout.probabilities)
 
 
 def distance_supports_for_centers(
     dataset: UncertainDataset,
     centers: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-point distance-to-nearest-center supports (unassigned objective)."""
-    centers = as_point_array(centers, name="centers")
-    metric = dataset.metric
-    values = []
-    probabilities = []
-    for point in dataset.points:
-        distances = metric.pairwise(point.locations, centers).min(axis=1)
-        values.append(distances)
-        probabilities.append(point.probabilities)
-    return values, probabilities
+    """Per-point distance-to-nearest-center supports (unassigned objective).
+
+    Per-point views of the distances :func:`expected_cost_unassigned` scores.
+    """
+    layout = dataset.location_layout()
+    values = _nearest_center_distances(dataset, centers)
+    return layout.split(values), layout.split(layout.probabilities)
 
 
 def assigned_cost_evaluator(dataset: UncertainDataset, centers: np.ndarray) -> AssignedCostEvaluator:
@@ -802,14 +841,12 @@ def expected_cost_assigned(
     assignment: np.ndarray,
 ) -> float:
     """Exact assigned expected cost ``EcostA(c_1 .. c_k)``."""
-    values, probabilities = distance_supports_for_assignment(dataset, centers, assignment)
-    return expected_max_of_independent(values, probabilities)
+    return _layout_expected_max(dataset, _assigned_center_distances(dataset, centers, assignment))
 
 
 def expected_cost_unassigned(dataset: UncertainDataset, centers: np.ndarray) -> float:
     """Exact unassigned expected cost ``Ecost(c_1 .. c_k)``."""
-    values, probabilities = distance_supports_for_centers(dataset, centers)
-    return expected_max_of_independent(values, probabilities)
+    return _layout_expected_max(dataset, _nearest_center_distances(dataset, centers))
 
 
 def expected_distance(dataset: UncertainDataset, point_index: int, target: np.ndarray) -> float:

@@ -46,6 +46,12 @@ Cases
     The rank-merge unassigned sweep against the historical per-row
     float-sort sweep on the same context — bit-identical costs, target
     >= 1.5x.
+``scalar_cost_overhead``
+    One ``expected_one_center_cost`` call (n=25, z=3, d=8: an E1 instance)
+    divided by the bare ``E[max]`` kernel on the same distances — the
+    dispatch and validation a scalar cost pays on top of its arithmetic.
+    A same-run ratio, target <= 3x; the per-call microseconds are a trend
+    only.
 ``wang_zhang_column_splice`` / ``batch_cost_kernel`` / ``local_search_sweep``
     / ``context_store_memoization``
     The PR-1/2/3 guards re-measured so the trajectory stays comparable.
@@ -88,7 +94,7 @@ import numpy as np
 
 from ..baselines.brute_force import brute_force_restricted_assigned, brute_force_unassigned
 from ..cost.context import CostContext
-from ..cost.expected import assigned_cost_evaluator
+from ..cost.expected import _entry_deltas, _sweep, assigned_cost_evaluator, expected_one_center_cost
 from ..workloads.synthetic import gaussian_clusters, line_workload
 from . import pool as pool_module
 from . import shm as shm_module
@@ -118,6 +124,9 @@ BEST_FIRST_CHUNK_RATIO_TARGET = 0.5
 #: Fraction of subset rows the two-level bound must prune on the PR-10
 #: acceptance instance.
 TWO_LEVEL_PRUNE_RATE_TARGET = 0.8
+#: Most a scalar ``expected_one_center_cost`` call may take, as a multiple of
+#: the bare ``E[max]`` kernel on the same distances.
+SCALAR_OVERHEAD_TARGET = 3.0
 #: Slowdown (new/old) past which ``--compare`` reports a regression.
 REGRESSION_TOLERANCE = 1.2
 #: Timings below this are dominated by noise; ``--compare`` skips them.
@@ -236,14 +245,9 @@ def bench_prune_unassigned(repeats: int = 5) -> dict:
         lambda: brute_force_unassigned(dataset, 4, prune=False, **kwargs), repeats
     )
     pruned_seconds = _best_of(lambda: brute_force_unassigned(dataset, 4, **kwargs), repeats)
-    fields = _prune_case_fields(pruned, unpruned, pruned_seconds, no_prune_seconds)
-    # The restricted case carries the >=3x acceptance target; here the rate
-    # is the contract and wall clock is reported (the unassigned sweep's
-    # bound is relatively more expensive than the expected-matrix gather).
-    fields["target_met"] = bool(fields["prune_rate"] > PRUNE_RATE_TARGET)
     return {
         "subsets": comb(candidates.shape[0], 4),
-        **fields,
+        **_prune_case_fields(pruned, unpruned, pruned_seconds, no_prune_seconds),
     }
 
 
@@ -533,6 +537,41 @@ def bench_batch_cost_kernel(repeats: int = 3) -> dict:
         "scalar_seconds": scalar_seconds,
         "rows": 128,
         "speedup": scalar_seconds / max(batch_seconds, 1e-12),
+    }
+
+
+def bench_scalar_cost_overhead(repeats: int = 5, calls: int = 200) -> dict:
+    """One scalar one-center cost call against the bare kernel it feeds.
+
+    The instance is one of E1's (n=25, z=3, d=8).  The kernel leg runs
+    ``_entry_deltas`` + ``_sweep`` on the very distances the scalar call
+    computes, so the ratio is what the scalar path adds on top of the
+    ``E[max]`` arithmetic — taken within one run, it does not depend on the
+    machine.
+    """
+    dataset, _ = gaussian_clusters(n=25, z=3, dimension=8, k_true=1, seed=0)
+    center = dataset.points[0].expected_point()
+    layout = dataset.location_layout()
+    values = dataset.metric.pairwise(layout.locations, center.reshape(1, -1)).min(axis=1)
+    n = dataset.size
+
+    def kernel() -> float:
+        log_delta, zero_delta = _entry_deltas(values, layout.probabilities, layout.owners, n)
+        return _sweep(values, log_delta, zero_delta, n)
+
+    assert kernel() == expected_one_center_cost(dataset, center)  # same values, same kernel
+    scalar_seconds = _best_of(
+        lambda: [expected_one_center_cost(dataset, center) for _ in range(calls)], repeats
+    ) / calls
+    kernel_seconds = _best_of(lambda: [kernel() for _ in range(calls)], repeats) / calls
+    ratio = scalar_seconds / max(kernel_seconds, 1e-12)
+    return {
+        "scalar_call_us": scalar_seconds * 1e6,
+        "kernel_call_us": kernel_seconds * 1e6,
+        "overhead_ratio": ratio,
+        "target": SCALAR_OVERHEAD_TARGET,
+        "target_met": bool(ratio <= SCALAR_OVERHEAD_TARGET),
+        "note": "per-call microseconds are a trend only; the same-run ratio is the gate",
     }
 
 
@@ -832,6 +871,7 @@ CASES: dict[str, Callable[[], dict]] = {
     "unassigned_rank_merge": bench_rank_merge,
     "wang_zhang_column_splice": bench_column_splice,
     "batch_cost_kernel": bench_batch_cost_kernel,
+    "scalar_cost_overhead": bench_scalar_cost_overhead,
     "local_search_sweep": bench_local_search_sweep,
     "context_store_memoization": bench_context_store,
     "fault_recovery": bench_fault_recovery,
@@ -852,6 +892,7 @@ QUICK_CASES: tuple[str, ...] = (
     "unassigned_rank_merge",
     "wang_zhang_column_splice",
     "batch_cost_kernel",
+    "scalar_cost_overhead",
     "context_store_memoization",
     "serve_latency",
     "lint_full_tree",

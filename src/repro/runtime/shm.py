@@ -291,7 +291,7 @@ def context_arrays(context: CostContext) -> tuple[dict[str, np.ndarray], _Contex
     arrays: dict[str, np.ndarray] = {
         "candidates": context.candidates,
         "locations": dataset.all_locations(),
-        "probabilities": np.concatenate(context.probabilities),
+        "probabilities": dataset.all_probabilities(),
     }
     has_supports, has_expected, has_evaluator, has_rank_merge = _context_parts(context)
     if has_supports:

@@ -17,6 +17,41 @@ from .point import UncertainPoint
 
 
 @dataclass(frozen=True)
+class LocationLayout:
+    """The locations of a dataset's points flattened into aligned rows.
+
+    Row ``r`` is location ``locations[r]`` of point ``owners[r]`` with
+    probability ``probabilities[r]``; each point's rows are contiguous and in
+    point order, and ``starts`` holds the first row of every point after the
+    first.  Every array is read-only, so numpy raises on a caller that
+    writes into the shared layout.
+    """
+
+    locations: np.ndarray
+    probabilities: np.ndarray
+    owners: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, points: Sequence[UncertainPoint]) -> "LocationLayout":
+        """Stack ``points`` into one layout (the only place that stacks them)."""
+        sizes = np.array([point.support_size for point in points])
+        arrays = (
+            np.vstack([point.locations for point in points]),
+            np.concatenate([point.probabilities for point in points]),
+            np.repeat(np.arange(sizes.shape[0]), sizes),
+            np.cumsum(sizes)[:-1],
+        )
+        for array in arrays:
+            array.setflags(write=False)
+        return cls(*arrays)
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """Per-point views of an array whose first axis runs over the rows."""
+        return np.split(values, self.starts)
+
+
+@dataclass(frozen=True)
 class UncertainDataset:
     """An ordered collection of independent uncertain points.
 
@@ -121,18 +156,47 @@ class UncertainDataset:
     # ------------------------------------------------------------------
     # Stacked views used by solvers
     # ------------------------------------------------------------------
+    def location_layout(self) -> LocationLayout:
+        """Every location of every point in one flat layout, built once.
+
+        The layout is cached on the dataset outside its fields: it is not
+        part of ``==``, ``hash``, ``repr``, :meth:`to_dict` or the pickled
+        state, so a dataset pickles to the same bytes before and after its
+        first cost call, and an unpickled copy rebuilds the layout on first
+        use.  Two threads may both build it on first use; the build is
+        deterministic, so either result serves.
+        """
+        layout = self.__dict__.get("_location_layout")
+        if layout is None:
+            layout = LocationLayout.of(self.points)
+            object.__setattr__(self, "_location_layout", layout)
+        return layout
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle the fields only; the cached layout is rebuilt on demand."""
+        return {"points": self.points, "metric": self.metric}
+
     def all_locations(self) -> np.ndarray:
-        """Every location of every point stacked into one array."""
-        return np.vstack([point.locations for point in self.points])
+        """Every location of every point stacked into one ``(N, d)`` array.
+
+        Cached in :meth:`location_layout`: read-only and shared by every
+        caller (copy before writing), never pickled.
+        """
+        return self.location_layout().locations
 
     def location_owners(self) -> np.ndarray:
-        """For each row of :meth:`all_locations`, the owning point index."""
-        owners = [np.full(point.support_size, index) for index, point in enumerate(self.points)]
-        return np.concatenate(owners)
+        """For each row of :meth:`all_locations`, the owning point index.
+
+        Cached in :meth:`location_layout`: read-only, never pickled.
+        """
+        return self.location_layout().owners
 
     def all_probabilities(self) -> np.ndarray:
-        """Location probabilities aligned with :meth:`all_locations`."""
-        return np.concatenate([point.probabilities for point in self.points])
+        """Location probabilities aligned with :meth:`all_locations`.
+
+        Cached in :meth:`location_layout`: read-only, never pickled.
+        """
+        return self.location_layout().probabilities
 
     def expected_points(self) -> np.ndarray:
         """The paper's ``P̄_1 .. P̄_n`` stacked into an ``(n, d)`` array.

@@ -36,6 +36,26 @@ def make_uncertain_dataset(
     return UncertainDataset(points=tuple(points), metric=metric or EuclideanMetric())
 
 
+def make_ragged_dataset(dimension: int = 2, *, seed: int = 0) -> UncertainDataset:
+    """Ragged supports (``z_i`` from 1 to 4) with repeated locations and
+    explicit zero probabilities — the shapes the flat location layout must
+    keep each point's rows straight for."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for index, z in enumerate((1, 4, 2, 3, 4, 1, 3)):
+        locations = rng.normal(scale=3.0, size=(z, dimension))
+        probabilities = rng.dirichlet(np.ones(z))
+        if z >= 3:
+            locations[-1] = locations[0]
+        if z >= 2 and index % 2:
+            probabilities[1] = 0.0
+            probabilities /= probabilities.sum()
+        points.append(
+            UncertainPoint(locations=locations, probabilities=probabilities, label=f"P{index}")
+        )
+    return UncertainDataset(points=tuple(points), metric=EuclideanMetric())
+
+
 def make_graph_dataset(n: int = 6, z: int = 3, nodes: int = 20, *, seed: int = 0) -> UncertainDataset:
     """Small uncertain dataset over a random connected graph metric."""
     import networkx as nx

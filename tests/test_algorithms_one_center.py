@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.algorithms.one_center as one_center_module
 from repro import UncertainDataset, UncertainPoint
 from repro.algorithms import (
     best_expected_point_one_center,
@@ -16,6 +17,7 @@ from repro.algorithms import (
 )
 from repro.cost import expected_one_center_cost
 from repro.exceptions import NotSupportedError
+from repro.workloads import gaussian_clusters
 from tests.conftest import make_graph_dataset, make_uncertain_dataset
 
 
@@ -103,3 +105,39 @@ class TestStrongerReferences:
     def test_refined_rejected_on_graph_metric(self, graph_dataset):
         with pytest.raises(NotSupportedError):
             refined_uncertain_one_center(graph_dataset)
+
+
+class TestRefinedStarts:
+    """The pattern search builds only the starts ``restarts`` keeps."""
+
+    @pytest.mark.parametrize("restarts, outside_search_calls", [(1, 0), (2, 0), (3, 100)])
+    def test_scalar_calls_outside_the_search(self, monkeypatch, restarts, outside_search_calls):
+        # 25 points x 3 locations + 25 expected points = 100 discrete candidates;
+        # only the third start (the best discrete center) needs that sweep.
+        dataset, _ = gaussian_clusters(n=25, z=3, dimension=2, k_true=1, seed=0)
+        calls = {"total": 0, "outside": 0}
+        inside_helper = [False]
+        cost = one_center_module.expected_one_center_cost
+
+        def counting_cost(*args, **kwargs):
+            calls["total"] += 1
+            calls["outside"] += inside_helper[0]
+            return cost(*args, **kwargs)
+
+        def flagged(helper):
+            def run(*args, **kwargs):
+                inside_helper[0] = True
+                try:
+                    return helper(*args, **kwargs)
+                finally:
+                    inside_helper[0] = False
+
+            return run
+
+        monkeypatch.setattr(one_center_module, "expected_one_center_cost", counting_cost)
+        for name in ("expected_point_one_center", "exact_uncertain_one_center_discrete"):
+            monkeypatch.setattr(one_center_module, name, flagged(getattr(one_center_module, name)))
+        result = refined_uncertain_one_center(dataset, restarts=restarts)
+        assert calls["outside"] == outside_search_calls
+        assert calls["total"] > outside_search_calls
+        assert result.metadata["restarts"] == restarts

@@ -15,12 +15,13 @@ from repro.cost import (
     expected_cost_unassigned,
     expected_distance,
     expected_distance_matrix,
+    expected_max_of_independent,
     expected_one_center_cost,
     monte_carlo_cost_assigned,
     monte_carlo_cost_unassigned,
 )
 from repro.exceptions import ValidationError
-from tests.conftest import make_graph_dataset, make_uncertain_dataset
+from tests.conftest import make_graph_dataset, make_ragged_dataset, make_uncertain_dataset
 
 
 @pytest.fixture
@@ -65,6 +66,28 @@ class TestExactVsEnumeration:
         exact = expected_cost_assigned(dataset, centers, assignment)
         enumerated = enumerate_expected_cost_assigned(dataset, centers, assignment)
         assert exact == pytest.approx(enumerated, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dimension", [1, 8])
+    def test_ragged_supports_agree_with_enumeration(self, dimension, seed):
+        dataset = make_ragged_dataset(dimension, seed=seed)
+        rng = np.random.default_rng(seed + 200)
+        centers = rng.normal(scale=3.0, size=(3, dimension))
+        assignment = rng.integers(0, 3, size=dataset.size)
+        unassigned = expected_cost_unassigned(dataset, centers)
+        assigned = expected_cost_assigned(dataset, centers, assignment)
+        assert unassigned == pytest.approx(
+            enumerate_expected_cost_unassigned(dataset, centers), rel=1e-10
+        )
+        assert assigned == pytest.approx(
+            enumerate_expected_cost_assigned(dataset, centers, assignment), rel=1e-10
+        )
+        # The per-point supports are views of the very distances the scalar
+        # path scores, so re-flattening them reproduces its result exactly.
+        unassigned_supports = distance_supports_for_centers(dataset, centers)
+        assigned_supports = distance_supports_for_assignment(dataset, centers, assignment)
+        assert expected_max_of_independent(*unassigned_supports) == unassigned
+        assert expected_max_of_independent(*assigned_supports) == assigned
 
 
 class TestMonteCarlo:

@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro import UncertainDataset, UncertainPoint
+from repro.cost import (
+    expected_cost_assigned,
+    expected_cost_unassigned,
+    expected_max_of_independent,
+)
 from repro.exceptions import NotSupportedError, ValidationError
-from repro.metrics import MatrixMetric
+from repro.metrics import ManhattanMetric, MatrixMetric
+from repro.runtime.store import dataset_fingerprint
 from repro.uncertain import (
     enumerate_realizations,
     iter_realizations,
     realization_probability,
     sample_realizations,
 )
-from tests.conftest import make_uncertain_dataset
+from tests.conftest import make_ragged_dataset, make_uncertain_dataset
 
 
 class TestDatasetBasics:
@@ -89,6 +99,89 @@ class TestDatasetBasics:
         assert subset.size == 2
         matrix = MatrixMetric(np.zeros((1, 1)))
         assert euclidean_dataset.with_metric(matrix).metric is matrix
+
+
+def _per_point_unassigned_cost(dataset: UncertainDataset, centers: np.ndarray) -> float:
+    """The unassigned cost from one metric call per point (no shared layout)."""
+    values = [dataset.metric.pairwise(point.locations, centers).min(axis=1) for point in dataset]
+    return expected_max_of_independent(values, [point.probabilities for point in dataset])
+
+
+class TestLocationLayout:
+    def test_stacked_views_are_cached_and_read_only(self):
+        dataset = make_ragged_dataset(dimension=2, seed=3)
+        assert dataset.all_locations() is dataset.all_locations()
+        np.testing.assert_array_equal(
+            dataset.all_locations(), np.vstack([point.locations for point in dataset])
+        )
+        np.testing.assert_array_equal(
+            dataset.location_owners(),
+            np.concatenate([np.full(point.support_size, i) for i, point in enumerate(dataset)]),
+        )
+        views = (dataset.all_locations(), dataset.all_probabilities(), dataset.location_owners())
+        for array in views:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_cost_call_leaves_no_visible_trace(self):
+        dataset = make_ragged_dataset(dimension=2, seed=4)
+        twin = UncertainDataset(points=dataset.points, metric=dataset.metric)
+        centers = np.array([[0.0, 0.0], [2.0, -1.0]])
+
+        def observed(subject: UncertainDataset) -> tuple:
+            fingerprint = dataset_fingerprint(subject)
+            return pickle.dumps(subject), subject.to_dict(), fingerprint, repr(subject)
+
+        assignment = np.arange(dataset.size) % 2
+        before = observed(dataset)
+        cost = expected_cost_unassigned(dataset, centers)
+        assigned = expected_cost_assigned(dataset, centers, assignment)
+        assert observed(dataset) == before == observed(twin)
+        assert dataset == twin and twin == dataset
+        restored = pickle.loads(pickle.dumps(dataset))
+        assert expected_cost_unassigned(restored, centers) == cost
+        assert expected_cost_assigned(restored, centers, assignment) == assigned
+
+    def test_subset_and_with_metric_get_their_own_layout(self):
+        dataset = make_ragged_dataset(dimension=2, seed=5)
+        centers = np.array([[1.0, 0.5], [-2.0, 1.0]])
+        expected_cost_unassigned(dataset, centers)  # build the parent's layout first
+        for derived in (
+            dataset.subset([4, 1, 0]),
+            dataset.subset([6, 2]),
+            dataset.with_metric(ManhattanMetric()),
+        ):
+            assert derived.location_layout() is not dataset.location_layout()
+            assert expected_cost_unassigned(derived, centers) == pytest.approx(
+                _per_point_unassigned_cost(derived, centers), rel=1e-12
+            )
+
+    def test_first_calls_from_threads_agree_bit_for_bit(self):
+        template = make_ragged_dataset(dimension=8, seed=6)
+        centers = np.random.default_rng(6).normal(scale=3.0, size=(3, 8))
+        reference = expected_cost_unassigned(
+            UncertainDataset(points=template.points, metric=template.metric), centers
+        )
+        dataset = UncertainDataset(points=template.points, metric=template.metric)
+        barrier = threading.Barrier(8)
+        results: list[float | None] = [None] * 8
+
+        def first_call(slot: int) -> None:
+            barrier.wait(timeout=10)
+            results[slot] = expected_cost_unassigned(dataset, centers)
+
+        threads = [threading.Thread(target=first_call, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [reference] * 8
 
 
 class TestSamplingAndSerialization:
