@@ -21,7 +21,12 @@ from repro.cost import (
     monte_carlo_cost_assigned,
 )
 from repro.cost.expected import _expected_max_reference, distance_supports_for_assignment
-from repro.runtime.bench import SCALAR_OVERHEAD_TARGET, bench_scalar_cost_overhead
+from repro.runtime.bench import (
+    BOUND_PREFIX_FACTOR_TARGET,
+    SCALAR_OVERHEAD_TARGET,
+    bench_bound_prefix_factor,
+    bench_scalar_cost_overhead,
+)
 from repro.workloads import gaussian_clusters
 
 
@@ -122,6 +127,16 @@ def test_scalar_cost_overhead_ratio():
     scalar path near 15x; one call over the flat location layout, under 2x."""
     case = bench_scalar_cost_overhead()
     assert case["overhead_ratio"] <= SCALAR_OVERHEAD_TARGET, case
+
+
+def test_bound_prefix_factor_ratio():
+    """Same-run ratio guard: the prefix-factored level-1 unassigned bound over
+    all C(24, 4) subset rows (n=40, z=8) must be >= 1.5x faster than the
+    plain per-point gather on the same rows, with bit-identical bounds (the
+    case asserts equality).  Gathering every row's full k columns instead of
+    reducing each shared (k-1)-prefix once puts the ratio at 1x."""
+    case = bench_bound_prefix_factor()
+    assert case["speedup"] >= BOUND_PREFIX_FACTOR_TARGET, case
 
 
 def test_local_search_sweep_amortization_speedup():

@@ -25,7 +25,7 @@ from .anytime import GapCertificateRule
 from .concurrency import LockDisciplineRule, ShmLifecycleRule, SyncInDispatchRule
 from .determinism import FloatSortHotpathRule, NondetRule
 from .faultpoints import FaultPointRule
-from .hygiene import BoundAdmissibleDocRule, EnvRegistryRule, SpillPathRule
+from .hygiene import BoundAdmissibleDocRule, EnvRegistryRule, PickleOwnerRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     ShmLifecycleRule,
@@ -35,7 +35,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     NondetRule,
     EnvRegistryRule,
     BoundAdmissibleDocRule,
-    SpillPathRule,
+    PickleOwnerRule,
     FaultPointRule,
     GapCertificateRule,
 )

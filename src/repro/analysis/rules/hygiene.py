@@ -1,4 +1,4 @@
-"""Hygiene rules: env registry, bound docstring citations, pickle/spill-path boundary."""
+"""Hygiene rules: env registry, bound docstring citations, pickle ownership."""
 
 from __future__ import annotations
 
@@ -13,14 +13,10 @@ ENV_OWNER = "repro/_env.py"
 
 #: Modules that legitimately serialize runtime payloads.
 SERIALIZATION_OWNERS = (
-    "runtime/store.py",
     "runtime/shm.py",
     "runtime/pool.py",
     "runtime/parallel.py",
 )
-
-#: The one module allowed to touch context files (``*.ctx``) directly.
-SPILL_OWNER = "runtime/store.py"
 
 #: What counts as a lemma citation in a bound docstring.
 _CITATION_PATTERN = re.compile(r"Lemma\s+\d+\.\d+|[Aa]dmissib")
@@ -146,37 +142,23 @@ class BoundAdmissibleDocRule(Rule):
                 )
 
 
-class SpillPathRule(Rule):
-    """``SPILL-PATH`` — spill files and payload pickles have one owner each.
+class PickleOwnerRule(Rule):
+    """``PICKLE-OWNER`` — payload pickles have one set of owners.
 
-    Motivation: PR 4/PR 5's disk-spill tier, whose version-tagged ``*.ctx``
-    pickles had a strict read protocol in ``runtime/store.py`` that a direct
-    ``open()``/``pickle.load`` anywhere else bypassed.  The tier has since
-    been deleted (contexts are reused in memory only); the ``*.ctx`` check
-    stays so an ad-hoc on-disk context format cannot reappear outside the
-    store.  More broadly, pickle is the repo's *transport* layer (dispatch
-    payloads, shm descriptors) and its use is confined to the runtime
-    modules that own those protocols — ``pickle.load``/``dump`` anywhere
-    else is either a new ad-hoc persistence format or a measurement
-    (justify the suppression).
+    Motivation: the deleted disk-spill tier's ``*.ctx`` pickles had a strict
+    read protocol that a direct ``pickle.load`` anywhere else bypassed.
+    Pickle is the repo's *transport* layer (dispatch payloads, shm
+    descriptors), and its use is confined to the runtime modules that own
+    those protocols.  ``pickle.load``/``dump`` anywhere else is either a new
+    ad-hoc persistence format or a measurement or fingerprint whose bytes
+    are never persisted (justify the suppression).
     """
 
-    id = "SPILL-PATH"
+    id = "PICKLE-OWNER"
     severity = Severity.ERROR
-    summary = "*.ctx access outside runtime/store.py; pickle outside the runtime"
+    summary = "pickle outside the runtime transport owners"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not module.path_endswith(SPILL_OWNER):
-            for node in module.walk(ast.Constant):
-                # repro: noqa[SPILL-PATH] -- the rule's own pattern literal, not a spill-file access
-                if isinstance(node.value, str) and node.value.endswith(".ctx"):
-                    yield self.finding(
-                        module,
-                        node,
-                        "spill-file path ('*.ctx') referenced outside"
-                        " runtime/store.py — go through ContextStore so the"
-                        " version-tag and eviction protocol applies (PR 5)",
-                    )
         if any(module.path_endswith(owner) for owner in SERIALIZATION_OWNERS):
             return
         for call in module.walk(ast.Call):
@@ -187,6 +169,6 @@ class SpillPathRule(Rule):
                     call,
                     f"{name}() outside the runtime serialization owners"
                     f" ({', '.join(SERIALIZATION_OWNERS)}) — pickle is the"
-                    " runtime's transport/spill format, not a general"
-                    " persistence API (PR 4)",
+                    " runtime's transport format, not a general persistence"
+                    " API",
                 )

@@ -37,11 +37,16 @@ branch-and-bound instead of exhaustive scans:
   pruning bites from the first chunk;
 * every chunk first evaluates a **vectorized admissible lower bound**
   (:meth:`~repro.cost.context.CostContext.subset_assigned_lower_bounds`,
-  :meth:`~repro.cost.context.CostContext.subset_unassigned_lower_bounds`, or
-  per-assignment-row / shared-prefix bounds for the exhaustive-assignment
-  stage) and skips exactly the rows whose bound exceeds the incumbent by
-  more than the floating-point slack
-  (:func:`repro.bounds.lower_bounds.prune_margin`);
+  :meth:`~repro.cost.context.CostContext.subset_unassigned_lower_bounds`,
+  then the pair bound on their survivors, or per-assignment-row /
+  shared-prefix bounds for the exhaustive-assignment stage) and skips
+  exactly the rows whose bound exceeds the incumbent by more than the
+  floating-point slack (:func:`repro.bounds.lower_bounds.prune_margin`);
+* each subset row is bounded **once**: the subset kernels min-reduce each
+  run of rows sharing their first ``k - 1`` candidates once (the
+  enumeration emits rows in such runs), and the per-row bounds a chunk's
+  bound task computed ride into its scoring task with it
+  (:func:`_chunk_bound`, :func:`_two_level_prune`);
 * across worker shards the incumbent is **shared**
   (:mod:`repro.runtime.incumbent`): each chunk refreshes its threshold once
   at chunk start and publishes its achieved minimum through a lock-light
@@ -65,13 +70,17 @@ One enumeration runner
 Every enumeration is chunked into ``(B, .)`` batches of at most
 ``chunk_rows`` rows (default :data:`~repro.cost.context.DEFAULT_CHUNK_ROWS`,
 which also bounds per-worker batch memory) and run by one runner,
-:func:`_enumerate`: the admissible chunk bounds when pruning, then one
-:func:`repro.runtime.parallel.parallel_map_ordered` call (best-first when
-pruning, enumeration order otherwise), then the completed chunk results by
-chunk index.  The five enumerations — restricted score-matrix, restricted
-black-box, unassigned, and the unrestricted subset and exhaustive-assignment
-stages — differ only in their chunk task and their reduction, and the
-anytime ones share one certificate fold (:func:`_certificate_metadata`).
+:func:`_enumerate`: when pruning, a bound pass gives every chunk its
+admissible bound — for the subset stages a first
+:func:`repro.runtime.parallel.parallel_map` of a per-chunk bound task over
+the same pool, payload and transport, skipped for a lone chunk without a
+stop — then one :func:`repro.runtime.parallel.parallel_map_ordered` call
+(best-first when pruning, enumeration order otherwise), then the completed
+chunk results by chunk index.  The five enumerations — restricted
+score-matrix, restricted black-box, unassigned, and the unrestricted subset
+and exhaustive-assignment stages — differ only in their chunk tasks and
+their reduction, and the anytime ones share one certificate fold
+(:func:`_certificate_metadata`).
 
 ``workers=1`` — the default — runs the identical chunk loop in-process, and
 a requested worker count is clamped to the CPUs actually available, so
@@ -110,6 +119,7 @@ from ..runtime import incumbent as incumbent_module
 from ..runtime.parallel import (
     MapOutcome,
     iter_chunk_bounds,
+    parallel_map,
     parallel_map_ordered,
     resolve_workers,
 )
@@ -263,92 +273,104 @@ def _two_level_prune(
     context: CostContext,
     subset_rows: np.ndarray,
     threshold: float,
+    row_bounds: np.ndarray | None,
     *,
     objective: str = "assigned",
 ) -> np.ndarray | None:
     """Staged two-level keep-mask for one chunk of candidate subsets.
 
-    Level 1 (one vectorized gather over the expected matrix, or the E[min]
-    kernel for the unassigned objective) prunes the bulk; the tighter — but
-    pricier — two-point subset bound
+    Level 1 (one prefix-factored gather over the expected matrix, or the
+    E[min] kernel for the unassigned objective) prunes the bulk; the
+    tighter — but pricier — two-point subset bound
     (:meth:`~repro.cost.context.CostContext.subset_pair_lower_bounds`) then
     runs only on level-1 survivors.  Both levels are admissible, so the
     staged mask prunes a superset of level 1 alone while keeping the
     branch-and-bound exactness argument untouched.
+
+    ``row_bounds`` is what the chunk's bound task already computed: the
+    ``(2, B)`` stack of level-1 and pair values, the pair NaN where its
+    lazy fold skipped a row (:func:`_chunk_bound`).  Level 1 is then never
+    recomputed and the pair kernel runs only on survivors that lack a pair
+    value, so every row is bounded at most once per level.  ``None`` (no
+    bound pass ran) computes both levels here.
     """
     if not np.isfinite(threshold):
         return None
-    level1 = (
-        context.subset_assigned_lower_bounds(subset_rows)
-        if objective == "assigned"
-        else context.subset_unassigned_lower_bounds(subset_rows)
-    )
+    if row_bounds is None:
+        level1 = _level1_bounds(context, subset_rows, objective)
+        pair = np.full(level1.shape, np.nan)
+    else:
+        level1, pair = row_bounds
     cut = threshold + prune_margin(threshold)
     keep = level1 <= cut
     survivors = np.flatnonzero(keep)
     if survivors.size:
-        pair = context.subset_pair_lower_bounds(subset_rows[survivors])
-        keep[survivors[pair > cut]] = False
+        survivor_pair = pair[survivors]
+        missing = np.isnan(survivor_pair)
+        if missing.any():
+            survivor_pair[missing] = context.subset_pair_lower_bounds(
+                subset_rows[survivors[missing]]
+            )
+        keep[survivors[survivor_pair > cut]] = False
     if keep.all():
         return None
     return keep
 
 
-def _chunk_lower_bounds(
-    context: CostContext, chunks: list[np.ndarray], objective: str
-) -> list[float]:
-    """Certificate-grade admissible lower bound per chunk, computed up front.
+def _level1_bounds(context: CostContext, subset_rows: np.ndarray, objective: str) -> np.ndarray:
+    """The first-level subset bound of ``objective``, by its traced method name."""
+    if objective == "assigned":
+        return context.subset_assigned_lower_bounds(subset_rows)
+    return context.subset_unassigned_lower_bounds(subset_rows)
 
-    One two-level bound pass over every chunk *before* submission gives the
-    best-first scheduler its priorities, the gap tracker its outstanding
-    bound, and the anytime certificate its fold — all from the same float64
-    numbers, so a gap the tracker certifies is the gap the metadata reports.
 
-    The value per chunk is the exact two-level min — ``min_r max(l1_r, p_r)``
-    — but the quadratic pair expectation ``p_r`` is evaluated lazily: a row
-    whose first-level bound already meets or exceeds the running chunk min
-    satisfies ``max(l1_r, p_r) >= l1_r >= best`` and can never lower it, so
-    its pair term is skipped.  Two batched rounds suffice for exactness:
-    the argmin-``l1`` row of every chunk (one pair call for all chunks),
-    then every row with ``l1`` strictly below its chunk's round-one value
-    (one more).  Rows never evaluated are dominated by construction, so the
-    result matches the eager per-row ``subset_two_level`` pass to the ulp
-    (cross-chunk batching may reorder a BLAS reduction; the prune margins
-    absorb that) at a fraction of the gather traffic — and is a
-    deterministic function of the chunk list, which is what the schedule
-    and the certificate replay on.
+def _chunk_bound(
+    context: CostContext, subset_rows: np.ndarray, objective: str
+) -> tuple[float, np.ndarray]:
+    """One chunk's certificate-grade bound, plus the per-row bounds behind it.
+
+    The chunk bound is the exact two-level minimum ``min_r max(l1_r, p_r)``
+    — it orders the best-first schedule, feeds the gap tracker's
+    outstanding bound and folds into the anytime certificate — but the
+    quadratic pair term ``p_r`` is evaluated lazily: a row whose level-1
+    bound already meets or exceeds the running minimum satisfies
+    ``max(l1_r, p_r) >= l1_r >= best`` and can never lower it, so its pair
+    term is skipped.  Two pair calls suffice: the argmin-``l1`` row, then
+    every other row with ``l1`` strictly below that row's two-level value.
+    The value is a pure function of the chunk (the whole chunk list is not
+    needed), so the pass runs per chunk in the pool.
+
+    Returns ``(bound, row_bounds)``: ``row_bounds`` stacks the per-row
+    level-1 values over the pair values the fold computed (NaN where it
+    skipped a row), one ``(2, B)`` array that rides into the scoring task
+    with the chunk (:func:`_two_level_prune`).
     """
-    if not chunks:
-        return []
-    level1_kernel = (
-        context.subset_assigned_lower_bounds
-        if objective == "assigned"
-        else context.subset_unassigned_lower_bounds
-    )
-    sizes = [chunk.shape[0] for chunk in chunks]
-    splits = np.cumsum(sizes)[:-1]
-    all_rows = np.concatenate(chunks, axis=0)
-    level1 = level1_kernel(all_rows)
-    level1_per_chunk = np.split(level1, splits)
-    offsets = np.concatenate([[0], splits])
+    row_bounds = np.full((2, subset_rows.shape[0]), np.nan)
+    level1, pair = row_bounds
+    level1[:] = _level1_bounds(context, subset_rows, objective)
+    first = int(np.argmin(level1))
+    pair[first] = context.subset_pair_lower_bounds(subset_rows[first : first + 1])[0]
+    best = max(float(level1[first]), float(pair[first]))
+    rest = np.flatnonzero(level1 < best)
+    rest = rest[rest != first]
+    if rest.size:
+        pair[rest] = context.subset_pair_lower_bounds(subset_rows[rest])
+        best = min(best, float(np.maximum(level1[rest], pair[rest]).min()))
+    return best, row_bounds
 
-    # Round one: the argmin-l1 row of each chunk, pair-evaluated in a batch.
-    seed_rows = np.array(
-        [offset + int(np.argmin(l1)) for offset, l1 in zip(offsets, level1_per_chunk)]
-    )
-    seed_pair = context.subset_pair_lower_bounds(all_rows[seed_rows])
-    best = np.maximum(level1[seed_rows], seed_pair)
 
-    # Round two: rows that could still lower a chunk's min, in one batch.
-    candidate_mask = level1 < np.repeat(best, sizes)
-    candidate_mask[seed_rows] = False
-    candidates = np.flatnonzero(candidate_mask)
-    if candidates.size:
-        pair = context.subset_pair_lower_bounds(all_rows[candidates])
-        two_level = np.maximum(level1[candidates], pair)
-        chunk_of = np.searchsorted(splits, candidates, side="right")
-        np.minimum.at(best, chunk_of, two_level)
-    return [float(value) for value in best]
+def _assigned_bound_task(payload, subset_rows: np.ndarray):
+    """Bound-map task of the assigned enumerations (``payload[0]`` is the context).
+
+    Runs over the scoring map's own payload, so a worker materializes it
+    once for both maps.
+    """
+    return _chunk_bound(payload[0], subset_rows, "assigned")
+
+
+def _unassigned_bound_task(payload, subset_rows: np.ndarray):
+    """Bound-map task of the unassigned enumeration (``payload[0]`` is the context)."""
+    return _chunk_bound(payload[0], subset_rows, "unassigned")
 
 
 def _best_first_order(chunk_bounds: list[float]) -> list[int]:
@@ -431,27 +453,43 @@ def _enumerate(
     payload: Any,
     *,
     seed: float | None,
-    chunk_bounds: Callable[[], list[float]],
+    chunk_bounds: Callable[[], list[tuple[float, Any]]],
     workers: int,
     shm: bool | None,
     time_budget: float | None = None,
     gap_target: float | None = None,
 ) -> _Enumeration:
-    """The one enumeration runner: chunk bounds, one map, results by index.
+    """The one enumeration runner: a bound pass, one scoring map, results by index.
 
     With pruning on, ``seed`` is the incumbent's starting value (an achieved
-    feasible cost, or ``inf``): the admissible per-chunk bounds are computed
-    up front by ``chunk_bounds()`` and the chunks are submitted best-first,
-    in ascending-bound order (:func:`_best_first_order`), with the bounds
-    doubling as the gap tracker's outstanding bound.  ``seed=None`` runs the
-    chunks in enumeration order with no incumbent at all.  Either way the
-    reduction walks completed chunks by enumeration index
+    feasible cost, or ``inf``) and ``chunk_bounds()`` returns one
+    ``(bound, row_bounds)`` pair per chunk: an admissible lower bound on
+    every row of the chunk, and whatever per-row bounds the pass computed
+    on the way.  The chunks are submitted best-first, in ascending-bound
+    order (:func:`_best_first_order`), with the bounds doubling as the gap
+    tracker's outstanding bound; each chunk's ``row_bounds`` ride into its
+    scoring task with it, so no row is bounded twice.  The bound pass takes
+    no stop: a certificate needs every chunk's bound, and the deadline
+    clock starts with the scoring map.
+
+    The pass is skipped when there is one chunk and no ``time_budget`` or
+    ``gap_target``: ordering a lone chunk buys nothing, and its scoring task
+    bounds its own rows against the seed.  ``seed=None`` runs the chunks in
+    enumeration order with no incumbent and no bounds at all.  Either way
+    every scoring item is ``(chunk, row_bounds)`` (``None`` without a pass)
+    and the reduction walks completed chunks by enumeration index
     (:meth:`_Enumeration.completed`), so the schedule never changes a result.
     """
-    bounds = chunk_bounds() if seed is not None else None
+    bounds = None
+    row_bounds: list = [None] * len(chunks)
+    anytime = time_budget is not None or gap_target is not None
+    if seed is not None and (len(chunks) > 1 or anytime):
+        bounded = chunk_bounds()
+        bounds = [bound for bound, _ in bounded]
+        row_bounds = [rows for _, rows in bounded]
     outcome = parallel_map_ordered(
         task,
-        chunks,
+        list(zip(chunks, row_bounds)),
         payload=payload,
         workers=workers,
         shm=shm,
@@ -555,17 +593,19 @@ def _chunk_best(costs: np.ndarray) -> tuple[int, float]:
     return winner, float(costs[winner])
 
 
-def _restricted_chunk_task(payload, subset_rows: np.ndarray):
+def _restricted_chunk_task(payload, item):
     """Score one chunk of subsets under a score-matrix assignment rule.
 
-    Returns ``(cost, subset, candidate_indices, pruned, evaluated)``; a
-    fully pruned chunk returns ``(inf, None, None, total, 0)``.
+    ``item`` is ``(subset_rows, row_bounds)`` (:func:`_enumerate`).  Returns
+    ``(cost, subset, candidate_indices, pruned, evaluated)``; a fully
+    pruned chunk returns ``(inf, None, None, total, 0)``.
     """
     context, scores, chunk_rows = payload
+    subset_rows, row_bounds = item
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
     if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value())
+        keep = _two_level_prune(context, subset_rows, handle.value(), row_bounds)
         if keep is not None:
             subset_rows = subset_rows[keep]
     evaluated = subset_rows.shape[0]
@@ -579,7 +619,7 @@ def _restricted_chunk_task(payload, subset_rows: np.ndarray):
     return cost, subset_rows[winner], candidate_index_rows[winner], total - evaluated, evaluated
 
 
-def _blackbox_chunk_task(payload, subset_rows: np.ndarray):
+def _blackbox_chunk_task(payload, item):
     """Score one chunk of subsets under a black-box assignment policy.
 
     The subset bound holds for *any* assignment into the subset, so pruning
@@ -594,10 +634,11 @@ def _blackbox_chunk_task(payload, subset_rows: np.ndarray):
     :func:`_restricted_chunk_task`, so both reduce the same way.
     """
     context, policy = payload
+    subset_rows, row_bounds = item
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
     if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value())
+        keep = _two_level_prune(context, subset_rows, handle.value(), row_bounds)
         if keep is not None:
             subset_rows = subset_rows[keep]
     evaluated = subset_rows.shape[0]
@@ -611,7 +652,7 @@ def _blackbox_chunk_task(payload, subset_rows: np.ndarray):
     return cost, subset_rows[winner], candidate_index_rows[winner], total - evaluated, evaluated
 
 
-def _ed_scored_chunk_task(payload, subset_rows: np.ndarray):
+def _ed_scored_chunk_task(payload, item):
     """ED-score one chunk of subsets, returning every surviving row.
 
     Stage 1 of the unrestricted search keeps a full ranking of the
@@ -624,11 +665,12 @@ def _ed_scored_chunk_task(payload, subset_rows: np.ndarray):
     ``(kept_indices, costs, assignment_rows, pruned)``.
     """
     context, chunk_rows, top_k = payload
+    subset_rows, row_bounds = item
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
     kept = None
     if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value())
+        keep = _two_level_prune(context, subset_rows, handle.value(), row_bounds)
         if keep is not None:
             kept = np.flatnonzero(keep)
             subset_rows = subset_rows[kept]
@@ -663,18 +705,20 @@ def _exhaustive_chunk_task(payload, item):
 
     Two pruning levels: the shared-prefix bound can drop the whole shard
     before any row is decoded, then per-row bounds (one gather + row max
-    over the expected matrix) drop individual assignments.  Returns
+    over the expected matrix) drop individual assignments.  ``item`` is
+    ``((columns, start, stop), prefix_bound)``, the bound the runner's pass
+    already computed (``None`` without a pass).  Returns
     ``(cost, assignment_row, pruned, evaluated)``.
     """
     context, n, chunk_rows = payload
-    columns, start, stop = item
+    (columns, start, stop), prefix_bound = item
     handle = incumbent_module.active()
     total = stop - start
     threshold = handle.value() if handle is not None else np.inf
     if handle is not None and np.isfinite(threshold):
-        if _assignment_prefix_bound(context, columns, start, stop) > threshold + prune_margin(
-            threshold
-        ):
+        if prefix_bound is None:
+            prefix_bound = _assignment_prefix_bound(context, columns, start, stop)
+        if prefix_bound > threshold + prune_margin(threshold):
             return np.inf, None, total, 0
     assignment_rows = _assignment_rows_slice(columns, n, start, stop)
     if handle is not None and np.isfinite(threshold):
@@ -691,18 +735,22 @@ def _exhaustive_chunk_task(payload, item):
     return cost, assignment_rows[winner], total - evaluated, evaluated
 
 
-def _unassigned_chunk_task(payload, subset_rows: np.ndarray):
+def _unassigned_chunk_task(payload, item):
     """Score one chunk of subsets on the unassigned objective.
 
-    Returns ``(cost, subset, None, pruned, evaluated)`` — the restricted
-    tasks' shape with no assignment — or ``(inf, None, None, total, 0)``
-    for a fully pruned chunk.
+    ``item`` is ``(subset_rows, row_bounds)``.  Returns
+    ``(cost, subset, None, pruned, evaluated)`` — the restricted tasks'
+    shape with no assignment — or ``(inf, None, None, total, 0)`` for a
+    fully pruned chunk.
     """
     context, chunk_rows = payload
+    subset_rows, row_bounds = item
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
     if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value(), objective="unassigned")
+        keep = _two_level_prune(
+            context, subset_rows, handle.value(), row_bounds, objective="unassigned"
+        )
         if keep is not None:
             subset_rows = subset_rows[keep]
     evaluated = subset_rows.shape[0]
@@ -746,8 +794,9 @@ def brute_force_restricted_assigned(
     bit-identical either way, pruning only skips provably losing rows.
 
     With pruning on, chunks are scheduled **best-first**: every chunk's
-    admissible two-level lower bound is computed up front and chunks are
-    submitted in ascending-bound order (:func:`_best_first_order`), so the
+    admissible two-level lower bound is computed up front, by a bound map
+    over the same pool, and chunks are submitted in ascending-bound order
+    (:func:`_best_first_order`), so the
     cheapest regions of the subset space are searched first and the
     certified optimality gap shrinks as fast as the bounds allow — while
     the final result stays bit-identical to submission order, because the
@@ -812,7 +861,9 @@ def brute_force_restricted_assigned(
         chunks,
         payload,
         seed=seed_solution[0] if prune and seed_solution is not None else None,
-        chunk_bounds=lambda: _chunk_lower_bounds(context, chunks, "assigned"),
+        chunk_bounds=lambda: parallel_map(
+            _assigned_bound_task, chunks, payload=payload, workers=workers, shm=shm
+        ),
         workers=workers,
         shm=shm,
         time_budget=time_budget,
@@ -901,12 +952,15 @@ def brute_force_unrestricted_assigned(
     # Best-first submission tightens the shared top-K threshold early:
     # low-bound chunks hold the cheap subsets, so the threshold other shards
     # prune against drops within the first few completions.
+    stage_payload = (context, chunk_rows, top_k)
     stage = _enumerate(
         _ed_scored_chunk_task,
         subset_chunks,
-        (context, chunk_rows, top_k),
+        stage_payload,
         seed=np.inf if prune else None,
-        chunk_bounds=lambda: _chunk_lower_bounds(context, subset_chunks, "assigned"),
+        chunk_bounds=lambda: parallel_map(
+            _assigned_bound_task, subset_chunks, payload=stage_payload, workers=workers, shm=shm
+        ),
         workers=workers,
         shm=shm,
     )
@@ -937,15 +991,16 @@ def brute_force_unrestricted_assigned(
             for start, stop in iter_chunk_bounds(k**n, chunk_rows)
         ]
         # The shared-prefix bound the shards prune with, computed up front
-        # per item, doubles as the best-first priority.
+        # per item, doubles as the best-first priority and rides into its
+        # shard, which then need not recompute it.
         exhaustive = _enumerate(
             _exhaustive_chunk_task,
             items,
             (context, n, chunk_rows),
             seed=best_cost if prune else None,
             chunk_bounds=lambda: [
-                _assignment_prefix_bound(context, columns, start, stop)
-                for columns, start, stop in items
+                (bound, bound)
+                for bound in (_assignment_prefix_bound(context, *item) for item in items)
             ],
             workers=workers,
             shm=shm,
@@ -1083,12 +1138,15 @@ def brute_force_unassigned(
     anytime = time_budget is not None or gap_target is not None
     total_rows = _checked_subset_count(candidates.shape[0], k)
     chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
+    payload = (context, chunk_rows)
     run = _enumerate(
         _unassigned_chunk_task,
         chunks,
-        (context, chunk_rows),
+        payload,
         seed=seed_solution[0] if prune and seed_solution is not None else None,
-        chunk_bounds=lambda: _chunk_lower_bounds(context, chunks, "unassigned"),
+        chunk_bounds=lambda: parallel_map(
+            _unassigned_bound_task, chunks, payload=payload, workers=workers, shm=shm
+        ),
         workers=workers,
         shm=shm,
         time_budget=time_budget,

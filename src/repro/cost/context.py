@@ -34,7 +34,11 @@ behind the branch-and-bound brute force
 :meth:`CostContext.assignment_lower_bounds` — re-exported with their lemma
 context by :mod:`repro.bounds.lower_bounds`): pure gathers/min-reductions
 over the expected matrix and pinned supports, no sorts, so bounding a chunk
-is an order of magnitude cheaper than exactly scoring it.
+is an order of magnitude cheaper than exactly scoring it.  The subset
+kernels are **prefix-factored** (:func:`_subset_minima`): each run of rows
+sharing their first ``k - 1`` candidates is min-reduced once, and each row
+then takes one ``minimum`` with its last candidate.  ``min`` is exact, so
+the bounds are bit-identical to the plain gather for any row order.
 
 Consumers: :class:`repro.assignments.policies.OptimalAssignment`, the
 ``polish_assignment`` path of :mod:`repro.algorithms.unrestricted`, all four
@@ -487,12 +491,15 @@ class CostContext:
 
         — the per-point Lemma 3.2 argument applied subset-wise, so the bound
         is admissible for *every* restricted assignment rule at once.  Reads
-        only the cached ``(n, m)`` expected-distance matrix: one gather, one
-        min-reduce, one max-reduce per chunk, no sorts and no new memory
-        beyond the ``(n, B, kk)`` gather.
+        only the cached ``(n, m)`` expected-distance matrix, prefix-factored
+        (:func:`_subset_minima`): one gather and min-reduce per run of rows
+        sharing their first ``kk - 1`` columns, one ``minimum`` per row with
+        its last column, one max-reduce; no sorts.  Bit-identical to the
+        plain ``(n, B, kk)`` gather for any row order, since ``min`` is
+        exact.
         """
         subset_rows = self._check_subset_rows(subset_rows)
-        return self.expected[:, subset_rows].min(axis=2).max(axis=0)
+        return _subset_minima(self.expected, _prefix_runs(subset_rows)).max(axis=0)
 
     def subset_unassigned_lower_bounds(self, subset_rows: np.ndarray) -> np.ndarray:
         """``(B,)`` lower bounds on the unassigned cost of candidate subsets.
@@ -503,13 +510,17 @@ class CostContext:
         ``min_c E[d]`` would *not* be admissible here — ``E[min] <= min E``
         — so this kernel min-reduces the pinned supports before the
         probability dot product.  No sorts; the full union sweep the bound
-        replaces is what makes pruned rows cheap.
+        replaces is what makes pruned rows cheap.  The min-reduce is
+        prefix-factored like :meth:`subset_assigned_lower_bounds` (the runs
+        are found once per call and reused for every point) and keeps the
+        plain gather's memory layout, so even the dot product is
+        bit-identical to the unfactored kernel for any row order.
         """
         subset_rows = self._check_subset_rows(subset_rows)
+        runs = _prefix_runs(subset_rows)
         best: np.ndarray | None = None
         for support, probabilities in zip(self.supports, self.probabilities):
-            reduced = support[:, subset_rows].min(axis=2)  # (z_i, B)
-            bounds = probabilities @ reduced
+            bounds = probabilities @ _subset_minima(support, runs)
             best = bounds if best is None else np.maximum(best, bounds, out=best)
         assert best is not None
         return best
@@ -534,7 +545,10 @@ class CostContext:
         minima (the same gather the unassigned bound runs), then one
         outer-max expectation per *distinct* top pair — chunked enumerations
         share a handful of pairs, so the quadratic-in-``z`` part runs a few
-        times per chunk, not per subset.
+        times per chunk, not per subset.  Both passes min-reduce
+        prefix-factored (:func:`_subset_minima`; a pair's rows are a
+        subsequence of the batch, so its runs stay contiguous), bit-identical
+        to the plain gather for any row order.
         """
         subset_rows = self._check_subset_rows(subset_rows)
         batch = subset_rows.shape[0]
@@ -542,9 +556,10 @@ class CostContext:
         if n < 2 or batch == 0:
             return np.zeros(batch)
         supports = self.supports
+        runs = _prefix_runs(subset_rows)
         expected_minima = np.empty((n, batch))
         for i, (support, weight) in enumerate(zip(supports, self.probabilities)):
-            expected_minima[i] = weight @ support[:, subset_rows].min(axis=2)
+            expected_minima[i] = weight @ _subset_minima(support, runs)
         top_two = np.argpartition(expected_minima, n - 2, axis=0)[n - 2 :]
         first = np.minimum(top_two[0], top_two[1])
         second = np.maximum(top_two[0], top_two[1])
@@ -553,9 +568,9 @@ class CostContext:
         for key in np.unique(pair_keys):
             mask = pair_keys == key
             i, j = int(key) // n, int(key) % n
-            rows = subset_rows[mask]
-            reduced_i = supports[i][:, rows].min(axis=2)  # (z_i, Bg)
-            reduced_j = supports[j][:, rows].min(axis=2)  # (z_j, Bg)
+            group_runs = _prefix_runs(subset_rows[mask])
+            reduced_i = _subset_minima(supports[i], group_runs)  # (z_i, Bg)
+            reduced_j = _subset_minima(supports[j], group_runs)  # (z_j, Bg)
             pairwise_max = np.maximum(reduced_i[:, None, :], reduced_j[None, :, :])
             out[mask] = np.einsum(
                 "i,j,ijb->b", self.probabilities[i], self.probabilities[j], pairwise_max
@@ -636,6 +651,42 @@ class CostContext:
                 len(tables),
             )
         return out
+
+
+def _prefix_runs(subset_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a ``(B, kk)`` batch into runs of rows sharing their first ``kk - 1`` columns.
+
+    Returns ``(prefixes, run_of_row, last)``: the ``(R, kk - 1)`` shared
+    columns of each run, the run index of every row, and every row's last
+    column.  A run is a maximal block of *consecutive* rows, so any row
+    order is valid input; :func:`itertools.combinations` emits subsets in
+    lexicographic order, where one run holds every subset that differs only
+    in its largest candidate.
+    """
+    head = subset_rows[:, :-1]
+    new_run = np.ones(subset_rows.shape[0], dtype=bool)
+    np.any(head[1:] != head[:-1], axis=1, out=new_run[1:])
+    return head[new_run], np.cumsum(new_run) - 1, subset_rows[:, -1]
+
+
+def _subset_minima(
+    matrix: np.ndarray, runs: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``matrix[:, rows].min(axis=2)`` with each run's shared prefix reduced once.
+
+    ``runs`` is :func:`_prefix_runs` of ``rows``.  The ``(r, R)`` prefix
+    minima are gathered once per run, then each row takes one ``minimum``
+    with its last column.  ``min`` is exact, so the values are bit-identical
+    to the plain gather for any row order; the result also keeps the plain
+    gather's column-major memory layout (fancy indexing along axis 1 puts
+    the row axis outermost), so a dot product over it accumulates in the
+    same order and stays bit-identical too.
+    """
+    prefixes, run_of_row, last = runs
+    if prefixes.shape[1] == 0:
+        return matrix[:, last]
+    minima = matrix[:, prefixes].min(axis=2)[:, run_of_row]
+    return np.minimum(minima, matrix[:, last], out=minima)
 
 
 def cost_context(dataset: UncertainDataset, candidates: np.ndarray) -> CostContext:

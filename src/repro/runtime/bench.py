@@ -46,6 +46,12 @@ Cases
     The rank-merge unassigned sweep against the historical per-row
     float-sort sweep on the same context — bit-identical costs, target
     >= 1.5x.
+``bound_prefix_factor``
+    The level-1 unassigned bound over all ``C(24, 4) = 10,626`` subset rows
+    (n=40, z=8), prefix-factored against the plain per-point
+    ``support[:, rows].min(axis=2)`` gather on the same rows — bit-identical
+    bounds, a same-run ratio with target >= 1.5x; the milliseconds per call
+    are a trend only.
 ``scalar_cost_overhead``
     One ``expected_one_center_cost`` call (n=25, z=3, d=8: an E1 instance)
     divided by the bare ``E[max]`` kernel on the same distances — the
@@ -127,6 +133,9 @@ TWO_LEVEL_PRUNE_RATE_TARGET = 0.8
 #: Most a scalar ``expected_one_center_cost`` call may take, as a multiple of
 #: the bare ``E[max]`` kernel on the same distances.
 SCALAR_OVERHEAD_TARGET = 3.0
+#: Speedup the prefix-factored level-1 bound must reach over the plain
+#: gather on the same subset rows.
+BOUND_PREFIX_FACTOR_TARGET = 1.5
 #: Slowdown (new/old) past which ``--compare`` reports a regression.
 REGRESSION_TOLERANCE = 1.2
 #: Timings below this are dominated by noise; ``--compare`` skips them.
@@ -300,7 +309,7 @@ def _dispatch_payload() -> tuple:
 def bench_shm_dispatch_bytes() -> dict:
     """Descriptor-dispatch bytes vs pickling the full payload per call."""
     payload = _dispatch_payload()
-    # repro: noqa[SPILL-PATH] -- the bench measures the full-payload pickle size to report the descriptor-dispatch win; it never persists the bytes
+    # repro: noqa[PICKLE-OWNER] -- the bench measures the full-payload pickle size to report the descriptor-dispatch win; it never persists the bytes
     pickled_bytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     descriptor, call_lease = shm_module.publish_payload(payload)
     try:
@@ -537,6 +546,44 @@ def bench_batch_cost_kernel(repeats: int = 3) -> dict:
         "scalar_seconds": scalar_seconds,
         "rows": 128,
         "speedup": scalar_seconds / max(batch_seconds, 1e-12),
+    }
+
+
+def bench_bound_prefix_factor(repeats: int = 5) -> dict:
+    """Prefix-factored level-1 unassigned bound vs the plain gather it replaced.
+
+    All ``C(24, 4) = 10,626`` subset rows of
+    ``gaussian_clusters(n=40, z=8, k_true=4, seed=0)`` with its first 24
+    locations as candidates, in enumeration order, in one call.  The plain
+    leg min-reduces one ``(z_i, B, k)`` gather per point; the factored
+    kernel gathers each run of rows sharing their first ``k - 1`` columns
+    once.  The two must agree exactly; the ratio, taken within one run, is
+    the gate.
+    """
+    dataset, _ = gaussian_clusters(n=40, z=8, dimension=2, k_true=4, seed=0)
+    candidates = dataset.all_locations()[:24]
+    context = CostContext(dataset, candidates)
+    rows = np.asarray(list(combinations(range(candidates.shape[0]), 4)))
+    supports, weights = context.supports, context.probabilities
+
+    def plain_gather() -> np.ndarray:
+        best = np.full(rows.shape[0], -np.inf)
+        for support, weight in zip(supports, weights):
+            np.maximum(best, weight @ support[:, rows].min(axis=2), out=best)
+        return best
+
+    assert np.array_equal(context.subset_unassigned_lower_bounds(rows), plain_gather())
+    factored_seconds = _best_of(lambda: context.subset_unassigned_lower_bounds(rows), repeats)
+    plain_seconds = _best_of(plain_gather, repeats)
+    speedup = plain_seconds / max(factored_seconds, 1e-12)
+    return {
+        "factored_call_ms": factored_seconds * 1e3,
+        "plain_gather_call_ms": plain_seconds * 1e3,
+        "rows": int(rows.shape[0]),
+        "speedup": speedup,
+        "target": BOUND_PREFIX_FACTOR_TARGET,
+        "target_met": bool(speedup >= BOUND_PREFIX_FACTOR_TARGET),
+        "note": "bounds are bit-identical; per-call milliseconds are a trend only, the same-run ratio is the gate",
     }
 
 
@@ -871,6 +918,7 @@ CASES: dict[str, Callable[[], dict]] = {
     "unassigned_rank_merge": bench_rank_merge,
     "wang_zhang_column_splice": bench_column_splice,
     "batch_cost_kernel": bench_batch_cost_kernel,
+    "bound_prefix_factor": bench_bound_prefix_factor,
     "scalar_cost_overhead": bench_scalar_cost_overhead,
     "local_search_sweep": bench_local_search_sweep,
     "context_store_memoization": bench_context_store,
@@ -892,6 +940,7 @@ QUICK_CASES: tuple[str, ...] = (
     "unassigned_rank_merge",
     "wang_zhang_column_splice",
     "batch_cost_kernel",
+    "bound_prefix_factor",
     "scalar_cost_overhead",
     "context_store_memoization",
     "serve_latency",

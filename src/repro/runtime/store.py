@@ -51,6 +51,7 @@ def dataset_fingerprint(dataset: UncertainDataset) -> str:
     """Content hash of every point's support and the ambient metric."""
     hasher = hashlib.sha1()
     hasher.update(type(dataset.metric).__qualname__.encode())
+    # repro: noqa[PICKLE-OWNER] -- fingerprinting only: the metric's bytes are hashed and discarded, never persisted or shipped
     hasher.update(pickle.dumps(dataset.metric))
     for point in dataset.points:
         _hash_array(hasher, point.locations)

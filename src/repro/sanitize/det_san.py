@@ -43,7 +43,7 @@ def _fingerprint(value: Any) -> str | None:
     import pickle
 
     try:
-        # repro: noqa[SPILL-PATH] -- fingerprinting only: bytes are hashed and discarded, never persisted or shipped, so the pickle-confinement rule does not apply
+        # repro: noqa[PICKLE-OWNER] -- fingerprinting only: bytes are hashed and discarded, never persisted or shipped, so the pickle-confinement rule does not apply
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # unpicklable values cannot be fingerprinted
         return None

@@ -43,7 +43,7 @@ from repro.analysis.rules.faultpoints import FAULT_KINDS as LINT_FAULT_KINDS, Fa
 from repro.analysis.rules.hygiene import (
     BoundAdmissibleDocRule,
     EnvRegistryRule,
-    SpillPathRule,
+    PickleOwnerRule,
 )
 from repro.cli import main
 
@@ -478,8 +478,8 @@ class TestGapCertificateRule:
         assert report.findings == []
 
 
-class TestSpillPathRule:
-    def test_flags_ctx_literal_and_pickle_outside_owners(self, tmp_path):
+class TestPickleOwnerRule:
+    def test_flags_pickle_outside_owners(self, tmp_path):
         report = lint_fixture(
             tmp_path,
             "experiments/cache.py",
@@ -487,14 +487,29 @@ class TestSpillPathRule:
             import pickle
 
             def load(root, blob):
-                name = root / "payload.ctx"
+                name = root / "payload.ctx"  # a path literal is not a pickle call
                 return name, pickle.loads(blob)
             """,
-            SpillPathRule(),
+            PickleOwnerRule(),
         )
-        assert sorted(rule_ids(report)) == ["SPILL-PATH", "SPILL-PATH"]
+        assert rule_ids(report) == ["PICKLE-OWNER"]
+        assert "pickle.loads()" in report.findings[0].message
 
-    def test_owner_passes(self, tmp_path):
+    def test_transport_owner_passes(self, tmp_path):
+        report = lint_fixture(
+            tmp_path,
+            "runtime/shm.py",
+            """
+            import pickle
+
+            def describe(structure):
+                return pickle.dumps(structure)
+            """,
+            PickleOwnerRule(),
+        )
+        assert report.findings == []
+
+    def test_store_is_not_an_owner(self, tmp_path):
         report = lint_fixture(
             tmp_path,
             "runtime/store.py",
@@ -502,12 +517,11 @@ class TestSpillPathRule:
             import pickle
 
             def read(path):
-                for file in path.glob("*.ctx"):
-                    return pickle.loads(file.read_bytes())
+                return pickle.loads(path.read_bytes())
             """,
-            SpillPathRule(),
+            PickleOwnerRule(),
         )
-        assert report.findings == []
+        assert rule_ids(report) == ["PICKLE-OWNER"]
 
 
 class TestSuppressions:

@@ -7,9 +7,10 @@ Three contracts under test:
   two-point max of per-point expected minima) sits below the exact cost of
   every subset row under *both* objectives, on instances with exact
   location ties, zero-probability masses and ragged support sizes; the
-  two-level max dominates the unassigned first level; and the lazy
-  per-chunk fold in ``_chunk_lower_bounds`` is bit-identical to the eager
-  per-row pass it replaces.
+  two-level max dominates the unassigned first level; the prefix-factored
+  bound kernels are bit-identical to the plain ``matrix[:, rows]`` gather
+  for any row order; and the per-chunk bound task's lazy fold matches the
+  eager per-row pass it replaces.
 * **Schedule independence** — best-first submission (``gap_target=0``
   engages the full priority machinery without permitting early stops)
   returns bit-identical results to plain submission-order pruning and to
@@ -24,6 +25,8 @@ Three contracts under test:
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -34,14 +37,15 @@ from repro.assignments.policies import (
     OptimalAssignment,
 )
 from repro.baselines.brute_force import (
+    _assigned_bound_task,
     _best_first_order,
-    _chunk_lower_bounds,
     _check_gap_target,
+    _unassigned_bound_task,
     brute_force_restricted_assigned,
     brute_force_unassigned,
 )
 from repro.cost.context import CostContext
-from repro.runtime import set_oversubscribe, shutdown_runtime
+from repro.runtime import parallel_map, set_oversubscribe, shutdown_runtime
 from repro.serve import ReproServer, ServeClient, ServeConfig, ServeError
 from repro.exceptions import ValidationError
 from repro.workloads import gaussian_clusters
@@ -69,6 +73,58 @@ def random_subset_rows(candidates: int, kk: int, batch: int, seed: int) -> np.nd
     return np.stack(
         [rng.choice(candidates, size=kk, replace=False) for _ in range(batch)]
     )
+
+
+def plain_minima(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The reference gather the prefix-factored kernels must reproduce."""
+    return matrix[:, rows].min(axis=2)
+
+
+def plain_bounds(context: CostContext, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The three subset bound kernels, written over :func:`plain_minima`."""
+    supports, weights = context.supports, context.probabilities
+    unassigned = np.full(rows.shape[0], -np.inf)
+    for support, weight in zip(supports, weights):
+        unassigned = np.maximum(unassigned, weight @ plain_minima(support, rows))
+    n = context.size
+    pair = np.zeros(rows.shape[0])
+    if n >= 2 and rows.shape[0]:
+        minima = np.stack([weight @ plain_minima(s, rows) for s, weight in zip(supports, weights)])
+        top_two = np.argpartition(minima, n - 2, axis=0)[n - 2 :]
+        keys = np.minimum(top_two[0], top_two[1]) * n + np.maximum(top_two[0], top_two[1])
+        for key in np.unique(keys):
+            mask = keys == key
+            i, j = divmod(int(key), n)
+            joint = np.maximum(
+                plain_minima(supports[i], rows[mask])[:, None, :],
+                plain_minima(supports[j], rows[mask])[None, :, :],
+            )
+            pair[mask] = np.einsum("i,j,ijb->b", weights[i], weights[j], joint)
+    return {
+        "subset_assigned_lower_bounds": plain_minima(context.expected, rows).max(axis=0),
+        "subset_unassigned_lower_bounds": unassigned,
+        "subset_pair_lower_bounds": pair,
+    }
+
+
+def factoring_rows(shape: str, candidates: int, seed: int) -> np.ndarray:
+    """Row batches that exercise the prefix runs: long, none, repeated, degenerate."""
+    rng = np.random.default_rng(seed + 1000)
+    lexicographic = np.asarray(list(combinations(range(candidates), 3)))
+    if shape == "lexicographic":
+        return lexicographic
+    if shape == "shuffled":
+        return lexicographic[rng.permutation(lexicographic.shape[0])]
+    if shape == "repeated":
+        return np.repeat(lexicographic[::7], 3, axis=0)
+    if shape == "unsorted-columns":
+        return random_subset_rows(candidates, 3, 40, seed + 1000)
+    if shape == "kk=1":
+        return np.arange(candidates)[:, None]
+    if shape == "kk=m":
+        return np.stack([np.arange(candidates), rng.permutation(candidates)])
+    assert shape == "empty"
+    return np.empty((0, 3), dtype=int)
 
 
 class TestPairBoundAdmissibility:
@@ -136,6 +192,22 @@ class TestPairBoundAdmissibility:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    @pytest.mark.parametrize(
+        "shape",
+        ["lexicographic", "shuffled", "repeated", "unsorted-columns", "kk=1", "kk=m", "empty"],
+    )
+    def test_factored_kernels_equal_plain_gather(self, seed, make, shape):
+        dataset = make(seed)
+        candidates = dataset.all_locations()[:10]
+        context = CostContext(dataset, candidates)
+        rows = factoring_rows(shape, candidates.shape[0], seed)
+        for name, reference in plain_bounds(context, rows).items():
+            factored = getattr(context, name)(rows)
+            assert factored.shape == (rows.shape[0],), name
+            assert np.array_equal(factored, reference), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
     @pytest.mark.parametrize("objective", ["assigned", "unassigned"])
     def test_lazy_chunk_fold_matches_eager_pass(self, seed, make, objective):
         dataset = make(seed, n=5)
@@ -144,18 +216,42 @@ class TestPairBoundAdmissibility:
         rows = random_subset_rows(candidates.shape[0], 3, 40, seed + 800)
         # Ragged chunk sizes, including singletons.
         chunks = [rows[:1], rows[1:14], rows[14:15], rows[15:]]
-        lazy = _chunk_lower_bounds(context, chunks, objective)
+        task = _assigned_bound_task if objective == "assigned" else _unassigned_bound_task
+        level1_kernel = (
+            context.subset_assigned_lower_bounds
+            if objective == "assigned"
+            else context.subset_unassigned_lower_bounds
+        )
+        payload = (context,)
+        lazy = [task(payload, chunk) for chunk in chunks]
         eager = [
             float(context.subset_two_level_lower_bounds(chunk, objective=objective).min())
             for chunk in chunks
         ]
-        # Same mathematical value; batching pair evaluations across chunks
-        # may shift the BLAS reduction order by an ulp (absorbed by the
-        # prune margins), so the comparison is ulp-close, not bitwise.
-        np.testing.assert_allclose(lazy, eager, rtol=1e-12, atol=0.0)
-        # ... but the lazy fold itself is deterministic call over call,
-        # which is what the det sanitizer holds the schedule to.
-        assert lazy == _chunk_lower_bounds(context, chunks, objective)
+        # Same mathematical value; the fold evaluates pair bounds in other
+        # batches than the eager pass, which may shift a BLAS reduction
+        # order by an ulp (absorbed by the prune margins), so the
+        # comparison is ulp-close, not bitwise.
+        np.testing.assert_allclose([bound for bound, _ in lazy], eager, rtol=1e-12, atol=0.0)
+        for chunk, (_, (level1, pair)) in zip(chunks, lazy):
+            # The per-row level-1 values the task ships are the kernel's.
+            assert np.array_equal(level1, level1_kernel(chunk))
+            assert pair.shape == level1.shape and not np.isnan(pair).all()
+        # ... and the task is deterministic call over call, which is what
+        # the det sanitizer holds the schedule to.
+        for (bound, row_bounds), (again, row_bounds_again) in zip(
+            lazy, [task(payload, chunk) for chunk in chunks]
+        ):
+            assert bound == again
+            assert np.array_equal(row_bounds, row_bounds_again, equal_nan=True)
+        # The bound map the runner submits gives identical chunk bounds in
+        # the parent and across the pool.
+        serial = parallel_map(task, chunks, payload=payload, workers=1)
+        pooled = parallel_map(task, chunks, payload=payload, workers=2)
+        assert [bound for bound, _ in serial] == [bound for bound, _ in lazy]
+        assert [bound for bound, _ in pooled] == [bound for bound, _ in serial]
+        for (_, serial_rows), (_, pooled_rows) in zip(serial, pooled):
+            assert np.array_equal(serial_rows, pooled_rows, equal_nan=True)
 
     def test_best_first_order_is_ascending_and_tie_stable(self):
         assert _best_first_order([3.0, 1.0, 2.0, 1.0]) == [1, 3, 2, 0]

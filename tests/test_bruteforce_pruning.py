@@ -303,6 +303,102 @@ class TestPruningCounters:
         assert_counter_invariants(result)
 
 
+class TestEachRowBoundedOnce:
+    """Every subset row gets each bound at most once per solve.
+
+    The bound pass hands each chunk its per-row level-1 values and the pair
+    values its fold computed, so the scoring task never recomputes level 1
+    and runs the pair kernel only on survivors that lack one.
+    """
+
+    LEVEL1 = ("subset_assigned_lower_bounds", "subset_unassigned_lower_bounds")
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Rows passed to the level-1 and pair kernels, as tuples."""
+        level1: list[tuple[int, ...]] = []
+        pair: list[tuple[int, ...]] = []
+        for name in (*self.LEVEL1, "subset_pair_lower_bounds"):
+            original = getattr(CostContext, name)
+            sink = pair if name == "subset_pair_lower_bounds" else level1
+
+            def wrapped(self, subset_rows, _original=original, _sink=sink):
+                _sink.extend(tuple(row) for row in np.atleast_2d(subset_rows).tolist())
+                return _original(self, subset_rows)
+
+            monkeypatch.setattr(CostContext, name, wrapped)
+        return level1, pair
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        dataset, _ = gaussian_clusters(n=12, z=4, dimension=2, k_true=4, seed=9)
+        return dataset, dataset.all_locations()[:16]  # C(16, 4) = 1,820 rows
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda d, c, **kw: brute_force_restricted_assigned(d, 4, candidates=c, **kw),
+            lambda d, c, **kw: brute_force_restricted_assigned(
+                d, 4, candidates=c, assignment=NearestLocationAssignment(), **kw
+            ),
+            lambda d, c, **kw: brute_force_restricted_assigned(
+                d, 4, candidates=c, assignment=OptimalAssignment(), **kw
+            ),
+            lambda d, c, **kw: brute_force_unassigned(d, 4, candidates=c, **kw),
+        ],
+        ids=["restricted-ed", "restricted-nearest", "restricted-blackbox", "unassigned"],
+    )
+    def test_subset_solves_bound_each_row_once(self, counted, instance, solve):
+        dataset, candidates = instance
+        level1, pair = counted
+        result = solve(dataset, candidates, chunk_rows=256)
+        total = result.metadata["total_rows"]
+        assert total == 1820
+        assert result.metadata["pruned_rows"] > 0
+        assert len(level1) == total
+        assert sorted(level1) == sorted(set(level1))
+        assert len(pair) == len(set(pair))
+        reference = solve(dataset, candidates, prune=False)
+        assert_same_result(result, reference)
+
+    def test_unrestricted_subset_stage_bounds_each_row_once(self, counted):
+        dataset, _ = gaussian_clusters(n=5, z=4, dimension=2, k_true=4, seed=9)
+        candidates = dataset.all_locations()[:16]
+        level1, pair = counted
+        result = brute_force_unrestricted_assigned(dataset, 4, candidates=candidates, chunk_rows=256)
+        assert result.metadata["exhaustive_assignment"] is True  # no subset-bounded polish
+        assert result.metadata["subset_pruned_rows"] > 0
+        assert len(level1) == 1820
+        assert len(pair) == len(set(pair))
+
+    def test_lone_chunk_skips_the_bound_map(self, counted, instance, monkeypatch):
+        import repro.baselines.brute_force as brute_force
+
+        dataset, candidates = instance
+        level1, _ = counted
+        calls = []
+        original = brute_force.parallel_map
+
+        def counting_map(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(brute_force, "parallel_map", counting_map)
+        for solver in (brute_force_restricted_assigned, brute_force_unassigned):
+            del level1[:]
+            lone = solver(dataset, 4, candidates=candidates)  # 1,820 rows, one chunk
+            assert lone.metadata["pruned_rows"] > 0
+            assert calls == []
+            assert len(level1) == 1820
+            certified = solver(dataset, 4, candidates=candidates, gap_target=0.0)
+            assert len(calls) == 1  # the certificate needs the chunk bound
+            assert len(level1) == 2 * 1820  # ... computed once, in the bound map
+            calls.clear()
+            assert certified.metadata["certificate"]["gap"] == 0.0
+            assert certified.metadata["gap_target_hit"] is False
+            assert_same_result(certified, lone)
+
+
 class TestWorkersAndShm:
     """Determinism pinned at workers in {1, 2, 4} x shm on/off."""
 
@@ -342,6 +438,35 @@ class TestWorkersAndShm:
             micro, 2, polish_top=3, workers=workers, shm=shm, chunk_rows=16
         )
         assert_same_result(pruned, reference)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda d, **kw: brute_force_restricted_assigned(d, 3, **kw),
+            lambda d, **kw: brute_force_restricted_assigned(
+                d, 3, assignment=NearestLocationAssignment(), **kw
+            ),
+            lambda d, **kw: brute_force_unassigned(d, 3, **kw),
+            lambda d, **kw: brute_force_unrestricted_assigned(d, 2, polish_top=3, **kw),
+        ],
+        ids=["restricted-ed", "restricted-nearest", "unassigned", "unrestricted"],
+    )
+    def test_bound_map_and_scoring_map_publish_the_context_once(
+        self, micro, solve, monkeypatch
+    ):
+        import repro.runtime.shm as shm_module
+
+        published = []
+        original = shm_module.pack_arrays
+
+        def counting_pack(arrays):
+            published.append("candidates" in arrays)  # a context segment
+            return original(arrays)
+
+        monkeypatch.setattr(shm_module, "pack_arrays", counting_pack)
+        result = solve(micro, workers=2, shm=True, chunk_rows=16)
+        assert result.metadata["pruned_rows"] > 0
+        assert published.count(True) == 1
 
     def test_blackbox_pruned_under_workers(self, micro):
         candidates = micro.expected_points()
