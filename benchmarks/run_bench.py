@@ -2,11 +2,12 @@
 """Standalone entry point for the machine-readable benchmark runner.
 
 Equivalent to ``python -m repro bench``; see :mod:`repro.runtime.bench` for
-the case registry.  Writes ``BENCH_PR9.json`` (override with ``--out``) so
-every PR leaves a comparable perf trajectory, and ``--compare`` diffs the
-fresh run against an earlier document (cases present in only one document
-are listed, not errors), exiting with code 3 on >20% regressions — distinct
-from crashes so CI can warn on the former and gate on the latter::
+the case registry.  Writes the untracked ``bench.json`` (name a checked-in
+``BENCH_PR*.json`` with ``--out`` to record a trajectory point), and
+``--compare`` diffs the fresh run against an earlier document (cases present
+in only one document are listed, not errors), exiting with code 3 on >20%
+regressions — distinct from crashes so CI can warn on the former and gate on
+the latter::
 
     PYTHONPATH=src python benchmarks/run_bench.py
     PYTHONPATH=src python benchmarks/run_bench.py --compare BENCH_PR5.json
@@ -23,7 +24,7 @@ import sys
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--out", "--output", dest="out", default="BENCH_PR9.json", help="JSON document to write"
+        "--out", "--output", dest="out", default="bench.json", help="JSON document to write"
     )
     parser.add_argument(
         "--compare",

@@ -23,8 +23,10 @@ from repro.cost import (
 from repro.cost.expected import _expected_max_reference, distance_supports_for_assignment
 from repro.runtime.bench import (
     BOUND_PREFIX_FACTOR_TARGET,
+    ONE_CENTER_BATCH_TARGET,
     SCALAR_OVERHEAD_TARGET,
     bench_bound_prefix_factor,
+    bench_one_center_batch,
     bench_scalar_cost_overhead,
 )
 from repro.workloads import gaussian_clusters
@@ -127,6 +129,16 @@ def test_scalar_cost_overhead_ratio():
     scalar path near 15x; one call over the flat location layout, under 2x."""
     case = bench_scalar_cost_overhead()
     assert case["overhead_ratio"] <= SCALAR_OVERHEAD_TARGET, case
+
+
+def test_one_center_batch_speedup():
+    """Same-run ratio guard: one batched one-center cost call over the 16
+    polls of a pattern-search iteration (n=25, z=3, d=8) must be >= 3x faster
+    than 16 scalar calls on the same centers, with values within 1e-15
+    relative (the case asserts it).  Scoring the polls one call at a time
+    puts the ratio at 1x."""
+    case = bench_one_center_batch()
+    assert case["speedup"] >= ONE_CENTER_BATCH_TARGET, case
 
 
 def test_bound_prefix_factor_ratio():

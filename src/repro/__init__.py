@@ -81,6 +81,7 @@ from .cost import (
     expected_max_batch_values,
     expected_max_of_independent,
     expected_one_center_cost,
+    expected_one_center_costs,
     monte_carlo_cost_assigned,
     monte_carlo_cost_unassigned,
 )
@@ -191,6 +192,7 @@ __all__ = [
     "expected_cost_assigned",
     "expected_cost_unassigned",
     "expected_one_center_cost",
+    "expected_one_center_costs",
     "expected_distance_matrix",
     "enumerate_expected_cost_assigned",
     "enumerate_expected_cost_unassigned",

@@ -49,7 +49,7 @@ from ..deterministic.exact import (
     exact_euclidean_kcenter,
 )
 from ..deterministic.gonzalez import gonzalez_kcenter
-from ..geometry.median import geometric_median, median_objective
+from ..geometry.median import median_objective
 from ..uncertain.dataset import UncertainDataset
 from ..uncertain.reduction import one_center_reduction
 
@@ -62,17 +62,21 @@ def per_point_lower_bound(dataset: UncertainDataset) -> float:
     minimum over all elements.
     """
     metric = dataset.metric
-    best = 0.0
     if metric.supports_expected_point:
-        for point in dataset.points:
-            median = geometric_median(point.locations, point.probabilities)
-            value = float(median_objective(point.locations, median, point.probabilities))
-            best = max(best, value)
-        return best
+        return _median_lower_bound(dataset, one_center_reduction(dataset))
+    best = 0.0
     candidates = metric.candidate_centers(dataset.all_locations())
     for point in dataset.points:
         expected = point.expected_distances_to_many(candidates, metric)
         best = max(best, float(expected.min()))
+    return best
+
+
+def _median_lower_bound(dataset: UncertainDataset, medians: np.ndarray) -> float:
+    """The Lemma 3.2 bound from each point's weighted geometric median."""
+    best = 0.0
+    for point, median in zip(dataset.points, medians):
+        best = max(best, float(median_objective(point.locations, median, point.probabilities)))
     return best
 
 
@@ -105,12 +109,20 @@ def assigned_cost_lower_bound(dataset: UncertainDataset, k: int) -> float:
 
     The max of the Lemma 3.2 per-point bound, the Lemma 3.6 1-center bound
     and (for Euclidean-style metrics) the Lemma 3.4 expected-point bound —
-    each individually a valid lower bound, so their maximum is too.
+    each individually a valid lower bound, so their maximum is too.  In a
+    Euclidean-style metric the first two read the same per-point 1-centers
+    (weighted geometric medians), so Weiszfeld runs once per point.
     """
-    bounds = [per_point_lower_bound(dataset), one_center_representative_lower_bound(dataset, k)]
-    if dataset.metric.supports_expected_point:
-        bounds.append(expected_point_lower_bound(dataset, k))
-    return max(bounds)
+    if not dataset.metric.supports_expected_point:
+        return max(
+            per_point_lower_bound(dataset), one_center_representative_lower_bound(dataset, k)
+        )
+    medians = one_center_reduction(dataset)
+    return max(
+        _median_lower_bound(dataset, medians),
+        _deterministic_lower_bound(medians, k, dataset) / 2.0,
+        expected_point_lower_bound(dataset, k),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Sub-commands
     Run the outlier / support-size sensitivity sweeps (E13a/E13b).
 ``bench``
     Execute the machine-readable benchmark suite and write its JSON document
-    (``--out``, ``BENCH_PR10.json`` by default) — the perf trajectory future
+    (``--out``; by default the untracked ``bench.json``, so a bare run never
+    overwrites a checked-in ``BENCH_PR*.json``) — the perf trajectory future
     PRs compare against.  ``--compare BENCH_PR5.json`` prints a per-case
     speedup delta table against an earlier document; exit code 3 flags >20%
     regressions (other nonzero codes are crashes).  ``--quick`` runs the
@@ -202,8 +203,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output",
         dest="out",
         type=Path,
-        default=Path("BENCH_PR10.json"),
-        help="JSON document to write (default: BENCH_PR10.json)",
+        default=Path("bench.json"),
+        help=(
+            "JSON document to write (default: bench.json, untracked; name a "
+            "BENCH_PR*.json here to record a checked-in trajectory point)"
+        ),
     )
     bench.add_argument(
         "--compare",

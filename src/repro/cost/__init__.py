@@ -3,8 +3,9 @@
 Exact kernel (:mod:`repro.cost.expected`)
     ``E[max]`` of independent discrete distances in ``O(N log N)`` with
     correct zero-probability semantics, in three evaluation shapes: scalar
-    (:func:`expected_max_of_independent`), batched over assignments or value
-    rows (:func:`expected_max_batch`, :func:`expected_max_batch_values`) and
+    (:func:`expected_max_of_independent`), batched over assignments, value
+    rows or lone centers (:func:`expected_max_batch`,
+    :func:`expected_max_batch_values`, :func:`expected_one_center_costs`) and
     incremental single-point moves (:class:`AssignedCostEvaluator` +
     :class:`LocalSearchSweep`).
 
@@ -54,6 +55,7 @@ from .expected import (
     expected_max_batch_values,
     expected_max_of_independent,
     expected_one_center_cost,
+    expected_one_center_costs,
 )
 from .montecarlo import MonteCarloEstimate, monte_carlo_cost_assigned, monte_carlo_cost_unassigned
 
@@ -72,6 +74,7 @@ __all__ = [
     "expected_distance",
     "expected_distance_matrix",
     "expected_one_center_cost",
+    "expected_one_center_costs",
     "distance_supports_for_assignment",
     "distance_supports_for_centers",
     "enumerate_expected_cost_assigned",

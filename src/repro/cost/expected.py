@@ -16,15 +16,21 @@ maximum of independent discrete random variables is computable exactly in
 ``E[max] = sum_v v * (F(v) - F(v^-))`` over the sorted union of supports,
 with ``F(v) = prod_i F_i(v)`` the CDF of the maximum.
 
-The kernel is fully vectorized: each support entry is turned into a
-*log-space delta* ``log F_i(after) - log F_i(before)`` of its variable's
-partial CDF (computed with one lexsort and segment cumulative sums), plus an
-explicit zero-mass delta that records when a variable's CDF first becomes
-positive.  A single argsort of the value union followed by cumulative sums
-then yields ``F`` at every sweep position — no Python-level loop over
-entries.  Tracking "how many variables still have zero CDF" as its own
-counter (rather than inferring it from which entries have been folded) makes
-zero-probability supports correct *by construction*.
+The kernel (:func:`_expected_max_rows`) is fully vectorized and row-wise:
+it scores ``B`` rows of values over one entry layout at once.  Each support
+entry is turned into a *log-space delta* ``log F_i(after) - log F_i(before)``
+of its variable's partial CDF (one stable argsort per row into union-value
+order, one stable argsort of the owners in that order to group each
+variable's entries, and segment cumulative sums), plus an explicit
+zero-mass delta that records when a variable's CDF first becomes positive.
+Cumulative sums over the union order then yield ``F`` at every sweep
+position — no Python-level loop over entries or rows.  Tracking "how many
+variables still have zero CDF" as its own counter (rather than inferring it
+from which entries have been folded) makes zero-probability supports
+correct *by construction*.  Every ``E[max]`` here ends in one reduction
+(:func:`_cdf_expectation`), and a row's arithmetic never depends on the
+other rows of its batch, so a scalar cost is bit-identical to the same row
+of a batched call on the same values.
 
 Zero-probability semantics
 --------------------------
@@ -39,12 +45,12 @@ kernel's zero-mass deltas fire only on the transition to positive mass.
 
 Batch and incremental APIs
 --------------------------
-* :func:`expected_max_of_independent` — scalar ``E[max]`` (thin wrapper over
-  the vectorized kernel).
+* :func:`expected_max_of_independent` — scalar ``E[max]`` (the ``B = 1`` row
+  of the kernel).
 * :func:`expected_max_batch` — many assignments against shared per-variable
   candidate supports in one call.
 * :func:`expected_max_batch_values` — many rows of arbitrary per-variable
-  values (e.g. min-over-subset distances) in one call.
+  values (e.g. min-over-subset distances) in one kernel call.
 * :class:`AssignedCostEvaluator` — precomputes per-candidate sorted CDF
   structure once and re-evaluates the exact assigned cost after a
   single-point move *without re-sorting the full union* (the unchanged
@@ -59,22 +65,29 @@ Batch and incremental APIs
 
 Dataset-facing helpers
 ----------------------
-:func:`expected_cost_unassigned`, :func:`expected_cost_assigned` and
-:func:`expected_one_center_cost` score one configuration with one
+:func:`expected_one_center_costs` scores ``B`` lone centers with one
 ``metric.pairwise`` call over the dataset's cached flat location layout
-(:meth:`repro.uncertain.dataset.UncertainDataset.location_layout`) and hand
-the ``(N,)`` distances, with the layout's probabilities and owners, straight
-to the kernel — no per-point loop and no per-call re-validation.  The
-assigned form measures distances only to the centers its assignment uses.
-:func:`distance_supports_for_centers` and
+(:meth:`repro.uncertain.dataset.UncertainDataset.location_layout`) and one
+kernel call over the ``(B, N)`` distances, in blocks of at most
+:data:`BATCH_ENTRY_CAP` entries.  :func:`expected_cost_unassigned`,
+:func:`expected_cost_assigned` and :func:`expected_one_center_cost` score one
+configuration the same way as a ``B = 1`` row — no per-point loop and no
+per-call re-validation.  The assigned form measures distances only to the
+centers its assignment uses.  :func:`distance_supports_for_centers` and
 :func:`distance_supports_for_assignment` return per-point views of those same
 distances, so re-flattening them reproduces the scalar cost exactly.
 
-One BLAS product over ``N`` rows can round differently from ``n`` products
-over ``z_i`` rows, so in dimensions above 3 a scalar cost may differ from a
-per-point computation (or from a pinned :class:`~repro.cost.context.CostContext`
-support column) by a few ulps — about 1e-15 relative.  Finite-metric
-distances (a matrix lookup) are unaffected.
+The kernel is exact row by row; the metric may not be.  A Euclidean
+``pairwise`` is one BLAS product, and a product against one center (a
+matrix-vector call) can round a distance differently from the same center
+inside a many-center product (a matrix-matrix call), in dimensions of 2 and
+up.  So a batched one-center cost may differ from the scalar cost of the same
+center by a few ulps — about 1e-15 relative — while in one dimension (one
+multiply per distance) the two are bit-identical.  Likewise one product over
+``N`` rows can round differently from ``n`` products over ``z_i`` rows, so a
+scalar cost may differ from a per-point computation (or from a pinned
+:class:`~repro.cost.context.CostContext` support column) by a few ulps.
+Finite-metric distances (a matrix lookup) are unaffected.
 
 Higher layers should not consume these primitives directly when they score
 many candidate configurations — :class:`repro.cost.context.CostContext`
@@ -98,6 +111,12 @@ from .._validation import as_point_array
 from ..exceptions import ValidationError
 from ..uncertain.dataset import UncertainDataset
 
+#: Most layout entries (centers x locations) one :func:`expected_one_center_costs`
+#: kernel call holds; larger batches run as consecutive blocks.  The kernel
+#: keeps about a dozen ``(B, N)`` arrays alive, so this caps a call near
+#: 30 MB whatever the candidate count.
+BATCH_ENTRY_CAP = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Vectorized kernel internals
@@ -107,8 +126,14 @@ from ..uncertain.dataset import UncertainDataset
 def _flatten_variables(
     values_per_point: Sequence[np.ndarray],
     probabilities_per_point: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Validate and flatten ragged per-variable supports into entry arrays."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate and flatten ragged per-variable supports into entry arrays.
+
+    Returns ``(values, probabilities, owners, starts)``: each variable's
+    entries are contiguous and in variable order, and ``starts`` holds the
+    first entry of every variable after the first (the layout
+    :func:`_expected_max_rows` reads).
+    """
     n = len(values_per_point)
     if n == 0:
         raise ValidationError("expected_max_of_independent needs at least one variable")
@@ -129,7 +154,7 @@ def _flatten_variables(
         np.concatenate(values),
         np.concatenate(probabilities),
         np.concatenate(owners),
-        n,
+        np.cumsum([support.shape[0] for support in values])[:-1],
     )
 
 
@@ -151,52 +176,18 @@ def _log_zero_deltas(cdf_after: np.ndarray, cdf_before: np.ndarray) -> tuple[np.
     return log_delta, zero_delta
 
 
-def _entry_deltas(
-    values: np.ndarray, probabilities: np.ndarray, owners: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log/zero deltas for ragged flattened entries, in the input entry order.
+def _cdf_expectation(sorted_values: np.ndarray, cdf_of_max: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum_t v_t (F_t - F_{t-1})`` over union-sorted ``(B, T)`` arrays.
 
-    One lexsort groups each variable's entries in value order; segment
-    cumulative sums produce every partial CDF without a Python loop.
+    The one reduction every ``E[max]`` in this module ends in, so a scalar
+    cost and the same row of a batch round alike.  Guards against log-space
+    drift: the final CDF must be 1, and any missing mass is conservatively
+    placed on the largest value.
     """
-    total = values.shape[0]
-    order = np.lexsort((values, owners))
-    sorted_probabilities = probabilities[order]
-    sorted_owners = owners[order]
-    running = np.cumsum(sorted_probabilities)
-    is_start = np.empty(total, dtype=bool)
-    is_start[0] = True
-    is_start[1:] = sorted_owners[1:] != sorted_owners[:-1]
-    starts = np.flatnonzero(is_start)
-    # Offset of each variable's segment = running mass before the segment;
-    # running is non-decreasing so a forward max-fill recovers it everywhere.
-    offsets = np.zeros(total)
-    offsets[starts[1:]] = running[starts[1:] - 1]
-    offsets = np.maximum.accumulate(offsets)
-    cdf_after = running - offsets
-    cdf_before = np.empty(total)
-    cdf_before[1:] = cdf_after[:-1]
-    cdf_before[is_start] = 0.0
-    log_delta_sorted, zero_delta_sorted = _log_zero_deltas(cdf_after, cdf_before)
-    log_delta = np.empty(total)
-    zero_delta = np.empty(total)
-    log_delta[order] = log_delta_sorted
-    zero_delta[order] = zero_delta_sorted
-    return log_delta, zero_delta
-
-
-def _sweep(values: np.ndarray, log_delta: np.ndarray, zero_delta: np.ndarray, n: int) -> float:
-    """``E[max]`` from per-entry deltas — one argsort plus cumulative sums."""
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    cumulative_log = np.cumsum(log_delta[order])
-    zero_count = float(n) + np.cumsum(zero_delta[order])
-    cdf_of_max = np.where(zero_count < 0.5, np.exp(np.minimum(cumulative_log, 0.0)), 0.0)
-    increments = np.diff(cdf_of_max, prepend=0.0)
-    expected = float(np.dot(sorted_values, increments))
-    # Guard against log-space drift: the final CDF must be 1; any missing
-    # mass is conservatively placed on the largest value.
-    expected += float(sorted_values[-1]) * float(max(0.0, 1.0 - cdf_of_max[-1]))
+    increments = cdf_of_max.copy()
+    increments[:, 1:] -= cdf_of_max[:, :-1]
+    expected = np.einsum("bt,bt->b", sorted_values, increments)
+    expected += sorted_values[:, -1] * np.maximum(0.0, 1.0 - cdf_of_max[:, -1])
     return expected
 
 
@@ -208,19 +199,17 @@ def _sweep_rows_presorted(
 ) -> np.ndarray:
     """Row-wise ``E[max]`` for entry arrays already in union-value order.
 
-    The tail of :func:`_sweep_rows`, shared with the rank-merge unassigned
-    sweep (:meth:`repro.cost.context.CostContext.unassigned_costs`), which
-    produces its sorted entries by an integer rank merge instead of a float
-    sort — using one helper keeps the two paths bit-identical by
-    construction.
+    The tail of :func:`_sweep_rows` and :func:`_expected_max_rows`, shared
+    with the rank-merge unassigned sweep
+    (:meth:`repro.cost.context.CostContext.unassigned_costs`), which produces
+    its sorted entries by an integer rank merge instead of a float sort —
+    using one helper keeps the paths bit-identical by construction.
     """
-    cumulative_log = np.cumsum(sorted_log_delta, axis=1)
-    zero_count = float(n) + np.cumsum(sorted_zero_delta, axis=1)
+    # ``add.accumulate`` is the arithmetic of ``cumsum`` with less dispatch.
+    cumulative_log = np.add.accumulate(sorted_log_delta, axis=1)
+    zero_count = float(n) + np.add.accumulate(sorted_zero_delta, axis=1, dtype=float)
     cdf_of_max = np.where(zero_count < 0.5, np.exp(np.minimum(cumulative_log, 0.0)), 0.0)
-    increments = np.diff(cdf_of_max, prepend=0.0, axis=1)
-    expected = np.einsum("bt,bt->b", sorted_values, increments)
-    expected += sorted_values[:, -1] * np.maximum(0.0, 1.0 - cdf_of_max[:, -1])
-    return expected
+    return _cdf_expectation(sorted_values, cdf_of_max)
 
 
 def _sweep_rows(
@@ -228,12 +217,64 @@ def _sweep_rows(
 ) -> np.ndarray:
     """Row-wise ``E[max]`` for ``(B, N)`` entry arrays sharing a variable count."""
     order = np.argsort(values, axis=1, kind="stable")
-    sorted_values = np.take_along_axis(values, order, axis=1)
+    order += np.arange(0, values.size, values.shape[1])[:, None]
     return _sweep_rows_presorted(
-        sorted_values,
-        np.take_along_axis(log_delta, order, axis=1),
-        np.take_along_axis(zero_delta, order, axis=1),
-        n,
+        values.ravel()[order], log_delta.ravel()[order], zero_delta.ravel()[order], n
+    )
+
+
+def _expected_max_rows(
+    values: np.ndarray, probabilities: np.ndarray, owners: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """``(B,)`` exact ``E[max]`` for ``B`` rows of values over one entry layout.
+
+    Row ``b`` gives entry ``r`` the value ``values[b, r]``; every row shares
+    the entries' ``probabilities`` and ``owners`` (each variable's entries
+    contiguous, in variable order, ``starts`` the first entry of every
+    variable after the first).  This is the one entry-delta kernel: every
+    scalar cost is its ``B = 1`` row, and each row's arithmetic is
+    independent of the others, so a row alone equals the same row in a
+    batch bit for bit.
+
+    Per row: one stable float argsort puts the entries in union-value order,
+    and one stable argsort of their owners in that order groups each
+    variable's entries in value order (ties by entry index — what a lexsort
+    on ``(owner, value)`` gives, without its 2-D cost).  A cumulative sum
+    over the grouped row minus each variable's running offset gives every
+    partial CDF, whose log/zero-mass deltas are scattered back into union
+    order for the sweep.  Indexing goes through flat offsets rather than
+    ``take_along_axis``, which is what keeps the ``B = 1`` row cheap.
+    """
+    batch, total = values.shape
+    base = np.arange(0, batch * total, total)[:, None]
+    order = np.argsort(values, axis=1, kind="stable")
+    # Flat union positions of each row's entries, grouped by owner.
+    by_owner = np.argsort(owners[order], axis=1, kind="stable")
+    by_owner += base
+    running = np.add.accumulate(probabilities[order.ravel()[by_owner]], axis=1)
+    offsets = np.zeros((batch, starts.shape[0] + 1))
+    offsets[:, 1:] = running[:, starts - 1]
+    cdf = running - offsets[:, owners]
+    positive = cdf > 0.0
+    # Within a variable, an entry's CDF before it is the previous entry's
+    # CDF after it, so one log per entry serves both sides of the delta.
+    log_after = np.zeros((batch, total))
+    np.log(cdf, out=log_after, where=positive)
+    log_delta = log_after.copy()
+    log_delta[:, 1:] -= log_after[:, :-1]
+    log_delta[:, starts] = log_after[:, starts]
+    first_mass = positive.copy()
+    first_mass[:, 1:] &= ~positive[:, :-1]
+    first_mass[:, starts] = positive[:, starts]
+    sorted_log = np.empty(batch * total)
+    sorted_log[by_owner] = log_delta
+    sorted_zero = np.empty(batch * total, dtype=np.int8)
+    sorted_zero[by_owner] = -first_mass.view(np.int8)
+    return _sweep_rows_presorted(
+        values.ravel()[order + base],
+        sorted_log.reshape(batch, total),
+        sorted_zero.reshape(batch, total),
+        starts.shape[0] + 1,
     )
 
 
@@ -263,9 +304,10 @@ def expected_max_of_independent(
     number of NumPy kernel calls (no Python loop over entries).  Values may
     repeat within and across variables.
     """
-    values, probabilities, owners, n = _flatten_variables(values_per_point, probabilities_per_point)
-    log_delta, zero_delta = _entry_deltas(values, probabilities, owners, n)
-    return _sweep(values, log_delta, zero_delta, n)
+    values, probabilities, owners, starts = _flatten_variables(
+        values_per_point, probabilities_per_point
+    )
+    return float(_expected_max_rows(values[None, :], probabilities, owners, starts)[0])
 
 
 def _expected_max_reference(
@@ -278,7 +320,10 @@ def _expected_max_reference(
     decremented only when a variable's partial CDF actually becomes positive,
     not whenever its smallest entry (possibly of probability 0) is folded in.
     """
-    values, probabilities, owners, n = _flatten_variables(values_per_point, probabilities_per_point)
+    values, probabilities, owners, starts = _flatten_variables(
+        values_per_point, probabilities_per_point
+    )
+    n = starts.shape[0] + 1
 
     order = np.argsort(values, kind="stable")
     owners = owners[order]
@@ -359,35 +404,25 @@ def expected_max_batch_values(
         raise ValidationError("expected_max_batch_values needs at least one variable")
     if len(probabilities_per_point) != n:
         raise ValidationError("values and probabilities must have the same number of variables")
-    value_blocks = []
-    log_blocks = []
-    zero_blocks = []
-    batch = None
+    blocks = []
+    weights = []
     for index in range(n):
         block = np.asarray(values_rows_per_point[index], dtype=float)
         if block.ndim != 2 or block.shape[1] == 0:
             raise ValidationError(f"variable {index}: values must be a non-empty (B, z) array")
-        if batch is None:
-            batch = block.shape[0]
-        elif block.shape[0] != batch:
+        if blocks and block.shape[0] != blocks[0].shape[0]:
             raise ValidationError("every variable must provide the same number of rows")
         weight = np.asarray(probabilities_per_point[index], dtype=float).reshape(-1)
         if weight.shape[0] != block.shape[1]:
             raise ValidationError(f"variable {index}: support and probabilities must be aligned")
-        order = np.argsort(block, axis=1, kind="stable")
-        sorted_values = np.take_along_axis(block, order, axis=1)
-        sorted_probabilities = weight[order]
-        cdf_after = np.cumsum(sorted_probabilities, axis=1)
-        cdf_before = np.concatenate([np.zeros((block.shape[0], 1)), cdf_after[:, :-1]], axis=1)
-        log_delta, zero_delta = _log_zero_deltas(cdf_after, cdf_before)
-        value_blocks.append(sorted_values)
-        log_blocks.append(log_delta)
-        zero_blocks.append(zero_delta)
-    return _sweep_rows(
-        np.concatenate(value_blocks, axis=1),
-        np.concatenate(log_blocks, axis=1),
-        np.concatenate(zero_blocks, axis=1),
-        n,
+        blocks.append(block)
+        weights.append(weight)
+    sizes = [block.shape[1] for block in blocks]
+    return _expected_max_rows(
+        np.concatenate(blocks, axis=1),
+        np.concatenate(weights),
+        np.repeat(np.arange(n), sizes),
+        np.cumsum(sizes)[:-1],
     )
 
 
@@ -491,12 +526,17 @@ class AssignedCostEvaluator:
         return columns
 
     def cost(self, columns: np.ndarray) -> float:
-        """Exact ``E[max]`` of a single assignment (one column per variable)."""
+        """Exact ``E[max]`` of a single assignment (one column per variable).
+
+        The ``B = 1`` row of :meth:`costs`, gathered with plain column views.
+        """
         columns = self._check_columns(np.asarray(columns, dtype=int).reshape(-1))
         values = np.concatenate([self._values[i][:, columns[i]] for i in range(self.n)])
         log_delta = np.concatenate([self._log_deltas[i][:, columns[i]] for i in range(self.n)])
         zero_delta = np.concatenate([self._zero_deltas[i][:, columns[i]] for i in range(self.n)])
-        return _sweep(values, log_delta, zero_delta, self.n)
+        return float(
+            _sweep_rows(values[None, :], log_delta[None, :], zero_delta[None, :], self.n)[0]
+        )
 
     def costs(self, column_sets: np.ndarray, *, chunk_rows: int = 4096) -> np.ndarray:
         """Exact ``E[max]`` for a ``(B, n)`` batch of assignments."""
@@ -707,10 +747,7 @@ class LocalSearchSweep:
         """Exact ``E[max]`` of the current assignment from the cached sweep."""
         zero_count = float(self._evaluator.n) + self._cum_zero
         cdf_of_max = np.where(zero_count < 0.5, np.exp(np.minimum(self._cum_log, 0.0)), 0.0)
-        increments = np.diff(cdf_of_max, prepend=0.0)
-        expected = float(np.dot(self._values, increments))
-        expected += float(self._values[-1]) * float(max(0.0, 1.0 - cdf_of_max[-1]))
-        return expected
+        return float(_cdf_expectation(self._values[None, :], cdf_of_max[None, :])[0])
 
     def rest_profile(self, point: int) -> RestProfile:
         """Sorted sweep of every variable except ``point`` — no re-sort."""
@@ -786,11 +823,10 @@ def _assigned_center_distances(
     return distances[np.arange(distances.shape[0]), columns[layout.owners]]
 
 
-def _layout_expected_max(dataset: UncertainDataset, values: np.ndarray) -> float:
-    """``E[max]`` of the per-point variables whose ``(N,)`` layout values are given."""
+def _layout_costs(dataset: UncertainDataset, values: np.ndarray) -> np.ndarray:
+    """``(B,)`` ``E[max]`` of the per-point variables, one row of ``(B, N)`` layout values each."""
     layout = dataset.location_layout()
-    log_delta, zero_delta = _entry_deltas(values, layout.probabilities, layout.owners, dataset.size)
-    return _sweep(values, log_delta, zero_delta, dataset.size)
+    return _expected_max_rows(values, layout.probabilities, layout.owners, layout.starts)
 
 
 def distance_supports_for_assignment(
@@ -841,12 +877,14 @@ def expected_cost_assigned(
     assignment: np.ndarray,
 ) -> float:
     """Exact assigned expected cost ``EcostA(c_1 .. c_k)``."""
-    return _layout_expected_max(dataset, _assigned_center_distances(dataset, centers, assignment))
+    values = _assigned_center_distances(dataset, centers, assignment)
+    return float(_layout_costs(dataset, values[None, :])[0])
 
 
 def expected_cost_unassigned(dataset: UncertainDataset, centers: np.ndarray) -> float:
     """Exact unassigned expected cost ``Ecost(c_1 .. c_k)``."""
-    return _layout_expected_max(dataset, _nearest_center_distances(dataset, centers))
+    values = _nearest_center_distances(dataset, centers)
+    return float(_layout_costs(dataset, values[None, :])[0])
 
 
 def expected_distance(dataset: UncertainDataset, point_index: int, target: np.ndarray) -> float:
@@ -868,7 +906,33 @@ def expected_distance_matrix(dataset: UncertainDataset, targets: np.ndarray) -> 
     return matrix
 
 
+def expected_one_center_costs(dataset: UncertainDataset, centers: np.ndarray) -> np.ndarray:
+    """``(B,)`` unassigned expected cost of each row of ``centers`` as a lone center.
+
+    One ``metric.pairwise`` call over the cached location layout and one
+    row-wise ``E[max]`` kernel call per block of at most
+    :data:`BATCH_ENTRY_CAP` layout entries (or one center, if its ``N``
+    entries exceed the cap), so a call's memory does not grow with the
+    number of centers.  A row's value does not depend on which other
+    rows share its block, except through the metric: a Euclidean
+    ``pairwise`` over several centers is one BLAS matrix product, which can
+    round a distance an ulp apart from the one-center product (see the
+    module docstring).
+    """
+    centers = as_point_array(centers, name="centers")
+    layout = dataset.location_layout()
+    block = max(1, BATCH_ENTRY_CAP // layout.owners.shape[0])
+    costs = np.empty(centers.shape[0])
+    for first in range(0, centers.shape[0], block):
+        distances = dataset.metric.pairwise(layout.locations, centers[first : first + block])
+        costs[first : first + block] = _layout_costs(dataset, np.ascontiguousarray(distances.T))
+    return costs
+
+
 def expected_one_center_cost(dataset: UncertainDataset, center: np.ndarray) -> float:
-    """Unassigned expected cost of a single center (Theorem 2.1 objective)."""
+    """Unassigned expected cost of a single center (Theorem 2.1 objective).
+
+    The ``B = 1`` row of :func:`expected_one_center_costs`.
+    """
     center = np.asarray(center, dtype=float).reshape(1, -1)
-    return expected_cost_unassigned(dataset, center)
+    return float(expected_one_center_costs(dataset, center)[0])

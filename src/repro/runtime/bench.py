@@ -2,7 +2,8 @@
 
 Times the repo's hot execution paths — including the PR-6 addition: the
 ``repro lint`` static checker over the whole tree, which gates CI ahead of
-tier-1 — and writes one JSON document (``BENCH_PR10.json`` by default) so
+tier-1 — and writes one JSON document (``bench.json`` by default, an
+untracked name; pass ``--out`` to record a checked-in ``BENCH_PR*.json``) so
 future PRs have a perf trajectory to compare against instead of anecdotes.
 ``--compare`` diffs a run against an earlier document (e.g. the checked-in
 ``BENCH_PR5.json``): shared ``*_seconds`` metrics get a delta line, cases
@@ -54,10 +55,16 @@ Cases
     are a trend only.
 ``scalar_cost_overhead``
     One ``expected_one_center_cost`` call (n=25, z=3, d=8: an E1 instance)
-    divided by the bare ``E[max]`` kernel on the same distances — the
-    dispatch and validation a scalar cost pays on top of its arithmetic.
+    divided by the bare ``E[max]`` kernel on the same ``(1, N)`` distances —
+    the dispatch and validation a scalar cost pays on top of its arithmetic.
     A same-run ratio, target <= 3x; the per-call microseconds are a trend
     only.
+``one_center_batch``
+    On the same instance, one ``expected_one_center_costs`` call over the 16
+    polls of a pattern-search iteration (``+-`` a step on each of 8 axes)
+    against 16 scalar calls on the same centers — values within 1e-15
+    relative, a same-run speedup with target >= 3x; the per-call
+    microseconds are a trend only.
 ``wang_zhang_column_splice`` / ``batch_cost_kernel`` / ``local_search_sweep``
     / ``context_store_memoization``
     The PR-1/2/3 guards re-measured so the trajectory stays comparable.
@@ -100,7 +107,12 @@ import numpy as np
 
 from ..baselines.brute_force import brute_force_restricted_assigned, brute_force_unassigned
 from ..cost.context import CostContext
-from ..cost.expected import _entry_deltas, _sweep, assigned_cost_evaluator, expected_one_center_cost
+from ..cost.expected import (
+    _expected_max_rows,
+    assigned_cost_evaluator,
+    expected_one_center_cost,
+    expected_one_center_costs,
+)
 from ..workloads.synthetic import gaussian_clusters, line_workload
 from . import pool as pool_module
 from . import shm as shm_module
@@ -108,8 +120,9 @@ from .incumbent import certified_gap
 from .parallel import available_workers, set_oversubscribe
 from .store import ContextStore
 
-#: Default output path for the checked-in benchmark trajectory.
-DEFAULT_OUTPUT = "BENCH_PR10.json"
+#: Default output path: an untracked name, so a bare run never overwrites a
+#: checked-in ``BENCH_PR*.json`` trajectory document.
+DEFAULT_OUTPUT = "bench.json"
 #: Wall-clock speedup the pruned restricted brute force targets.
 PRUNE_SPEEDUP_TARGET = 3.0
 #: Fraction of subset rows the acceptance instance must prune.
@@ -136,6 +149,9 @@ SCALAR_OVERHEAD_TARGET = 3.0
 #: Speedup the prefix-factored level-1 bound must reach over the plain
 #: gather on the same subset rows.
 BOUND_PREFIX_FACTOR_TARGET = 1.5
+#: Speedup one batched one-center cost call over 16 polls must reach over
+#: 16 scalar calls on the same centers.
+ONE_CENTER_BATCH_TARGET = 3.0
 #: Slowdown (new/old) past which ``--compare`` reports a regression.
 REGRESSION_TOLERANCE = 1.2
 #: Timings below this are dominated by noise; ``--compare`` skips them.
@@ -590,21 +606,21 @@ def bench_bound_prefix_factor(repeats: int = 5) -> dict:
 def bench_scalar_cost_overhead(repeats: int = 5, calls: int = 200) -> dict:
     """One scalar one-center cost call against the bare kernel it feeds.
 
-    The instance is one of E1's (n=25, z=3, d=8).  The kernel leg runs
-    ``_entry_deltas`` + ``_sweep`` on the very distances the scalar call
-    computes, so the ratio is what the scalar path adds on top of the
+    The instance is one of E1's (n=25, z=3, d=8).  The kernel leg runs the
+    shared ``E[max]`` row kernel on the very ``(1, N)`` distances the scalar
+    call computes, so the ratio is what the scalar path adds on top of the
     ``E[max]`` arithmetic — taken within one run, it does not depend on the
     machine.
     """
     dataset, _ = gaussian_clusters(n=25, z=3, dimension=8, k_true=1, seed=0)
     center = dataset.points[0].expected_point()
     layout = dataset.location_layout()
-    values = dataset.metric.pairwise(layout.locations, center.reshape(1, -1)).min(axis=1)
-    n = dataset.size
+    values = dataset.metric.pairwise(layout.locations, center.reshape(1, -1)).T
 
     def kernel() -> float:
-        log_delta, zero_delta = _entry_deltas(values, layout.probabilities, layout.owners, n)
-        return _sweep(values, log_delta, zero_delta, n)
+        return float(
+            _expected_max_rows(values, layout.probabilities, layout.owners, layout.starts)[0]
+        )
 
     assert kernel() == expected_one_center_cost(dataset, center)  # same values, same kernel
     scalar_seconds = _best_of(
@@ -618,6 +634,46 @@ def bench_scalar_cost_overhead(repeats: int = 5, calls: int = 200) -> dict:
         "overhead_ratio": ratio,
         "target": SCALAR_OVERHEAD_TARGET,
         "target_met": bool(ratio <= SCALAR_OVERHEAD_TARGET),
+        "note": "per-call microseconds are a trend only; the same-run ratio is the gate",
+    }
+
+
+def bench_one_center_batch(repeats: int = 5, calls: int = 50) -> dict:
+    """One batched one-center cost call over 16 polls against 16 scalar calls.
+
+    The polls are one pattern-search iteration on the ``scalar_cost_overhead``
+    instance (n=25, z=3, d=8): ``+-`` the search's first step on each axis
+    around ``P̄_1``.  The batched call computes its distances in one BLAS
+    matrix product where the scalar calls make one matrix-vector product
+    each, so the values may differ by ulps; they must agree within 1e-15
+    relative.  The speedup, taken within one run, is the gate.
+    """
+    dataset, _ = gaussian_clusters(n=25, z=3, dimension=8, k_true=1, seed=0)
+    center = dataset.points[0].expected_point()
+    step = float(np.ptp(dataset.all_locations(), axis=0).max()) / 4.0
+    offsets = np.kron(np.eye(dataset.dimension), [[step], [-step]])
+    polls = center[None, :] + offsets
+
+    def scalar() -> np.ndarray:
+        return np.array([expected_one_center_cost(dataset, poll) for poll in polls])
+
+    batched_costs = expected_one_center_costs(dataset, polls)
+    scalar_costs = scalar()
+    relative = float(np.max(np.abs(batched_costs - scalar_costs) / scalar_costs))
+    assert relative <= 1e-15, relative
+    batched_seconds = _best_of(
+        lambda: [expected_one_center_costs(dataset, polls) for _ in range(calls)], repeats
+    ) / calls
+    scalar_seconds = _best_of(lambda: [scalar() for _ in range(calls)], repeats) / calls
+    speedup = scalar_seconds / max(batched_seconds, 1e-12)
+    return {
+        "batched_call_us": batched_seconds * 1e6,
+        "scalar_calls_us": scalar_seconds * 1e6,
+        "polls": int(polls.shape[0]),
+        "max_relative_difference": relative,
+        "speedup": speedup,
+        "target": ONE_CENTER_BATCH_TARGET,
+        "target_met": bool(speedup >= ONE_CENTER_BATCH_TARGET),
         "note": "per-call microseconds are a trend only; the same-run ratio is the gate",
     }
 
@@ -920,6 +976,7 @@ CASES: dict[str, Callable[[], dict]] = {
     "batch_cost_kernel": bench_batch_cost_kernel,
     "bound_prefix_factor": bench_bound_prefix_factor,
     "scalar_cost_overhead": bench_scalar_cost_overhead,
+    "one_center_batch": bench_one_center_batch,
     "local_search_sweep": bench_local_search_sweep,
     "context_store_memoization": bench_context_store,
     "fault_recovery": bench_fault_recovery,
@@ -942,6 +999,7 @@ QUICK_CASES: tuple[str, ...] = (
     "batch_cost_kernel",
     "bound_prefix_factor",
     "scalar_cost_overhead",
+    "one_center_batch",
     "context_store_memoization",
     "serve_latency",
     "lint_full_tree",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.bounds import (
     one_center_representative_lower_bound,
     per_point_lower_bound,
 )
+from repro.geometry import geometric_median
 from tests.conftest import make_graph_dataset, make_uncertain_dataset
 
 
@@ -53,6 +56,32 @@ class TestCompositeBound:
         assert composite >= per_point_lower_bound(euclidean_dataset) - 1e-12
         assert composite >= expected_point_lower_bound(euclidean_dataset, k) - 1e-12
         assert composite >= one_center_representative_lower_bound(euclidean_dataset, k) - 1e-12
+
+    @pytest.mark.parametrize("metric", ["euclidean", "graph"])
+    def test_composite_is_max_of_components_with_one_median_per_point(
+        self, monkeypatch, euclidean_dataset, graph_dataset, metric
+    ):
+        dataset = euclidean_dataset if metric == "euclidean" else graph_dataset
+        components = [
+            per_point_lower_bound(dataset),
+            one_center_representative_lower_bound(dataset, 2),
+            expected_point_lower_bound(dataset, 2),
+        ]
+        calls = [0]
+        original = geometric_median
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        # Wrap every module-level reference, wherever a bound imported it.
+        for module in list(sys.modules.values()):
+            if getattr(module, "geometric_median", None) is original:
+                monkeypatch.setattr(module, "geometric_median", counting)
+        assert assigned_cost_lower_bound(dataset, 2) == max(components)
+        # The Lemma 3.2 and 3.6 bounds share one Weiszfeld run per point;
+        # finite metrics take the per-element minimum instead.
+        assert calls[0] == (dataset.size if metric == "euclidean" else 0)
 
     def test_expected_point_bound_zero_on_finite_metric(self, graph_dataset):
         assert expected_point_lower_bound(graph_dataset, 2) == 0.0

@@ -17,9 +17,11 @@ from repro.cost import (
     expected_distance_matrix,
     expected_max_of_independent,
     expected_one_center_cost,
+    expected_one_center_costs,
     monte_carlo_cost_assigned,
     monte_carlo_cost_unassigned,
 )
+import repro.cost.expected as expected_module
 from repro.exceptions import ValidationError
 from tests.conftest import make_graph_dataset, make_ragged_dataset, make_uncertain_dataset
 
@@ -88,6 +90,50 @@ class TestExactVsEnumeration:
         assigned_supports = distance_supports_for_assignment(dataset, centers, assignment)
         assert expected_max_of_independent(*unassigned_supports) == unassigned
         assert expected_max_of_independent(*assigned_supports) == assigned
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dimension", [1, 8])
+    def test_batched_one_center_costs_agree_with_enumeration(self, dimension, seed):
+        # Ragged supports with zero probabilities and repeated locations; the
+        # dataset's own locations as centers add zero distances and ties.
+        dataset = make_ragged_dataset(dimension, seed=seed)
+        rng = np.random.default_rng(seed + 300)
+        centers = np.vstack(
+            [rng.normal(scale=3.0, size=(5, dimension)), dataset.all_locations()[:4]]
+        )
+        batched = expected_one_center_costs(dataset, centers)
+        assert batched.shape == (centers.shape[0],)
+        for center, cost in zip(centers, batched):
+            assert cost == pytest.approx(
+                enumerate_expected_cost_unassigned(dataset, center[None, :]), rel=1e-10
+            )
+            scalar = expected_one_center_cost(dataset, center)
+            assert expected_one_center_costs(dataset, center[None, :])[0] == scalar
+            if dimension == 1:
+                # One multiply per distance: batching cannot move a distance.
+                assert cost == scalar
+            else:
+                # A many-center BLAS product may round a distance an ulp apart.
+                assert cost == pytest.approx(scalar, rel=1e-15, abs=0.0)
+
+    def test_batches_above_the_entry_cap_run_as_separate_blocks(self, monkeypatch):
+        dataset = make_ragged_dataset(3, seed=1)
+        centers = np.random.default_rng(5).normal(scale=3.0, size=(7, 3))
+        entries = dataset.location_layout().owners.shape[0]
+        monkeypatch.setattr(expected_module, "BATCH_ENTRY_CAP", 2 * entries + 1)
+        widths = []
+        pairwise = dataset.metric.pairwise
+
+        def recording(a, b):
+            widths.append(np.asarray(b).shape[0])
+            return pairwise(a, b)
+
+        monkeypatch.setattr(dataset.metric, "pairwise", recording)
+        batched = expected_one_center_costs(dataset, centers)
+        assert widths == [2, 2, 2, 1]
+        chunks = [centers[first : first + 2] for first in (0, 2, 4, 6)]
+        separate = np.concatenate([expected_one_center_costs(dataset, chunk) for chunk in chunks])
+        assert np.array_equal(batched, separate)
 
 
 class TestMonteCarlo:

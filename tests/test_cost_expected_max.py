@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost import enumerate_expected_max, expected_max_of_independent
+from repro.cost import (
+    enumerate_expected_max,
+    expected_max_batch_values,
+    expected_max_of_independent,
+)
 from repro.cost.expected import _expected_max_reference
 from repro.exceptions import ValidationError
 
@@ -129,6 +133,25 @@ class TestDifferentialKernelVsReferenceVsEnumeration:
         enumerated = enumerate_expected_max(values, probabilities)
         assert vectorized == pytest.approx(enumerated, rel=1e-9, abs=1e-9)
         assert vectorized == pytest.approx(reference, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_batch_rows_equal_rows_alone(self, seed):
+        # The kernel is row-independent: a row scored inside a batch is
+        # bit-identical to the same row scored alone (the scalar API).
+        rng = np.random.default_rng(seed)
+        values, probabilities = _random_instance_with_zeros(rng)
+        rows = [
+            np.vstack([values[i], rng.uniform(0, 10, size=(5, len(values[i]))), values[i][::-1]])
+            for i in range(len(values))
+        ]
+        batch = expected_max_batch_values(rows, probabilities)
+        for b in range(batch.shape[0]):
+            alone = [row[b] for row in rows]
+            assert batch[b] == expected_max_of_independent(alone, probabilities)
+            single = expected_max_batch_values([row[b : b + 1] for row in rows], probabilities)
+            assert batch[b] == single[0]
+        enumerated = enumerate_expected_max(values, probabilities)
+        assert batch[0] == pytest.approx(enumerated, rel=1e-9, abs=1e-9)
 
 
 class TestValidation:

@@ -247,6 +247,11 @@ class TestExperimentDeterminism:
             replace(settings, workers=2)
         )
 
+    def test_e1_quick_records_identical(self):
+        # The preset perfbench times: batched one-center searches in every case.
+        settings = Table1Settings.quick()
+        assert run_e1_one_center(settings) == run_e1_one_center(replace(settings, workers=2))
+
     def test_ablation_records_identical(self):
         settings = AblationSettings(trials=1, n=10, z=2, k=2)
         parallel = replace(settings, workers=2)
