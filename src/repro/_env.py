@@ -60,8 +60,8 @@ REGISTRY: dict[str, EnvVar] = {
         ),
         EnvVar(
             name="REPRO_SANITIZE",
-            usage="`REPRO_SANITIZE=shm,lock,det`",
-            effect="Enable runtime sanitizers (shm lifecycle, lock order, chunk determinism)",
+            usage="`REPRO_SANITIZE=shm,det`",
+            effect="Enable runtime sanitizers (shm lifecycle, chunk determinism)",
         ),
         EnvVar(
             name="REPRO_FAULTS",

@@ -17,8 +17,8 @@ difference is that these see across module boundaries through the
   and checks every call site for a consumption path, so a caller that
   discards the tuple or binds the lease and never touches it again leaks
   a ``/dev/shm`` segment on every call.
-* :class:`LockOrderRule` (``LOCK-ORDER``) — the static half of LOCK-SAN:
-  builds the lock-acquisition-order graph over ``runtime/`` (nested
+* :class:`LockOrderRule` (``LOCK-ORDER``) — builds the
+  lock-acquisition-order graph over ``runtime/`` (nested
   ``with`` blocks plus locks acquired by resolved callees while a lock is
   held) and reports any cycle, including re-acquisition of the same
   canonical lock, before a deadlock ever needs two racing processes to

@@ -127,7 +127,9 @@ class SyncInDispatchRule(Rule):
     ``parallel_map_ordered`` / ``submit``-style dispatch calls, (b) construction of synchronized primitives
     outside ``runtime/incumbent.py`` (the slot owner), and (c) ad-hoc pool
     construction outside ``runtime/pool.py``, because a pool built elsewhere
-    bypasses the initializer discipline that makes (a) safe.
+    bypasses the initializer discipline that makes (a) safe.  Pruning state
+    now rides each dispatch tuple as a plain float and ``src/`` constructs
+    no synchronized primitive, so the rule guards against one coming back.
     """
 
     id = "SYNC-IN-DISPATCH"
@@ -234,18 +236,19 @@ class SyncInDispatchRule(Rule):
 class LockDisciplineRule(Rule):
     """``LOCK-DISCIPLINE`` — torn-read and held-lock rules for shared state.
 
-    Motivation: PR 5's incumbent slot.  The pruning threshold is a C double
-    shared across processes; an unlocked read can tear and fabricate a value
-    *below* the optimum, silently over-pruning — so reads used for pruning
-    decisions go through ``get_obj()`` under the slot lock (and
+    Motivation: PR 5's incumbent slot, a C double shared across processes.
+    An unlocked read of such a value can tear and fabricate one *below* the
+    optimum, silently over-pruning — so reads used for decisions go through
+    ``get_obj()`` under the lock (and
     ``Synchronized.value`` re-acquires its own non-reentrant lock, which is
     why held-lock sections use ``get_obj()`` directly).  This rule flags
-    (a) ``.get_obj()`` access outside a ``with <lock>:`` block — the
-    deliberate lock-light CAS peek in ``propose()`` carries a justified
-    suppression, which is exactly the review trail we want — and (b) calls
-    that can block (``sleep``, ``join``, ``acquire``, ``result``, ...)
-    inside a held-lock block, because the slot lock sits on every reader's
-    path and a blocked holder stalls the whole pool.
+    (a) ``.get_obj()`` access outside a ``with <lock>:`` block — a
+    deliberate unlocked peek needs a justified suppression, which is
+    exactly the review trail we want — and (b) calls that can block
+    (``sleep``, ``join``, ``acquire``, ``result``, ...) inside a held-lock
+    block, because a lock on every reader's path stalls them all while its
+    holder blocks.  No shared double ships today (pruning state is per map),
+    so (a) guards against one coming back and (b) guards every lock.
     """
 
     id = "LOCK-DISCIPLINE"

@@ -47,11 +47,11 @@ branch-and-bound instead of exhaustive scans:
   enumeration emits rows in such runs), and the per-row bounds a chunk's
   bound task computed ride into its scoring task with it
   (:func:`_chunk_bound`, :func:`_two_level_prune`);
-* across worker shards the incumbent is **shared**
-  (:mod:`repro.runtime.incumbent`): each chunk refreshes its threshold once
-  at chunk start and publishes its achieved minimum through a lock-light
-  compare-and-swap, so one shard's early find shrinks every other shard's
-  work.
+* across worker shards the incumbent is **relayed**
+  (:mod:`repro.runtime.incumbent`): each chunk dispatch carries the map's
+  current incumbent as its threshold, and the parent proposes each
+  harvested chunk's achieved minimum back into it, so one shard's early
+  find shrinks the work of every chunk submitted after it is harvested.
 
 Pruning is **exact**: every value the incumbent ever holds is the cost of a
 feasible solution of the same enumeration (the seed subset or a fully
@@ -88,8 +88,8 @@ a requested worker count is clamped to the CPUs actually available, so
 context (pinned supports, sorted CDF columns, rank-merge tables where
 needed) is published to shared memory once and each chunk dispatch to the
 persistent worker pool carries only the descriptor, its work slice and the
-incumbent token (``shm=False`` ships the payload pickled instead, unpickled
-once per worker); chunks reduce in enumeration order with the same
+incumbent's current value (``shm=False`` ships the payload pickled instead,
+unpickled once per worker); chunks reduce in enumeration order with the same
 first-strict-minimum rule serial execution applies, so results are
 bit-identical for every worker count, with shared memory on or off.
 

@@ -56,7 +56,7 @@ itself.
 Pruning
 -------
 The brute-force reference solvers run with branch-and-bound pruning by
-default (admissible lower bounds against a shared incumbent — see
+default (admissible lower bounds against each solve's incumbent — see
 :mod:`repro.baselines.brute_force`).  ``table1`` and ``all`` accept
 ``--no-prune`` as an escape hatch that forces the exhaustive scans instead;
 results are bit-identical either way (pruning only skips provably losing

@@ -35,8 +35,8 @@ Like :mod:`repro.sanitize` (the pattern this module follows), everything is
 zero-cost when off — every injection point is one trampoline call that
 returns immediately while no fault is armed — unknown kinds in the spec are
 a hard error rather than a silently ignored typo, and the armed spec
-propagates into pool workers through the same initargs channel the shared
-incumbent and the sanitizers use.
+propagates into pool workers through the same initargs channel the
+sanitizers use.
 """
 
 from __future__ import annotations

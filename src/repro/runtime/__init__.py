@@ -1,11 +1,11 @@
-"""Process-parallel, cache-aware, zero-copy, bound-sharing execution runtime.
+"""Process-parallel, cache-aware, zero-copy execution runtime.
 
 Architecture
 ------------
 The runtime is four coordinated tiers behind every heavy loop in the repo —
 a **pool** tier that owns processes, a **shared-memory** tier that owns
 context payload bytes, a **store** tier that owns built-context reuse, and an
-**incumbent** tier that owns the cross-shard branch-and-bound state:
+**incumbent** tier that owns each map's branch-and-bound state:
 
 * :mod:`repro.runtime.pool` — the persistent worker pool.  One process-wide
   :class:`~repro.runtime.pool.PersistentPool` is spawned lazily on first
@@ -51,25 +51,21 @@ context payload bytes, a **store** tier that owns built-context reuse, and an
   instances in an in-memory, content-fingerprint-keyed LRU.  Rebuild happens
   exactly when the dataset or candidate set changes.
 
-* :mod:`repro.runtime.incumbent` — the shared branch-and-bound incumbent.
-  One process-wide slot (a ``multiprocessing.Value`` double plus a
-  generation counter sharing its lock) is created before the pool spawns —
-  inherited by ``fork`` workers, shipped through the pool initializer under
-  ``spawn`` — and each pruned pooled map activates a fresh generation
-  seeded with a heuristic feasible cost.  The
-  shared-incumbent protocol: a small picklable token rides in every chunk
-  dispatch tuple; chunk tasks read the threshold **once per chunk** (under
-  the slot lock — torn reads could over-prune) and publish achieved costs
-  through a lock-light compare-and-swap (unlocked peek, locked re-check
-  and write), so one shard's early find shrinks every other shard's work.
-  Exactness never depends on freshness: every stored value is an achieved
-  feasible cost, i.e. an upper bound on the enumeration optimum, so a
-  stale read only prunes less.  Serial maps thread a plain in-process
-  incumbent through the identical chunk loop, bound per thread so
-  concurrent in-process solves never prune against each other.
+* :mod:`repro.runtime.incumbent` — the branch-and-bound incumbent.  Each
+  pruned map owns one :class:`~repro.runtime.incumbent.SerialIncumbent`,
+  seeded with a heuristic feasible cost.  A serial map binds it around its
+  in-process loop, per thread, so concurrent in-process solves never prune
+  against each other.  A pooled map keeps it in the parent and relays it:
+  each chunk dispatch carries its value at submission as a plain float, and
+  the parent proposes each harvested chunk's best back into it, so one
+  chunk's early find shrinks the work of every chunk submitted after it is
+  harvested.  Exactness never depends on freshness: every value is an
+  achieved feasible cost, i.e. an upper bound on the enumeration optimum,
+  so a stale threshold only prunes less.  No synchronized
+  ``multiprocessing`` primitive is involved.
 
 Consumers: the three brute-force enumerators (sharded subset/assignment
-chunks over shared-memory descriptors, pruned against the shared incumbent
+chunks over shared-memory descriptors, pruned against each map's incumbent
 via the admissible bound kernels on
 :class:`~repro.cost.context.CostContext` — see
 :mod:`repro.bounds.lower_bounds`), the Table-1 / ablation / sensitivity
@@ -79,7 +75,7 @@ on the CLI, ``--no-prune`` to force exhaustive references), and
 measures every tier and writes the cross-PR perf trajectory.
 """
 
-from .incumbent import IncumbentToken, SerialIncumbent, SharedIncumbent
+from .incumbent import SerialIncumbent
 from .parallel import (
     available_workers,
     effective_workers,
@@ -109,7 +105,5 @@ __all__ = [
     "DEFAULT_STORE_SIZE",
     "candidate_fingerprint",
     "dataset_fingerprint",
-    "IncumbentToken",
     "SerialIncumbent",
-    "SharedIncumbent",
 ]

@@ -749,8 +749,8 @@ def bench_fault_recovery(repeats: int = 1) -> dict:
     deterministically die mid-map.  The recovery contract under test:
 
     * costs, centers and assignment are **bit-identical** to the fault-free
-      run (chunk-granular recovery preserves submission-order reduction and
-      incumbent-token determinism);
+      run (chunk-granular recovery preserves the submission-order
+      reduction; the solve is unpruned, so no incumbent is involved);
     * completed chunks are never recomputed — audited via the health-counter
       identity ``chunks_submitted == chunks_completed + retries`` (every
       pool submission either completes exactly once or is requeued and

@@ -1,77 +1,44 @@
-"""Cross-shard shared incumbent for branch-and-bound pruning.
+"""Per-map branch-and-bound incumbent for pruning.
 
 The pruned brute-force enumerations (:mod:`repro.baselines.brute_force`)
 skip a chunk row when an admissible lower bound on its cost exceeds the best
-cost any shard has *achieved* so far — the **incumbent**.  Serially that is
-one float threaded through the chunk loop; across a worker pool it must be a
-value every worker can read cheaply and tighten safely, because one shard
-finding a good subset early should shrink every other shard's work.
+cost the map has *achieved* so far — the **incumbent**.  Exactness needs one
+invariant: every value the incumbent ever holds is a cost achieved by a
+feasible solution (the seed or a fully evaluated row), hence an upper bound
+on the optimum.  A stale (too high) incumbent only prunes less.
 
-This module owns that value.  The design constraints:
+Each map owns one :class:`SerialIncumbent`: a plain float that keeps the
+minimum of what is proposed to it.
 
-* **correctness does not depend on freshness** — a stale (too high)
-  incumbent only prunes less; exactness needs just one invariant, that every
-  value ever stored is a cost *achieved* by a feasible solution (the seed or
-  a fully evaluated row), hence an upper bound on the optimum;
-* **reads must never tear** — a torn read could yield garbage *below* the
-  optimum and over-prune, so the threshold read takes the slot lock.  Chunk
-  tasks read once per chunk (``handle.value()``), which keeps the lock out
-  of the per-row hot path entirely;
-* **writes are lock-light compare-and-swap** — a proposal first peeks at the
-  raw value without the lock (a stale peek costs at most one missed
-  publication, never correctness) and only acquires the lock to re-check and
-  write when it still looks like an improvement.  Improvements are rare by
-  construction (costs of enumerated rows rarely descend), so the lock is
-  effectively uncontended.
+* A serial map binds it around its in-process loop, so each chunk sees the
+  improvements of every chunk before it.
+* A pooled map (:mod:`repro.runtime.pool`) keeps it in the parent and
+  relays it: every chunk dispatch carries the map's current best as a plain
+  float, the worker binds a fresh :class:`SerialIncumbent` at that value
+  around the chunk task and returns the handle's final value with the
+  result, and the parent proposes each harvested value into the map's
+  incumbent.  The parent submits every chunk and harvests every result, so
+  it sees every value a worker could publish; a chunk misses only the
+  improvements of chunks that finished but are not yet harvested.
 
-Topology
---------
-One process-wide *slot* (a ``multiprocessing.Value('d')`` plus a generation
-counter sharing its lock) is created in the parent **before** the persistent
-pool spawns, so fork workers inherit it and spawn workers receive it through
-the pool initializer (:mod:`repro.runtime.pool` passes
-:func:`slot_handles` / :func:`adopt_slot`).  Each pooled map
-(:mod:`repro.runtime.parallel`) that wants pruning activates a fresh
-*generation* with a seed value and ships a small picklable
-:class:`IncumbentToken` inside every chunk dispatch tuple; workers bind the
-token to the inherited slot and expose it to the chunk task via
-:func:`active`.  A generation mismatch (a stale bind) degrades to the
-token's seed — less pruning, identical results.  Serial execution binds a
-plain in-process :class:`SerialIncumbent` instead and never touches
-``multiprocessing`` at all.  The active handle is **thread-local**: serve
-threads run serial solves concurrently in one process, and each must prune
-against its own incumbent only.
+Nothing here is shared between processes or between maps: a worker is a
+pure function of ``(payload, item, threshold)``.  The active handle is
+**thread-local**: serve threads run solves concurrently in one process, and
+each must prune against its own incumbent only.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..bounds.lower_bounds import prune_margin
-from ..sanitize import lock_san
-
-
-@dataclass(frozen=True)
-class IncumbentToken:
-    """Picklable reference to one activation of the shared slot.
-
-    Rides inside every chunk dispatch tuple of a pruned map.  ``seed`` is the
-    incumbent value at activation (``inf`` when no heuristic seed exists), a
-    floor the handle can always fall back to when the slot is missing or its
-    generation moved on.
-    """
-
-    generation: int
-    seed: float
 
 
 class SerialIncumbent:
-    """In-process incumbent for serial maps: one float, no multiprocessing."""
+    """One map's incumbent: a float that keeps the minimum proposed cost."""
 
     __slots__ = ("_best",)
 
@@ -87,66 +54,6 @@ class SerialIncumbent:
         cost = float(cost)
         if cost < self._best:
             self._best = cost
-
-
-class SharedIncumbent:
-    """Worker-side (or parent-side) view of the shared slot for one token.
-
-    Tracks a process-local best alongside the shared value, so pruning keeps
-    working at full strength even if another generation took the slot over.
-    """
-
-    __slots__ = ("_slot", "_generation", "_best")
-
-    def __init__(self, slot: "_Slot", token: IncumbentToken):
-        self._slot = slot
-        self._generation = token.generation
-        self._best = float(token.seed)
-
-    def value(self) -> float:
-        """The freshest safe threshold: min of local best and the slot.
-
-        Takes the slot lock — torn reads of the double could fabricate a
-        value below the optimum and over-prune, which would break exactness.
-        Chunk tasks call this once per chunk, so the lock never sits on a
-        per-row path.
-        """
-        slot = self._slot
-        # ``Synchronized.value`` would re-acquire the (non-reentrant) slot
-        # lock; inside a held-lock section the raw ctypes objects are the
-        # right access path.
-        with slot.lock:
-            if slot.generation.get_obj().value == self._generation:
-                shared = slot.value.get_obj().value
-            else:  # stale bind: fall back to what this process achieved
-                shared = self._best
-        if shared < self._best:
-            self._best = shared
-        return self._best
-
-    def propose(self, cost: float) -> None:
-        """Publish an achieved cost if it improves the shared incumbent.
-
-        Lock-light: the unlocked peek may be stale (costing a missed
-        publication or a redundant lock acquire) but the write itself
-        re-checks under the lock, so the slot only ever decreases and only
-        within the right generation.
-        """
-        cost = float(cost)
-        if cost >= self._best:
-            return
-        self._best = cost
-        slot = self._slot
-        # repro: noqa[LOCK-DISCIPLINE] -- documented lock-light CAS: a torn/stale peek only costs a redundant lock acquire; the write re-checks under slot.lock below
-        raw_value = slot.value.get_obj()
-        if cost < raw_value.value:  # unlocked peek: stale is harmless here
-            with slot.lock:
-                if slot.generation.get_obj().value == self._generation and cost < raw_value.value:
-                    raw_value.value = cost
-
-
-#: Anything chunk tasks can prune against.
-IncumbentHandle = SerialIncumbent | SharedIncumbent
 
 
 def certified_gap(cost: float, outstanding_bound: float) -> float:
@@ -202,13 +109,13 @@ class GapTracker:
 
     __slots__ = ("target", "hit", "_incumbent")
 
-    def __init__(self, target: float, incumbent: IncumbentHandle):
+    def __init__(self, target: float, incumbent: SerialIncumbent):
         self.target = float(target)
         self.hit = False
         self._incumbent = incumbent
 
     def certified(self, outstanding_bound: float) -> float:
-        """The gap if submission stopped now (reads the live incumbent)."""
+        """The gap if submission stopped now (reads the map's incumbent)."""
         return certified_gap(self._incumbent.value(), outstanding_bound)
 
     def should_stop(self, outstanding_bound: float) -> bool:
@@ -218,125 +125,18 @@ class GapTracker:
         return self.hit
 
 
-class _Slot:
-    """The process-wide shared state: value + generation sharing one lock."""
-
-    __slots__ = ("value", "generation", "lock", "pid")
-
-    def __init__(self, value, generation, lock, pid: int):
-        self.value = value
-        self.generation = generation
-        self.lock = lock
-        self.pid = pid
-
-
-_SLOT: _Slot | None = None
 #: Per-thread active handle: serve threads solve concurrently in one process.
 _LOCAL = threading.local()
 
 
-def _fork_preferred_context():
-    """Same start-method preference as :mod:`repro.runtime.pool`.
-
-    Duplicated rather than imported to keep this module import-light and
-    cycle-free (``pool`` imports ``incumbent``).
-    """
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def ensure_slot() -> _Slot:
-    """The parent's slot, created lazily and re-created after a fork.
-
-    Must run before the persistent pool spawns (the pool initializer ships
-    the slot to the workers); :meth:`repro.runtime.pool.PersistentPool.ensure`
-    guarantees that ordering.
-    """
-    global _SLOT
-    if _SLOT is None or _SLOT.pid != os.getpid():
-        context = _fork_preferred_context()
-        lock = context.Lock()
-        # ``Value`` needs the *raw* primitive (multiprocessing internals
-        # re-wrap it); only the slot's own ``with slot.lock:`` uses go
-        # through the (possibly LOCK-SAN-traced) wrapper.
-        value = context.Value("d", float("inf"), lock=lock)
-        generation = context.Value("q", 0, lock=lock)
-        _SLOT = _Slot(
-            value=value,
-            generation=generation,
-            lock=lock_san.wrap_lock(lock, "incumbent.slot"),
-            pid=os.getpid(),
-        )
-    return _SLOT
-
-
-def slot_handles() -> tuple:
-    """The picklable pieces a pool initializer ships to spawn workers."""
-    slot = ensure_slot()
-    # Ship the raw lock: the TracedLock proxy is deliberately unpicklable;
-    # each worker re-wraps its copy in adopt_slot.
-    return (slot.value, slot.generation, lock_san.unwrap_lock(slot.lock))
-
-
-def adopt_slot(handles: tuple | None) -> None:
-    """Worker-side: install the slot received through the pool initializer."""
-    global _SLOT
-    if handles is None:
-        return
-    value, generation, lock = handles
-    _SLOT = _Slot(
-        value=value,
-        generation=generation,
-        lock=lock_san.wrap_lock(lock, "incumbent.slot"),
-        pid=os.getpid(),
-    )
-
-
-def activate(seed: float) -> IncumbentToken:
-    """Start a new generation at ``seed``; returns the token chunks carry.
-
-    ``seed`` must be either ``inf`` or a cost achieved by a feasible
-    solution of the enumeration being pruned — that is the whole exactness
-    contract.
-    """
-    slot = ensure_slot()
-    with slot.lock:
-        raw_generation = slot.generation.get_obj()
-        raw_generation.value += 1
-        slot.value.get_obj().value = float(seed)
-        generation = int(raw_generation.value)
-    return IncumbentToken(generation=generation, seed=float(seed))
-
-
-def token_handle(token: IncumbentToken | None) -> IncumbentHandle | None:
-    """The handle a chunk task prunes through for ``token`` in this process.
-
-    ``None`` for unpruned maps; a :class:`SharedIncumbent` on the slot when
-    this process has one; otherwise a :class:`SerialIncumbent` at the
-    token's seed (less pruning, identical results).
-    """
-    if token is None:
-        return None
-    if _SLOT is not None:
-        return SharedIncumbent(_SLOT, token)
-    return SerialIncumbent(token.seed)
-
-
-def bind_token(token: IncumbentToken | None) -> None:
-    """Make ``token`` the calling thread's active incumbent (``None`` unbinds)."""
-    _LOCAL.handle = token_handle(token)
-
-
-def active() -> IncumbentHandle | None:
+def active() -> SerialIncumbent | None:
     """The incumbent handle bound to the calling thread's task, if any."""
-    handle: IncumbentHandle | None = getattr(_LOCAL, "handle", None)
+    handle: SerialIncumbent | None = getattr(_LOCAL, "handle", None)
     return handle
 
 
 @contextmanager
-def bound(handle: IncumbentHandle | None) -> Iterator[IncumbentHandle | None]:
+def bound(handle: SerialIncumbent | None) -> Iterator[SerialIncumbent | None]:
     """Bind exactly ``handle`` (``None`` included) around a block of tasks.
 
     The binding is per thread, and whatever was active before is restored on

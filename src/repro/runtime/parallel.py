@@ -77,14 +77,16 @@ parent reduces in item order.  Only wall-clock time may differ — never a
 returned value.
 
 Pruned maps (``incumbent_seed`` set) relax this one notch by design: tasks
-may *skip* work whose admissible lower bound exceeds the shared incumbent
+may *skip* work whose admissible lower bound exceeds the map's incumbent
 (:mod:`repro.runtime.incumbent`), and which rows get skipped depends on
-cross-shard timing — but the callers' reductions are constructed so the
-reduced result is still bit-identical at every worker count (see the
-exactness contract in :mod:`repro.baselines.brute_force`).  The in-process
-loop binds exactly its own map's incumbent in the calling thread (none for
-an unpruned map), so serial skip sets are deterministic too, and concurrent
-solves in different threads never prune against each other.
+which chunk results the parent had harvested when it submitted each chunk
+— but the callers' reductions are constructed so the reduced result is
+still bit-identical at every worker count (see the exactness contract in
+:mod:`repro.baselines.brute_force`).  Every map owns its incumbent: the
+in-process loop binds it in the calling thread (none for an unpruned map),
+so serial skip sets are deterministic too, and a pooled map relays it
+through its own dispatches, so concurrent solves never prune against each
+other.
 
 Worker memory is bounded by the work-item granularity: the brute-force
 shards pass ``chunk_rows`` (default
@@ -202,14 +204,16 @@ def parallel_map(
         Fewest items worth dispatching to a pool; below it the call is
         serial.
     incumbent_seed:
-        Activate the shared branch-and-bound incumbent
-        (:mod:`repro.runtime.incumbent`) for this map, starting at this
-        value (``inf`` for "no heuristic seed").  Chunk tasks reach it via
-        :func:`repro.runtime.incumbent.active` to prune work and publish
-        achieved costs; serial execution threads the identical incumbent
-        through the in-process loop.  ``None`` (the default) binds no
-        incumbent, so tasks see none.  Pruning changes *which* rows tasks
-        evaluate, never the reduced result — see the exactness contract in
+        Give this map a branch-and-bound incumbent
+        (:mod:`repro.runtime.incumbent`) starting at this value (``inf`` for
+        "no heuristic seed").  Chunk tasks reach it via
+        :func:`repro.runtime.incumbent.active` to prune work and propose
+        achieved costs.  Serial execution binds the map's incumbent around
+        the in-process loop; pooled execution sends its current value with
+        each chunk and proposes each harvested chunk's best back into it.
+        ``None`` (the default) binds no incumbent, so tasks see none.
+        Pruning changes *which* rows tasks evaluate, never the reduced
+        result — see the exactness contract in
         :mod:`repro.baselines.brute_force`.
     time_budget:
         Wall-clock budget in seconds for the whole map.  When it runs out,
@@ -321,7 +325,7 @@ class _Map:
         return outcome
 
     def _tracker(
-        self, handle: "incumbent_module.IncumbentHandle | None"
+        self, handle: "incumbent_module.SerialIncumbent | None"
     ) -> "incumbent_module.GapTracker | None":
         if self.gap_target is None or handle is None:
             return None
@@ -333,9 +337,13 @@ class _Map:
         return self.finish({}, handle, self._tracker(handle))
 
     def pooled(self, workers: int, shm: bool | None, seed: float | None) -> MapOutcome:
-        """The map across the persistent pool, finished here if it degrades."""
-        token = None if seed is None else incumbent_module.activate(seed)
-        handle = incumbent_module.token_handle(token)
+        """The map across the persistent pool, finished here if it degrades.
+
+        The map's incumbent stays in the parent: the pool sends its value
+        with each chunk and proposes each harvested chunk's best into it,
+        and a degraded remainder keeps pruning against it.
+        """
+        handle = None if seed is None else incumbent_module.SerialIncumbent(seed)
         tracker = self._tracker(handle)
         stop_check: Callable[[list[int]], bool] | None = None
         if tracker is not None:
@@ -355,7 +363,7 @@ class _Map:
                 self.items,
                 spec,
                 workers,
-                token,
+                handle,
                 fallback_spec=fallback_spec,
                 deadline=self.deadline,
                 order=self.submission,
@@ -376,16 +384,16 @@ class _Map:
     def finish(
         self,
         completed: dict[int, Any],
-        handle: "incumbent_module.IncumbentHandle | None",
+        handle: "incumbent_module.SerialIncumbent | None",
         tracker: "incumbent_module.GapTracker | None",
     ) -> MapOutcome:
         """The one in-process loop: serial maps and degraded maps' remainders.
 
         Runs the items not yet in ``completed`` in submission order with
-        ``handle`` bound as the calling thread's incumbent — a fresh serial
-        incumbent for a serial pruned map, the parent's view of the shared
-        slot for a degraded one, ``None`` for an unpruned map — so each chunk
-        sees exactly the improvements of its predecessors and no other map's.
+        ``handle`` bound as the calling thread's incumbent — the map's own
+        incumbent (for a degraded map, already tightened by every chunk the
+        pool harvested), ``None`` for an unpruned map — so each chunk sees
+        the improvements of its predecessors and no other map's.
         The deadline and gap stops fire between chunks.  The outstanding
         bound at each position is the suffix minimum of the chunk bounds,
         which conservatively includes already completed chunks — a smaller

@@ -46,16 +46,18 @@ forever.
 
 Dispatch protocol
 -----------------
-Each work item travels as a small ``(task, payload_spec, item,
-incumbent_token)`` tuple.  The incumbent token (``None`` for unpruned maps)
-references the shared branch-and-bound incumbent slot
-(:mod:`repro.runtime.incumbent`): workers bind it before invoking the task,
-so every chunk of a pruned enumeration reads the freshest cross-shard bound
-and publishes its own improvements.  The slot itself is created in the
-parent *before* the executor spawns and ships to the workers through the
-pool initializer (inherited by ``fork``, pickled at process creation under
-``spawn``) — synchronized primitives cannot ride in per-item dispatch
-tuples.  The payload spec is one of
+Each work item travels as a small ``(task, payload_spec, item, threshold,
+fault_key)`` tuple and comes back as a ``(result, best)`` pair.
+``threshold`` is the map's branch-and-bound incumbent
+(:mod:`repro.runtime.incumbent`) read at submission: a float, or ``None``
+for an unpruned map.  The worker binds a
+:class:`~repro.runtime.incumbent.SerialIncumbent` at that value around the
+task and returns the handle's final value as ``best``; the parent proposes
+``best`` into the map's own incumbent as it harvests, in submission order,
+so every later submission carries every improvement harvested so far.
+Nothing in the tuple is synchronized, and a worker is a pure function of
+``(payload, item, threshold)``: two maps cannot share or clobber each
+other's pruning state.  The payload spec is one of
 
 * ``("none",)`` — no payload;
 * ``("shm", descriptor)`` — a :class:`~repro.runtime.shm.PayloadDescriptor`
@@ -163,24 +165,17 @@ def _mark_in_worker() -> None:
     _IN_WORKER = True
 
 
-def _init_pool_worker(
-    incumbent_handles: tuple | None,
-    sanitizer_names: tuple[str, ...] = (),
-    fault_spec: str = "",
-) -> None:
-    """Persistent-pool initializer: mark the worker, adopt the incumbent slot.
+def _init_pool_worker(sanitizer_names: tuple[str, ...] = (), fault_spec: str = "") -> None:
+    """Persistent-pool initializer: mark the worker, arm its configuration.
 
-    Sanitizer names and the armed fault spec ride the initargs channel like
-    the incumbent handles do (spawned workers do inherit ``REPRO_SANITIZE``
-    / ``REPRO_FAULTS`` via the environment, but the explicit handoff also
-    covers anything enabled programmatically with ``set_enabled`` after
-    import).  Enabling sanitizers must happen *before* adopt_slot so the
-    worker's incumbent lock gets wrapped.
+    Sanitizer names and the armed fault spec ride the initargs channel
+    (spawned workers do inherit ``REPRO_SANITIZE`` / ``REPRO_FAULTS`` via
+    the environment, but the explicit handoff also covers anything enabled
+    programmatically with ``set_enabled`` after import).
     """
     _mark_in_worker()
     sanitize.set_enabled(sanitizer_names)
     faults.set_enabled(fault_spec)
-    incumbent_module.adopt_slot(incumbent_handles)
 
 
 def _cache_payload(token: str, payload: Any, closer: Callable[[], None] | None) -> None:
@@ -212,8 +207,9 @@ def _resolve_payload(spec: tuple) -> Any:
     return payload
 
 
-def _dispatch(args: tuple) -> Any:
-    task, spec, item, incumbent_token, fault_key = args
+def _dispatch(args: tuple) -> tuple[Any, float | None]:
+    """Run one chunk; returns ``(result, best)`` (see the dispatch protocol)."""
+    task, spec, item, threshold, fault_key = args
     # Injection points for the chaos harness: the crash fires before any
     # work happens (the honest worst case — the whole chunk is lost) and
     # both draws are keyed by the chunk's (index, attempt) so a chunk that
@@ -221,16 +217,18 @@ def _dispatch(args: tuple) -> Any:
     # rebuilt pool forever.
     faults.inject("crash", "pool.dispatch", token=fault_key)
     faults.inject("slow", "pool.dispatch", token=fault_key)
-    with incumbent_module.bound(incumbent_module.token_handle(incumbent_token)):
+    handle = None if threshold is None else incumbent_module.SerialIncumbent(threshold)
+    with incumbent_module.bound(handle):
         try:
             payload = _resolve_payload(spec)
         except (faults.FaultInjected, OSError) as error:
             if spec[0] == "shm":
                 # A failed segment attach degrades this one call to the
                 # pickled transport instead of poisoning the pool.
-                return _TransportFailure(kind=spec[0], error=repr(error))
+                return _TransportFailure(kind=spec[0], error=repr(error)), None
             raise
-        return task(payload, item)
+        result = task(payload, item)
+    return result, None if handle is None else handle.value()
 
 
 # -- parent-side executor ----------------------------------------------------
@@ -284,15 +282,11 @@ class PersistentPool:
         if self._executor is not None and (workers > self._workers or config != self._config):
             self.shutdown()
         if self._executor is None:
-            # The incumbent slot must exist before the workers do: fork
-            # inherits it, spawn pickles it through the initializer args
-            # (synchronized primitives cannot travel in dispatch tuples).
-            incumbent_handles = incumbent_module.slot_handles()
             self._executor = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=_pool_context(),
                 initializer=_init_pool_worker,
-                initargs=(incumbent_handles, sanitize.enabled_names(), faults.enabled_spec()),
+                initargs=config,
             )
             self._workers = workers
             self._pid = os.getpid()
@@ -305,7 +299,7 @@ class PersistentPool:
         items: Iterable[Any],
         spec: tuple,
         workers: int,
-        incumbent_token: Any = None,
+        incumbent: "incumbent_module.SerialIncumbent | None" = None,
         *,
         fallback_spec: Callable[[], tuple] | None = None,
         deadline: float | None = None,
@@ -320,10 +314,10 @@ class PersistentPool:
         submission-order first-strict-minimum rule.  The pool is grow-only,
         so it may hold more processes than this call requested; at most
         ``workers`` items are kept in flight regardless, keeping ``workers``
-        a real concurrency cap per call.  ``incumbent_token`` (from
-        :func:`repro.runtime.incumbent.activate`) rides in every dispatch
-        tuple so chunk tasks of a pruned enumeration share one
-        branch-and-bound incumbent.
+        a real concurrency cap per call.  ``incumbent`` is the map's own
+        branch-and-bound incumbent (``None`` for an unpruned map): its value
+        at submission rides in every dispatch tuple, and every harvested
+        chunk's best is proposed back into it (see the dispatch protocol).
 
         Crash recovery is chunk-granular: when a worker dies mid-map
         (:class:`BrokenProcessPool`), every future that already completed
@@ -336,7 +330,8 @@ class PersistentPool:
 
         ``fallback_spec`` (lazily called at most once) provides the
         ``("pickled", ...)`` spec a chunk is resubmitted on when its worker
-        reports a failed shared-memory attach (:class:`_TransportFailure`).
+        reports a failed shared-memory attach (:class:`_TransportFailure`),
+        whether the report is harvested in order or during crash recovery.
         ``deadline`` (a ``time.monotonic`` instant) stops chunk submission
         once passed; ``stop_check`` receives the indexes not yet submitted
         before each new submission and returns ``True`` to stop submitting
@@ -358,6 +353,27 @@ class PersistentPool:
         resolved_fallback: tuple | None = None
         deadline_hit = False
         stopped = False
+
+        def harvest(index: int, attempt: int, outcome: tuple[Any, float | None]) -> None:
+            """Keep one chunk's result, or requeue it after a transport failure."""
+            nonlocal resolved_fallback
+            value, best = outcome
+            if isinstance(value, _TransportFailure):
+                if fallback_spec is None:
+                    raise RuntimeError(
+                        f"payload transport ({value.kind}) failed in a worker with no"
+                        f" fallback available: {value.error}"
+                    )
+                if resolved_fallback is None:
+                    resolved_fallback = fallback_spec()
+                pending.appendleft((index, attempt + 1, resolved_fallback))
+                health.record(transport_fallbacks=1, retries=1)
+                return
+            results[index] = value
+            if incumbent is not None and best is not None:
+                incumbent.propose(best)
+            health.record(chunks_completed=1)
+
         while pending or window:
             try:
                 while pending and len(window) < workers:
@@ -380,15 +396,15 @@ class PersistentPool:
                     # (submitted == completed + retries) needs the attempt
                     # on the books either way.
                     health.record(chunks_submitted=1)
+                    threshold = None if incumbent is None else incumbent.value()
                     future = executor.submit(
-                        _dispatch,
-                        (task, item_spec, items[index], incumbent_token, (index, attempt)),
+                        _dispatch, (task, item_spec, items[index], threshold, (index, attempt))
                     )
                     window.append((index, attempt, item_spec, future))
                 if not window:
                     break  # deadline stopped submission with nothing in flight
                 index, attempt, item_spec, future = window.popleft()
-                value = future.result()
+                outcome = future.result()
             except BrokenProcessPool:
                 # Harvest what survived: completed futures keep their
                 # results even after the executor breaks.  Everything else
@@ -397,8 +413,7 @@ class PersistentPool:
                 while window:
                     s_index, s_attempt, s_spec, s_future = window.popleft()
                     if s_future.done() and s_future.exception() is None:
-                        results[s_index] = s_future.result()
-                        health.record(chunks_completed=1)
+                        harvest(s_index, s_attempt, s_future.result())
                     else:
                         lost.append((s_index, s_attempt + 1, s_spec))
                 pending.extendleft(reversed(lost))
@@ -415,19 +430,7 @@ class PersistentPool:
                 backoff = min(backoff * 2.0, MAP_BACKOFF_CAP)
                 executor = self.ensure(workers)
                 continue
-            if isinstance(value, _TransportFailure):
-                if fallback_spec is None:
-                    raise RuntimeError(
-                        f"payload transport ({value.kind}) failed in a worker with no"
-                        f" fallback available: {value.error}"
-                    )
-                if resolved_fallback is None:
-                    resolved_fallback = fallback_spec()
-                pending.appendleft((index, attempt + 1, resolved_fallback))
-                health.record(transport_fallbacks=1, retries=1)
-                continue
-            results[index] = value
-            health.record(chunks_completed=1)
+            harvest(index, attempt, outcome)
         return MapOutcome(results, deadline_hit or bool(pending), stopped)
 
     def shutdown(self) -> None:

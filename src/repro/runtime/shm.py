@@ -10,7 +10,7 @@ instead flattens every numeric array of the payload into
 :mod:`multiprocessing.shared_memory` segments once and describes them with a
 small picklable :class:`PayloadDescriptor`; the chunk protocol then ships
 only the descriptor, a work slice and (for pruned enumerations) the
-incumbent token of :mod:`repro.runtime.incumbent`, and workers attach the
+pruning threshold of :mod:`repro.runtime.incumbent`, and workers attach the
 segments zero-copy (NumPy views straight into the mapped buffer, marked
 read-only).  Pruned maps need the expected matrix (and, for the unassigned
 objective, the pinned supports) materialized before publication so the

@@ -18,17 +18,21 @@ assignments, subsets and local-search rounds over fixed candidates never
 invalidate.  Any changed byte in either fingerprint is a miss and builds a
 fresh context; the old entry ages out of the LRU.
 
-The store is per process.  Pool workers never share one (the parallel
-runtime ships built contexts via shared-memory descriptors instead, which is
-cheaper than re-keying).  Reusing a cached context is bit-identical to
-rebuilding it: its arrays were produced by the same kernels from the same
-inputs.  Memoization never changes results, only wall-clock time.
+The store is per process and thread-safe: ``repro serve`` calls one store
+from every solve thread, so lookup, insert, eviction and the counters run
+under one lock (fingerprinting runs outside it).  Pool workers never share
+one (the parallel runtime ships built contexts via shared-memory
+descriptors instead, which is cheaper than re-keying).  Reusing a cached
+context is bit-identical to rebuilding it: its arrays were produced by the
+same kernels from the same inputs.  Memoization never changes results,
+only wall-clock time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -82,6 +86,7 @@ class ContextStore:
         self.maxsize = max(1, int(maxsize))
         self._entries: OrderedDict[tuple[str, str], CostContext] = OrderedDict()
         self._dataset_keys: dict[int, tuple[UncertainDataset, str]] = {}
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -106,21 +111,25 @@ class ContextStore:
         """The memoized context for ``(dataset, candidates)``, built on a miss."""
         candidates = np.asarray(candidates, dtype=float)
         key = (self._dataset_key(dataset), candidate_fingerprint(candidates))
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
+        # Under the lock, so another thread cannot evict the entry between
+        # the lookup and move_to_end.  Construction is lazy, hence cheap.
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return entry
+            self.misses += 1
+            entry = CostContext(dataset, candidates)
+            self._entries[key] = entry
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
             return entry
-        self.misses += 1
-        entry = CostContext(dataset, candidates)
-        self._entries[key] = entry
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return entry
 
     def clear(self) -> None:
         """Drop every cached context and reset the counters."""
-        self._entries.clear()
-        self._dataset_keys.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._entries.clear()
+            self._dataset_keys.clear()
+            self.hits = 0
+            self.misses = 0

@@ -5,13 +5,10 @@ this package verify the same invariants *dynamically*, under real
 execution, the way production race detectors pair lint rules with runtime
 instrumentation.  They are enabled through the :mod:`repro._env` registry::
 
-    REPRO_SANITIZE=shm,lock,det python -m pytest ...
+    REPRO_SANITIZE=shm,det python -m pytest ...
 
 * ``shm`` — :mod:`.shm_san` wraps segment create/attach/unlink and reports
   leaked or double-unlinked ``/dev/shm`` segments at process exit.
-* ``lock`` — :mod:`.lock_san` records the *actual* lock acquisition order
-  (incumbent/pool/store locks) per thread and flags order inversions and
-  re-acquisition at the first offending acquire.
 * ``det`` — :mod:`.det_san` fingerprints per-chunk ``parallel_map``
   results so a ``workers=1`` vs ``workers=N`` divergence is caught at the
   first differing chunk rather than at final-result comparison.
@@ -24,9 +21,9 @@ in-process (:func:`violations`, for tests) and printed to stderr by an
 path, because a watchdog that crashes the patient is worse than none.
 
 Worker processes receive the enabled-sanitizer names through pool
-``initargs`` (the same channel PR 5 established for incumbent handles), so
-``shm``/``lock`` violations inside a worker are reported on the worker's
-own stderr at exit; ``det`` runs entirely in the parent.
+``initargs`` (with the armed fault spec), so ``shm`` violations inside a
+worker are reported on the worker's own stderr at exit; ``det`` runs
+entirely in the parent.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 from .._env import env_str
 
 #: Every sanitizer this package ships, in REPRO_SANITIZE spelling.
-SANITIZER_NAMES: tuple[str, ...] = ("shm", "lock", "det")
+SANITIZER_NAMES: tuple[str, ...] = ("shm", "det")
 
 _enabled: set[str] = set()
 _violations: list["Violation"] = []
@@ -100,11 +97,10 @@ def violations() -> tuple[Violation, ...]:
 
 def reset() -> None:
     """Clear recorded violations and every sanitizer's internal state."""
-    from . import det_san, lock_san, shm_san
+    from . import det_san, shm_san
 
     _violations.clear()
     shm_san.reset()
-    lock_san.reset()
     det_san.reset()
 
 

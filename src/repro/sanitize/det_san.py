@@ -13,8 +13,8 @@ chunk index and both fingerprints.
 
 Pruned maps (``incumbent_seed`` set) are skipped by design: branch-and-
 bound chunks legitimately return timing-dependent *per-chunk* values (the
-skip sets depend on cross-shard incumbent races) while the callers'
-reductions stay exact — fingerprinting them would be pure false-positive.
+skip sets depend on which chunks the parent had harvested when it submitted
+each one) while the callers' reductions stay exact — fingerprinting them would be pure false-positive.
 
 Fingerprints are SHA-1 of the pickled value.  That is exactly the
 serialization determinism the runtime already relies on everywhere it

@@ -790,6 +790,6 @@ class TestCli:
         report = lint_paths([REPO_ROOT / "src"])
         assert report.findings == []
         assert report.errors == []
-        assert len(report.suppressed) >= 8
+        assert len(report.suppressed) >= 7
         for suppressed in report.suppressed:
             assert suppressed.justification

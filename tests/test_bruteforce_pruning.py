@@ -493,39 +493,6 @@ class TestIncumbentMachinery:
         handle.propose(4.0)
         assert handle.value() == 4.0
 
-    def test_activate_and_bind_shared_slot(self):
-        token = incumbent_module.activate(42.0)
-        incumbent_module.bind_token(token)
-        try:
-            handle = incumbent_module.active()
-            assert isinstance(handle, incumbent_module.SharedIncumbent)
-            assert handle.value() == 42.0
-            handle.propose(41.0)
-            assert handle.value() == 41.0
-            # A second handle on the same token sees the published value.
-            other = incumbent_module.SharedIncumbent(
-                incumbent_module.ensure_slot(), token
-            )
-            assert other.value() == 41.0
-            # Worse proposals never move the slot.
-            other.propose(43.0)
-            assert handle.value() == 41.0
-        finally:
-            incumbent_module.bind_token(None)
-        assert incumbent_module.active() is None
-
-    def test_stale_generation_falls_back_to_seed(self):
-        stale = incumbent_module.activate(7.0)
-        incumbent_module.activate(99.0)  # newer generation takes the slot
-        handle = incumbent_module.SharedIncumbent(incumbent_module.ensure_slot(), stale)
-        assert handle.value() == 7.0  # never reads across generations
-        handle.propose(3.0)  # must not clobber the active generation
-        active = incumbent_module.SharedIncumbent(
-            incumbent_module.ensure_slot(),
-            incumbent_module.IncumbentToken(generation=stale.generation + 1, seed=99.0),
-        )
-        assert active.value() == 99.0
-
     def test_serial_incumbent_context_restores_previous(self):
         with incumbent_module.serial_incumbent(5.0) as outer:
             assert incumbent_module.active() is outer

@@ -320,6 +320,25 @@ class TestTransportFallback:
         assert np.array_equal(faulted.centers, clean.centers)
         assert delta.transport_fallbacks >= 1
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_attach_failures_harvested_during_crash_recovery_are_requeued(self, seed):
+        """A sibling chunk can finish with a failed attach just as another
+        worker crashes; crash recovery must requeue that marker on the
+        pickled transport like the in-order harvest does, never store it
+        as the chunk's result."""
+        dataset, _ = gaussian_clusters(n=8, z=3, dimension=2, k_true=2, seed=0)
+        kwargs = dict(candidates=dataset.all_locations()[:14], chunk_rows=16, prune=False)
+        clean = brute_force_restricted_assigned(dataset, 3, workers=1, **kwargs)
+        faults.set_enabled(f"crash:p=0.3:seed={seed},shm_attach")
+        shutdown_runtime()
+        before = health.snapshot()
+        faulted = brute_force_restricted_assigned(dataset, 3, workers=2, **kwargs)
+        delta = health.delta(before)
+        assert faulted.expected_cost == clean.expected_cost
+        assert np.array_equal(faulted.centers, clean.centers)
+        assert np.array_equal(faulted.assignment, clean.assignment)
+        assert delta.audit_ok()
+
 
 class TestShutdownTolerance:
     def test_shutdown_tolerates_os_reaped_workers(self):

@@ -1,12 +1,16 @@
-"""The one map engine: per-thread incumbents and stops on every transport.
+"""The one map engine: per-map incumbents and stops on every transport.
 
-Two contracts the engine owns beyond plain bit-identity:
+Three contracts the engine owns beyond plain bit-identity:
 
 * **Per-thread incumbents** — the in-process loop binds exactly its own
   map's incumbent in the calling thread, so concurrent serial solves of
   *different* instances (``repro serve`` answers requests on threads) never
   prune against each other's incumbents, and nothing stays bound after the
   solves return.  Checked in-process and through ``/v1/solve``.
+* **A relayed incumbent** — a pooled map sends its incumbent's value at
+  submission with every chunk and proposes each harvested chunk's best back
+  into it, so thresholds never increase, each one is the seed or a value
+  harvested before its submission, and an unpruned pooled map binds none.
 * **Stops on the pickled transport** — with shared memory off, a pooled
   enumeration still honors ``gap_target`` and ``time_budget`` and reports
   them with a sound certificate, whatever the payload size.
@@ -22,10 +26,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.baselines.brute_force import brute_force_restricted_assigned, brute_force_unassigned
 from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
+from repro.runtime import PersistentPool, health, parallel_map, set_oversubscribe, shutdown_runtime
 from repro.runtime import incumbent as incumbent_module
-from repro.runtime import set_oversubscribe, shutdown_runtime
 from repro.serve import ReproServer, ServeClient, ServeConfig
 from repro.uncertain.dataset import UncertainDataset
 from repro.workloads import gaussian_clusters
@@ -138,6 +143,105 @@ class TestPerThreadIncumbent:
         assert len(outcomes) == THREADS * (SOLVES_PER_THREAD // 2)
         wrong = [key for key, cost in outcomes if cost != references[key]]
         assert wrong == []
+
+
+#: The relay map's seed and the cost each item proposes: distinct, with
+#: later items both above and below earlier ones.
+RELAY_SEED = 100.0
+RELAY_PROPOSALS = (50.0, 70.0, 40.0, 60.0, 30.0, 55.0, 20.0, 45.0, 10.0, 35.0)
+
+
+def _relay_task(payload, item):
+    """Record the bound threshold, then propose this item's known cost."""
+    handle = incumbent_module.active()
+    if handle is None:
+        return None
+    threshold = handle.value()
+    handle.propose(RELAY_PROPOSALS[item])
+    return threshold
+
+
+class _RecordingIncumbent(incumbent_module.SerialIncumbent):
+    """A map incumbent that logs the parent's reads and proposals in order."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, seed: float):
+        super().__init__(seed)
+        self.log: list[tuple[str, float]] = []
+
+    def value(self) -> float:
+        value = super().value()
+        self.log.append(("read", value))
+        return value
+
+    def propose(self, cost: float) -> None:
+        self.log.append(("propose", float(cost)))
+        super().propose(cost)
+
+
+@pytest.fixture()
+def real_pool_without_faults():
+    """Pools on 1-CPU boxes, no injected retries (they would re-read)."""
+    previous_faults = faults.enabled_spec()
+    previous_oversubscribe = set_oversubscribe(True)
+    faults.set_enabled(None)
+    yield
+    set_oversubscribe(previous_oversubscribe)
+    faults.set_enabled(previous_faults or None)
+    shutdown_runtime()
+
+
+@pytest.mark.usefixtures("real_pool_without_faults")
+class TestIncumbentRelay:
+    def test_each_dispatch_carries_the_incumbent_harvested_before_it(self):
+        incumbent = _RecordingIncumbent(RELAY_SEED)
+        items = list(range(len(RELAY_PROPOSALS)))
+        pool = PersistentPool()
+        try:
+            outcome = pool.map(_relay_task, items, ("none",), 2, incumbent)
+        finally:
+            pool.shutdown()
+        thresholds = [outcome.results[item] for item in items]
+        # Every submission read the parent's incumbent once, in item order,
+        # and got the least of the seed and every best harvested before it.
+        reads = [
+            (position, value)
+            for position, (kind, value) in enumerate(incumbent.log)
+            if kind == "read"
+        ]
+        assert thresholds == [value for _, value in reads]
+        assert thresholds == sorted(thresholds, reverse=True)
+        for position, threshold in reads:
+            harvested = [value for kind, value in incumbent.log[:position] if kind == "propose"]
+            assert threshold == min((RELAY_SEED, *harvested))
+        # Item 0 ran at the seed and proposed its own cost; every item
+        # submitted after that harvest prunes against it.
+        assert thresholds[0] == RELAY_SEED
+        first_harvest = incumbent.log.index(("propose", RELAY_PROPOSALS[0]))
+        later = [threshold for position, threshold in reads if position > first_harvest]
+        assert later
+        assert all(threshold <= RELAY_PROPOSALS[0] for threshold in later)
+        assert incumbent.value() == min(RELAY_PROPOSALS)
+
+    def test_pruned_pooled_map_relays_thresholds(self):
+        items = list(range(len(RELAY_PROPOSALS)))
+        before = health.snapshot()
+        thresholds = parallel_map(_relay_task, items, workers=2, incumbent_seed=RELAY_SEED)
+        assert health.delta(before).chunks_submitted == len(items)  # it took the pool
+        assert thresholds == sorted(thresholds, reverse=True)
+        for item, threshold in enumerate(thresholds):
+            assert threshold in (RELAY_SEED, *RELAY_PROPOSALS[:item])
+        # Two in flight and harvested in submission order: the last item is
+        # submitted after item 0's harvest.
+        assert thresholds[-1] <= RELAY_PROPOSALS[0]
+
+    def test_unpruned_pooled_map_binds_no_incumbent(self):
+        before = health.snapshot()
+        with incumbent_module.serial_incumbent(0.0):  # the caller's own, not the map's
+            thresholds = parallel_map(_relay_task, range(4), workers=2)
+        assert health.delta(before).chunks_submitted == 4
+        assert thresholds == [None] * 4
 
 
 @pytest.fixture()

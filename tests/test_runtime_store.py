@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -90,3 +95,84 @@ class TestContextStore:
         store.get(dataset, candidates)
         store.clear()
         assert (len(store), store.hits, store.misses) == (0, 0, 0)
+
+
+class TestThreadSafety:
+    def test_no_eviction_between_lookup_and_move_to_end(self, instance):
+        # repro serve calls one store from every solve thread.  Park a hit
+        # right after its lookup while a second thread's miss evicts the
+        # entry: an unlocked store then fails move_to_end with KeyError.  A
+        # locked store blocks the intruder until the hit returns, so the
+        # wait below is bounded instead of a deadlock.
+        dataset, candidates = instance
+        other, _ = gaussian_clusters(n=6, z=3, dimension=2, k_true=2, seed=10)
+        store = ContextStore(maxsize=1)
+        first = store.get(dataset, candidates)
+        intruder_done = threading.Event()
+        errors: list[Exception] = []
+
+        def intrude() -> None:
+            try:
+                store.get(other, candidates)  # a miss that evicts the only entry
+            except Exception as error:
+                errors.append(error)
+            finally:
+                intruder_done.set()
+
+        intruder = threading.Thread(target=intrude)
+
+        class ParkingEntries(OrderedDict):
+            armed = True
+
+            def get(self, key, default=None):
+                entry = super().get(key, default)
+                if entry is not None and ParkingEntries.armed:
+                    ParkingEntries.armed = False
+                    intruder.start()
+                    intruder_done.wait(timeout=0.5)
+                return entry
+
+        store._entries = ParkingEntries(store._entries)
+        assert store.get(dataset, candidates) is first
+        intruder.join(timeout=30)
+        assert not intruder.is_alive()
+        assert errors == []
+        assert (store.hits, store.misses) == (1, 2)
+        assert len(store) == 1
+
+    def test_concurrent_gets_lose_no_lookup(self, instance):
+        # A bounded stress run: more threads than cores, seeded picks over
+        # more datasets than slots, so hits and evictions interleave.  Every
+        # get is counted exactly once as a hit or a miss, and none raises.
+        _, candidates = instance
+        datasets = [
+            gaussian_clusters(n=6, z=3, dimension=2, k_true=2, seed=seed)[0] for seed in range(3)
+        ]
+        store = ContextStore(maxsize=2)
+        threads, gets = 8, 300
+        errors: list[Exception] = []
+        start = threading.Barrier(threads)
+
+        def hammer(thread: int) -> None:
+            picks = random.Random(thread).choices(datasets, k=gets)
+            start.wait()
+            try:
+                for dataset in picks:
+                    store.get(dataset, candidates)
+            except Exception as error:
+                errors.append(error)
+
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer, args=(thread,)) for thread in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous_interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert store.hits + store.misses == threads * gets
+        assert store.hits > 0 and len(store) == 2

@@ -1,19 +1,17 @@
-"""Tier-1 tests for the runtime sanitizers (``REPRO_SANITIZE=shm,lock,det``).
+"""Tier-1 tests for the runtime sanitizers (``REPRO_SANITIZE=shm,det``).
 
 Each sanitizer gets a *planted bug* it must catch — a leaked/double-unlinked
-segment for SHM-SAN, an acquisition-order inversion for LOCK-SAN, a
-chunk-level divergence for DET-SAN — plus the zero-cost-when-disabled
-contract, the ``REPRO_SANITIZE`` name validation, and the pool-initargs
-handoff that enables sanitizers inside worker processes.  Sanitizers report
-via :func:`repro.sanitize.violations` (never by raising into the
-instrumented path), which is what these tests assert on.
+segment for SHM-SAN, a chunk-level divergence for DET-SAN — plus the
+zero-cost-when-disabled contract, the ``REPRO_SANITIZE`` name validation,
+and the pool-initargs handoff that enables sanitizers inside worker
+processes.  Sanitizers report via :func:`repro.sanitize.violations` (never
+by raising into the instrumented path), which is what these tests assert
+on.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ import pytest
 from repro import sanitize
 from repro.runtime import shm as shm_module
 from repro.runtime.parallel import parallel_map, set_oversubscribe
-from repro.sanitize import det_san, lock_san, shm_san
+from repro.sanitize import det_san, shm_san
 
 
 @pytest.fixture(autouse=True)
@@ -38,7 +36,7 @@ def messages() -> list[str]:
 
 class TestController:
     def test_parse_names_accepts_known_and_strips(self):
-        assert sanitize.parse_names("shm,lock,det") == ("shm", "lock", "det")
+        assert sanitize.parse_names("shm,det") == ("shm", "det")
         assert sanitize.parse_names(" shm , det ") == ("shm", "det")
         assert sanitize.parse_names("") == ()
         assert sanitize.parse_names(None) == ()
@@ -50,6 +48,10 @@ class TestController:
             sanitize.parse_names("shmm")
         with pytest.raises(ValueError, match="valid names"):
             sanitize.parse_names("shm,nope")
+        # ``lock`` is no longer a sanitizer: a leftover spelling fails too.
+        assert sanitize.SANITIZER_NAMES == ("shm", "det")
+        with pytest.raises(ValueError, match="'lock'"):
+            sanitize.parse_names("shm,lock,det")
 
     def test_enabled_names_canonical_order(self):
         sanitize.set_enabled(("det", "shm"))
@@ -65,8 +67,8 @@ class TestController:
         assert sanitize.check_exit() == ()  # the ghost create was cleared
 
     def test_violation_renders_with_sanitizer_tag(self):
-        violation = sanitize.Violation(sanitizer="lock", message="boom")
-        assert violation.render() == "LOCK-SAN: boom"
+        violation = sanitize.Violation(sanitizer="det", message="boom")
+        assert violation.render() == "DET-SAN: boom"
 
 
 class TestShmSan:
@@ -115,69 +117,6 @@ class TestShmSan:
             assert "never unlinked" in found[0].message
         finally:
             leaked.close()  # do not actually leak /dev/shm from the suite
-
-
-class TestLockSan:
-    def test_catches_planted_order_inversion(self):
-        sanitize.set_enabled(("lock",))
-        lock_san.note_acquire("store.lock")
-        lock_san.note_acquire("incumbent.slot")
-        lock_san.note_release("incumbent.slot")
-        lock_san.note_release("store.lock")
-        assert sanitize.violations() == ()  # first ordering just records
-        lock_san.note_acquire("incumbent.slot")
-        lock_san.note_acquire("store.lock")
-        found = messages()
-        assert len(found) == 1
-        assert "lock-order inversion" in found[0]
-        assert "store.lock" in found[0] and "incumbent.slot" in found[0]
-
-    def test_consistent_order_is_clean(self):
-        sanitize.set_enabled(("lock",))
-        for _ in range(2):
-            lock_san.note_acquire("store.lock")
-            lock_san.note_acquire("incumbent.slot")
-            lock_san.note_release("incumbent.slot")
-            lock_san.note_release("store.lock")
-        assert sanitize.violations() == ()
-
-    def test_catches_reacquisition_of_held_lock(self):
-        sanitize.set_enabled(("lock",))
-        lock_san.note_acquire("incumbent.slot")
-        lock_san.note_acquire("incumbent.slot")
-        assert any("not reentrant" in message for message in messages())
-
-    def test_traced_lock_context_manager_records_edges(self):
-        sanitize.set_enabled(("lock",))
-        first = lock_san.wrap_lock(threading.Lock(), "first")
-        second = lock_san.wrap_lock(threading.Lock(), "second")
-        assert isinstance(first, lock_san.TracedLock)
-        with first:
-            with second:
-                pass
-        assert list(lock_san.observed_edges()) == [("first", "second")]
-        with second:
-            with first:
-                pass
-        assert any("lock-order inversion" in message for message in messages())
-
-    def test_wrap_is_identity_when_disabled_and_idempotent_when_on(self):
-        raw = threading.Lock()
-        assert lock_san.wrap_lock(raw, "noop") is raw
-        sanitize.set_enabled(("lock",))
-        traced = lock_san.wrap_lock(raw, "slot")
-        assert lock_san.wrap_lock(traced, "slot") is traced
-        assert lock_san.unwrap_lock(traced) is raw
-        assert lock_san.unwrap_lock(raw) is raw
-
-    def test_traced_lock_refuses_to_cross_process_boundaries(self):
-        sanitize.set_enabled(("lock",))
-        traced = lock_san.wrap_lock(threading.Lock(), "slot")
-        # Shipping the proxy through a dispatch tuple would re-introduce
-        # exactly the bug class SYNC-IN-DISPATCH exists for; ship .raw and
-        # re-wrap on the far side instead.
-        with pytest.raises(TypeError, match="must not cross process boundaries"):
-            pickle.dumps(traced)
 
 
 def _entropy_chunk(payload, item):
@@ -254,17 +193,17 @@ class TestDetSan:
 class TestWorkerHandoff:
     def test_initargs_carry_enabled_sanitizers_into_workers(self):
         # The persistent pool ships ``sanitize.enabled_names()`` through its
-        # initializer arguments — the same channel the incumbent handles
-        # use — and respawns when they change, so programmatically enabled
+        # initializer arguments — with the armed fault spec — and respawns
+        # when they change, so programmatically enabled
         # sanitizers are live inside every worker (here on the pickled
         # transport: a large payload with shm off).
         previous = set_oversubscribe(True)
         try:
-            sanitize.set_enabled(("shm", "lock"))
+            sanitize.set_enabled(("shm", "det"))
             payload = os.urandom(100_000)
             results = parallel_map(
                 _probe_enabled, range(4), payload=payload, workers=2, shm=False
             )
         finally:
             set_oversubscribe(previous)
-        assert results == [("shm", "lock")] * 4
+        assert results == [("shm", "det")] * 4

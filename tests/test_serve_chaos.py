@@ -4,7 +4,7 @@ The server's whole reason to exist is staying correct while the runtime
 underneath it is being killed, so these tests arm the PR-8 fault harness
 *around* the HTTP stack and assert the end-to-end contract:
 
-* 50 concurrent solves under ``crash:p=0.1`` (with the shm/lock/det
+* 50 concurrent solves under ``crash:p=0.1`` (with the shm/det
   sanitizers armed): **zero 5xx**, every response **bit-identical** to the
   fault-free reference, and the ``/healthz`` audit identity
   ``chunks_submitted == chunks_completed + retries`` holding at
@@ -83,7 +83,7 @@ class TestConcurrentSolvesUnderCrashes:
         reference = brute_force_unassigned(dataset, 3)
         shutdown_runtime()
 
-        sanitize_set_enabled(("shm", "lock", "det"))
+        sanitize_set_enabled(("shm", "det"))
         faults.set_enabled("crash:p=0.1:seed=17")
         config = ServeConfig(port=0, max_inflight=CHAOS_CLIENTS, workers=2)
         server = ReproServer(config)
@@ -187,7 +187,7 @@ class TestSigtermDrain:
             **os.environ,
             "PYTHONPATH": str(SRC),
             "REPRO_FAULTS": "crash:p=0.1:seed=29",
-            "REPRO_SANITIZE": "shm,lock,det",
+            "REPRO_SANITIZE": "shm,det",
             "REPRO_OVERSUBSCRIBE": "1",
         }
         proc = subprocess.Popen(
