@@ -95,13 +95,19 @@ class OptimalAssignment(AssignmentPolicy):
 
     Starts from the expected-distance assignment and repeatedly moves single
     uncertain points to the center that lowers the exact assigned expected
-    cost until no single move improves.  Because the objective is an
-    expectation of a maximum the best response for a point depends on the
-    others; single-move local search converges (the cost strictly decreases)
-    but is not guaranteed to reach the global optimum — exhaustive search over
-    all ``k^n`` assignments (see the brute-force baseline) provides the
-    ground truth on small instances and agrees with this policy on every
-    instance in the test suite.
+    cost until no single move improves, for at most ``max_rounds`` rounds.
+    Because the objective is an expectation of a maximum the best response
+    for a point depends on the others; single-move local search converges
+    (the cost strictly decreases) but is not guaranteed to reach the global
+    optimum — exhaustive search over all ``k^n`` assignments (see the
+    brute-force baseline) provides the ground truth on small instances and
+    agrees with this policy on every instance in the test suite.
+
+    The loop lives in one place, :meth:`chunk_assignments`: :meth:`assign`
+    is its one-row call, and the unrestricted brute-force reference
+    polishes its top subsets through it as a black-box enumeration
+    (:func:`repro.baselines.brute_force.brute_force_unrestricted_assigned`,
+    ``max_rounds=10``).
     """
 
     name = "optimal-local"
@@ -111,70 +117,39 @@ class OptimalAssignment(AssignmentPolicy):
         self._context = context
 
     def assign(self, dataset: UncertainDataset, centers: np.ndarray) -> np.ndarray:
-        k = centers.shape[0]
+        """The one-row :meth:`chunk_assignments` call over every center.
+
+        Runs on the ``context`` given at construction, which must be built
+        for exactly this dataset and these centers, or else on a fresh
+        :class:`~repro.cost.context.CostContext` over ``centers``.
+        """
         context = self._context
-        if context is not None:
-            if context.dataset is not dataset or not np.array_equal(context.candidates, centers):
-                raise ValidationError(
-                    "OptimalAssignment needs a CostContext built for exactly this "
-                    "dataset and these centers (dataset or candidate set mismatch)"
-                )
-            # `expected` pins the supports it derives from, so the evaluator
-            # below reuses the same metric pass — one pass for the whole
-            # polish, with the ED seed assignment coming from the cache.
-            assignment = context.expected.argmin(axis=1)
-        else:
-            assignment = ExpectedDistanceAssignment().assign(dataset, centers)
-        if k == 1:
-            return assignment
-        # Incremental exact evaluation through the shared service: the sorted
-        # union sweep is built once per round state (LocalSearchSweep) and
-        # each point's rest profile is divided out of it, so neither the
-        # union nor any candidate column is re-sorted per move.
         if context is None:
             context = CostContext(dataset, centers)
-        evaluator = context.evaluator
-        sweep = evaluator.local_search_sweep(assignment)
-        all_centers = np.arange(k)
-        best_cost = sweep.cost()
-        for _ in range(self.max_rounds):
-            improved = False
-            for point_index in range(dataset.size):
-                current = int(assignment[point_index])
-                profile = sweep.rest_profile(point_index)
-                costs = evaluator.move_costs(profile, all_centers)
-                best_center = int(np.argmin(costs))
-                # The tolerance is relative: when the maximum is dominated by
-                # one point, moving the others leaves the cost *exactly*
-                # unchanged, and an absolute threshold below one ulp would
-                # accept last-bit noise as an improvement.
-                tolerance = 1e-12 * max(1.0, abs(best_cost))
-                if best_center != current and costs[best_center] < best_cost - tolerance:
-                    assignment[point_index] = best_center
-                    sweep.apply_move(point_index, best_center)
-                    best_cost = float(costs[best_center])
-                    improved = True
-            if not improved:
-                break
-        return assignment
+        elif context.dataset is not dataset or not np.array_equal(context.candidates, centers):
+            raise ValidationError(
+                "OptimalAssignment needs a CostContext built for exactly this "
+                "dataset and these centers (dataset or candidate set mismatch)"
+            )
+        return self.chunk_assignments(context, np.arange(context.candidate_count)[None, :])[0]
 
     def chunk_assignments(self, context: CostContext, subset_rows: np.ndarray) -> np.ndarray:
-        """Batched local search sharing one evaluator across the whole chunk.
+        """Local search for every subset of a chunk over one shared evaluator.
 
-        The unbatched path builds a fresh ``CostContext`` (metric pass +
-        sorted-column build) per subset; here every subset's local search
-        runs over the *shared* full-candidate evaluator — its incremental
-        machinery takes global column indices, so restricting moves to
-        ``subset_rows[b]`` is just passing that row as the candidate set.
-        The ED seed for all rows comes from one batched argmin.  Per row
-        this is the same single-point-move loop as :meth:`assign` (same
-        seed, same round cap, same relative tolerance, same strict-decrease
-        acceptance), so the labels are bit-identical to the unbatched
-        policy called on a context restricted to the row's candidates.
+        The context's evaluator takes global column indices, so restricting
+        the moves of row ``b`` to ``subset_rows[b]`` is just passing that
+        row as the candidate set, and the ED seed of every row comes from
+        one batched argmin over the cached expected matrix.  Per row, one
+        :class:`~repro.cost.expected.LocalSearchSweep` carries the search:
+        each point's rest profile is divided out of the cached union sweep
+        (never re-sorted per move), every move is scored by one
+        ``move_costs`` call, and an accepted move is spliced in place.  The
+        labels depend only on the row's candidates, so a row equals
+        :meth:`assign` on a context restricted to them.
         """
         subset_rows = np.atleast_2d(np.asarray(subset_rows, dtype=int))
         assignments = context.ed_assignments(subset_rows)  # (B, n) global columns
-        if subset_rows.shape[1] == 1 or context.size == 1:
+        if subset_rows.shape[1] == 1:
             return assignments
         evaluator = context.evaluator
         for row_index, columns in enumerate(subset_rows):
@@ -189,6 +164,11 @@ class OptimalAssignment(AssignmentPolicy):
                     costs = evaluator.move_costs(profile, columns)
                     best_local = int(np.argmin(costs))
                     best_column = int(columns[best_local])
+                    # The tolerance is relative: when the maximum is
+                    # dominated by one point, moving the others leaves the
+                    # cost *exactly* unchanged, and an absolute threshold
+                    # below one ulp would accept last-bit noise as an
+                    # improvement.
                     tolerance = 1e-12 * max(1.0, abs(best_cost))
                     if best_column != current and costs[best_local] < best_cost - tolerance:
                         assignment[point_index] = best_column

@@ -22,9 +22,10 @@ passed): assigned costs through its cached per-candidate sorted CDF columns
 and every "argmin of a score" assignment rule (ED, EP, OC, nearest-mode)
 through :meth:`~repro.assignments.base.AssignmentPolicy.candidate_scores`,
 which turns the per-subset policy evaluation into one vectorized argmin —
-only genuinely black-box rules (local-search optimal assignment) fall back to
-a per-subset policy call, and even those are scored through the shared
-evaluator rather than a scratch engine invocation.
+only genuinely black-box rules (local-search optimal assignment) search per
+subset, through one
+:meth:`~repro.assignments.base.AssignmentPolicy.chunk_assignments` call per
+chunk over the shared evaluator.
 
 Branch-and-bound pruning
 ------------------------
@@ -76,11 +77,13 @@ admissible bound — for the subset stages a first
 the same pool, payload and transport, skipped for a lone chunk without a
 stop — then one :func:`repro.runtime.parallel.parallel_map_ordered` call
 (best-first when pruning, enumeration order otherwise), then the completed
-chunk results by chunk index.  The five enumerations — restricted
-score-matrix, restricted black-box, unassigned, and the unrestricted subset
-and exhaustive-assignment stages — differ only in their chunk tasks and
-their reduction, and the anytime ones share one certificate fold
-(:func:`_certificate_metadata`).
+chunk results by chunk index.  Every enumeration — restricted
+score-matrix, restricted black-box, unassigned, and both stages of the
+unrestricted reference (its subset stage, then either the
+exhaustive-assignment enumeration or the restricted black-box enumeration of
+the local-search policy over its top subsets) — differs from the others only
+in its chunk task and its reduction, and the anytime ones share one
+certificate fold (:func:`_certificate_metadata`).
 
 ``workers=1`` — the default — runs the identical chunk loop in-process, and
 a requested worker count is clamped to the CPUs actually available, so
@@ -111,7 +114,7 @@ import numpy as np
 from .._validation import as_point_array, check_positive_int
 from ..algorithms.result import UncertainKCenterResult
 from ..assignments.base import AssignmentPolicy
-from ..assignments.policies import ExpectedDistanceAssignment
+from ..assignments.policies import ExpectedDistanceAssignment, OptimalAssignment
 from ..bounds.lower_bounds import prune_margin
 from ..cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from ..exceptions import ValidationError
@@ -917,18 +920,24 @@ def brute_force_unrestricted_assigned(
     ``polish_top`` cheapest subsets are then re-optimised, either by
     exhaustive assignment enumeration (exact for those subsets; enabled
     automatically when ``polish_top * k ** n`` is small, or forced with
-    ``exhaustive_assignment=True``) or by single-move local search through
-    the round-amortized sweep.  Both enumeration stages shard their chunks
-    across ``workers`` processes with serial-identical reductions.
+    ``exhaustive_assignment=True``) or by single-move local search: the
+    restricted black-box enumeration of
+    :class:`~repro.assignments.policies.OptimalAssignment` (10 rounds) over
+    those subsets, in ``chunk_rows`` chunks.  Either way the polish result
+    replaces the stage-1 winner only when strictly cheaper, first in stage-1
+    order.  Both stages run through the one enumeration runner
+    (:func:`_enumerate`), so they shard their chunks across ``workers``
+    processes with serial-identical reductions.
 
     With pruning on (the default) the subset stage runs under a shared
     top-``polish_top`` threshold (rows that provably cannot enter the
     polishing pool nor win the stage are skipped — the pool membership and
-    order are preserved exactly) and the exhaustive stage under the stage-1
-    winner as incumbent with per-row and shared-prefix bounds.  Both stages
-    submit their chunks best-first (ascending admissible bound), and the
-    local-search polish shares the same incumbent machinery: subsets whose
-    admissible bound exceeds the live incumbent skip the polish entirely.
+    order are preserved exactly), and the polish stage under the stage-1
+    winner's cost as incumbent: the exhaustive enumeration with per-row and
+    shared-prefix bounds, the local search with the two-level subset bound,
+    so a subset whose bound exceeds the live incumbent skips its search
+    entirely.  Both stages submit their chunks best-first (ascending
+    admissible bound).
 
     For an exact optimum over the candidate set pass
     ``polish_top >= C(m, k)`` together with ``exhaustive_assignment=True``
@@ -984,6 +993,8 @@ def brute_force_unrestricted_assigned(
     best_cost, best_subset, best_candidate_indices = scored[0]
     assignment_pruned = 0
     assignment_evaluated = 0
+    # Both polish stages prune against the stage-1 winner's achieved cost.
+    seed = best_cost if prune else None
     if exhaustive_assignment:
         items = [
             (np.asarray(subset, dtype=int), start, stop)
@@ -997,7 +1008,7 @@ def brute_force_unrestricted_assigned(
             _exhaustive_chunk_task,
             items,
             (context, n, chunk_rows),
-            seed=best_cost if prune else None,
+            seed=seed,
             chunk_bounds=lambda: [
                 (bound, bound)
                 for bound in (_assignment_prefix_bound(context, *item) for item in items)
@@ -1005,38 +1016,39 @@ def brute_force_unrestricted_assigned(
             workers=workers,
             shm=shm,
         )
+        polished = []
         for (columns, _, _), (cost, assignment_row, pruned, evaluated) in zip(
             items, exhaustive.completed()
         ):
             assignment_pruned += pruned
             assignment_evaluated += evaluated
-            if cost < best_cost:
-                best_cost = float(cost)
-                best_subset = tuple(int(c) for c in columns)
-                best_candidate_indices = assignment_row
+            polished.append((cost, columns, assignment_row))
     else:
-        # The polish stage shares the incumbent machinery with the
-        # enumeration stages: polishing a subset cannot beat its admissible
-        # lower bound, so candidates whose bound exceeds the live incumbent
-        # are skipped without paying the local search — and since a skipped
-        # subset's polished cost could never win the strict-< reduction, the
-        # result is identical to polishing all of them.
-        with incumbent_module.serial_incumbent(float(best_cost)) as handle:
-            for cost, subset, _ in scored[:polish_top]:
-                columns = np.asarray(subset, dtype=int)
-                if prune:
-                    threshold = handle.value()
-                    bound = float(
-                        context.subset_two_level_lower_bounds(columns[None, :])[0]
-                    )
-                    if bound > threshold + prune_margin(threshold):
-                        continue
-                candidate_indices = context.ed_assignment(subset)
-                candidate_indices = _single_move_polish(context, columns, candidate_indices)
-                candidate_cost = context.assigned_cost(candidate_indices)
-                handle.propose(float(candidate_cost))
-                if candidate_cost < best_cost:
-                    best_cost, best_subset, best_candidate_indices = candidate_cost, subset, candidate_indices
+        # The restricted black-box enumeration over the top subsets, in
+        # stage-1 order: a subset's polished cost cannot beat its admissible
+        # bound, so rows bounded above the live incumbent skip the search.
+        polish_chunks = list(
+            _iter_index_chunks((subset for _, subset, _ in scored[:polish_top]), chunk_rows)
+        )
+        polish_payload = (context, OptimalAssignment(max_rounds=10))
+        local_search = _enumerate(
+            _blackbox_chunk_task,
+            polish_chunks,
+            polish_payload,
+            seed=seed,
+            chunk_bounds=lambda: parallel_map(
+                _assigned_bound_task, polish_chunks, payload=polish_payload, workers=workers, shm=shm
+            ),
+            workers=workers,
+            shm=shm,
+        )
+        polished = [(cost, subset, row) for cost, subset, row, _, _ in local_search.completed()]
+    # First strict minimum in stage-1 order, so the stage-1 winner keeps ties.
+    for cost, subset, candidate_indices in polished:
+        if cost < best_cost:
+            best_cost = float(cost)
+            best_subset = tuple(int(c) for c in subset)
+            best_candidate_indices = candidate_indices
 
     columns = np.asarray(best_subset, dtype=int)
     labels = np.searchsorted(columns, best_candidate_indices)
@@ -1062,41 +1074,6 @@ def brute_force_unrestricted_assigned(
             "assignment_pruned_rows": int(assignment_pruned),
         },
     )
-
-
-def _single_move_polish(
-    context: CostContext,
-    columns: np.ndarray,
-    candidate_indices: np.ndarray,
-    *,
-    max_rounds: int = 10,
-) -> np.ndarray:
-    """Single-point reassignment local search on the exact assigned cost.
-
-    One :class:`~repro.cost.expected.LocalSearchSweep` carries the whole
-    search: each point's rest profile is divided out of the cached union
-    sweep (not re-sorted per point) and accepted moves are spliced in
-    incrementally.
-    """
-    evaluator = context.evaluator
-    sweep = evaluator.local_search_sweep(candidate_indices)
-    best_cost = sweep.cost()
-    n = candidate_indices.shape[0]
-    for _ in range(max_rounds):
-        improved = False
-        for point_index in range(n):
-            original = sweep.column_of(point_index)
-            profile = sweep.rest_profile(point_index)
-            costs = evaluator.move_costs(profile, columns)
-            winner = int(np.argmin(costs))
-            tolerance = 1e-12 * max(1.0, abs(best_cost))
-            if int(columns[winner]) != original and costs[winner] < best_cost - tolerance:
-                sweep.apply_move(point_index, int(columns[winner]))
-                best_cost = float(costs[winner])
-                improved = True
-        if not improved:
-            break
-    return sweep.columns
 
 
 def brute_force_unassigned(

@@ -24,7 +24,8 @@ Shared service (:mod:`repro.cost.context`)
 
     Rebuild the context when the dataset or candidate set changes; new
     assignments, subsets or local-search rounds over the same candidates
-    reuse the cached structure.  Consumers: ``OptimalAssignment``, the
+    reuse the cached structure.  Consumers: ``OptimalAssignment`` (also the
+    brute-force unrestricted reference's polish stage), the
     ``polish_assignment`` path of the unrestricted solver, all four
     baselines, and the ablation/sensitivity experiment loops.
 

@@ -40,7 +40,9 @@ sharing their first ``k - 1`` candidates is min-reduced once, and each row
 then takes one ``minimum`` with its last candidate.  ``min`` is exact, so
 the bounds are bit-identical to the plain gather for any row order.
 
-Consumers: :class:`repro.assignments.policies.OptimalAssignment`, the
+Consumers: :class:`repro.assignments.policies.OptimalAssignment` (whose
+one local-search loop, ``chunk_assignments``, both its own ``assign`` and
+the brute-force unrestricted reference's polish stage run through), the
 ``polish_assignment`` path of :mod:`repro.algorithms.unrestricted`, all four
 baselines (:mod:`repro.baselines.brute_force`,
 :mod:`repro.baselines.guha_munagala`, :mod:`repro.baselines.wang_zhang_1d`,
@@ -230,8 +232,8 @@ class CostContext:
         One stable argsort over the flattened entries of *every* point yields
         a global value order; each entry's position in it is its global rank.
         Ranks are grouped by support size so the per-chunk work runs as 3-D
-        kernels (the same same-``z`` grouping trick
-        :meth:`AssignedCostEvaluator.replace_candidate_columns` uses).
+        kernels (the same same-``z`` grouping trick the
+        :class:`AssignedCostEvaluator` column pass uses).
         """
         if self._rank_merge is None:
             supports = self.supports

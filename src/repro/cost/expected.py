@@ -431,25 +431,6 @@ def expected_max_batch_values(
 # ---------------------------------------------------------------------------
 
 
-def _sorted_column_structure(
-    support: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column sorted values, partial CDFs and log/zero deltas.
-
-    The single place both the full evaluator build and the incremental
-    column-replacement path derive a column's sweep structure, so a spliced
-    column is bit-identical to the same column in a from-scratch build (all
-    operations are per-column: sort, cumulative sum, elementwise deltas).
-    """
-    order = np.argsort(support, axis=0, kind="stable")
-    sorted_values = np.take_along_axis(support, order, axis=0)
-    sorted_probabilities = weight[order]
-    cdf_after = np.cumsum(sorted_probabilities, axis=0)
-    cdf_before = np.vstack([np.zeros((1, support.shape[1])), cdf_after[:-1]])
-    log_delta, zero_delta = _log_zero_deltas(cdf_after, cdf_before)
-    return sorted_values, cdf_after, log_delta, zero_delta
-
-
 @dataclass(frozen=True)
 class RestProfile:
     """Cached sorted sweep of every variable except one.
@@ -491,10 +472,7 @@ class AssignedCostEvaluator:
             raise ValidationError("AssignedCostEvaluator needs at least one variable")
         if len(probabilities) != self.n:
             raise ValidationError("supports and probabilities must have the same number of variables")
-        self._values: list[np.ndarray] = []
-        self._cdfs: list[np.ndarray] = []
-        self._log_deltas: list[np.ndarray] = []
-        self._zero_deltas: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
         self._probabilities: list[np.ndarray] = []
         self.columns: int | None = None
         for index in range(self.n):
@@ -508,12 +486,13 @@ class AssignedCostEvaluator:
                 self.columns = support.shape[1]
             elif support.shape[1] != self.columns:
                 raise ValidationError("every variable must offer the same number of candidate columns")
-            values, cdf_after, log_delta, zero_delta = _sorted_column_structure(support, weight)
-            self._values.append(values)
-            self._cdfs.append(cdf_after)
-            self._log_deltas.append(log_delta)
-            self._zero_deltas.append(zero_delta)
+            blocks.append(support)
             self._probabilities.append(weight)
+        self._values: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
+        self._cdfs: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
+        self._log_deltas: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
+        self._zero_deltas: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
+        self._sort_columns(slice(None), blocks)
 
     # -- batch path ---------------------------------------------------------
 
@@ -638,7 +617,8 @@ class AssignedCostEvaluator:
         block replaces cached column ``columns[c]``.  Only the replaced
         columns are re-sorted — ``O(n z C log z)`` against the
         ``O(n z m log z)`` full rebuild — and the spliced columns are
-        bit-identical to a from-scratch build (same per-column kernels).
+        bit-identical to a from-scratch build, which runs the same column
+        pass (:meth:`_sort_columns`) over every column.
 
         In-place: previously derived :class:`RestProfile` /
         :class:`LocalSearchSweep` objects hold copies of the old columns and
@@ -662,10 +642,18 @@ class AssignedCostEvaluator:
                     f"variable {index}: replacement block must have shape {expected_shape}"
                 )
             blocks.append(block)
-        # Group variables by support size: each group's sort / cumulative-sum /
-        # delta pass runs as one 3-D kernel call instead of one per variable
-        # (the per-column results are identical — every operation is
-        # independent along the variable and column axes).
+        self._sort_columns(columns, blocks)
+
+    def _sort_columns(self, columns: np.ndarray | slice, blocks: Sequence[np.ndarray]) -> None:
+        """Sort ``blocks[i]`` into variable ``i``'s cached ``columns``.
+
+        Writes each column's sorted values, partial CDFs and log/zero deltas;
+        the constructor passes ``slice(None)`` to build every column.
+        Variables are grouped by support size, so each group's sort /
+        cumulative-sum / delta pass runs as one 3-D kernel call instead of
+        one per variable; every operation is independent along the variable
+        and column axes, so a column's result does not depend on its group.
+        """
         by_size: dict[int, list[int]] = {}
         for index, block in enumerate(blocks):
             by_size.setdefault(block.shape[0], []).append(index)
@@ -678,9 +666,7 @@ class AssignedCostEvaluator:
                 np.broadcast_to(weights[:, :, None], stacked.shape), order, axis=1
             )
             cdf_after = np.cumsum(sorted_probabilities, axis=1)
-            cdf_before = np.concatenate(
-                [np.zeros((len(indices), 1, columns.shape[0])), cdf_after[:, :-1]], axis=1
-            )
+            cdf_before = np.concatenate([np.zeros_like(cdf_after[:, :1]), cdf_after[:, :-1]], axis=1)
             log_delta, zero_delta = _log_zero_deltas(cdf_after, cdf_before)
             for position, index in enumerate(indices):
                 self._values[index][:, columns] = sorted_values[position]

@@ -61,9 +61,7 @@ def runtime_health_summary(
     ``always=True`` reports the window unconditionally — zeroed counters
     included — which is what a monitoring surface wants: the server's
     ``/stats`` endpoint uses this so "no degradation" is an explicit row of
-    zeros rather than an absent key.  Reset-generation handling comes from
-    :func:`repro.runtime.health.delta`: a global reset inside the window
-    re-baselines at zero instead of producing negative counts.
+    zeros rather than an absent key.
     """
     delta = health.delta(since)
     if not always and not delta.any():

@@ -1057,7 +1057,6 @@ def run_bench(
     revision, dirty = _git_state()
     document = {
         "schema": "repro-bench/1",
-        "pr": "PR10",
         "quick": bool(quick and not cases),
         "created_unix": now,
         "created_iso": datetime.datetime.fromtimestamp(

@@ -16,25 +16,16 @@ The experiment harness snapshots it around each run and attaches the
 chunks are not recomputed after an injected crash
 (``chunks_submitted == chunks + retries``).
 
-Counters only ever increase; :func:`snapshot` + :func:`delta` give
-callers interval views without resetting global state under anyone
-else's feet (:func:`reset` exists for tests and benchmarks that own the
-whole interval).
-
-Long-lived processes (PR 9's ``repro serve``) hold snapshots open for
-minutes — a sliding-window circuit breaker and a ``/stats`` endpoint each
-keep their own baseline — while tests and benchmarks sharing the process
-may call :func:`reset` at any time.  A reset between a window's
-``snapshot()`` and its ``delta()`` used to produce *negative* deltas and a
-broken audit identity (``submitted == completed + retries`` no longer
-held per window).  Snapshots therefore carry a **reset generation**: when
-the generation moved, :func:`delta` knows the counters restarted from
-zero and re-baselines instead of subtracting a stale snapshot.
+Counters only ever increase, so :func:`snapshot` + :func:`delta` give
+every caller its own interval view — the experiment harness per run, and
+``repro serve``'s sliding-window circuit breaker and ``/stats`` endpoint,
+which hold their baselines open for minutes — and no window's movement is
+ever negative.
 
 Serve threads record concurrently (the deadline and gap stops of
-concurrent serial solves), so :func:`record`, :func:`snapshot`,
-:func:`delta` and :func:`reset` all run under one module lock; an unlocked
-read-add-write loses increments.  Callers may hold their own locks around
+concurrent serial solves), so :func:`record`, :func:`snapshot` and
+:func:`delta` all run under one module lock; an unlocked read-add-write
+loses increments.  Callers may hold their own locks around
 these functions, but this module never takes any lock but its own.
 """
 
@@ -90,24 +81,19 @@ class RuntimeHealth:
     def audit_ok(self) -> bool:
         """The audit identity: every submission completed or was retried.
 
-        Holds at quiescence for the whole process and for any
-        generation-consistent window (:func:`delta`): a chunk submitted to
-        the pool either comes back (``chunks_completed``) or is requeued
-        and counted (``retries``).  A map with chunks still in flight is
-        legitimately mid-identity, so callers should evaluate this between
-        maps — the server's ``/healthz`` does it when no request holds the
-        pool.
+        Holds at quiescence for the whole process and for any window
+        (:func:`delta`): a chunk submitted to the pool either comes back
+        (``chunks_completed``) or is requeued and counted (``retries``).
+        A map with chunks still in flight is legitimately mid-identity, so
+        callers should evaluate this between maps — the server's
+        ``/healthz`` does it when no request holds the pool.
         """
         return self.chunks_submitted == self.chunks_completed + self.retries
 
 
 _HEALTH = RuntimeHealth()
 
-#: Bumped by every :func:`reset`; snapshots remember the generation they
-#: were taken in so :func:`delta` can detect a restart-from-zero.
-_GENERATION = 0
-
-#: Guards ``_HEALTH`` and ``_GENERATION``.
+#: Guards ``_HEALTH``.
 _LOCK = threading.Lock()
 
 
@@ -129,63 +115,21 @@ def record(**counts: int) -> None:
             setattr(_HEALTH, name, getattr(_HEALTH, name) + amount)
 
 
-def generation() -> int:
-    """The current reset generation (monotone; moves only on :func:`reset`)."""
-    return _GENERATION
-
-
 def snapshot() -> RuntimeHealth:
-    """An immutable-by-convention copy of the counters right now.
-
-    The copy is tagged with the current reset generation so a later
-    :func:`delta` against it survives an interleaved :func:`reset`.
-    """
+    """An immutable-by-convention copy of the counters right now."""
     with _LOCK:
-        return _snapshot_locked()
-
-
-def _snapshot_locked() -> RuntimeHealth:
-    copy = dataclasses.replace(_HEALTH)
-    copy._generation = _GENERATION  # type: ignore[attr-defined]
-    return copy
+        return dataclasses.replace(_HEALTH)
 
 
 def delta(since: RuntimeHealth) -> RuntimeHealth:
-    """Counter movement between ``since`` (an earlier snapshot) and now.
-
-    If a :func:`reset` happened after ``since`` was taken, the counters
-    restarted from zero: the stale baseline is discarded and the delta is
-    everything accumulated in the current generation — never negative, and
-    the per-window audit identity (:meth:`RuntimeHealth.audit_ok`) keeps
-    holding.  Snapshots from before this API existed carry no generation
-    tag and are trusted as current-generation baselines.
-    """
-    with _LOCK:
-        current = _snapshot_locked()
-    current_generation = current._generation  # type: ignore[attr-defined]
-    if getattr(since, "_generation", current_generation) != current_generation:
-        since = RuntimeHealth()
-    movement = RuntimeHealth(
+    """Counter movement between ``since`` (an earlier snapshot) and now."""
+    current = snapshot()
+    return RuntimeHealth(
         **{
             field.name: getattr(current, field.name) - getattr(since, field.name)
             for field in dataclasses.fields(RuntimeHealth)
         }
     )
-    movement._generation = current_generation  # type: ignore[attr-defined]
-    return movement
 
 
-def reset() -> None:
-    """Zero every counter (tests/benchmarks that own the whole interval).
-
-    Bumps the reset generation, so windows opened before the reset
-    re-baseline at zero instead of going negative (see :func:`delta`).
-    """
-    global _GENERATION
-    with _LOCK:
-        _GENERATION += 1
-        for field in dataclasses.fields(RuntimeHealth):
-            setattr(_HEALTH, field.name, 0)
-
-
-__all__ = ["RuntimeHealth", "delta", "generation", "record", "reset", "snapshot"]
+__all__ = ["RuntimeHealth", "delta", "record", "snapshot"]

@@ -61,8 +61,8 @@ Serial fallback (never slower than ``workers=1``)
 Requesting ``workers=N`` is an *upper bound*, not a demand: the effective
 worker count is clamped to :func:`available_workers`, so on a single-CPU box
 every call runs serially and never pays pool or pickling overhead (the
-``BENCH_PR3.json`` 0.76x regression).  Work below a threshold
-(``len(items) < min_items``) also runs serially — too few chunks cannot
+``BENCH_PR3.json`` 0.76x regression).  Work below a threshold (fewer than
+:data:`DEFAULT_MIN_ITEMS` items) also runs serially — too few chunks cannot
 amortize a dispatch.  Tests and benchmarks that must exercise the pool on
 small machines enable :func:`set_oversubscribe` (or set
 ``REPRO_OVERSUBSCRIBE=1``).
@@ -174,7 +174,6 @@ def parallel_map(
     payload: Any = None,
     workers: int | None = 1,
     shm: bool | None = None,
-    min_items: int = DEFAULT_MIN_ITEMS,
     incumbent_seed: float | None = None,
     time_budget: float | None = None,
 ) -> list[R]:
@@ -200,9 +199,6 @@ def parallel_map(
         Force shared-memory payload transport on or off; ``None`` uses the
         default (on, overridable via the ``REPRO_SHM`` environment
         variable).  Results are identical either way.
-    min_items:
-        Fewest items worth dispatching to a pool; below it the call is
-        serial.
     incumbent_seed:
         Give this map a branch-and-bound incumbent
         (:mod:`repro.runtime.incumbent`) starting at this value (``inf`` for
@@ -230,7 +226,7 @@ def parallel_map(
     """
     items = list(items)
     outcome = _Map(task, items, payload, list(range(len(items))), time_budget).run(
-        workers, shm, min_items, incumbent_seed
+        workers, shm, incumbent_seed
     )
     prefix: list[R] = []
     for index in range(len(items)):
@@ -247,7 +243,6 @@ def parallel_map_ordered(
     payload: Any = None,
     workers: int | None = 1,
     shm: bool | None = None,
-    min_items: int = DEFAULT_MIN_ITEMS,
     incumbent_seed: float | None = None,
     time_budget: float | None = None,
     order: Sequence[int] | None = None,
@@ -277,7 +272,7 @@ def parallel_map_ordered(
     if gap_target is not None and (chunk_bounds is None or incumbent_seed is None):
         raise ValueError("gap_target requires chunk_bounds and an incumbent_seed")
     return _Map(task, items, payload, submission, time_budget, chunk_bounds, gap_target).run(
-        workers, shm, min_items, incumbent_seed
+        workers, shm, incumbent_seed
     )
 
 
@@ -294,15 +289,13 @@ class _Map:
     gap_target: float | None = None
     deadline: float | None = field(init=False, default=None)
 
-    def run(
-        self, workers: int | None, shm: bool | None, min_items: int, seed: float | None
-    ) -> MapOutcome:
+    def run(self, workers: int | None, shm: bool | None, seed: float | None) -> MapOutcome:
         """Run serially or pooled, then the bookkeeping every path shares.
 
         That is the stop counters and the ``det`` fingerprint of complete
         maps.  ``seed`` is the incumbent seed (``None``: an unpruned map).
         """
-        workers = effective_workers(workers, len(self.items), min_items)
+        workers = effective_workers(workers, len(self.items))
         if self.time_budget is not None:
             self.deadline = time.monotonic() + float(self.time_budget)
         outcome = self.serial(seed) if workers <= 1 else self.pooled(workers, shm, seed)

@@ -329,9 +329,7 @@ class ServerState:
         self._lock = threading.Lock()
         self._sequence = 0
         #: Baselines for the lifetime window (/healthz, /stats) and for the
-        #: breaker's incremental observation — generation-tagged snapshots,
-        #: so a test calling ``health.reset()`` mid-flight re-baselines
-        #: instead of producing negative windows.
+        #: breaker's incremental observation.
         self.health_baseline = health.snapshot()
         self._last_observed = health.snapshot()
         self.faults_rejected = 0

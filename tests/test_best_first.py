@@ -392,15 +392,28 @@ class TestChunkAssignments:
     """Batched black-box assignments == the per-subset loop they replace."""
 
     @pytest.mark.parametrize(
-        "policy_cls", [ExpectedDistanceAssignment, NearestLocationAssignment, OptimalAssignment]
+        "policy",
+        [
+            ExpectedDistanceAssignment(),
+            NearestLocationAssignment(),
+            OptimalAssignment(),  # 20 rounds
+            OptimalAssignment(max_rounds=10),  # the unrestricted reference's polish
+            OptimalAssignment(max_rounds=1),
+        ],
+        ids=[
+            "ExpectedDistanceAssignment",
+            "NearestLocationAssignment",
+            "OptimalAssignment",
+            "OptimalAssignment-10-rounds",
+            "OptimalAssignment-1-round",
+        ],
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_chunk_matches_per_subset_assign(self, policy_cls, seed):
+    def test_chunk_matches_per_subset_assign(self, policy, seed):
         dataset = make_tricky_dataset(seed, n=5, z=3)
         candidates = dataset.all_locations()[:8]
         context = CostContext(dataset, candidates)
         rows = random_subset_rows(candidates.shape[0], 3, 10, seed + 900)
-        policy = policy_cls()
         batched = policy.chunk_assignments(context, rows)
         assert batched.shape == (rows.shape[0], dataset.size)
         for b in range(rows.shape[0]):

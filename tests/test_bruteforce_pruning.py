@@ -15,6 +15,9 @@ every equality test.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -41,13 +44,15 @@ from repro.uncertain import UncertainDataset, UncertainPoint
 from repro.workloads import gaussian_clusters
 
 
-def make_tricky_dataset(seed: int, n: int = 6, z: int = 4) -> UncertainDataset:
+def make_tricky_dataset(
+    seed: int, n: int = 6, z: int = 4, jitter: float = 0.8
+) -> UncertainDataset:
     """Clustered instance with repeated locations and explicit zero masses."""
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(n):
         base = rng.normal(scale=4.0, size=2)
-        locations = base + rng.normal(scale=0.8, size=(z, 2))
+        locations = base + rng.normal(scale=jitter, size=(z, 2))
         if z > 1 and rng.random() < 0.5:
             locations[rng.integers(1, z)] = locations[0]  # exact ties
         probabilities = rng.dirichlet(np.ones(z))
@@ -482,6 +487,123 @@ class TestWorkersAndShm:
             chunk_rows=8,
         )
         assert_same_result(pruned, reference)
+
+
+def _single_move_polish(context, columns, candidate_indices, max_rounds=10):
+    """Single-point reassignment local search over ``columns`` (reference copy)."""
+    evaluator = context.evaluator
+    sweep = evaluator.local_search_sweep(candidate_indices)
+    best_cost = sweep.cost()
+    for _ in range(max_rounds):
+        improved = False
+        for point_index in range(candidate_indices.shape[0]):
+            original = sweep.column_of(point_index)
+            costs = evaluator.move_costs(sweep.rest_profile(point_index), columns)
+            winner = int(np.argmin(costs))
+            tolerance = 1e-12 * max(1.0, abs(best_cost))
+            if int(columns[winner]) != original and costs[winner] < best_cost - tolerance:
+                sweep.apply_move(point_index, int(columns[winner]))
+                best_cost = float(costs[winner])
+                improved = True
+        if not improved:
+            break
+    return sweep.columns
+
+
+def _serial_polish_reference(dataset, k, candidates, *, polish_top, chunk_rows, prune):
+    """The unrestricted reference's local-search stage as a serial loop.
+
+    Stage 1 ED-scores every subset; the pruned stage keeps the same
+    ``polish_top`` cheapest subsets in the same order, ties in enumeration
+    order.  The polish walks them in that order: a subset whose two-level
+    bound exceeds a serial incumbent (seeded with the stage-1 winner's cost)
+    is skipped, the others get the ED seed, ten rounds of single-move local
+    search and an exact cost, which replaces the best only when strictly
+    cheaper.  Returns ``(cost, subset, candidate_indices)``.
+    """
+    context = CostContext(dataset, candidates)
+    rows = np.asarray(list(combinations(range(candidates.shape[0]), k)), dtype=int)
+    seeds = context.ed_assignments(rows)
+    costs = context.assigned_costs(seeds, chunk_rows=chunk_rows)
+    top = np.argsort(costs, kind="stable")[:polish_top]
+    best = (float(costs[top[0]]), rows[top[0]], seeds[top[0]])
+    with incumbent_module.serial_incumbent(best[0]) as handle:
+        for index in top:
+            columns = rows[index]
+            if prune:
+                threshold = handle.value()
+                bound = float(context.subset_two_level_lower_bounds(columns[None, :])[0])
+                if bound > threshold + prune_margin(threshold):
+                    continue
+            candidate_indices = _single_move_polish(
+                context, columns, context.ed_assignment(columns)
+            )
+            cost = context.assigned_cost(candidate_indices)
+            handle.propose(cost)
+            if cost < best[0]:
+                best = (cost, columns, candidate_indices)
+    return best
+
+
+class TestLocalSearchPolish:
+    """The polish stage through the enumeration runner == the serial loop."""
+
+    @pytest.fixture(autouse=True)
+    def _pool_on_one_cpu(self):
+        previous = set_oversubscribe(True)
+        yield
+        set_oversubscribe(previous)
+        shutdown_runtime()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_serial_polish_reference(self, seed, prune, workers):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(9, 14)), int(rng.integers(2, 4))
+        # Supports wider than the cluster spacing: the polish beats the
+        # stage-1 winner on all 10 instances, 6 times with another subset,
+        # taken from each of the three polish chunks; one instance needs a
+        # second round of moves.
+        dataset = make_tricky_dataset(seed + 40, n=n, z=4, jitter=8.0)
+        candidates = dataset.all_locations()[:10]
+        polish = {"polish_top": 12, "chunk_rows": 4}
+        result = brute_force_unrestricted_assigned(
+            dataset,
+            k,
+            candidates=candidates,
+            exhaustive_assignment=False,
+            workers=workers,
+            prune=prune,
+            **polish,
+        )
+        cost, subset, candidate_indices = _serial_polish_reference(
+            dataset, k, candidates, prune=prune, **polish
+        )
+        assert result.expected_cost == cost
+        assert np.array_equal(result.centers, candidates[subset])
+        assert np.array_equal(result.assignment, np.searchsorted(subset, candidate_indices))
+        assert result.assignment_policy == "optimal-local"
+        # Stage-1 pruning counts are timing-dependent under workers; the
+        # polish stage adds no rows to any counter.
+        subset_total = comb(candidates.shape[0], k)
+        subset_pruned = result.metadata["subset_pruned_rows"]
+        assert result.metadata == {
+            "algorithm": "brute-force-unrestricted",
+            "candidate_count": candidates.shape[0],
+            "exhaustive_assignment": False,
+            "polished_subsets": 12,
+            "workers": workers,
+            "requested_k": k,
+            "effective_k": k,
+            "prune": prune,
+            "total_rows": subset_total,
+            "evaluated_rows": subset_total - subset_pruned,
+            "pruned_rows": subset_pruned,
+            "subset_pruned_rows": subset_pruned,
+            "assignment_pruned_rows": 0,
+        }
+        assert prune or subset_pruned == 0
 
 
 class TestIncumbentMachinery:

@@ -121,7 +121,6 @@ class TestBenchRunner:
 
     def test_document_records_audit_metadata(self):
         document = run_bench(None, cases=["batch_cost_kernel"])
-        assert document["pr"] == "PR10"
         # ISO timestamp parses and matches the unix stamp it sits next to.
         import datetime
 
@@ -161,7 +160,7 @@ class TestBenchCompare:
             )
             == 0
         )
-        assert json.loads(output.read_text())["pr"] == "PR10"
+        assert json.loads(output.read_text())["schema"] == "repro-bench/1"
 
     def test_compare_exits_nonzero_on_regression(self, tmp_path, capsys):
         from repro.runtime.bench import compare_documents

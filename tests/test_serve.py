@@ -539,35 +539,17 @@ class TestLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# satellites: health reset generations + records `always` flag
+# satellites: health windows + records `always` flag
 # ---------------------------------------------------------------------------
 
 
 class TestHealthGenerations:
-    def test_reset_between_snapshot_and_delta_rebaselines(self):
-        baseline = health.snapshot()
-        health.record(retries=3, chunks_submitted=3)
-        health.reset()
-        health.record(chunks_submitted=2, chunks_completed=2)
-        window = health.delta(baseline)
-        assert all(value >= 0 for value in window.as_dict().values())  # never negative
-        assert window.chunks_submitted == 2  # the current generation only
-        assert window.audit_ok()
-
     def test_same_generation_delta_is_exact_movement(self):
-        health.reset()
         baseline = health.snapshot()
         health.record(chunks_submitted=5, chunks_completed=4, retries=1)
         window = health.delta(baseline)
         assert window.chunks_submitted == 5 and window.retries == 1
         assert window.audit_ok()
-
-    def test_generation_moves_only_on_reset(self):
-        generation = health.generation()
-        health.record(deadline_hits=1)
-        assert health.generation() == generation
-        health.reset()
-        assert health.generation() == generation + 1
 
     def test_concurrent_records_lose_no_increments(self):
         # Serve threads record concurrently (deadline and gap stops of
@@ -580,7 +562,7 @@ class TestHealthGenerations:
             for _ in range(rounds):
                 health.record(deadline_hits=1, gap_target_hits=1)
 
-        health.reset()
+        baseline = health.snapshot()
         workers = [threading.Thread(target=hammer) for _ in range(threads)]
         previous_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -592,7 +574,7 @@ class TestHealthGenerations:
         finally:
             sys.setswitchinterval(previous_interval)
         assert not any(worker.is_alive() for worker in workers)
-        counters = health.snapshot()
+        counters = health.delta(baseline)
         assert counters.deadline_hits == threads * rounds
         assert counters.gap_target_hits == threads * rounds
 
@@ -605,18 +587,15 @@ class TestHealthGenerations:
 
 class TestRuntimeHealthSummary:
     def test_quiet_window_is_none_by_default(self):
-        health.reset()
         baseline = health.snapshot()
         assert runtime_health_summary(baseline) is None
 
     def test_always_reports_the_quiet_window(self):
-        health.reset()
         baseline = health.snapshot()
         summary = runtime_health_summary(baseline, always=True)
         assert summary is not None and summary["retries"] == 0
 
     def test_degraded_window_is_reported_either_way(self):
-        health.reset()
         baseline = health.snapshot()
         health.record(serial_fallbacks=1)
         assert runtime_health_summary(baseline)["serial_fallbacks"] == 1
