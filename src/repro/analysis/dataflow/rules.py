@@ -13,7 +13,7 @@ difference is that these see across module boundaries through the
   the floor is flagged at its definition.
 * :class:`ShmEscapeRule` (``SHM-ESCAPE``) — PR 4's leak-on-error window
   was an intra-function bug; the interprocedural version summarises which
-  functions *return* leases (``pack_arrays`` returns ``(payload, lease)``)
+  functions *return* leases (``pack_arrays`` returns ``(descriptor, lease)``)
   and checks every call site for a consumption path, so a caller that
   discards the tuple or binds the lease and never touches it again leaks
   a ``/dev/shm`` segment on every call.

@@ -599,11 +599,15 @@ def _chunk_best(costs: np.ndarray) -> tuple[int, float]:
 def _restricted_chunk_task(payload, item):
     """Score one chunk of subsets under a score-matrix assignment rule.
 
+    ``payload`` is ``(context, scores, chunk_rows)`` with ``scores=None``
+    for the expected-distance rule, whose matrix is ``context.expected``.
     ``item`` is ``(subset_rows, row_bounds)`` (:func:`_enumerate`).  Returns
     ``(cost, subset, candidate_indices, pruned, evaluated)``; a fully
     pruned chunk returns ``(inf, None, None, total, 0)``.
     """
     context, scores, chunk_rows = payload
+    if scores is None:
+        scores = context.expected
     subset_rows, row_bounds = item
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
@@ -833,7 +837,8 @@ def brute_force_restricted_assigned(
     workers = resolve_workers(workers)
 
     context = _build_context(dataset, candidates, store)
-    if isinstance(policy, ExpectedDistanceAssignment):
+    expected_distance = isinstance(policy, ExpectedDistanceAssignment)
+    if expected_distance:
         scores = context.expected  # cached; bit-identical to the policy's matrix
     else:
         scores = policy.candidate_scores(dataset, candidates)
@@ -848,7 +853,9 @@ def brute_force_restricted_assigned(
     total_rows = _checked_subset_count(candidates.shape[0], k)
     chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
     if scores is not None:
-        task, payload = _restricted_chunk_task, (context, scores, chunk_rows)
+        # The ED matrix travels inside the context; the task reads it there.
+        shipped = None if expected_distance else scores
+        task, payload = _restricted_chunk_task, (context, shipped, chunk_rows)
     else:
         # Black-box assignment rule: one batched chunk_assignments call per
         # chunk, with the exact costs still coming from the shared

@@ -51,7 +51,6 @@ from ..assignments.policies import ExpectedDistanceAssignment
 from ..cost.context import CostContext
 from ..deterministic.one_dimensional import one_dimensional_kcenter
 from ..exceptions import ValidationError
-from ..runtime import incumbent as incumbent_module
 from ..uncertain.dataset import UncertainDataset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -185,25 +184,17 @@ def wang_zhang_1d(
     starts.append(quantiles)
     starts = starts[: max(restarts + 1, 1)]
 
-    # Cross-restart best tracking goes through the same incumbent machinery
-    # as the brute-force shards and the unrestricted polish stage: each
-    # restart *proposes* its achieved cost (a feasible ED-assigned cost, so
-    # the exactness contract holds) and the handle keeps the running
-    # minimum.  A nested pruned map inside a restart would prune against
-    # this value for free via :func:`incumbent.active`.
+    best_cost = float("inf")
     best_centers: np.ndarray | None = None
-    with incumbent_module.serial_incumbent(float("inf")) as handle:
-        for start in starts:
-            centers = start.copy()
-            if centers.shape[0] < k:
-                # Pad degenerate starts (fewer distinct centers than k).
-                extra = np.repeat(centers[-1:], k - centers.shape[0], axis=0)
-                centers = np.vstack([centers, extra])
-            centers, cost = _coordinate_descent(dataset, centers, rounds=refine_rounds)
-            if cost < handle.value():
-                best_centers = centers
-            handle.propose(cost)
-        best_cost = handle.value()
+    for start in starts:
+        centers = start.copy()
+        if centers.shape[0] < k:
+            # Pad degenerate starts (fewer distinct centers than k).
+            extra = np.repeat(centers[-1:], k - centers.shape[0], axis=0)
+            centers = np.vstack([centers, extra])
+        centers, cost = _coordinate_descent(dataset, centers, rounds=refine_rounds)
+        if cost < best_cost:
+            best_cost, best_centers = float(cost), centers
     assert best_centers is not None
 
     policy = ExpectedDistanceAssignment()

@@ -60,14 +60,19 @@ never require a rebuild.  Two paths are cheaper than a rebuild:
   content fingerprint in memory (LRU-bounded; a changed dataset or candidate
   byte is a miss and rebuilds).
 
-Contexts with their lazy caches materialized pickle cleanly, which is how
-:mod:`repro.runtime.parallel` ships one fully built context to every worker
-of a sharded brute-force enumeration.
+A context pickles to a few stacked arrays (:meth:`CostContext.__getstate__`):
+the dataset's rows, the candidates and each built cache, with every
+per-point list concatenated in layout order and re-sliced on load.  That one
+serialization serves both payload transports of :mod:`repro.runtime`: the
+pickled transport ships it in band, and shared memory publishes the same
+pickle with its arrays as protocol-5 out-of-band buffers
+(:mod:`repro.runtime.shm`), which workers load as read-only views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -115,7 +120,7 @@ class _RankMergeTables:
     """
 
     values_by_rank: np.ndarray
-    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (points, ranks, weights)
+    groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]  # (points, ranks, weights)
 
 
 class CostContext:
@@ -143,11 +148,58 @@ class CostContext:
         self._expected: np.ndarray | None = None
         self._rank_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._rank_merge: _RankMergeTables | None = None
-        #: Bumped on every in-place candidate mutation; shared-memory
-        #: publications key on it so a spliced context is republished.
+        self._version = 0
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickled state: the built caches as a few stacked arrays.
+
+        The supports are stacked in layout order like the dataset's rows
+        and re-sliced on load.  The evaluator's probability vectors are the
+        dataset's, so its state points at the dataset's stacked array and
+        pickle writes that once.  The float-sort reference's rank tables are
+        left out; they rebuild on first use.
+        """
+        layout = self.dataset.location_layout()
+        evaluator = None
+        if self._evaluator is not None:
+            evaluator = {**self._evaluator.__getstate__(), "_probabilities": layout.probabilities}
+        return {
+            "dataset": self.dataset,
+            "candidates": self.candidates,
+            "pin_supports": self._pin_supports,
+            "supports": None if self._supports is None else np.concatenate(self._supports),
+            "expected": self._expected,
+            "evaluator": evaluator,
+            "rank_merge": self._rank_merge,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """Re-slice the stacked caches into per-point views (no copies)."""
+        self.dataset = state["dataset"]
+        self.candidates = state["candidates"]
+        self.probabilities = [point.probabilities for point in self.dataset.points]
+        self._pin_supports = state["pin_supports"]
+        supports = state["supports"]
+        self._supports = None if supports is None else self.dataset.location_layout().split(supports)
+        self._expected = state["expected"]
+        self._evaluator = None
+        if state["evaluator"] is not None:
+            self._evaluator = AssignedCostEvaluator.__new__(AssignedCostEvaluator)
+            self._evaluator.__setstate__(state["evaluator"])
+        self._rank_tables = None
+        self._rank_merge = state["rank_merge"]
         self._version = 0
 
     # -- cached structure ---------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Bumped whenever the pickled state changes: a cache built, columns spliced.
+
+        Shared-memory publications key on it, so a context is republished
+        exactly when its pickle would differ.
+        """
+        return self._version
 
     @property
     def size(self) -> int:
@@ -171,6 +223,7 @@ class CostContext:
             self._supports = [
                 metric.pairwise(point.locations, self.candidates) for point in self.dataset.points
             ]
+            self._version += 1
         return self._supports
 
     @property
@@ -178,6 +231,7 @@ class CostContext:
         """Per-candidate sorted CDF columns; built lazily, sorted once."""
         if self._evaluator is None:
             self._evaluator = AssignedCostEvaluator(self.supports, self.probabilities)
+            self._version += 1
         return self._evaluator
 
     @property
@@ -205,6 +259,7 @@ class CostContext:
                         for point in self.dataset.points
                     ]
                 )
+            self._version += 1
         return self._expected
 
     def _ranks(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -255,12 +310,13 @@ class CostContext:
             for indices in by_size.values():
                 groups.append(
                     (
-                        np.asarray(indices, dtype=int),
+                        tuple(indices),
                         np.stack([per_point[i] for i in indices]),
                         np.stack([self.probabilities[i] for i in indices]),
                     )
                 )
             self._rank_merge = _RankMergeTables(values_by_rank=values_by_rank, groups=groups)
+            self._version += 1
         return self._rank_merge
 
     # -- incremental candidate updates --------------------------------------
@@ -302,6 +358,7 @@ class CostContext:
             )
         self.candidates = self.candidates.copy()
         self.candidates[columns] = new_candidates
+        self._version += 1
         needs_supports = (
             self._supports is not None or self._evaluator is not None or self._expected is not None
         )
@@ -318,7 +375,6 @@ class CostContext:
             self._evaluator.replace_candidate_columns(columns, blocks)
         self._rank_tables = None
         self._rank_merge = None
-        self._version += 1
 
     # -- assigned objective -------------------------------------------------
 

@@ -103,13 +103,14 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Any, Sequence
 
 import numpy as np
 
 from .._validation import as_point_array
 from ..exceptions import ValidationError
-from ..uncertain.dataset import UncertainDataset
+from ..uncertain.dataset import UncertainDataset, split_rows
 
 #: Most layout entries (centers x locations) one :func:`expected_one_center_costs`
 #: kernel call holds; larger batches run as consecutive blocks.  The kernel
@@ -446,6 +447,11 @@ class RestProfile:
     products: np.ndarray
 
 
+#: The per-variable lists of an :class:`AssignedCostEvaluator`, each pickled
+#: as one array stacked along the variable axis.
+_VARIABLE_LISTS = ("_probabilities", "_values", "_cdfs", "_log_deltas", "_zero_deltas")
+
+
 class AssignedCostEvaluator:
     """Batch + incremental exact assigned-cost evaluation on fixed supports.
 
@@ -493,6 +499,27 @@ class AssignedCostEvaluator:
         self._log_deltas: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
         self._zero_deltas: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
         self._sort_columns(slice(None), blocks)
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickled state: each per-variable list as one array stacked in variable order.
+
+        ``_probabilities`` is stacked like the sorted columns; a
+        :class:`~repro.cost.context.CostContext` swaps in its dataset's
+        stacked probabilities, the same values, so its pickle writes them
+        once.
+        """
+        state: dict[str, Any] = {
+            name: np.concatenate(getattr(self, name)) for name in _VARIABLE_LISTS
+        }
+        state["starts"] = list(accumulate(values.shape[0] for values in self._values[:-1]))
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """Re-slice the stacked lists into per-variable views (no copies)."""
+        for name in _VARIABLE_LISTS:
+            setattr(self, name, split_rows(state[name], state["starts"]))
+        self.n = len(self._values)
+        self.columns = state["_values"].shape[1]
 
     # -- batch path ---------------------------------------------------------
 
@@ -720,14 +747,6 @@ class LocalSearchSweep:
     def _refresh(self) -> None:
         self._cum_log = np.cumsum(self._log_delta)
         self._cum_zero = np.cumsum(self._zero_delta)
-
-    @property
-    def columns(self) -> np.ndarray:
-        """The current assignment (candidate column per variable)."""
-        return self._columns.copy()
-
-    def column_of(self, point: int) -> int:
-        return int(self._columns[point])
 
     def cost(self) -> float:
         """Exact ``E[max]`` of the current assignment from the cached sweep."""

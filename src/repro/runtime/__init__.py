@@ -19,18 +19,21 @@ context payload bytes, a **store** tier that owns built-context reuse, and an
   budget finishes in-process with identical results — and any parallel
   request made *inside* a worker runs serially.
 
-* :mod:`repro.runtime.shm` — zero-copy payload publication.  The arrays of
-  a :class:`~repro.cost.context.CostContext` payload (supports,
-  expected-distance matrix, sorted CDF columns, rank-merge tables) are
-  flattened into ``multiprocessing.shared_memory`` segments once, described
-  by a small picklable descriptor, and attached by workers as read-only
-  NumPy views — so a chunk dispatch ships only the descriptor plus its work
-  slice instead of a pickled payload.  Segments are refcounted explicitly
-  (publisher-owned leases, tracker-registration suppressed on attach) and
-  unlinked deterministically on cache eviction, shutdown, or exit — no
-  resource-tracker leaks.  Publications are memoized per context (object
-  identity + materialized parts + mutation version), so twenty calls over
-  one memoized context publish once.
+* :mod:`repro.runtime.shm` — zero-copy payload publication.  A
+  :class:`~repro.cost.context.CostContext` payload is pickled with protocol
+  5 once, its arrays (supports, expected-distance matrix, sorted CDF
+  columns, rank-merge tables) going into ``multiprocessing.shared_memory``
+  segments as out-of-band buffers; a small picklable descriptor names the
+  segments, and workers load the pickle over read-only views of them — so
+  a chunk dispatch ships only the descriptor plus its work slice instead of
+  a pickled payload.  Pickle is the one serialization: the pickled
+  transport loads the same context state from in-band bytes.  Segments are
+  refcounted explicitly (publisher-owned leases, tracker-registration
+  suppressed on attach) and unlinked deterministically on cache eviction,
+  shutdown, or exit — no resource-tracker leaks.  Publications are
+  memoized per context (object identity + the version the context bumps
+  whenever its state changes), so twenty calls over one memoized context
+  publish once.
 
 * :mod:`repro.runtime.parallel` — the front door: one map engine behind
   two adapters, :func:`~repro.runtime.parallel.parallel_map` (a result

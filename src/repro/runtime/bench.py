@@ -319,7 +319,7 @@ def _dispatch_payload() -> tuple:
     context = CostContext(dataset, candidates)
     context.evaluator
     context.expected
-    return (context, context.expected, 256)
+    return (context, None, 256)
 
 
 def bench_shm_dispatch_bytes() -> dict:

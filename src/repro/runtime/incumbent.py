@@ -150,11 +150,3 @@ def bound(handle: SerialIncumbent | None) -> Iterator[SerialIncumbent | None]:
         yield handle
     finally:
         _LOCAL.handle = previous
-
-
-@contextmanager
-def serial_incumbent(seed: float) -> Iterator[SerialIncumbent]:
-    """Bind a fresh :class:`SerialIncumbent` around an in-process loop."""
-    handle = SerialIncumbent(seed)
-    with bound(handle):
-        yield handle

@@ -19,14 +19,16 @@ Payload transport is resolved once per map, one of two:
 
 * **shared memory** (the default for payloads containing a ``CostContext``):
   the payload's arrays are published once to
-  :mod:`multiprocessing.shared_memory` via :mod:`repro.runtime.shm` and each
-  chunk dispatch carries only a small descriptor plus its work slice; the
-  persistent pool's workers attach zero-copy and memoize the attachment, so
-  repeated calls over a memoized context ship the payload **zero** times;
+  :mod:`multiprocessing.shared_memory` via :mod:`repro.runtime.shm`, as the
+  out-of-band buffers of its protocol-5 pickle, and each chunk dispatch
+  carries only a small descriptor plus its work slice; the persistent
+  pool's workers attach zero-copy and memoize the attachment, so repeated
+  calls over a memoized context ship the payload **zero** times;
 * **pickled** for everything else — context-free payloads such as
   experiment settings, and any payload when shared memory is unavailable or
   disabled: the pre-pickled payload rides with each dispatch but is
-  unpickled once per worker, memoized by its sha1.
+  unpickled once per worker, memoized by its sha1.  It is the same pickle
+  with its buffers in band.
 
 The pool itself is persistent (:mod:`repro.runtime.pool`): lazily spawned,
 grown on demand, reused across brute-force calls and experiment trials, and

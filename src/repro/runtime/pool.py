@@ -62,18 +62,20 @@ other's pruning state.  The payload spec is one of
 * ``("none",)`` — no payload;
 * ``("shm", descriptor)`` — a :class:`~repro.runtime.shm.PayloadDescriptor`
   for payloads containing a ``CostContext``; the worker attaches the
-  shared-memory segments zero-copy and memoizes the materialized payload by
-  the descriptor's token, closing evicted attachments;
+  shared-memory segments, unpickles the payload over read-only views of
+  their out-of-band buffers and memoizes it by the descriptor's token,
+  closing evicted attachments;
 * ``("pickled", token, blob)`` — for context-free payloads (experiment
   settings), for every payload when shared memory is disabled or
   unavailable, and for chunks whose segment attach failed: the pre-pickled
   payload rides with each item but is unpickled once per worker and
   memoized by its sha1 token.
 
-Workers therefore receive context *bytes* at most once each under shared
-memory — no matter how many chunks they process or how many calls reuse the
-same context — and payload *objects* are materialized once per worker under
-every transport.
+Both kinds unpickle the same state (a context's ``__getstate__``), so a
+worker gets equal objects either way.  Workers therefore receive context
+*bytes* at most once each under shared memory — no matter how many chunks
+they process or how many calls reuse the same context — and payload
+*objects* are materialized once per worker under every transport.
 """
 
 from __future__ import annotations

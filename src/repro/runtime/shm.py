@@ -2,38 +2,42 @@
 
 A sharded brute-force call ships the same expensive payload — pinned
 supports, the expected-distance matrix, per-candidate sorted CDF columns,
-rank-merge tables — to every worker.  PR 3 did that by pickling the payload
-into each (per-call) pool via the initializer.  A *persistent* pool cannot
-inherit later payloads by ``fork``, and re-pickling megabytes per call is
-exactly the overhead the persistent pool exists to kill.  This module
-instead flattens every numeric array of the payload into
-:mod:`multiprocessing.shared_memory` segments once and describes them with a
-small picklable :class:`PayloadDescriptor`; the chunk protocol then ships
-only the descriptor, a work slice and (for pruned enumerations) the
-pruning threshold of :mod:`repro.runtime.incumbent`, and workers attach the
-segments zero-copy (NumPy views straight into the mapped buffer, marked
-read-only).  Pruned maps need the expected matrix (and, for the unassigned
-objective, the pinned supports) materialized before publication so the
-workers' bound kernels run on the shared bytes — the brute-force callers'
-seeding step guarantees that ordering.  Only payloads that contain a
-``CostContext`` are published here; every other payload (experiment
+rank-merge tables — to every worker.  A *persistent* pool cannot inherit
+later payloads by ``fork``, and re-pickling megabytes per call is exactly
+the overhead the persistent pool exists to kill.  This module publishes the
+payload to :mod:`multiprocessing.shared_memory` once and describes it with
+a small picklable :class:`PayloadDescriptor`; the chunk protocol then ships
+only the descriptor, a work slice and (for pruned enumerations) the pruning
+threshold of :mod:`repro.runtime.incumbent`, and workers attach the
+segments zero-copy.  Pruned maps need the expected matrix (and, for the
+unassigned objective, the pinned supports) materialized before publication
+so the workers' bound kernels run on the shared bytes — the brute-force
+callers' seeding step guarantees that ordering.  Only payloads that contain
+a ``CostContext`` are published here; every other payload (experiment
 settings, plain values) takes the parallel runtime's pickled transport.
+
+Serialization
+-------------
+There is one: pickle.  The context pickles to a few stacked arrays (its
+``__getstate__``), and publishing pickles it with protocol 5 and a
+``buffer_callback`` (PEP 574), so its arrays travel as out-of-band
+buffers instead of in the pickle stream.  Loading is ``pickle.loads`` over
+read-only views of those buffers, so the rebuilt arrays alias the
+segment's bytes and nothing is copied.  The pickled transport loads the
+same state from in-band bytes, so both transports hand workers equal
+objects, and every downstream kernel is a pure function of those bytes:
+results with shared memory on equal results with it off, at every worker
+count.
 
 Layout
 ------
-One *payload segment* holds every published array back to back (8-byte
-aligned).  The descriptor records, per array, a key, dtype string, shape and
-byte offset; ragged per-point structures (supports, probabilities, the
-evaluator's sorted columns) are concatenated along the point axis and
-re-sliced into per-point views on attach, so reconstruction allocates
-nothing.  Non-array payload leaves (chunk sizes, assignment policies, the
-metric, point labels) are pickled into the descriptor's ``meta`` blob —
-small by construction.
-
-Reconstructed contexts are **bit-identical** consumers: every view aliases
-the exact bytes the parent produced, and all downstream kernels are pure
-functions of those bytes, so results with shared memory on equal results
-with it off, at every worker count.
+A segment holds byte buffers back to back (8-byte aligned); its
+:class:`SegmentDescriptor` records each buffer's offset and length.  The
+*context segment* holds the context's out-of-band buffers followed by
+its in-band pickle.  The rest of the payload (chunk sizes, assignment
+policies) is pickled into the descriptor with a persistent id standing in
+for the context; that pickle's own out-of-band buffers (e.g. a policy's
+score matrix) go into a second, *per-call* segment.
 
 Lifecycle
 ---------
@@ -48,16 +52,18 @@ Segments are refcounted explicitly, not via the resource tracker:
   cache a bounded number of attachments, closing evicted ones.
 
 ``publish_payload`` memoizes per-context publications keyed on object
-identity, the set of materialized parts and a mutation version, so twenty
+identity and :attr:`~repro.cost.context.CostContext.version`, which the
+context bumps whenever it builds a cache or splices columns, so twenty
 brute-force calls over one memoized context publish its arrays exactly
-once.  Arrays that are *not* part of the context (e.g. a policy's score
-matrix) go into a secondary per-call segment whose lease the caller closes
-as soon as the map completes.
+once.  The per-call segment's lease goes to the caller, who closes it as
+soon as the map completes.
 """
 
 from __future__ import annotations
 
 import atexit
+import hashlib
+import io
 import os
 import pickle
 import secrets
@@ -71,11 +77,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .. import faults
-from ..cost.context import CostContext, _RankMergeTables
-from ..cost.expected import AssignedCostEvaluator
+from ..cost.context import CostContext
 from ..sanitize import shm_san
-from ..uncertain.dataset import UncertainDataset
-from ..uncertain.point import UncertainPoint
 
 #: Shared-memory segment name prefix (leak scans in tests key on this).
 SEGMENT_PREFIX = "reproseg"
@@ -170,33 +173,27 @@ def _aligned(offset: int, alignment: int = 8) -> int:
 
 
 @dataclass(frozen=True)
-class _ArraySpec:
-    """Location of one published array inside its segment."""
-
-    key: str
-    dtype: str
-    shape: tuple[int, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
 class SegmentDescriptor:
-    """Picklable description of one segment's packed arrays."""
+    """Picklable description of one segment's packed buffers."""
 
     name: str
     nbytes: int
-    arrays: tuple[_ArraySpec, ...]
+    spans: tuple[tuple[int, int], ...]  # (offset, length) of each buffer
 
 
-def pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[SegmentDescriptor, SegmentLease]:
-    """Copy ``arrays`` into one fresh segment; return its descriptor + lease."""
-    specs: list[_ArraySpec] = []
+def pack_arrays(arrays: Sequence[Any]) -> tuple[SegmentDescriptor, SegmentLease]:
+    """Copy ``arrays`` back to back into one fresh segment; return its descriptor + lease.
+
+    Each element is any C-contiguous buffer: a NumPy array, ``bytes``, or
+    the raw view of a pickle-5 out-of-band buffer.
+    """
+    views = [memoryview(array).cast("B") for array in arrays]
+    spans: list[tuple[int, int]] = []
     offset = 0
-    for key, array in arrays.items():
-        array = np.ascontiguousarray(array)
+    for view in views:
         offset = _aligned(offset)
-        specs.append(_ArraySpec(key=key, dtype=str(array.dtype), shape=array.shape, offset=offset))
-        offset += array.nbytes
+        spans.append((offset, view.nbytes))
+        offset += view.nbytes
     nbytes = max(1, offset)
     name = f"{SEGMENT_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}"
     segment = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
@@ -205,212 +202,34 @@ def pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[SegmentDescriptor, Segme
     # nothing owning its unlink (SHM-LIFECYCLE).
     lease = SegmentLease(segment, origin="pack_arrays")
     try:
-        for spec, (key, array) in zip(specs, arrays.items()):
-            array = np.ascontiguousarray(array)
-            view = np.ndarray(spec.shape, dtype=spec.dtype, buffer=segment.buf, offset=spec.offset)
-            view[...] = array
+        for (start, length), view in zip(spans, views):
+            segment.buf[start : start + length] = view
     except BaseException:
         lease.close()
         raise
-    return SegmentDescriptor(name=segment.name, nbytes=nbytes, arrays=tuple(specs)), lease
+    return SegmentDescriptor(name=segment.name, nbytes=nbytes, spans=tuple(spans)), lease
 
 
 def unpack_arrays(
     descriptor: SegmentDescriptor, segment: shared_memory.SharedMemory
-) -> dict[str, np.ndarray]:
-    """Read-only zero-copy views of every array packed in ``segment``."""
-    views: dict[str, np.ndarray] = {}
-    for spec in descriptor.arrays:
-        view = np.ndarray(spec.shape, dtype=spec.dtype, buffer=segment.buf, offset=spec.offset)
-        view.flags.writeable = False
-        views[spec.key] = view
-    return views
-
-
-# ---------------------------------------------------------------------------
-# CostContext <-> arrays
-# ---------------------------------------------------------------------------
-
-#: Structure-pickle placeholders.
-_CONTEXT_MARKER = "__repro_context__"
-
-
-@dataclass(frozen=True)
-class _ArrayRef:
-    """Placeholder for a published array inside the pickled structure."""
-
-    key: str
-
-
-@dataclass(frozen=True)
-class _ContextMeta:
-    """Small non-array state needed to rebuild a context from views."""
-
-    support_sizes: tuple[int, ...]
-    dimension: int
-    metric_blob: bytes
-    labels: tuple[str | None, ...]
-    pin_supports: bool
-    has_supports: bool
-    has_expected: bool
-    has_evaluator: bool
-    rank_merge_groups: tuple[tuple[int, tuple[int, ...]], ...]  # (z, point indices)
+) -> list[np.ndarray]:
+    """Read-only zero-copy byte views of every buffer packed in ``segment``."""
+    whole = np.ndarray((descriptor.nbytes,), dtype=np.uint8, buffer=segment.buf)
+    whole.flags.writeable = False
+    return [whole[start : start + length] for start, length in descriptor.spans]
 
 
 @dataclass(frozen=True)
 class PayloadDescriptor:
     """Everything a worker needs to rebuild a payload zero-copy."""
 
-    segments: tuple[SegmentDescriptor, ...]
-    structure: bytes  # pickled payload skeleton with _ArrayRef/_CONTEXT_MARKER leaves
-    context_meta: _ContextMeta | None
+    segments: tuple[SegmentDescriptor, ...]  # the context's, then the call's if any
+    structure: bytes  # the payload pickled with the context as a persistent id
     token: str  # worker-side cache key
 
     def dispatch_bytes(self) -> int:
         """Bytes this descriptor adds to every chunk dispatch."""
         return len(pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _context_parts(context: CostContext) -> tuple[bool, bool, bool, bool]:
-    return (
-        context._supports is not None,
-        context._expected is not None,
-        context._evaluator is not None,
-        context._rank_merge is not None,
-    )
-
-
-def context_arrays(context: CostContext) -> tuple[dict[str, np.ndarray], _ContextMeta]:
-    """Flatten every materialized array of ``context`` for publication.
-
-    Ragged per-point lists are concatenated along the point axis;
-    :func:`_context_from_views` re-slices them.  Only materialized caches are
-    published — callers pre-build exactly what their chunk task touches.
-    """
-    dataset = context.dataset
-    arrays: dict[str, np.ndarray] = {
-        "candidates": context.candidates,
-        "locations": dataset.all_locations(),
-        "probabilities": dataset.all_probabilities(),
-    }
-    has_supports, has_expected, has_evaluator, has_rank_merge = _context_parts(context)
-    if has_supports:
-        arrays["supports"] = np.concatenate(context._supports, axis=0)
-    if has_expected:
-        arrays["expected"] = context._expected
-    if has_evaluator:
-        evaluator = context._evaluator
-        arrays["ev_values"] = np.concatenate(evaluator._values, axis=0)
-        arrays["ev_cdfs"] = np.concatenate(evaluator._cdfs, axis=0)
-        arrays["ev_log_deltas"] = np.concatenate(evaluator._log_deltas, axis=0)
-        arrays["ev_zero_deltas"] = np.concatenate(evaluator._zero_deltas, axis=0)
-    groups: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    if has_rank_merge:
-        tables = context._rank_merge
-        arrays["rm_values"] = tables.values_by_rank
-        group_meta = []
-        for index, (points, ranks, weights) in enumerate(tables.groups):
-            arrays[f"rm_ranks_{index}"] = ranks
-            arrays[f"rm_weights_{index}"] = weights
-            group_meta.append((int(ranks.shape[1]), tuple(int(p) for p in points)))
-        groups = tuple(group_meta)
-    meta = _ContextMeta(
-        support_sizes=tuple(point.support_size for point in dataset.points),
-        dimension=dataset.dimension,
-        metric_blob=pickle.dumps(dataset.metric, protocol=pickle.HIGHEST_PROTOCOL),
-        labels=tuple(point.label for point in dataset.points),
-        pin_supports=context._pin_supports,
-        has_supports=has_supports,
-        has_expected=has_expected,
-        has_evaluator=has_evaluator,
-        rank_merge_groups=groups,
-    )
-    return arrays, meta
-
-
-def _point_slices(stacked: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    views = []
-    offset = 0
-    for size in sizes:
-        views.append(stacked[offset : offset + size])
-        offset += size
-    return views
-
-
-def _frozen_point(
-    locations: np.ndarray, probabilities: np.ndarray, label: str | None
-) -> UncertainPoint:
-    """Rebuild an :class:`UncertainPoint` around validated read-only views.
-
-    The arrays come from a context whose dataset already passed validation;
-    re-running ``__post_init__`` would copy them, losing the zero-copy
-    property (and the validators may renormalize, losing bit-identity).
-    """
-    point = UncertainPoint.__new__(UncertainPoint)
-    object.__setattr__(point, "locations", locations)
-    object.__setattr__(point, "probabilities", probabilities)
-    object.__setattr__(point, "label", label)
-    object.__setattr__(point, "metadata", {})
-    return point
-
-
-def _context_from_views(views: dict[str, np.ndarray], meta: _ContextMeta) -> CostContext:
-    """Rebuild a fully functional :class:`CostContext` over zero-copy views."""
-    sizes = meta.support_sizes
-    location_views = _point_slices(views["locations"], sizes)
-    probability_views = _point_slices(views["probabilities"], sizes)
-    points = tuple(
-        _frozen_point(locations, probabilities, label)
-        for locations, probabilities, label in zip(location_views, probability_views, meta.labels)
-    )
-    dataset = UncertainDataset.__new__(UncertainDataset)
-    object.__setattr__(dataset, "points", points)
-    object.__setattr__(dataset, "metric", pickle.loads(meta.metric_blob))
-
-    context = CostContext.__new__(CostContext)
-    context.dataset = dataset
-    context.candidates = views["candidates"]
-    context.probabilities = probability_views
-    context._pin_supports = meta.pin_supports
-    context._version = 0
-    context._supports = (
-        _point_slices(views["supports"], sizes) if meta.has_supports else None
-    )
-    context._expected = views["expected"] if meta.has_expected else None
-    context._rank_tables = None
-    if meta.has_evaluator:
-        evaluator = AssignedCostEvaluator.__new__(AssignedCostEvaluator)
-        evaluator.n = len(sizes)
-        evaluator.columns = context.candidates.shape[0]
-        evaluator._values = _point_slices(views["ev_values"], sizes)
-        evaluator._cdfs = _point_slices(views["ev_cdfs"], sizes)
-        evaluator._log_deltas = _point_slices(views["ev_log_deltas"], sizes)
-        evaluator._zero_deltas = _point_slices(views["ev_zero_deltas"], sizes)
-        evaluator._probabilities = probability_views
-        context._evaluator = evaluator
-    else:
-        context._evaluator = None
-    if meta.rank_merge_groups:
-        groups = []
-        for index, (_, point_indices) in enumerate(meta.rank_merge_groups):
-            groups.append(
-                (
-                    np.asarray(point_indices, dtype=int),
-                    views[f"rm_ranks_{index}"],
-                    views[f"rm_weights_{index}"],
-                )
-            )
-        context._rank_merge = _RankMergeTables(
-            values_by_rank=views["rm_values"], groups=groups
-        )
-    else:
-        context._rank_merge = None
-    return context
-
-
-# ---------------------------------------------------------------------------
-# Payload publication (structure walk + per-context memoization)
-# ---------------------------------------------------------------------------
 
 
 def find_context(payload: Any) -> CostContext | None:
@@ -425,46 +244,56 @@ def find_context(payload: Any) -> CostContext | None:
     return None
 
 
-def _replace_leaves(payload: Any, context: CostContext, extras: dict[str, np.ndarray]):
-    """Swap the context / large arrays for markers, collecting extra arrays."""
-    if payload is context:
-        return _CONTEXT_MARKER
-    if isinstance(payload, np.ndarray):
-        if context is not None and payload is context._expected:
-            return _ArrayRef("expected")
-        key = f"extra_{len(extras)}"
-        extras[key] = payload
-        return _ArrayRef(key)
-    if isinstance(payload, (tuple, list)):
-        rebuilt = [_replace_leaves(element, context, extras) for element in payload]
-        return tuple(rebuilt) if isinstance(payload, tuple) else rebuilt
-    return payload
+class _PayloadPickler(pickle.Pickler):
+    """Protocol-5 pickler that writes ``context`` as a persistent id."""
+
+    def __init__(
+        self, file: io.BytesIO, context: CostContext, buffers: list[pickle.PickleBuffer]
+    ) -> None:
+        super().__init__(file, protocol=5, buffer_callback=buffers.append)
+        self.context = context
+
+    def persistent_id(self, obj: Any) -> str | None:
+        return "context" if obj is self.context else None
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Loads a :class:`_PayloadPickler` stream around an already loaded context."""
+
+    def __init__(self, file: io.BytesIO, context: CostContext, buffers: list[np.ndarray]) -> None:
+        super().__init__(file, buffers=buffers)
+        self.context = context
+
+    def persistent_load(self, pid: Any) -> CostContext:
+        return self.context
 
 
 class _PublicationCache:
     """Parent-side memo of per-context segment publications.
 
-    Keyed on the context's object identity, its set of materialized parts
-    and its mutation version, so a context reused across calls (e.g. via a
-    :class:`~repro.runtime.store.ContextStore`) is packed exactly once, and
-    a mutated or further-materialized context is republished.  Evicted or
-    closed publications unlink their segment deterministically.
+    Keyed on the context's object identity and its
+    :attr:`~repro.cost.context.CostContext.version`, so a context reused
+    across calls (e.g. via a :class:`~repro.runtime.store.ContextStore`) is
+    packed exactly once, and a mutated or further-built context is
+    republished.  Evicted or closed publications unlink their segment
+    deterministically.
     """
 
     def __init__(self, maxsize: int = PUBLICATION_CACHE_SIZE):
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._entries: OrderedDict[tuple[int, int], tuple] = OrderedDict()
 
-    def publish(self, context: CostContext) -> tuple[SegmentDescriptor, _ContextMeta]:
-        key = (id(context), _context_parts(context), context._version)
+    def publish(self, context: CostContext) -> SegmentDescriptor:
+        key = (id(context), context.version)
         entry = self._entries.pop(key, None)
         if entry is not None:
             if entry[0]() is context:
                 self._entries[key] = entry  # back to most-recently-used
-                return entry[1], entry[2]
-            entry[3].close()  # a dead context's recycled id aliased the key
-        arrays, meta = context_arrays(context)
-        descriptor, lease = pack_arrays(arrays)
+                return entry[1]
+            entry[2].close()  # a dead context's recycled id aliased the key
+        buffers: list[pickle.PickleBuffer] = []
+        blob = pickle.dumps(context, protocol=5, buffer_callback=buffers.append)
+        descriptor, lease = pack_arrays([*(buffer.raw() for buffer in buffers), blob])
 
         def _collected(_reference, *, entries=self._entries, key=key, lease=lease):
             # The published context was garbage collected: unlink eagerly
@@ -472,14 +301,14 @@ class _PublicationCache:
             entries.pop(key, None)
             lease.close()
 
-        self._entries[key] = (weakref.ref(context, _collected), descriptor, meta, lease)
+        self._entries[key] = (weakref.ref(context, _collected), descriptor, lease)
         while len(self._entries) > self.maxsize:
-            _, _, _, old_lease = self._entries.popitem(last=False)[1]
+            _, _, old_lease = self._entries.popitem(last=False)[1]
             old_lease.close()
-        return descriptor, meta
+        return descriptor
 
     def close_all(self) -> None:
-        for _, _, _, lease in self._entries.values():
+        for _, _, lease in self._entries.values():
             lease.close()
         self._entries.clear()
 
@@ -498,51 +327,32 @@ atexit.register(close_all_publications)
 def publish_payload(payload: Any) -> tuple[PayloadDescriptor, SegmentLease | None]:
     """Publish ``payload`` to shared memory; returns descriptor + call lease.
 
-    The context's arrays land in a memoized segment (owned by the module's
-    publication cache).  Arrays *outside* the context go into a secondary
-    per-call segment whose :class:`SegmentLease` is returned for the caller
-    to close right after its map completes; ``None`` when the payload had no
-    extra arrays.
+    The context lands in a memoized segment (owned by the module's
+    publication cache).  The rest of the payload is pickled into the
+    descriptor; its out-of-band buffers go into a secondary per-call
+    segment whose :class:`SegmentLease` is returned for the caller to close
+    right after its map completes; ``None`` when the payload had none.
     """
     context = find_context(payload)
     if context is None:
         raise ValueError("publish_payload needs a payload containing a CostContext")
-    context_descriptor, meta = _PUBLICATIONS.publish(context)
-    extras: dict[str, np.ndarray] = {}
-    structure = _replace_leaves(payload, context, extras)
-    segments = [context_descriptor]
+    segments = [_PUBLICATIONS.publish(context)]
+    buffers: list[pickle.PickleBuffer] = []
+    stream = io.BytesIO()
+    _PayloadPickler(stream, context, buffers).dump(payload)
+    structure = stream.getvalue()
     call_lease: SegmentLease | None = None
-    if extras:
-        extra_descriptor, call_lease = pack_arrays(extras)
-        segments.append(extra_descriptor)
-    structure_blob = pickle.dumps(structure, protocol=pickle.HIGHEST_PROTOCOL)
+    if buffers:
+        call_descriptor, call_lease = pack_arrays([buffer.raw() for buffer in buffers])
+        segments.append(call_descriptor)
     # The worker-side cache key must distinguish different payload structures
     # wrapped around the same published segments (e.g. the ED-scored and
     # exhaustive stages of one brute-force call share the context segment).
-    import hashlib
-
     token = ":".join(
-        [segment.name for segment in segments]
-        + [hashlib.sha1(structure_blob).hexdigest()[:12]]
+        [segment.name for segment in segments] + [hashlib.sha1(structure).hexdigest()[:12]]
     )
-    descriptor = PayloadDescriptor(
-        segments=tuple(segments),
-        structure=structure_blob,
-        context_meta=meta,
-        token=token,
-    )
+    descriptor = PayloadDescriptor(segments=tuple(segments), structure=structure, token=token)
     return descriptor, call_lease
-
-
-def _restore_structure(structure: Any, context: CostContext, views: dict[str, np.ndarray]):
-    if structure == _CONTEXT_MARKER:
-        return context
-    if isinstance(structure, _ArrayRef):
-        return views[structure.key]
-    if isinstance(structure, (tuple, list)):
-        rebuilt = [_restore_structure(element, context, views) for element in structure]
-        return tuple(rebuilt) if isinstance(structure, tuple) else rebuilt
-    return structure
 
 
 def materialize_payload(
@@ -554,11 +364,12 @@ def materialize_payload(
     mappings (the worker cache calls it on eviction).
     """
     attachments = [_attach_segment(segment.name) for segment in descriptor.segments]
-    views: dict[str, np.ndarray] = {}
-    for segment_descriptor, segment in zip(descriptor.segments, attachments):
-        views.update(unpack_arrays(segment_descriptor, segment))
-    context = _context_from_views(views, descriptor.context_meta)
-    payload = _restore_structure(pickle.loads(descriptor.structure), context, views)
+    *context_buffers, blob = unpack_arrays(descriptor.segments[0], attachments[0])
+    context = pickle.loads(blob, buffers=context_buffers)
+    call_buffers: list[np.ndarray] = []
+    if len(attachments) > 1:
+        call_buffers = unpack_arrays(descriptor.segments[1], attachments[1])
+    payload = _PayloadUnpickler(io.BytesIO(descriptor.structure), context, call_buffers).load()
 
     def closer() -> None:
         for segment in attachments:

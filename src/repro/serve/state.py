@@ -21,11 +21,9 @@ socket:
   runtime's determinism contract) — the breaker trades wall clock for not
   hammering a crashing pool.
 * :class:`SingleFlightContexts` — one
-  :class:`~repro.runtime.store.ContextStore` shared by every request, with
-  per-fingerprint single-flight builds: N concurrent requests over the
-  same dataset cost **one** context build; the N-1 followers wait for the
-  builder instead of duplicating the work (the store alone cannot promise
-  that — two threads can both miss before either finishes building).
+  :class:`~repro.runtime.store.ContextStore` shared by every request: N
+  concurrent requests over the same dataset cost **one** context build,
+  because the store looks up and inserts under one lock and builds lazily.
 
 Thread-safety: the HTTP server handles each request on its own thread, so
 every structure here guards its state with a lock; the runtime health
@@ -43,7 +41,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from ..runtime import health
-from ..runtime.store import ContextStore, candidate_fingerprint, dataset_fingerprint
+from ..runtime.store import ContextStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -257,52 +255,27 @@ class CircuitBreaker:
 
 
 class SingleFlightContexts:
-    """Per-fingerprint single-flight builds over one shared context store.
+    """The context store every request shares; N concurrent first touches build once.
 
-    ``get`` collapses N concurrent builds of the same (dataset, candidates)
-    pair into one: the first caller builds through the store's in-memory
-    LRU, the rest wait on the builder's event and then hit the store.
-    ``builds`` counts actual context constructions — the single-flight bench
-    asserts it stays at 1 for N concurrent same-fingerprint requests.
+    :meth:`ContextStore.get` looks up and inserts under one lock and builds
+    lazily, so concurrent requests over the same (dataset, candidates) pair
+    get one shared context.  ``builds`` is the store's miss count — the
+    single-flight bench asserts it stays at 1 for N concurrent
+    same-fingerprint requests.
     """
 
     def __init__(self, store: ContextStore) -> None:
         self.store = store
-        self._lock = threading.Lock()
-        self._inflight: dict[tuple[str, str], threading.Event] = {}
-        self.builds = 0
-        self.waits = 0
+
+    @property
+    def builds(self) -> int:
+        return self.store.misses
 
     def get(self, dataset: "UncertainDataset", candidates: "np.ndarray") -> "CostContext":
-        key = (dataset_fingerprint(dataset), candidate_fingerprint(candidates))
-        while True:
-            with self._lock:
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    break
-            self.waits += 1
-            waiter.wait()
-        try:
-            misses_before = self.store.misses
-            context = self.store.get(dataset, candidates)
-            with self._lock:
-                if self.store.misses > misses_before:
-                    self.builds += 1
-            return context
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            event.set()
+        return self.store.get(dataset, candidates)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "builds": self.builds,
-            "single_flight_waits": self.waits,
-            "hits": self.store.hits,
-            "misses": self.store.misses,
-        }
+        return {"builds": self.builds, "hits": self.store.hits, "misses": self.store.misses}
 
 
 class ServerState:

@@ -35,12 +35,23 @@ class LocationLayout:
     @classmethod
     def of(cls, points: Sequence[UncertainPoint]) -> "LocationLayout":
         """Stack ``points`` into one layout (the only place that stacks them)."""
-        sizes = np.array([point.support_size for point in points])
-        arrays = (
+        return cls.stacked(
             np.vstack([point.locations for point in points]),
             np.concatenate([point.probabilities for point in points]),
-            np.repeat(np.arange(sizes.shape[0]), sizes),
-            np.cumsum(sizes)[:-1],
+            [point.support_size for point in points],
+        )
+
+    @classmethod
+    def stacked(
+        cls, locations: np.ndarray, probabilities: np.ndarray, sizes: Sequence[int]
+    ) -> "LocationLayout":
+        """The layout of already stacked rows, ``sizes[i]`` of them for point ``i``."""
+        counts = np.asarray(sizes)
+        arrays = (
+            locations,
+            probabilities,
+            np.repeat(np.arange(counts.shape[0]), counts),
+            np.cumsum(counts)[:-1],
         )
         for array in arrays:
             array.setflags(write=False)
@@ -48,7 +59,21 @@ class LocationLayout:
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Per-point views of an array whose first axis runs over the rows."""
-        return np.split(values, self.starts)
+        return split_rows(values, self.starts.tolist())
+
+
+def split_rows(values: np.ndarray, starts: list[int]) -> list[np.ndarray]:
+    """The views ``np.split(values, starts)`` returns, at a fraction of its cost.
+
+    Blocks of equal size (every point with the same support size) come from
+    one reshape, ragged ones from plain slicing.  This matters where pickled
+    objects re-slice their stacked per-point lists on load.
+    """
+    bounds = [0, *starts, values.shape[0]]
+    size = bounds[1]
+    if size and bounds == list(range(0, values.shape[0] + 1, size)):
+        return list(values.reshape(len(bounds) - 1, size, *values.shape[1:]))
+    return [values[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -160,11 +185,11 @@ class UncertainDataset:
         """Every location of every point in one flat layout, built once.
 
         The layout is cached on the dataset outside its fields: it is not
-        part of ``==``, ``hash``, ``repr``, :meth:`to_dict` or the pickled
-        state, so a dataset pickles to the same bytes before and after its
-        first cost call, and an unpickled copy rebuilds the layout on first
-        use.  Two threads may both build it on first use; the build is
-        deterministic, so either result serves.
+        part of ``==``, ``hash``, ``repr`` or :meth:`to_dict`, and the
+        pickled state is the same stacked rows whether or not it was built
+        before, so a dataset pickles to the same bytes before and after its
+        first cost call.  Two threads may both build it on first use; the
+        build is deterministic, so either result serves.
         """
         layout = self.__dict__.get("_location_layout")
         if layout is None:
@@ -173,28 +198,63 @@ class UncertainDataset:
         return layout
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle the fields only; the cached layout is rebuilt on demand."""
-        return {"points": self.points, "metric": self.metric}
+        """Pickled state: the layout's two stacked arrays, not one pair per point.
+
+        Pickle protocol 5 then ships a dataset as two out-of-band buffers
+        however many points it has.
+        """
+        layout = self.location_layout()
+        return {
+            "locations": layout.locations,
+            "probabilities": layout.probabilities,
+            "sizes": tuple(point.support_size for point in self.points),
+            "labels": tuple(point.label for point in self.points),
+            "metadata": tuple(point.metadata for point in self.points),
+            "metric": self.metric,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """Rebuild the points as views of the stacked rows, keeping the layout.
+
+        The rows were validated when the points were first built; running
+        the validators again would copy every view (and may renormalise).
+        """
+        layout = LocationLayout.stacked(state["locations"], state["probabilities"], state["sizes"])
+        points = []
+        for locations, probabilities, label, metadata in zip(
+            layout.split(layout.locations),
+            layout.split(layout.probabilities),
+            state["labels"],
+            state["metadata"],
+        ):
+            point = object.__new__(UncertainPoint)
+            fields = point.__dict__
+            fields["locations"], fields["probabilities"] = locations, probabilities
+            fields["label"], fields["metadata"] = label, metadata
+            points.append(point)
+        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "metric", state["metric"])
+        object.__setattr__(self, "_location_layout", layout)
 
     def all_locations(self) -> np.ndarray:
         """Every location of every point stacked into one ``(N, d)`` array.
 
         Cached in :meth:`location_layout`: read-only and shared by every
-        caller (copy before writing), never pickled.
+        caller (copy before writing).
         """
         return self.location_layout().locations
 
     def location_owners(self) -> np.ndarray:
         """For each row of :meth:`all_locations`, the owning point index.
 
-        Cached in :meth:`location_layout`: read-only, never pickled.
+        Cached in :meth:`location_layout`: read-only.
         """
         return self.location_layout().owners
 
     def all_probabilities(self) -> np.ndarray:
         """Location probabilities aligned with :meth:`all_locations`.
 
-        Cached in :meth:`location_layout`: read-only, never pickled.
+        Cached in :meth:`location_layout`: read-only.
         """
         return self.location_layout().probabilities
 

@@ -465,7 +465,8 @@ class TestWorkersAndShm:
         original = shm_module.pack_arrays
 
         def counting_pack(arrays):
-            published.append("candidates" in arrays)  # a context segment
+            # A context segment ends with the context's in-band pickle.
+            published.append(b"CostContext" in bytes(arrays[-1]))
             return original(arrays)
 
         monkeypatch.setattr(shm_module, "pack_arrays", counting_pack)
@@ -492,22 +493,24 @@ class TestWorkersAndShm:
 def _single_move_polish(context, columns, candidate_indices, max_rounds=10):
     """Single-point reassignment local search over ``columns`` (reference copy)."""
     evaluator = context.evaluator
-    sweep = evaluator.local_search_sweep(candidate_indices)
+    assignment = np.array(candidate_indices, dtype=int)
+    sweep = evaluator.local_search_sweep(assignment)
     best_cost = sweep.cost()
     for _ in range(max_rounds):
         improved = False
-        for point_index in range(candidate_indices.shape[0]):
-            original = sweep.column_of(point_index)
+        for point_index in range(assignment.shape[0]):
+            original = int(assignment[point_index])
             costs = evaluator.move_costs(sweep.rest_profile(point_index), columns)
             winner = int(np.argmin(costs))
             tolerance = 1e-12 * max(1.0, abs(best_cost))
             if int(columns[winner]) != original and costs[winner] < best_cost - tolerance:
                 sweep.apply_move(point_index, int(columns[winner]))
+                assignment[point_index] = columns[winner]
                 best_cost = float(costs[winner])
                 improved = True
         if not improved:
             break
-    return sweep.columns
+    return assignment
 
 
 def _serial_polish_reference(dataset, k, candidates, *, polish_top, chunk_rows, prune):
@@ -527,7 +530,7 @@ def _serial_polish_reference(dataset, k, candidates, *, polish_top, chunk_rows, 
     costs = context.assigned_costs(seeds, chunk_rows=chunk_rows)
     top = np.argsort(costs, kind="stable")[:polish_top]
     best = (float(costs[top[0]]), rows[top[0]], seeds[top[0]])
-    with incumbent_module.serial_incumbent(best[0]) as handle:
+    with incumbent_module.bound(incumbent_module.SerialIncumbent(best[0])) as handle:
         for index in top:
             columns = rows[index]
             if prune:
@@ -616,9 +619,9 @@ class TestIncumbentMachinery:
         assert handle.value() == 4.0
 
     def test_serial_incumbent_context_restores_previous(self):
-        with incumbent_module.serial_incumbent(5.0) as outer:
+        with incumbent_module.bound(incumbent_module.SerialIncumbent(5.0)) as outer:
             assert incumbent_module.active() is outer
-            with incumbent_module.serial_incumbent(2.0) as inner:
+            with incumbent_module.bound(incumbent_module.SerialIncumbent(2.0)) as inner:
                 assert incumbent_module.active() is inner
             assert incumbent_module.active() is outer
         assert incumbent_module.active() is None

@@ -86,7 +86,7 @@ class TestPerThreadIncumbent:
 
     def test_unpruned_map_binds_no_incumbent_inside_a_pruned_one(self):
         dataset, candidates = _instance(0)
-        with incumbent_module.serial_incumbent(0.0):  # would prune everything
+        with incumbent_module.bound(incumbent_module.SerialIncumbent(0.0)):  # would prune everything
             result = brute_force_restricted_assigned(
                 dataset, 4, candidates=candidates, chunk_rows=32, prune=False
             )
@@ -238,7 +238,7 @@ class TestIncumbentRelay:
 
     def test_unpruned_pooled_map_binds_no_incumbent(self):
         before = health.snapshot()
-        with incumbent_module.serial_incumbent(0.0):  # the caller's own, not the map's
+        with incumbent_module.bound(incumbent_module.SerialIncumbent(0.0)):  # the caller's own, not the map's
             thresholds = parallel_map(_relay_task, range(4), workers=2)
         assert health.delta(before).chunks_submitted == 4
         assert thresholds == [None] * 4

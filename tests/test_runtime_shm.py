@@ -3,7 +3,8 @@
 The zero-copy runtime's contracts (see :mod:`repro.runtime.shm`):
 
 * a published :class:`~repro.cost.context.CostContext` payload materializes
-  in another process (or this one) with **every** array byte-identical;
+  in another process (or this one) with **every** array byte-identical, and
+  field for field equal to what the pickled transport unpickles;
 * segments are unlinked deterministically — publication-cache eviction,
   garbage collection of the published context, explicit shutdown — and a
   crashing worker never strands one;
@@ -37,7 +38,10 @@ from repro.baselines.brute_force import (
     brute_force_unassigned,
     brute_force_unrestricted_assigned,
 )
+from repro.uncertain import UncertainDataset, UncertainPoint
 from repro.workloads import gaussian_clusters
+
+from test_bruteforce_pruning import make_ragged_dataset, make_tricky_dataset
 
 pytestmark = pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
 
@@ -157,6 +161,66 @@ class TestDescriptorRoundTrip:
         descriptor, _ = publish_payload(payload)
         payload_bytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         assert descriptor.dispatch_bytes() * 10 <= payload_bytes
+
+
+def _assert_same_fields(left, right, path="payload"):
+    """Equal types and, recursively, equal fields; arrays equal bit for bit."""
+    assert type(left) is type(right), path
+    if isinstance(left, np.ndarray):
+        assert (left.dtype, left.shape) == (right.dtype, right.shape), path
+        assert left.tobytes() == right.tobytes(), path
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right), path
+        for index, (a, b) in enumerate(zip(left, right)):
+            _assert_same_fields(a, b, f"{path}[{index}]")
+    elif isinstance(left, dict):
+        assert left.keys() == right.keys(), path
+        for key in left:
+            _assert_same_fields(left[key], right[key], f"{path}.{key}")
+    elif hasattr(left, "__dict__"):
+        _assert_same_fields(vars(left), vars(right), path)
+    else:
+        assert left == right, path
+
+
+class TestOneSerialization:
+    """Shared memory hands workers exactly what the pickled transport does."""
+
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_materialized_payload_equals_unpickled_payload(self, make, seed):
+        template = make(seed)
+        dataset = UncertainDataset(
+            points=tuple(
+                UncertainPoint(
+                    locations=point.locations,
+                    probabilities=point.probabilities,
+                    label=f"site-{index}",
+                    metadata={"index": index, "tags": ("uncertain", seed)},
+                )
+                for index, point in enumerate(template.points)
+            ),
+            metric=template.metric,
+        )
+        context = _full_context(dataset, dataset.all_locations())
+        context._ranks()  # the float-sort tables: never pickled, on either path
+        scores = np.random.default_rng(seed).random((dataset.size, context.candidate_count))
+        payload = (context, scores, 16)
+        descriptor, call_lease = publish_payload(payload)
+        materialized, closer = materialize_payload(descriptor)
+        try:
+            unpickled = pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+            _assert_same_fields(materialized, unpickled)
+            twin = materialized[0]
+            assert [point.metadata for point in twin.dataset.points] == [
+                point.metadata for point in dataset.points
+            ]
+            assert [point.label for point in twin.dataset.points] == [
+                point.label for point in dataset.points
+            ]
+        finally:
+            closer()
+            call_lease.close()
 
 
 class TestSegmentLifecycle:

@@ -105,7 +105,7 @@ class TestShmSan:
         if not shm_module.shm_available():
             pytest.skip("shared memory unavailable")
         sanitize.set_enabled(("shm",))
-        arrays = {"x": np.arange(8.0)}
+        arrays = [np.arange(8.0)]
         _descriptor, lease = shm_module.pack_arrays(arrays)
         lease.close()
         assert sanitize.check_exit() == ()  # close() unlinks: clean
