@@ -4,6 +4,9 @@ Times the exact O(N log N) expected-cost engine against Monte-Carlo
 estimation and full enumeration on a common instance, and checks they agree.
 Also times the batch E[max] kernel and the incremental local-search path
 (the hot path of :class:`OptimalAssignment` and the brute-force baselines).
+The same-run ratio guards run their ``python -m repro bench`` registry case
+through :func:`repro.runtime.bench.assert_gate`, which asserts the gate the
+case records.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ from repro.cost import (
     monte_carlo_cost_assigned,
 )
 from repro.cost.expected import _expected_max_reference, distance_supports_for_assignment
-from repro.runtime.bench import (
-    BOUND_PREFIX_FACTOR_TARGET,
-    ONE_CENTER_BATCH_TARGET,
-    SCALAR_OVERHEAD_TARGET,
-    bench_bound_prefix_factor,
-    bench_one_center_batch,
-    bench_scalar_cost_overhead,
-)
+from repro.runtime.bench import assert_gate
 from repro.workloads import gaussian_clusters
 
 
@@ -124,75 +120,31 @@ def test_local_search_speedup_over_reference_engine():
 
 def test_scalar_cost_overhead_ratio():
     """Same-run ratio guard: one ``expected_one_center_cost`` call on an E1
-    instance (n=25, z=3, d=8) may take at most 3x the bare ``E[max]`` kernel
-    on the same distances.  A metric call per uncertain point puts the
-    scalar path near 15x; one call over the flat location layout, under 2x."""
-    case = bench_scalar_cost_overhead()
-    assert case["overhead_ratio"] <= SCALAR_OVERHEAD_TARGET, case
+    instance (n=25, z=3, d=8) against the bare ``E[max]`` kernel on the same
+    distances.  A metric call per uncertain point puts the scalar path near
+    15x; one call over the flat location layout, under 2x."""
+    assert_gate("scalar_cost_overhead")
 
 
 def test_one_center_batch_speedup():
     """Same-run ratio guard: one batched one-center cost call over the 16
-    polls of a pattern-search iteration (n=25, z=3, d=8) must be >= 3x faster
-    than 16 scalar calls on the same centers, with values within 1e-15
-    relative (the case asserts it).  Scoring the polls one call at a time
-    puts the ratio at 1x."""
-    case = bench_one_center_batch()
-    assert case["speedup"] >= ONE_CENTER_BATCH_TARGET, case
+    polls of a pattern-search iteration (n=25, z=3, d=8) against 16 scalar
+    calls on the same centers, with values within 1e-15 relative (the case
+    asserts it).  Scoring the polls one call at a time puts the ratio at 1x."""
+    assert_gate("one_center_batch")
 
 
 def test_bound_prefix_factor_ratio():
     """Same-run ratio guard: the prefix-factored level-1 unassigned bound over
-    all C(24, 4) subset rows (n=40, z=8) must be >= 1.5x faster than the
-    plain per-point gather on the same rows, with bit-identical bounds (the
-    case asserts equality).  Gathering every row's full k columns instead of
-    reducing each shared (k-1)-prefix once puts the ratio at 1x."""
-    case = bench_bound_prefix_factor()
-    assert case["speedup"] >= BOUND_PREFIX_FACTOR_TARGET, case
+    all C(24, 4) subset rows (n=40, z=8) against the plain per-point gather on
+    the same rows, with bit-identical bounds (the case asserts equality).
+    Gathering every row's full k columns instead of reducing each shared
+    (k-1)-prefix once puts the ratio at 1x."""
+    assert_gate("bound_prefix_factor")
 
 
 def test_local_search_sweep_amortization_speedup():
-    """ISSUE 2 guard: the round-amortized LocalSearchSweep must be >= 3x
-    faster than per-point ``rest_profile`` re-sorts on the local-search
-    polish sweep at n=200, z=8 (one full round of single-point moves)."""
-    dataset, _ = gaussian_clusters(n=200, z=8, dimension=2, k_true=8, seed=7)
-    centers = dataset.expected_points()[:8]
-    assignment = ExpectedDistanceAssignment()(dataset, centers)
-    evaluator = assigned_cost_evaluator(dataset, centers)
-    all_columns = np.arange(centers.shape[0])
-
-    def per_point_round() -> np.ndarray:
-        costs = np.empty((dataset.size, centers.shape[0]))
-        for point in range(dataset.size):
-            profile = evaluator.rest_profile(assignment, point)
-            costs[point] = evaluator.move_costs(profile, all_columns)
-        return costs
-
-    sweep = evaluator.local_search_sweep(assignment)
-
-    def amortized_round() -> np.ndarray:
-        costs = np.empty((dataset.size, centers.shape[0]))
-        for point in range(dataset.size):
-            profile = sweep.rest_profile(point)
-            costs[point] = evaluator.move_costs(profile, all_columns)
-        return costs
-
-    # Warm up once (also checks the two paths agree), then take the best of
-    # three timed repeats of each to damp scheduler noise.
-    np.testing.assert_allclose(amortized_round(), per_point_round(), rtol=1e-9, atol=1e-12)
-    per_point_seconds = min(
-        _timed(per_point_round) for _ in range(3)
-    )
-    amortized_seconds = min(
-        _timed(amortized_round) for _ in range(3)
-    )
-    speedup = per_point_seconds / max(amortized_seconds, 1e-9)
-    assert speedup >= 3.0, (
-        f"round-amortized sweep only {speedup:.1f}x faster than per-point rest_profile"
-    )
-
-
-def _timed(function) -> float:
-    start = time.perf_counter()
-    function()
-    return time.perf_counter() - start
+    """The round-amortized LocalSearchSweep against per-point
+    ``rest_profile`` re-sorts on one full round of single-point moves
+    (n=200, z=8, k=8), with both rounds' move costs agreeing."""
+    assert_gate("local_search_sweep")

@@ -1,12 +1,17 @@
-"""Repo-wide pytest configuration: per-test default timeouts.
+"""Repo-wide pytest configuration: per-test timeouts and sanitizer verdicts.
 
 Solver hangs (like the historical threshold-greedy infinite loop in the
 Guha–Munagala baseline) must fail fast instead of stalling the whole suite.
 When the ``pytest-timeout`` plugin is installed (the ``test`` extra in
 ``setup.py``) it enforces the default below; otherwise a SIGALRM-based
 fallback provides the same behaviour on POSIX.  Individual tests override
-the default with ``@pytest.mark.timeout(seconds)``.  Living at the repo root
-this applies to ``tests/`` and ``benchmarks/`` alike.
+the default with ``@pytest.mark.timeout(seconds)``.
+
+A runtime sanitizer (``REPRO_SANITIZE``) only records a violation; it never
+raises into the code it watches.  So each test phase here fails when a
+violation was recorded during it, which is how an armed run fails on one.
+Tests that plant a violation on purpose clear it themselves.  Living at the
+repo root this applies to ``tests/`` and ``benchmarks/`` alike.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import signal
 import threading
 
 import pytest
+
+from repro import sanitize
 
 #: Default per-test budget; generous next to the slowest benchmark test but
 #: far below "the suite is hanging".
@@ -63,8 +70,7 @@ def _guarded(item, phase: str):
     runtest protocol gets its own alarm budget.
     """
     if not _alarm_fallback_active():
-        yield
-        return
+        return (yield)
     seconds = _timeout_seconds(item)
 
     def _on_timeout(signum, frame):
@@ -76,22 +82,37 @@ def _guarded(item, phase: str):
     previous = signal.signal(signal.SIGALRM, _on_timeout)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        yield
+        return (yield)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.hookimpl(hookwrapper=True)
+def _phase(item, phase: str):
+    """One runtest phase under its timeout, failed by any new sanitizer violation."""
+    before = sanitize.violations()  # holding them keeps their ids unique
+    result = yield from _guarded(item, phase)
+    seen = {id(violation) for violation in before}
+    found = [violation for violation in sanitize.violations() if id(violation) not in seen]
+    if found:
+        pytest.fail(
+            f"{len(found)} sanitizer violation(s) during {phase}:\n"
+            + "\n".join(f"  {violation.render()}" for violation in found),
+            pytrace=False,
+        )
+    return result
+
+
+@pytest.hookimpl(wrapper=True)
 def pytest_runtest_setup(item):
-    yield from _guarded(item, "fixture-setup")
+    return (yield from _phase(item, "fixture-setup"))
 
 
-@pytest.hookimpl(hookwrapper=True)
+@pytest.hookimpl(wrapper=True)
 def pytest_runtest_call(item):
-    yield from _guarded(item, "test")
+    return (yield from _phase(item, "test"))
 
 
-@pytest.hookimpl(hookwrapper=True)
+@pytest.hookimpl(wrapper=True)
 def pytest_runtest_teardown(item):
-    yield from _guarded(item, "fixture-teardown")
+    return (yield from _phase(item, "fixture-teardown"))

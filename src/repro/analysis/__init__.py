@@ -1,18 +1,18 @@
 """Repo-aware static analysis: ``python -m repro lint``.
 
-An AST-based rule engine (:mod:`.core`) plus ~8 repo-specific rules
+An AST-based rule engine (:mod:`.core`) plus ten repo-specific rules
 (:mod:`.rules`) that machine-check the runtime's load-bearing invariants —
-shm lifecycle, dispatch hygiene, lock discipline, solver determinism,
-hot-path sort policy, env-var registry routing, bound-docstring citations
-and the pickle/spill-path boundary.  Each rule's docstring cites the PR/incident
-that motivated it; ``python -m repro lint --list-rules`` prints them.
+shm lifecycle, worker-pool ownership, lock discipline, solver determinism,
+hot-path sort policy, env-var registry routing, bound-docstring citations,
+the pickle-owner boundary, fault-injection sites and anytime certificates.
+Each rule's docstring cites the incident that motivated it;
+``python -m repro lint --list-rules`` prints them.
 
 Since PR 7 the default run also assembles every parsed module into a
-project symbol table + call graph (:mod:`.dataflow`) and runs three
-interprocedural rules — NONDET-FLOW (seeds through call chains),
-SHM-ESCAPE (lease escape analysis), LOCK-ORDER (lock-acquisition-order
-cycles); ``--no-dataflow`` preserves the fast intra-module mode and
-``--baseline FILE`` lets new rules land warn-first.
+project symbol table + call graph (:mod:`.dataflow`) and runs two
+interprocedural rules — NONDET-FLOW (seeds through call chains) and
+SHM-ESCAPE (lease escape analysis); ``--no-dataflow`` preserves the fast
+intra-module mode and ``--baseline FILE`` lets new rules land warn-first.
 
 Findings are suppressed per-rule with ``# repro: noqa[RULE-ID] -- why``
 comments; the justification text is mandatory.  Exit codes gate CI: 0

@@ -3,8 +3,8 @@
 Parses the target tree once into a :class:`~.project.Project` (module
 table, per-module symbol tables, import-alias resolution, best-effort
 call resolution) and runs the interprocedural rules in :mod:`.rules`:
-``NONDET-FLOW`` (seeds through call chains), ``SHM-ESCAPE`` (lease escape
-analysis) and ``LOCK-ORDER`` (static lock-acquisition-order cycles).
+``NONDET-FLOW`` (seeds through call chains) and ``SHM-ESCAPE`` (lease
+escape analysis).
 
 These registries are deliberately separate from
 ``repro.analysis.rules.RULE_CLASSES`` — the intra-module rule set is a
@@ -15,7 +15,6 @@ entire pass without touching it.
 from .project import Project, ProjectModule, Resolved, module_name_for
 from .rules import (
     DATAFLOW_RULE_CLASSES,
-    LockOrderRule,
     NondetFlowRule,
     ShmEscapeRule,
     dataflow_rules,
@@ -23,7 +22,6 @@ from .rules import (
 
 __all__ = [
     "DATAFLOW_RULE_CLASSES",
-    "LockOrderRule",
     "NondetFlowRule",
     "Project",
     "ProjectModule",

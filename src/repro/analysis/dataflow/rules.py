@@ -17,14 +17,8 @@ difference is that these see across module boundaries through the
   and checks every call site for a consumption path, so a caller that
   discards the tuple or binds the lease and never touches it again leaks
   a ``/dev/shm`` segment on every call.
-* :class:`LockOrderRule` (``LOCK-ORDER``) — builds the
-  lock-acquisition-order graph over ``runtime/`` (nested
-  ``with`` blocks plus locks acquired by resolved callees while a lock is
-  held) and reports any cycle, including re-acquisition of the same
-  canonical lock, before a deadlock ever needs two racing processes to
-  reproduce.
 
-All three stay silent on anything they cannot resolve statically — every
+Both stay silent on anything they cannot resolve statically — every
 reported chain is a concrete static path (see the soundness note in
 :mod:`.project`).
 """
@@ -416,168 +410,10 @@ class ShmEscapeRule(ProjectRule):
         return False
 
 
-class LockOrderRule(ProjectRule):
-    """The runtime's locks must have a cycle-free acquisition order.
-
-    PR 5 added the shared-incumbent lock and PR 6's LOCK-DISCIPLINE rule
-    polices *how* each lock is taken (``with``, no bare ``acquire``).
-    Neither sees ordering: process A taking ``store.lock`` then
-    ``slot.lock`` while process B nests them the other way deadlocks only
-    under contention.  This rule builds the static acquisition-order graph
-    over ``runtime/`` — an edge for every lock acquired (directly or via a
-    resolved callee) while another is held — and reports every cycle,
-    including same-lock re-acquisition, with the witness site.
-    """
-
-    id = "LOCK-ORDER"
-    severity = Severity.ERROR
-    summary = "static lock-acquisition-order graph over runtime/ must be acyclic"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        edges: dict[tuple[str, str], tuple[ProjectModule, ast.AST]] = {}
-        acquires_memo: dict[tuple[str, str], frozenset[str]] = {}
-        for module in project:
-            if not module.context.in_directory("runtime"):
-                continue
-            for node in module.functions.values():
-                self._collect_edges(project, module, node, edges, acquires_memo)
-        yield from self._report_cycles(edges)
-
-    # -- graph construction --------------------------------------------------
-
-    @staticmethod
-    def _lock_name(module: ProjectModule, expr: ast.expr) -> str | None:
-        dotted = module.context.dotted_name(expr)
-        if dotted is None or "lock" not in dotted.lower():
-            return None
-        if dotted.startswith("self."):
-            dotted = dotted[len("self.") :]
-        return dotted
-
-    def _direct_and_callee_locks(
-        self,
-        project: Project,
-        resolved: Resolved,
-        memo: dict[tuple[str, str], frozenset[str]],
-        stack: set[tuple[str, str]],
-    ) -> frozenset[str]:
-        """Every canonical lock ``resolved`` may acquire, transitively."""
-        key = resolved.key
-        if key in memo:
-            return memo[key]
-        if key in stack or not isinstance(resolved.node, _FUNCTION_TYPES):
-            return frozenset()
-        stack.add(key)
-        names: set[str] = set()
-        for node in ast.walk(resolved.node):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    name = self._lock_name(resolved.module, item.context_expr)
-                    if name is not None:
-                        names.add(name)
-        for call in _function_calls(resolved.node):
-            callee = project.resolve_call(resolved.module, call)
-            if callee is not None and callee.kind == "function":
-                names |= self._direct_and_callee_locks(project, callee, memo, stack)
-        stack.discard(key)
-        memo[key] = frozenset(names)
-        return memo[key]
-
-    def _collect_edges(
-        self,
-        project: Project,
-        module: ProjectModule,
-        function: FunctionNode,
-        edges: dict[tuple[str, str], tuple[ProjectModule, ast.AST]],
-        acquires_memo: dict[tuple[str, str], frozenset[str]],
-    ) -> None:
-        def note_call(call: ast.Call, held: list[str]) -> None:
-            callee = project.resolve_call(module, call)
-            if callee is None or callee.kind != "function":
-                return
-            for name in self._direct_and_callee_locks(
-                project, callee, acquires_memo, set()
-            ):
-                edges.setdefault((held[-1], name), (module, call))
-
-        def visit(node: ast.AST, held: list[str]) -> None:
-            if isinstance(node, _SCOPE_TYPES) and node is not function:
-                return  # nested defs run later, not under this lock
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                inner = list(held)
-                for item in node.items:
-                    name = self._lock_name(module, item.context_expr)
-                    if name is None:
-                        visit(item.context_expr, inner)
-                        continue
-                    if inner:
-                        edges.setdefault((inner[-1], name), (module, item.context_expr))
-                    inner.append(name)
-                for statement in node.body:
-                    visit(statement, inner)
-                return
-            if isinstance(node, ast.Call) and held:
-                note_call(node, held)
-            for child in ast.iter_child_nodes(node):
-                visit(child, held)
-
-        for statement in function.body:
-            visit(statement, [])
-
-    # -- cycle detection -----------------------------------------------------
-
-    def _report_cycles(
-        self, edges: dict[tuple[str, str], tuple[ProjectModule, ast.AST]]
-    ) -> Iterator[Finding]:
-        adjacency: dict[str, set[str]] = {}
-        for source, target in edges:
-            adjacency.setdefault(source, set()).add(target)
-        seen: set[frozenset[str]] = set()
-        for (source, target), (module, witness) in sorted(
-            edges.items(), key=lambda item: item[0]
-        ):
-            path = self._path(adjacency, target, source)
-            if path is None:
-                continue
-            cycle = [source, *path]
-            key = frozenset(cycle)
-            if key in seen:
-                continue
-            seen.add(key)
-            # ``path`` runs target..source inclusive, so ``cycle`` already
-            # closes the loop: [a, b, a] for a 2-cycle, [a, a] for a self-edge.
-            rendered = " -> ".join(cycle)
-            yield self.finding(
-                module.context,
-                witness,
-                f"lock acquisition-order cycle: {rendered}"
-                " (a process interleaving these orders can deadlock)",
-            )
-
-    @staticmethod
-    def _path(
-        adjacency: dict[str, set[str]], start: str, goal: str
-    ) -> list[str] | None:
-        """A path ``start .. goal`` through the edge graph (DFS), or None."""
-        stack: list[tuple[str, list[str]]] = [(start, [start])]
-        visited: set[str] = set()
-        while stack:
-            node, path = stack.pop()
-            if node == goal:
-                return path
-            if node in visited:
-                continue
-            visited.add(node)
-            for successor in sorted(adjacency.get(node, ())):
-                stack.append((successor, [*path, successor]))
-        return None
-
-
 #: Interprocedural rules run by the default (dataflow-enabled) lint pass.
 DATAFLOW_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
     NondetFlowRule,
     ShmEscapeRule,
-    LockOrderRule,
 )
 
 
@@ -587,7 +423,6 @@ def dataflow_rules() -> list[ProjectRule]:
 
 __all__ = [
     "DATAFLOW_RULE_CLASSES",
-    "LockOrderRule",
     "NondetFlowRule",
     "SEED_PARAMETERS",
     "SOLVER_DIRECTORIES",

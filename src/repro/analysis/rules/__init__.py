@@ -1,11 +1,11 @@
 """The shipped rule set, one plugin module per invariant family.
 
-* :mod:`.concurrency` — shared-memory lifecycle, dispatch hygiene and lock
-  discipline (the PR 4/PR 5 runtime invariants);
+* :mod:`.concurrency` — shared-memory lifecycle, worker-pool ownership and
+  lock discipline (the runtime's process and thread invariants);
 * :mod:`.determinism` — bit-determinism of solver paths and the hot-path
   no-float-sort rule;
 * :mod:`.hygiene` — env-var registry routing, bound-docstring citations and
-  the pickle/spill-path boundary;
+  the pickle-owner boundary;
 * :mod:`.faultpoints` — fault-injection sites (PR 8/PR 9): registered kinds
   only, owned by the runtime or serve tier, reachable from a public entry
   point;
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from ..core import Rule
 from .anytime import GapCertificateRule
-from .concurrency import LockDisciplineRule, ShmLifecycleRule, SyncInDispatchRule
+from .concurrency import LockDisciplineRule, PoolOwnerRule, ShmLifecycleRule
 from .determinism import FloatSortHotpathRule, NondetRule
 from .faultpoints import FaultPointRule
 from .hygiene import BoundAdmissibleDocRule, EnvRegistryRule, PickleOwnerRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     ShmLifecycleRule,
-    SyncInDispatchRule,
+    PoolOwnerRule,
     LockDisciplineRule,
     FloatSortHotpathRule,
     NondetRule,

@@ -16,9 +16,13 @@ instrumentation.  They are enabled through the :mod:`repro._env` registry::
 Everything here is **zero-cost when disabled**: every hook begins with an
 ``enabled(...)`` check against a plain module-level set, and the runtime
 modules only ever call tiny trampoline functions.  Violations are recorded
-in-process (:func:`violations`, for tests) and printed to stderr by an
-``atexit`` reporter; sanitizers never raise into the instrumented code
-path, because a watchdog that crashes the patient is worse than none.
+in-process (:func:`violations`) and printed to stderr by an ``atexit``
+reporter; sanitizers never raise into the instrumented code path, because
+a watchdog that crashes the patient is worse than none.  Under pytest the
+repo-root ``conftest.py`` fails any test during which a violation was
+recorded, so an armed run fails on one.  SHM-SAN's leak check runs only at
+exit and stays a printout; CI's ``/dev/shm`` scan after each armed job is
+what gates leaks.
 
 Worker processes receive the enabled-sanitizer names through pool
 ``initargs`` (with the armed fault spec), so ``shm`` violations inside a

@@ -16,10 +16,13 @@ bound chunks legitimately return timing-dependent *per-chunk* values (the
 skip sets depend on which chunks the parent had harvested when it submitted
 each one) while the callers' reductions stay exact — fingerprinting them would be pure false-positive.
 
-Fingerprints are SHA-1 of the pickled value.  That is exactly the
-serialization determinism the runtime already relies on everywhere it
-ships chunks across processes, so anything unpicklable (or a map whose
-key cannot be built) is silently skipped rather than reported.
+Fingerprints are SHA-1 of a canonical form's pickle: every array inside
+tuples and lists becomes ``(dtype, shape, C-order bytes)``.  Raw pickle
+bytes would depend on memory layout — an in-process chunk may return a
+non-contiguous view where a worker returns the equal contiguous copy it
+unpickled — and report equal values as a divergence.  Anything unpicklable
+(or a map whose key cannot be built) is silently skipped rather than
+reported.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from . import enabled, report_violation
 
@@ -38,13 +43,24 @@ MAX_TRACKED_MAPS = 64
 _seen: OrderedDict[str, tuple[str, tuple[str, ...]]] = OrderedDict()
 
 
+def _canonical(value: Any) -> Any:
+    """``value`` with each array in its tuples and lists made layout-free."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes(order="C"))
+    if isinstance(value, tuple):
+        return tuple(_canonical(item) for item in value)
+    if isinstance(value, list):
+        return [_canonical(item) for item in value]
+    return value
+
+
 def _fingerprint(value: Any) -> str | None:
-    """SHA-1 of ``value``'s pickle, or ``None`` when unpicklable."""
+    """SHA-1 of ``value``'s canonical form, or ``None`` when unpicklable."""
     import pickle
 
     try:
         # repro: noqa[PICKLE-OWNER] -- fingerprinting only: bytes are hashed and discarded, never persisted or shipped, so the pickle-confinement rule does not apply
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(_canonical(value), protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # unpicklable values cannot be fingerprinted
         return None
     return hashlib.sha1(blob).hexdigest()

@@ -21,6 +21,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
     LintReport,
     Rule,
@@ -35,8 +37,8 @@ from repro.analysis.rules import RULE_CLASSES
 from repro.analysis.rules.anytime import GapCertificateRule
 from repro.analysis.rules.concurrency import (
     LockDisciplineRule,
+    PoolOwnerRule,
     ShmLifecycleRule,
-    SyncInDispatchRule,
 )
 from repro.analysis.rules.determinism import FloatSortHotpathRule, NondetRule
 from repro.analysis.rules.faultpoints import FAULT_KINDS as LINT_FAULT_KINDS, FaultPointRule
@@ -119,84 +121,31 @@ class TestShmLifecycleRule:
         assert report.findings == []
 
 
-class TestSyncInDispatchRule:
-    def test_flags_sync_ctor_and_dispatch_arg(self, tmp_path):
-        report = lint_fixture(
-            tmp_path,
-            "runtime/helpers.py",
-            """
-            import multiprocessing
-
-            def go(parallel_map, task, items):
-                lock = multiprocessing.Lock()
-                return parallel_map(task, items, lock)
-            """,
-            SyncInDispatchRule(),
-        )
-        ids = rule_ids(report)
-        assert ids.count("SYNC-IN-DISPATCH") == 2  # ctor outside owner + dispatch arg
-
-    def test_flags_slot_handles_in_ordered_map(self, tmp_path):
-        report = lint_fixture(
-            tmp_path,
-            "baselines/solver.py",
-            """
-            from repro.runtime.incumbent import slot_handles
-            from repro.runtime.parallel import parallel_map_ordered
-
-            def go(task, chunks):
-                return parallel_map_ordered(task, chunks, payload=slot_handles())
-            """,
-            SyncInDispatchRule(),
-        )
-        assert rule_ids(report) == ["SYNC-IN-DISPATCH"]
-        assert "slot_handles() result shipped" in report.findings[0].message
-
-    def test_ordered_map_with_token_payload_passes(self, tmp_path):
-        report = lint_fixture(
-            tmp_path,
-            "baselines/solver.py",
-            """
-            from repro.runtime.parallel import parallel_map_ordered
-
-            def go(task, chunks, context, seed):
-                return parallel_map_ordered(
-                    task, chunks, payload=(context, 32), incumbent_seed=seed
-                )
-            """,
-            SyncInDispatchRule(),
-        )
-        assert report.findings == []
-
-    def test_flags_pool_outside_owner(self, tmp_path):
+class TestPoolOwnerRule:
+    @pytest.mark.parametrize(
+        "imports, pool",
+        [
+            ("from concurrent.futures import ProcessPoolExecutor", "ProcessPoolExecutor(4)"),
+            ("import multiprocessing", "multiprocessing.Pool(2)"),
+        ],
+    )
+    def test_flags_pool_outside_owner(self, tmp_path, imports, pool):
         report = lint_fixture(
             tmp_path,
             "experiments/adhoc.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
+            f"""
+            {imports}
 
             def fanout(work):
-                with ProcessPoolExecutor(4) as pool:
+                with {pool} as pool:
                     return list(pool.map(len, work))
             """,
-            SyncInDispatchRule(),
+            PoolOwnerRule(),
         )
-        assert rule_ids(report) == ["SYNC-IN-DISPATCH"]
+        assert rule_ids(report) == ["POOL-OWNER"]
         assert "outside runtime/pool.py" in report.findings[0].message
 
     def test_owners_pass(self, tmp_path):
-        report = lint_fixture(
-            tmp_path,
-            "runtime/incumbent.py",
-            """
-            import multiprocessing
-
-            def make_slot(ctx):
-                return multiprocessing.Value("d", 0.0)
-            """,
-            SyncInDispatchRule(),
-        )
-        assert report.findings == []
         report = lint_fixture(
             tmp_path,
             "runtime/pool.py",
@@ -206,25 +155,12 @@ class TestSyncInDispatchRule:
             def build(workers, initializer, initargs):
                 return ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs)
             """,
-            SyncInDispatchRule(),
+            PoolOwnerRule(),
         )
         assert report.findings == []
 
 
 class TestLockDisciplineRule:
-    def test_flags_unlocked_get_obj(self, tmp_path):
-        report = lint_fixture(
-            tmp_path,
-            "runtime/peek.py",
-            """
-            def read(slot):
-                return slot.value.get_obj().value
-            """,
-            LockDisciplineRule(),
-        )
-        assert rule_ids(report) == ["LOCK-DISCIPLINE"]
-        assert "torn" in report.findings[0].message
-
     def test_flags_blocking_call_under_lock(self, tmp_path):
         report = lint_fixture(
             tmp_path,
@@ -246,13 +182,37 @@ class TestLockDisciplineRule:
             tmp_path,
             "runtime/peek.py",
             """
-            def read(slot):
-                with slot.lock:
-                    return slot.value.get_obj().value
+            def read(state):
+                with state.lock:
+                    return dict(state.counts)
             """,
             LockDisciplineRule(),
         )
         assert report.findings == []
+
+    def test_condition_wait_needs_a_justified_suppression(self, tmp_path):
+        # Condition.wait releases its lock while it blocks, which the rule
+        # cannot see; the admission queue in serve/state.py says so inline.
+        source = """
+            def admit(self):
+                with self._lock:
+                    while self.full():
+                        self._slot_freed.wait(timeout=1.0){suffix}
+            """
+        flagged = lint_fixture(
+            tmp_path, "serve/state.py", source.format(suffix=""), LockDisciplineRule()
+        )
+        assert rule_ids(flagged) == ["LOCK-DISCIPLINE"]
+        justified = lint_fixture(
+            tmp_path,
+            "serve/state.py",
+            source.format(
+                suffix="  # repro: noqa[LOCK-DISCIPLINE] -- Condition.wait releases the lock"
+            ),
+            LockDisciplineRule(),
+        )
+        assert justified.findings == []
+        assert len(justified.suppressed) == 1
 
 
 class TestFloatSortHotpathRule:

@@ -24,7 +24,6 @@ from repro.analysis import (
 )
 from repro.analysis.dataflow import (
     DATAFLOW_RULE_CLASSES,
-    LockOrderRule,
     NondetFlowRule,
     ShmEscapeRule,
     dataflow_rules,
@@ -246,92 +245,6 @@ class TestShmEscapeRule:
         assert report.findings == []
 
 
-#: Two functions taking the same two locks in opposite orders — the
-#: deadlock that only manifests under contention, caught statically.
-LOCK_CYCLE_TREE = {
-    "runtime/locks.py": """
-        import threading
-
-        a_lock = threading.Lock()
-        b_lock = threading.Lock()
-
-        def forward():
-            with a_lock:
-                with b_lock:
-                    pass
-
-        def backward():
-            with b_lock:
-                with a_lock:
-                    pass
-        """
-}
-
-LOCK_ORDERED_TREE = {
-    "runtime/locks.py": """
-        import threading
-
-        a_lock = threading.Lock()
-        b_lock = threading.Lock()
-
-        def forward():
-            with a_lock:
-                with b_lock:
-                    pass
-
-        def also_forward():
-            with a_lock:
-                with b_lock:
-                    pass
-        """
-}
-
-
-class TestLockOrderRule:
-    def test_flags_inverted_acquisition_order(self, tmp_path):
-        report = lint_tree(tmp_path, LOCK_CYCLE_TREE, LockOrderRule())
-        assert rule_ids(report) == ["LOCK-ORDER"]
-        message = report.findings[0].message
-        assert "lock acquisition-order cycle" in message
-        assert "a_lock -> b_lock -> a_lock" in message
-
-    def test_consistent_order_is_silent(self, tmp_path):
-        report = lint_tree(tmp_path, LOCK_ORDERED_TREE, LockOrderRule())
-        assert report.findings == []
-
-    def test_sees_locks_acquired_through_callees(self, tmp_path):
-        # The edge a_lock -> b_lock exists only through a call made while
-        # a_lock is held; the inversion is direct.  Still a cycle.
-        tree = {
-            "runtime/locks.py": """
-                import threading
-
-                a_lock = threading.Lock()
-                b_lock = threading.Lock()
-
-                def helper():
-                    with b_lock:
-                        pass
-
-                def outer():
-                    with a_lock:
-                        helper()
-
-                def inverted():
-                    with b_lock:
-                        with a_lock:
-                            pass
-                """
-        }
-        report = lint_tree(tmp_path, tree, LockOrderRule())
-        assert rule_ids(report) == ["LOCK-ORDER"]
-
-    def test_scoped_to_runtime_directory(self, tmp_path):
-        tree = {"pkg/locks.py": LOCK_CYCLE_TREE["runtime/locks.py"]}
-        report = lint_tree(tmp_path, tree, LockOrderRule())
-        assert report.findings == []
-
-
 class TestProjectModel:
     def test_resolves_imports_aliases_and_methods(self, tmp_path):
         write_tree(
@@ -384,12 +297,8 @@ class TestProjectModel:
         # interprocedural rules, which ship in their own registry and only
         # join in the (default) dataflow mode.
         assert len(RULE_CLASSES) == 10
-        assert len(DATAFLOW_RULE_CLASSES) == 3
-        assert {rule.id for rule in dataflow_rules()} == {
-            "NONDET-FLOW",
-            "SHM-ESCAPE",
-            "LOCK-ORDER",
-        }
+        assert len(DATAFLOW_RULE_CLASSES) == 2
+        assert {rule.id for rule in dataflow_rules()} == {"NONDET-FLOW", "SHM-ESCAPE"}
         table = render_rule_table()
         assert "NONDET-FLOW" in table and "(dataflow)" in table
 

@@ -13,7 +13,7 @@ from repro.experiments import (
     Table1Settings,
     run_everything,
 )
-from repro.runtime.bench import CASES, run_bench
+from repro.runtime.bench import CASES, assert_gate, run_bench
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +299,15 @@ class TestBenchCompare:
         new = {"cases": {"lint_dataflow_full_tree": {"lint_dataflow_full_tree_seconds": 0.16}}}
         _, regressions = compare_documents(new, old)
         assert len(regressions) == 1
+
+
+class TestAssertGate:
+    """The one helper every tier-1 perf guard in ``benchmarks/`` calls."""
+
+    def test_failure_message_carries_the_case_record(self, monkeypatch):
+        record = {"speedup": 1.1, "gate": 2.0, "gate_met": False}
+        monkeypatch.setitem(CASES, "planted_case", lambda: record)
+        with pytest.raises(AssertionError, match="planted_case missed its gate 2.0") as failure:
+            assert_gate("planted_case")
+        assert str(record) in str(failure.value)
+

@@ -270,8 +270,10 @@ def _crash_task(payload, item):
     return item
 
 
-def _pid_task(payload, item):
-    return os.getpid()
+def _in_worker_task(payload, item):
+    # Pure on purpose: under REPRO_SANITIZE=det two runs of one map must agree
+    # chunk for chunk, so the probe says whether a pool worker ran it, not which.
+    return pool_module.in_worker()
 
 
 class TestPoolLifecycle:
@@ -284,21 +286,25 @@ class TestPoolLifecycle:
         assert _own_segments() == []
 
     def test_pool_persists_across_calls(self):
-        first = parallel_map(_pid_task, range(4), workers=2)
+        first = parallel_map(_in_worker_task, range(4), workers=2)
         assert pool_module.executor().started
         executor_before = pool_module.executor()._executor
-        second = parallel_map(_pid_task, range(4), workers=2)
+        pids = set(executor_before._processes)
+        second = parallel_map(_in_worker_task, range(4), workers=2)
         assert pool_module.executor()._executor is executor_before  # not respawned
-        # Every task ran in one of the pool's (at most 2) worker processes.
-        assert len(set(first) | set(second)) <= 2
-        assert os.getpid() not in set(first) | set(second)
+        # Every task ran in a pool worker, and the same (at most 2) worker
+        # processes served both calls.
+        assert first == second == [True] * 4
+        assert set(executor_before._processes) == pids
+        assert 0 < len(pids) <= 2
+        assert os.getpid() not in pids
 
     def test_pool_restarts_after_shutdown(self):
-        parallel_map(_pid_task, range(4), workers=2)
+        parallel_map(_in_worker_task, range(4), workers=2)
         shutdown_runtime()
         assert not pool_module.executor().started
-        result = parallel_map(_pid_task, range(4), workers=2)
-        assert len(result) == 4
+        result = parallel_map(_in_worker_task, range(4), workers=2)
+        assert result == [True] * 4
 
 
 class TestBitIdentityAcrossTransports:

@@ -6,12 +6,18 @@ zero-cost-when-disabled contract, the ``REPRO_SANITIZE`` name validation,
 and the pool-initargs handoff that enables sanitizers inside worker
 processes.  Sanitizers report via :func:`repro.sanitize.violations` (never
 by raising into the instrumented path), which is what these tests assert
-on.
+on.  A violation left recorded fails the test (repo-root ``conftest.py``),
+so the planted ones are drained once asserted.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,17 +27,29 @@ from repro.runtime import shm as shm_module
 from repro.runtime.parallel import parallel_map, set_oversubscribe
 from repro.sanitize import det_san, shm_san
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture(autouse=True)
 def sanitizers_reset():
-    """Every test starts and ends with sanitizers off and state cleared."""
+    """Every test starts with sanitizers off and state cleared, and ends with
+    the sanitizers it found re-armed (``REPRO_SANITIZE`` runs keep them on
+    for the files collected after this one)."""
+    previous = sanitize.enabled_names()
     sanitize.set_enabled(())
     yield
-    sanitize.set_enabled(())
+    sanitize.set_enabled(previous)
+
+
+def drain() -> tuple[sanitize.Violation, ...]:
+    """The recorded violations, cleared so a planted one does not fail the test."""
+    found = sanitize.violations()
+    sanitize.reset()
+    return found
 
 
 def messages() -> list[str]:
-    return [violation.render() for violation in sanitize.violations()]
+    return [violation.render() for violation in drain()]
 
 
 class TestController:
@@ -75,7 +93,8 @@ class TestShmSan:
     def test_catches_planted_leak(self):
         sanitize.set_enabled(("shm",))
         shm_san.record_create("psm_leaky", "pack_arrays")
-        found = sanitize.check_exit()
+        sanitize.check_exit()
+        found = drain()
         assert len(found) == 1
         assert "psm_leaky" in found[0].message
         assert "created by pack_arrays" in found[0].message
@@ -111,7 +130,8 @@ class TestShmSan:
         assert sanitize.check_exit() == ()  # close() unlinks: clean
         _descriptor, leaked = shm_module.pack_arrays(arrays)
         try:
-            found = sanitize.check_exit()
+            sanitize.check_exit()
+            found = drain()
             assert len(found) == 1
             assert "pack_arrays" in found[0].message
             assert "never unlinked" in found[0].message
@@ -152,6 +172,38 @@ class TestDetSan:
                 _square_chunk, [0, 1], None, [5, 6], workers=workers, pruned=False
             )
         assert sanitize.violations() == ()
+
+    @pytest.mark.parametrize(
+        "wrap", [lambda block: (1.0, block), lambda block: [block, 3]], ids=["tuple", "list"]
+    )
+    def test_array_layout_is_not_a_divergence(self, wrap):
+        # An in-process chunk may return a strided view where a worker
+        # returns the contiguous copy it unpickled: equal values, one fingerprint.
+        sanitize.set_enabled(("det",))
+        rows = np.arange(24.0).reshape(4, 6)
+        for workers, block in enumerate(
+            (rows[:, 1:4], rows[:, 1:4].copy(), np.asfortranarray(rows[:, 1:4])), 1
+        ):
+            det_san.record_map(
+                _square_chunk, [0], None, [wrap(block)], workers=workers, pruned=False
+            )
+        assert sanitize.violations() == ()
+        det_san.record_map(
+            _square_chunk, [0], None, [wrap(rows[:, 1:4].T)], workers=4, pruned=False
+        )
+        assert "diverged at chunk 0" in messages()[0]  # the shape still counts
+
+    def test_dtype_is_part_of_the_fingerprint(self):
+        # Zeros are the same bytes in int64 and float64; only the dtype in
+        # the canonical form tells the two results apart.
+        sanitize.set_enabled(("det",))
+        det_san.record_map(
+            _square_chunk, [0], None, [np.zeros(4, dtype=np.int64)], workers=1, pruned=False
+        )
+        det_san.record_map(
+            _square_chunk, [0], None, [np.zeros(4, dtype=np.float64)], workers=2, pruned=False
+        )
+        assert "diverged at chunk 0" in messages()[0]
 
     def test_pruned_maps_are_skipped_by_design(self):
         # Branch-and-bound chunks legitimately differ per worker count
@@ -207,3 +259,40 @@ class TestWorkerHandoff:
         finally:
             set_oversubscribe(previous)
         assert results == [("shm", "det")] * 4
+
+
+class TestPytestVerdict:
+    def test_violation_fails_the_test_it_was_recorded_in(self, tmp_path):
+        # The repo-root conftest fails the test during which a violation was
+        # recorded; a clean test in the same run still passes.
+        shutil.copy(REPO_ROOT / "conftest.py", tmp_path / "conftest.py")
+        (tmp_path / "test_planted.py").write_text(
+            textwrap.dedent(
+                """
+                from repro import sanitize
+
+                def test_records_a_violation():
+                    sanitize.report_violation("det", "planted divergence")
+
+                def test_clean():
+                    pass
+                """
+            )
+        )
+        env = dict(os.environ)
+        env.pop("REPRO_SANITIZE", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 1, completed.stdout + completed.stderr
+        assert "1 failed, 1 passed" in completed.stdout
+        assert "1 sanitizer violation(s) during test" in completed.stdout
+        assert "DET-SAN: planted divergence" in completed.stdout
