@@ -1,6 +1,6 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark file regenerates one experiment from DESIGN.md's index
+Each benchmark file regenerates one experiment of the harness
 (Table 1 rows, the scaling study, the ablations).  pytest-benchmark provides
 the timing; the assertions check that the measured quality reproduces the
 paper's claim (ratios within the proven factors, baselines not better, the

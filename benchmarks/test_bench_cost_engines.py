@@ -1,4 +1,4 @@
-"""Cost-engine micro-benchmarks (design-choice ablation from DESIGN.md §5.4).
+"""Cost-engine micro-benchmarks (a design-choice ablation of the cost engines).
 
 Times the exact O(N log N) expected-cost engine against Monte-Carlo
 estimation and full enumeration on a common instance, and checks they agree.

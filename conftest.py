@@ -88,12 +88,20 @@ def _guarded(item, phase: str):
         signal.signal(signal.SIGALRM, previous)
 
 
+#: Every violation seen at a phase start, by id.  Holding them keeps their
+#: ids unique, so a violation fails only the phase it first appears in, also
+#: when a test swaps the sanitizer state out and back in
+#: (``tests/test_sanitizers.py``).
+_seen_violations: dict[int, sanitize.Violation] = {}
+
+
 def _phase(item, phase: str):
     """One runtest phase under its timeout, failed by any new sanitizer violation."""
-    before = sanitize.violations()  # holding them keeps their ids unique
+    _seen_violations.update((id(violation), violation) for violation in sanitize.violations())
     result = yield from _guarded(item, phase)
-    seen = {id(violation) for violation in before}
-    found = [violation for violation in sanitize.violations() if id(violation) not in seen]
+    found = [
+        violation for violation in sanitize.violations() if id(violation) not in _seen_violations
+    ]
     if found:
         pytest.fail(
             f"{len(found)} sanitizer violation(s) during {phase}:\n"

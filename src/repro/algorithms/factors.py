@@ -38,7 +38,8 @@ def restricted_euclidean_factor(assignment_policy: str, deterministic_factor: fl
     """Factor of Theorem 2.2 for the given assignment rule.
 
     ``4 + f`` for the expected-distance rule, ``2 + f`` for the
-    expected-point rule.
+    expected-point rule.  Theorems 2.4 / 2.5 give the same factors against
+    the unrestricted optimum (:data:`unrestricted_euclidean_factor`).
     """
     f = _check_factor(deterministic_factor)
     if assignment_policy == "expected-distance":
@@ -46,20 +47,14 @@ def restricted_euclidean_factor(assignment_policy: str, deterministic_factor: fl
     if assignment_policy == "expected-point":
         return 2.0 + f
     raise ValidationError(
-        f"Theorem 2.2 covers the expected-distance and expected-point assignments, not {assignment_policy!r}"
+        "Theorems 2.2, 2.4 and 2.5 cover the expected-distance and expected-point"
+        f" assignments, not {assignment_policy!r}"
     )
 
 
-def unrestricted_euclidean_factor(assignment_policy: str, deterministic_factor: float) -> float:
-    """Factor of Theorems 2.4 / 2.5 (Euclidean, vs the unrestricted optimum)."""
-    f = _check_factor(deterministic_factor)
-    if assignment_policy == "expected-distance":
-        return 4.0 + f
-    if assignment_policy == "expected-point":
-        return 2.0 + f
-    raise ValidationError(
-        f"Theorems 2.4/2.5 cover the expected-distance and expected-point assignments, not {assignment_policy!r}"
-    )
+#: Factor of Theorems 2.4 / 2.5 (Euclidean, vs the unrestricted optimum):
+#: the same reduction as Theorem 2.2, with the same factors.
+unrestricted_euclidean_factor = restricted_euclidean_factor
 
 
 def unrestricted_metric_factor(assignment_policy: str, deterministic_factor: float) -> float:

@@ -11,28 +11,19 @@ of the *unrestricted* optimum — i.e. the best possible over all centers *and*
 all assignments.  With Gonzalez (``f = 2``) the EP variant gives Table 1's
 factor 4 in ``O(nz + n log k)`` time; with a ``(1+ε)`` solver, ``3 + ε``.
 
-The produced solution is identical in structure to the restricted one (the
-algorithm *is* the same reduction); the difference is the benchmark it is
-guaranteed against, which the experiments measure accordingly.
+The algorithm is Theorem 2.2's expected-point reduction, run by the one
+body in :mod:`repro.algorithms.restricted`; only the benchmark it is
+guaranteed against differs, which the experiments measure accordingly, and
+this entry point can polish the assignment afterwards.
 """
 
 from __future__ import annotations
 
-from .._validation import check_positive_int
 from ..assignments.base import AssignmentPolicy
-from ..assignments.policies import ExpectedDistanceAssignment, ExpectedPointAssignment, OptimalAssignment
-from ..cost.context import CostContext
-from ..exceptions import NotSupportedError, ValidationError
 from ..uncertain.dataset import UncertainDataset
-from ..uncertain.reduction import expected_point_reduction
-from .factors import unrestricted_euclidean_factor
+from .restricted import _solve_by_reduction
 from .result import UncertainKCenterResult
-from .solvers import DeterministicSolver, resolve_solver
-
-_POLICIES: dict[str, type[AssignmentPolicy]] = {
-    "expected-distance": ExpectedDistanceAssignment,
-    "expected-point": ExpectedPointAssignment,
-}
+from .solvers import DeterministicSolver
 
 
 def solve_unrestricted_assigned(
@@ -60,63 +51,6 @@ def solve_unrestricted_assigned(
         guarantee still holds; the extra work is ``O(rounds * n * k)`` exact
         cost evaluations.
     """
-    if not dataset.metric.supports_expected_point:
-        raise NotSupportedError(
-            "Theorems 2.4/2.5 need expected points; use solve_metric_unrestricted for general metrics"
-        )
-    k = check_positive_int(k, name="k")
-    policy = _resolve_policy(assignment)
-    solve = resolve_solver(solver, epsilon=epsilon)
-
-    representatives = expected_point_reduction(dataset)
-    deterministic = solve(representatives, k, dataset.metric)
-    centers = deterministic.centers
-    labels = policy(dataset, centers)
-    # One shared cost context serves the guaranteed solution's score, the
-    # local-search polish, and the polished score — the polished labels are
-    # no longer re-scored from scratch.  When polishing, pin the supports up
-    # front so the initial score, the polish rounds and the re-score all ride
-    # one metric pass; without polish the lazy single-score path stays O(nz).
-    context = CostContext(dataset, centers)
-    if polish_assignment:
-        _ = context.supports  # pin now so every stage below shares one metric pass
-    cost = context.assigned_cost(labels)
-
-    polished = False
-    if polish_assignment:
-        better_labels = OptimalAssignment(context=context)(dataset, centers)
-        better_cost = context.assigned_cost(better_labels)
-        if better_cost < cost:
-            labels, cost, polished = better_labels, better_cost, True
-
-    factor = None
-    if deterministic.approximation_factor is not None:
-        factor = unrestricted_euclidean_factor(policy.name, deterministic.approximation_factor)
-    return UncertainKCenterResult(
-        centers=centers,
-        expected_cost=cost,
-        objective="unrestricted-assigned",
-        assignment=labels,
-        assignment_policy=policy.name,
-        guaranteed_factor=factor,
-        representatives=representatives,
-        metadata={
-            "theorem": "2.5" if policy.name == "expected-point" else "2.4",
-            "deterministic": deterministic.metadata.get("algorithm"),
-            "deterministic_factor": deterministic.approximation_factor,
-            "deterministic_radius": deterministic.radius,
-            "assignment_polished": polished,
-        },
+    return _solve_by_reduction(
+        dataset, k, assignment, solver, epsilon, "unrestricted-assigned", polish_assignment
     )
-
-
-def _resolve_policy(assignment: str | AssignmentPolicy) -> AssignmentPolicy:
-    if isinstance(assignment, AssignmentPolicy):
-        if assignment.name not in _POLICIES:
-            raise ValidationError(
-                f"Theorems 2.4/2.5 cover the assignments {sorted(_POLICIES)}, not {assignment.name!r}"
-            )
-        return assignment
-    if assignment not in _POLICIES:
-        raise ValidationError(f"unknown assignment {assignment!r}; choose one of {sorted(_POLICIES)}")
-    return _POLICIES[assignment]()

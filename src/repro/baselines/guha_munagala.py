@@ -27,8 +27,8 @@ matrix is computed once and the chosen configuration is scored through the
 cached per-candidate CDF columns.
 
 The baseline preserves ``k``, is an O(1)-approximation in the same regime the
-paper targets, and gives the experiments a faithful stand-in comparator.
-DESIGN.md documents this substitution (paper baseline → threshold greedy).
+paper targets, and gives the experiments a faithful stand-in comparator
+(the paper's baseline replaced by a threshold greedy).
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ and initial costs come from the same context; :func:`_ed_cost` additionally
 accepts an existing context or a :class:`~repro.runtime.store.ContextStore`
 so external callers stop building throwaway contexts too.
 
-DESIGN.md records this substitution (published parametric-search algorithm →
-numerical optimiser of the same objective).  The E8 experiment checks the
+The published parametric-search algorithm is replaced here by a numerical
+optimiser of the same objective.  The E8 experiment checks the
 solver matches brute force on every micro instance and that the Theorem 2.3
 chain (its cost vs the unrestricted optimum) stays within factor 3.
 """

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the paper's design choices.
 
 E12 — representative choice: the paper replaces each uncertain point by its
 expected point (Euclidean) or its 1-center (general metric).  The ablation

@@ -1,11 +1,11 @@
 """Top-level experiment harness: run every experiment and render the report.
 
 ``python -m repro table1`` (or the installed ``uncertain-kcenter`` script)
-drives this module.  ``run_everything`` executes all experiments from
-DESIGN.md's index — the Table-1 rows (E1..E10), the scaling study (E11), the
-ablations (E12) and the sensitivity sweeps (E13a/E13b) — and returns the
-records; ``render_full_report`` turns them into the text EXPERIMENTS.md
-embeds.  Pass ``workers`` (the CLI's ``--workers``) to shard each
+drives this module.  ``run_everything`` executes every experiment — the
+Table-1 rows (E1..E10), the scaling study (E11), the ablations (E12) and
+the sensitivity sweeps (E13a/E13b) — and returns the records;
+``render_full_report`` turns them into the plain-text report the CLI
+prints.  Pass ``workers`` (the CLI's ``--workers``) to shard each
 experiment's trial cases across processes; records are identical at every
 worker count.
 """
@@ -41,7 +41,7 @@ def run_everything(
     time_budget: float | None = None,
     gap_target: float | None = None,
 ) -> Sequence[ExperimentRecord]:
-    """Run every experiment in DESIGN.md's index (E1..E13).
+    """Run every experiment (E1..E13).
 
     ``workers`` overrides the ``workers`` field of every settings object at
     once (the scaling experiment and the timed E13b sweep always run
@@ -107,5 +107,5 @@ def run_quick(
 
 
 def render_full_report(records: Sequence[ExperimentRecord]) -> str:
-    """Render all records as the plain-text report EXPERIMENTS.md embeds."""
+    """Render all records as the plain-text report ``python -m repro all`` prints."""
     return render_records(records)

@@ -23,7 +23,8 @@ class ExperimentRecord:
     Attributes
     ----------
     experiment_id:
-        Identifier from DESIGN.md's experiment index (``"E1"`` .. ``"E12"``).
+        Short experiment identifier (``"E1"``, ``"E2/E3"``, ...), which the
+        text report prints next to the paper artifact.
     paper_artifact:
         The table/figure (or remark) of the paper being reproduced.
     paper_claim:
@@ -31,7 +32,7 @@ class ExperimentRecord:
     rows:
         Per-configuration measurements.
     summary:
-        Aggregate values (e.g. worst measured ratio) used by EXPERIMENTS.md.
+        Aggregate values (e.g. worst measured ratio) the text report prints.
     """
 
     experiment_id: str
@@ -70,25 +71,26 @@ def runtime_health_summary(
 
 
 def track_runtime_health(
-    run: Callable[..., ExperimentRecord],
-    *args: Any,
-    always: bool = False,
-    **kwargs: Any,
+    run: Callable[..., ExperimentRecord], *args: Any, **kwargs: Any
 ) -> ExperimentRecord:
     """Run one experiment and attach the runtime-health delta to its record.
 
-    Snapshots :mod:`repro.runtime.health` around the call; if any degradation
-    counter moved (pool rebuilds, chunk retries, transport fallbacks, deadline
-    hits, serial fallbacks), the delta lands in the record's summary under
-    ``"runtime_health"``.  Fault-free runs report nothing by default, so
-    existing records stay byte-stable; ``always=True`` attaches the (possibly
-    all-zero) delta unconditionally for callers that want clean runs to say
-    so explicitly.  ``always`` is consumed here — it is never forwarded to
-    ``run``.
+    Snapshots :mod:`repro.runtime.health` around the call and hands the
+    record to :func:`with_runtime_health`.
     """
     before = health.snapshot()
-    record = run(*args, **kwargs)
-    summary_delta = runtime_health_summary(before, always=always)
+    return with_runtime_health(run(*args, **kwargs), before)
+
+
+def with_runtime_health(record: ExperimentRecord, since: health.RuntimeHealth) -> ExperimentRecord:
+    """``record`` with the runtime-health window since ``since`` in its summary.
+
+    If any degradation counter moved (pool rebuilds, chunk retries,
+    transport fallbacks, deadline hits, serial fallbacks), the delta lands in
+    the summary under ``"runtime_health"``.  Fault-free runs attach nothing,
+    so their records stay byte-stable.
+    """
+    summary_delta = runtime_health_summary(since)
     if summary_delta is None:
         return record
     summary = dict(record.summary)

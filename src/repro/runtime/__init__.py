@@ -39,15 +39,16 @@ context payload bytes, a **store** tier that owns built-context reuse, and an
   two adapters, :func:`~repro.runtime.parallel.parallel_map` (a result
   list, for trial loops) and
   :func:`~repro.runtime.parallel.parallel_map_ordered` (results by item
-  index with best-first submission and a gap-target stop, for the
-  enumerators).  The engine picks the payload transport (shared memory for
-  payloads that contain a context, a per-worker-memoized pickle for
-  everything else and whenever shared memory is off), clamps the requested
-  worker count to the CPUs actually available and to the amount of work
-  (``workers=N`` is never slower than serial on a small box), and runs
-  serial maps and degraded maps' remainders through one in-process loop.
-  Serial (``workers=1``) is the default; worker counts and transports
-  change wall clock only, never results.
+  index with a per-map incumbent, best-first submission and the deadline
+  and gap-target stops, for the enumerators).  The engine picks the
+  payload transport (shared memory for payloads that contain a context, a
+  per-worker-memoized pickle for everything else and whenever shared
+  memory is off), clamps the requested worker count to the CPUs actually
+  available and to the amount of work (``workers=N`` is never slower than
+  serial on a small box), and runs serial maps and degraded maps'
+  remainders through one in-process loop.  Serial (``workers=1``) is the
+  default; worker counts and transports change wall clock only, never
+  results.
 
 * :mod:`repro.runtime.store` — cross-call context reuse.
   :class:`~repro.runtime.store.ContextStore` memoizes ``CostContext``

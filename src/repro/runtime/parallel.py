@@ -9,11 +9,12 @@ One private engine runs that shape serially (``workers <= 1``, the default
 — bit-identical to calling the task function in a plain loop) or across the
 persistent process pool, and two public adapters expose it:
 
-* :func:`parallel_map` returns a plain list (the trial loops and the public
-  API);
+* :func:`parallel_map` returns a plain list of every result (the trial
+  loops, the chunk-bound maps and the public API);
 * :func:`parallel_map_ordered` returns a :class:`MapOutcome` keyed by item
-  index and adds best-first submission order plus a gap-target stop (the
-  branch-and-bound enumerators of :mod:`repro.baselines.brute_force`).
+  index and adds a per-map incumbent, best-first submission order and the
+  deadline and gap-target stops (the branch-and-bound enumerators of
+  :mod:`repro.baselines.brute_force`).
 
 Payload transport is resolved once per map, one of two:
 
@@ -44,14 +45,14 @@ via :mod:`repro.faults`.
 
 Stops (the anytime-solver plumbing)
 -----------------------------------
-``time_budget=SECONDS`` turns a map into an anytime computation: chunk
-submission stops once the monotonic deadline passes, in-flight work drains,
-and the completed chunks come back (:func:`parallel_map` returns the longest
-completed prefix — a short list is how callers detect truncation).  An
-ordered map with a ``gap_target`` stops the same way once the certified gap
-between the live incumbent and the outstanding chunk bounds reaches the
-target.  Callers pair the completed chunks with an admissible lower bound
-over the chunks never run to certify ``(cost, lower_bound, gap)``; see
+``time_budget=SECONDS`` turns an ordered map into an anytime computation:
+chunk submission stops once the monotonic deadline passes, in-flight work
+drains, and the completed chunks come back keyed by item index — under
+best-first order they need not form a prefix.  A ``gap_target`` stops the
+map the same way once the certified gap between the live incumbent and
+the outstanding chunk bounds reaches the target.  Callers pair the
+completed chunks with an admissible lower bound over the chunks never run
+to certify ``(cost, lower_bound, gap)``; see
 :mod:`repro.baselines.brute_force`.  Both stops behave the same on every
 transport, serially and in a degraded map's remainder.  Truncated maps are
 exempt from ``det`` fingerprinting the same way pruned maps are: *which*
@@ -78,17 +79,17 @@ bytes (shared-memory views alias the publisher's arrays exactly), and the
 parent reduces in item order.  Only wall-clock time may differ — never a
 returned value.
 
-Pruned maps (``incumbent_seed`` set) relax this one notch by design: tasks
-may *skip* work whose admissible lower bound exceeds the map's incumbent
-(:mod:`repro.runtime.incumbent`), and which rows get skipped depends on
-which chunk results the parent had harvested when it submitted each chunk
-— but the callers' reductions are constructed so the reduced result is
-still bit-identical at every worker count (see the exactness contract in
-:mod:`repro.baselines.brute_force`).  Every map owns its incumbent: the
-in-process loop binds it in the calling thread (none for an unpruned map),
-so serial skip sets are deterministic too, and a pooled map relays it
-through its own dispatches, so concurrent solves never prune against each
-other.
+Pruned ordered maps (``incumbent_seed`` set) relax this one notch by design:
+tasks may *skip* work whose admissible lower bound exceeds the map's
+incumbent (:mod:`repro.runtime.incumbent`), and which rows get skipped
+depends on which chunk results the parent had harvested when it submitted
+each chunk — but the callers' reductions are constructed so the reduced
+result is still bit-identical at every worker count (see the exactness
+contract in :mod:`repro.baselines.brute_force`).  Every map owns its
+incumbent: the in-process loop binds it in the calling thread (none for an
+unpruned map), so serial skip sets are deterministic too, and a pooled map
+relays it through its own dispatches, so concurrent solves never prune
+against each other.
 
 Worker memory is bounded by the work-item granularity: the brute-force
 shards pass ``chunk_rows`` (default
@@ -176,8 +177,6 @@ def parallel_map(
     payload: Any = None,
     workers: int | None = 1,
     shm: bool | None = None,
-    incumbent_seed: float | None = None,
-    time_budget: float | None = None,
 ) -> list[R]:
     """``[task(payload, item) for item in items]``, optionally across processes.
 
@@ -201,41 +200,17 @@ def parallel_map(
         Force shared-memory payload transport on or off; ``None`` uses the
         default (on, overridable via the ``REPRO_SHM`` environment
         variable).  Results are identical either way.
-    incumbent_seed:
-        Give this map a branch-and-bound incumbent
-        (:mod:`repro.runtime.incumbent`) starting at this value (``inf`` for
-        "no heuristic seed").  Chunk tasks reach it via
-        :func:`repro.runtime.incumbent.active` to prune work and propose
-        achieved costs.  Serial execution binds the map's incumbent around
-        the in-process loop; pooled execution sends its current value with
-        each chunk and proposes each harvested chunk's best back into it.
-        ``None`` (the default) binds no incumbent, so tasks see none.
-        Pruning changes *which* rows tasks evaluate, never the reduced
-        result — see the exactness contract in
-        :mod:`repro.baselines.brute_force`.
-    time_budget:
-        Wall-clock budget in seconds for the whole map.  When it runs out,
-        submission stops, in-flight chunks drain, and the longest completed
-        *prefix* of results is returned — possibly empty, always shorter
-        than ``items`` (which is how callers detect truncation).  ``None``
-        (the default) never truncates.
 
     Notes
     -----
     Results are deterministic across worker counts and payload transports
     (see the module docstring's determinism contract).  Exceptions raised by
-    ``task`` propagate to the caller under every execution mode.
+    ``task`` propagate to the caller under every execution mode.  A map that
+    needs an incumbent or a stop is :func:`parallel_map_ordered`.
     """
     items = list(items)
-    outcome = _Map(task, items, payload, list(range(len(items))), time_budget).run(
-        workers, shm, incumbent_seed
-    )
-    prefix: list[R] = []
-    for index in range(len(items)):
-        if index not in outcome.results:
-            break
-        prefix.append(outcome.results[index])
-    return prefix
+    outcome = _Map(task, items, payload, list(range(len(items))), None).run(workers, shm, None)
+    return [outcome.results[index] for index in range(len(items))]
 
 
 def parallel_map_ordered(
@@ -251,20 +226,39 @@ def parallel_map_ordered(
     chunk_bounds: Sequence[float] | None = None,
     gap_target: float | None = None,
 ) -> MapOutcome:
-    """Best-first :func:`parallel_map`: priority submission + gap-target stop.
+    """Best-first :func:`parallel_map`: incumbent, priority submission, stops.
 
-    The enumerators' map.  ``order`` is a permutation of item indexes
-    (ascending admissible chunk bound — the caller computes the bounds up
-    front; ``None`` submits in item order); chunks are *submitted* in that
-    order while results come back keyed by original index, so the final
-    reduction is order-independent.  ``chunk_bounds[i]`` must lower-bound
-    every solution in item ``i``; with ``gap_target`` set (which needs both
-    the bounds and an ``incumbent_seed``), submission stops as soon as the
-    certified gap between the live incumbent and the minimum outstanding
-    chunk bound reaches the target
-    (:class:`repro.runtime.incumbent.GapTracker`) — exactly like a
-    ``time_budget`` deadline, and combinable with one.  Every other
-    parameter means what it means for :func:`parallel_map`.
+    The enumerators' map.  Results come back as a :class:`MapOutcome` keyed
+    by item index, with the flags of the stops that fired.
+
+    ``incumbent_seed`` gives this map a branch-and-bound incumbent
+    (:mod:`repro.runtime.incumbent`) starting at this value (``inf`` for
+    "no heuristic seed").  Chunk tasks reach it via
+    :func:`repro.runtime.incumbent.active` to prune work and propose
+    achieved costs.  Serial execution binds the map's incumbent around the
+    in-process loop; pooled execution sends its current value with each
+    chunk and proposes each harvested chunk's best back into it.  ``None``
+    (the default) binds no incumbent, so tasks see none.  Pruning changes
+    *which* rows tasks evaluate, never the reduced result — see the
+    exactness contract in :mod:`repro.baselines.brute_force`.
+
+    ``time_budget`` is a wall-clock budget in seconds for the whole map.
+    When it runs out, submission stops, in-flight chunks drain, and the
+    completed chunks come back with ``deadline_hit`` set; ``None`` (the
+    default) never stops.
+
+    ``order`` is a permutation of item indexes (ascending admissible chunk
+    bound — the caller computes the bounds up front; ``None`` submits in
+    item order); chunks are *submitted* in that order while results come
+    back keyed by original index, so the final reduction is
+    order-independent.  ``chunk_bounds[i]`` must lower-bound every solution
+    in item ``i``; with ``gap_target`` set (which needs both the bounds and
+    an ``incumbent_seed``), submission stops as soon as the certified gap
+    between the live incumbent and the minimum outstanding chunk bound
+    reaches the target (:class:`repro.runtime.incumbent.GapTracker`) —
+    exactly like a ``time_budget`` deadline, and combinable with one.
+    ``task``, ``items``, ``payload``, ``workers`` and ``shm`` mean what they
+    mean for :func:`parallel_map`.
     """
     items = list(items)
     total = len(items)

@@ -176,6 +176,7 @@ def _init_pool_worker(sanitizer_names: tuple[str, ...] = (), fault_spec: str = "
     programmatically with ``set_enabled`` after import).
     """
     _mark_in_worker()
+    sanitize.reset()  # a forked worker starts without the parent's sanitizer history
     sanitize.set_enabled(sanitizer_names)
     faults.set_enabled(fault_spec)
 

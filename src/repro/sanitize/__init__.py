@@ -25,9 +25,12 @@ exit and stays a printout; CI's ``/dev/shm`` scan after each armed job is
 what gates leaks.
 
 Worker processes receive the enabled-sanitizer names through pool
-``initargs`` (with the armed fault spec), so ``shm`` violations inside a
-worker are reported on the worker's own stderr at exit; ``det`` runs
-entirely in the parent.
+``initargs`` (with the armed fault spec), so ``shm`` checks run inside
+workers too, but a violation recorded in a worker is currently lost:
+forked workers end through ``os._exit``, so the ``atexit`` reporter never
+runs there, and nothing hands worker violations back to the parent (a
+known fault, listed in ``CHANGES.md``).  A double unlink inside a worker
+therefore passes an armed run.  ``det`` runs entirely in the parent.
 """
 
 from __future__ import annotations
@@ -75,11 +78,15 @@ def parse_names(raw: str | None) -> tuple[str, ...]:
 
 
 def set_enabled(names: tuple[str, ...] | list[str]) -> None:
-    """Enable exactly ``names`` (validated), clearing previous state."""
+    """Enable exactly ``names`` (validated).
+
+    Recorded violations and every sanitizer's history (DET-SAN's
+    fingerprints, SHM-SAN's created segments) are kept, so re-arming a set
+    mid-run forgets nothing; :func:`reset` is what clears them.
+    """
     parsed = parse_names(",".join(names)) if names else ()
     _enabled.clear()
     _enabled.update(parsed)
-    reset()
 
 
 def enabled(name: str) -> bool:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.baselines.brute_force import default_candidates
+from repro.cost.context import CostContext
 from repro.experiments import (
     AblationSettings,
     ExperimentRecord,
@@ -21,7 +25,9 @@ from repro.experiments import (
     run_e9_general_metric,
     run_e10_baseline_comparison,
     run_representative_ablation,
+    table1,
 )
+from repro.runtime.store import candidate_fingerprint, dataset_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +101,37 @@ class TestRunners:
         assert Table1Settings.quick().trials <= Table1Settings().trials
         assert ScalingSettings.quick().repeats <= ScalingSettings().repeats
         assert AblationSettings.quick().n <= AblationSettings().n
+
+    def test_e2_to_e7_bound_and_reference_context_once_per_micro_dataset(
+        self, tiny_settings, monkeypatch
+    ):
+        # E2-E7 measure one reduction on the same micro datasets: each
+        # dataset's lower bound is computed once, and its three brute-force
+        # references share one cost context over the default candidates.
+        micro = {
+            dataset_fingerprint(dataset): dataset
+            for dataset, _ in table1._euclidean_micro_workloads(tiny_settings)
+        }
+        bound_calls: Counter = Counter()
+        context_builds: Counter = Counter()
+        real_bound = table1.assigned_cost_lower_bound
+        real_init = CostContext.__init__
+
+        def counting_bound(dataset, k):
+            bound_calls[dataset_fingerprint(dataset)] += 1
+            return real_bound(dataset, k)
+
+        def counting_init(self, dataset, candidates, **kwargs):
+            real_init(self, dataset, candidates, **kwargs)
+            context_builds[dataset_fingerprint(dataset), candidate_fingerprint(self.candidates)] += 1
+
+        monkeypatch.setattr(table1, "assigned_cost_lower_bound", counting_bound)
+        monkeypatch.setattr(CostContext, "__init__", counting_init)
+        table1.run_all_table1(tiny_settings)
+        assert len(micro) == 2
+        for key, dataset in micro.items():
+            assert bound_calls[key] == 1
+            assert context_builds[key, candidate_fingerprint(default_candidates(dataset))] == 1
 
 
 class TestScalingFit:

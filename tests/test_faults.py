@@ -35,6 +35,7 @@ import pytest
 from repro import faults
 from repro.baselines.brute_force import brute_force_restricted_assigned, brute_force_unassigned
 from repro.runtime import parallel_map, set_oversubscribe, shutdown_runtime
+from repro.runtime.parallel import parallel_map_ordered
 from repro.runtime import health
 from repro.runtime import pool as pool_module
 from repro.sanitize import enabled_names as sanitize_enabled_names
@@ -294,15 +295,16 @@ class TestDeadlines:
         assert certificate["lower_bound"] <= exact.expected_cost
         assert result.expected_cost >= exact.expected_cost
 
-    def test_slow_faults_truncate_a_parallel_map_to_a_prefix(self):
+    def test_slow_faults_stop_an_ordered_map_at_its_deadline(self):
         faults.set_enabled("slow:p=1:ms=40")
         shutdown_runtime()
         items = list(range(20))
         before = health.snapshot()
-        results = parallel_map(_triple, items, payload=0, workers=2, time_budget=0.3)
+        outcome = parallel_map_ordered(_triple, items, payload=0, workers=2, time_budget=0.3)
         delta = health.delta(before)
-        assert len(results) < len(items)
-        assert results == [item * 3 for item in items[: len(results)]]
+        assert outcome.deadline_hit
+        assert len(outcome.results) < len(items)
+        assert outcome.results == {index: items[index] * 3 for index in outcome.results}
         assert delta.deadline_hits >= 1
 
 

@@ -33,7 +33,7 @@ class TestRunEverything:
         records = run_everything(**tiny_kwargs)
         identifiers = [record.experiment_id for record in records]
         assert "E13a" in identifiers and "E13b" in identifiers
-        # Sensitivity comes after the ablations, mirroring DESIGN.md's index.
+        # Sensitivity comes after the ablations, in experiment-id order.
         assert identifiers.index("E13a") > identifiers.index("E12b")
 
     def test_include_sensitivity_flag_excludes(self, tiny_kwargs):

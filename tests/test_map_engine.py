@@ -31,6 +31,7 @@ from repro.baselines.brute_force import brute_force_restricted_assigned, brute_f
 from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from repro.runtime import PersistentPool, health, parallel_map, set_oversubscribe, shutdown_runtime
 from repro.runtime import incumbent as incumbent_module
+from repro.runtime.parallel import parallel_map_ordered
 from repro.serve import ReproServer, ServeClient, ServeConfig
 from repro.uncertain.dataset import UncertainDataset
 from repro.workloads import gaussian_clusters
@@ -227,8 +228,9 @@ class TestIncumbentRelay:
     def test_pruned_pooled_map_relays_thresholds(self):
         items = list(range(len(RELAY_PROPOSALS)))
         before = health.snapshot()
-        thresholds = parallel_map(_relay_task, items, workers=2, incumbent_seed=RELAY_SEED)
+        outcome = parallel_map_ordered(_relay_task, items, workers=2, incumbent_seed=RELAY_SEED)
         assert health.delta(before).chunks_submitted == len(items)  # it took the pool
+        thresholds = [outcome.results[item] for item in items]
         assert thresholds == sorted(thresholds, reverse=True)
         for item, threshold in enumerate(thresholds):
             assert threshold in (RELAY_SEED, *RELAY_PROPOSALS[:item])

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +32,20 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
-def sanitizers_reset():
-    """Every test starts with sanitizers off and state cleared, and ends with
-    the sanitizers it found re-armed (``REPRO_SANITIZE`` runs keep them on
-    for the files collected after this one)."""
-    previous = sanitize.enabled_names()
-    sanitize.set_enabled(())
-    yield
-    sanitize.set_enabled(previous)
+def sanitizers_reset(monkeypatch):
+    """Every test starts with sanitizers off and a sanitizer state of its own.
+
+    The armed set, the recorded violations and each sanitizer's history are
+    swapped out, not cleared, and swapped back afterwards: a
+    ``REPRO_SANITIZE`` run keeps its sanitizers armed and its history whole
+    for the files collected after this one.
+    """
+    monkeypatch.setattr(sanitize, "_enabled", set())
+    monkeypatch.setattr(sanitize, "_violations", [])
+    monkeypatch.setattr(shm_san, "_created", {})
+    monkeypatch.setattr(shm_san, "_attached", set())
+    monkeypatch.setattr(shm_san, "_unlinked", set())
+    monkeypatch.setattr(det_san, "_seen", OrderedDict())
 
 
 def drain() -> tuple[sanitize.Violation, ...]:
@@ -76,11 +83,14 @@ class TestController:
         assert sanitize.enabled_names() == ("shm", "det")
         assert sanitize.enabled("det") and not sanitize.enabled("lock")
 
-    def test_set_enabled_clears_previous_state(self):
+    def test_set_enabled_keeps_recorded_state(self):
         sanitize.set_enabled(("shm",))
         shm_san.record_create("psm_ghost", "test")
         sanitize.report_violation("shm", "stale")
-        sanitize.set_enabled(("shm",))
+        sanitize.set_enabled(("shm", "det"))  # re-arming forgets nothing
+        assert [violation.message for violation in sanitize.violations()] == ["stale"]
+        assert any("psm_ghost" in violation.message for violation in sanitize.check_exit())
+        sanitize.reset()  # forgetting is its own step
         assert sanitize.violations() == ()
         assert sanitize.check_exit() == ()  # the ghost create was cleared
 
