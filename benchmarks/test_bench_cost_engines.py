@@ -143,6 +143,15 @@ def test_bound_prefix_factor_ratio():
     assert_gate("bound_prefix_factor")
 
 
+def test_assigned_rank_merge_speedup():
+    """Same-run ratio guard: the assigned rank merge against its per-row
+    float-sort twin on the enum_mid shape (n=80, z=16, 36 candidates, the
+    ED assignments of 2,048 4-subsets), both in the merge's block size,
+    with bit-identical costs (the case asserts it).  Float-sorting every
+    row puts the ratio at 1x."""
+    assert_gate("assigned_rank_merge")
+
+
 def test_local_search_sweep_amortization_speedup():
     """The round-amortized LocalSearchSweep against per-point
     ``rest_profile`` re-sorts on one full round of single-point moves

@@ -151,11 +151,15 @@ class NondetRule(Rule):
 class FloatSortHotpathRule(Rule):
     """``FLOAT-SORT-HOTPATH`` — no new float sorts on the hot path.
 
-    Motivation: PR 4's rank-merge sweep.  The last hot-path float sort
-    (per-row ``np.sort`` over candidate distance columns) was replaced by an
-    integer rank-merge (bit-packed global ranks + one unstable integer
-    argsort) for a ~2.2x win, with the float sort retained only as the
-    ``_unassigned_costs_float_sort`` differential reference.  A ``sorted``
+    Motivation: the two rank merges.  The unassigned sweep's per-row float
+    sort over candidate distance columns became an integer rank merge
+    (bit-packed global ranks + one unstable integer argsort) for a ~2.2x
+    win, keeping the float sort only as the
+    ``CostContext._unassigned_costs_float_sort`` differential reference.
+    The assigned batch path (``AssignedCostEvaluator.costs``) did the same:
+    it sorts each row's global entry ranks in place, about 3x faster than
+    the per-row float argsort kept as its reference twin
+    ``AssignedCostEvaluator._costs_float_sort``.  A ``sorted``
     /``np.sort``/``.sort()`` call appearing in ``cost/``, ``runtime/`` or
     ``bounds/`` is therefore either a regression in the making or needs the
     same treatment: implement the integer/rank form, keep the float sort as

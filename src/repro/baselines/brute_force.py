@@ -39,10 +39,13 @@ branch-and-bound instead of exhaustive scans:
 * every chunk first evaluates a **vectorized admissible lower bound**
   (:meth:`~repro.cost.context.CostContext.subset_assigned_lower_bounds`,
   :meth:`~repro.cost.context.CostContext.subset_unassigned_lower_bounds`,
-  then the pair bound on their survivors, or per-assignment-row /
-  shared-prefix bounds for the exhaustive-assignment stage) and skips
-  exactly the rows whose bound exceeds the incumbent by more than the
-  floating-point slack (:func:`repro.bounds.lower_bounds.prune_margin`);
+  then, for the unassigned and black-box tasks, the pair bound on their
+  survivors, or per-assignment-row / shared-prefix bounds for the
+  exhaustive-assignment stage) and skips exactly the rows whose bound
+  exceeds the incumbent by more than the floating-point slack
+  (:func:`repro.bounds.lower_bounds.prune_margin`); the score-matrix tasks,
+  whose exact rows are cheap, cut on level 1 and on the pair values the
+  chunk bound already computed;
 * each subset row is bounded **once**: the subset kernels min-reduce each
   run of rows sharing their first ``k - 1`` candidates once (the
   enumeration emits rows in such runs), and the per-row bounds a chunk's
@@ -88,13 +91,14 @@ certificate fold (:func:`_certificate_metadata`).
 ``workers=1`` — the default — runs the identical chunk loop in-process, and
 a requested worker count is clamped to the CPUs actually available, so
 ``workers=N`` is never slower than serial on a small box.  The fully built
-context (pinned supports, sorted CDF columns, rank-merge tables where
-needed) is published to shared memory once and each chunk dispatch to the
-persistent worker pool carries only the descriptor, its work slice and the
-incumbent's current value (``shm=False`` ships the payload pickled instead,
-unpickled once per worker); chunks reduce in enumeration order with the same
-first-strict-minimum rule serial execution applies, so results are
-bit-identical for every worker count, with shared memory on or off.
+context (pinned supports, sorted CDF columns, the unassigned rank-merge
+tables where needed) is published to shared memory once and each chunk
+dispatch to the persistent worker pool carries only the descriptor, its
+work slice and the incumbent's current value (``shm=False`` ships the
+payload pickled instead, unpickled once per worker); chunks reduce in
+enumeration order with the same first-strict-minimum rule serial execution
+applies, so results are bit-identical for every worker count, with shared
+memory on or off.
 
 When ``k`` exceeds the number of available candidates the solvers run with
 the largest feasible ``k`` and record both ``requested_k`` and
@@ -279,6 +283,7 @@ def _two_level_prune(
     row_bounds: np.ndarray | None,
     *,
     objective: str = "assigned",
+    pair_kernel: bool = True,
 ) -> np.ndarray | None:
     """Staged two-level keep-mask for one chunk of candidate subsets.
 
@@ -295,7 +300,14 @@ def _two_level_prune(
     lazy fold skipped a row (:func:`_chunk_bound`).  Level 1 is then never
     recomputed and the pair kernel runs only on survivors that lack a pair
     value, so every row is bounded at most once per level.  ``None`` (no
-    bound pass ran) computes both levels here.
+    bound pass ran) computes level 1 here.
+
+    ``pair_kernel=False`` runs no pair kernel: a row is cut on level 1 and
+    on whatever pair value the fold already computed.  The score-matrix
+    tasks prune this way, because their exact row, a score argmin and one
+    rank-merge sweep, costs little more than the pair kernel it would
+    save; the unassigned and black-box tasks, whose rows cost far more,
+    keep both levels.
     """
     if not np.isfinite(threshold):
         return None
@@ -310,10 +322,11 @@ def _two_level_prune(
     if survivors.size:
         survivor_pair = pair[survivors]
         missing = np.isnan(survivor_pair)
-        if missing.any():
+        if pair_kernel and missing.any():
             survivor_pair[missing] = context.subset_pair_lower_bounds(
                 subset_rows[survivors[missing]]
             )
+        # A NaN (no pair value) compares False, so its row stays kept.
         keep[survivors[survivor_pair > cut]] = False
     if keep.all():
         return None
@@ -612,7 +625,9 @@ def _restricted_chunk_task(payload, item):
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
     if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value(), row_bounds)
+        keep = _two_level_prune(
+            context, subset_rows, handle.value(), row_bounds, pair_kernel=False
+        )
         if keep is not None:
             subset_rows = subset_rows[keep]
     evaluated = subset_rows.shape[0]
@@ -677,7 +692,9 @@ def _ed_scored_chunk_task(payload, item):
     total = subset_rows.shape[0]
     kept = None
     if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value(), row_bounds)
+        keep = _two_level_prune(
+            context, subset_rows, handle.value(), row_bounds, pair_kernel=False
+        )
         if keep is not None:
             kept = np.flatnonzero(keep)
             subset_rows = subset_rows[kept]

@@ -18,7 +18,12 @@ and caches:
 * ``expected`` — the ``(n, m)`` expected-distance matrix (the ED assignment
   rule and the threshold-greedy baseline both argmin over it);
 * the lazily built :class:`~repro.cost.expected.AssignedCostEvaluator` with
-  its per-candidate sorted CDF columns (batch + incremental assigned costs);
+  its per-candidate sorted CDF columns (batch + incremental assigned costs).
+  :meth:`CostContext.assigned_costs` is its integer rank merge: every entry
+  of every sorted column is ranked once, and a batch row's union order comes
+  from sorting its entries' integer ranks, bit-identical to the per-row
+  float sort it replaced (``_costs_float_sort``, which still scores a call
+  that finds no rank tables and has fewer rows than there are candidates);
 * per-point *global value-rank tables* for the batched unassigned evaluator:
   every support entry's position in the point's value-sorted ``(z_i * m)``
   entry list, computed once.  A subset's min-reduced support is then
@@ -66,7 +71,9 @@ per-point list concatenated in layout order and re-sliced on load.  That one
 serialization serves both payload transports of :mod:`repro.runtime`: the
 pickled transport ships it in band, and shared memory publishes the same
 pickle with its arrays as protocol-5 out-of-band buffers
-(:mod:`repro.runtime.shm`), which workers load as read-only views.
+(:mod:`repro.runtime.shm`), which workers load as read-only views.  The
+evaluator's rank tables are not pickled: each process that scores a large
+enough batch builds its own on first use.
 """
 
 from __future__ import annotations
@@ -156,8 +163,9 @@ class CostContext:
         The supports are stacked in layout order like the dataset's rows
         and re-sliced on load.  The evaluator's probability vectors are the
         dataset's, so its state points at the dataset's stacked array and
-        pickle writes that once.  The float-sort reference's rank tables are
-        left out; they rebuild on first use.
+        pickle writes that once.  The float-sort reference's rank tables and
+        the evaluator's assigned rank tables are left out; they rebuild on
+        first use.
         """
         layout = self.dataset.location_layout()
         evaluator = None
@@ -406,7 +414,10 @@ class CostContext:
     def assigned_costs(
         self, candidate_index_rows: np.ndarray, *, chunk_rows: int = DEFAULT_CHUNK_ROWS
     ) -> np.ndarray:
-        """Exact assigned costs for a ``(B, n)`` batch of assignments."""
+        """Exact assigned costs for a ``(B, n)`` batch of assignments.
+
+        The evaluator's rank merge (:meth:`AssignedCostEvaluator.costs`).
+        """
         return self.evaluator.costs(candidate_index_rows, chunk_rows=chunk_rows)
 
     def local_search_sweep(self, candidate_indices: np.ndarray) -> LocalSearchSweep:

@@ -55,7 +55,14 @@ Batch and incremental APIs
   structure once and re-evaluates the exact assigned cost after a
   single-point move *without re-sorting the full union* (the unchanged
   points' sorted sweep is cached and the moved point's distribution is
-  integrated against it).
+  integrated against it).  Its batch path is an integer rank merge: one
+  stable argsort ranks every entry of every presorted column, and a row's
+  union order comes from sorting its entries' distinct integer ranks, so no
+  row is float-sorted.  The per-row float sort stays as the bit-identical
+  reference twin ``_costs_float_sort``, which also scores a call that finds
+  no rank tables and has fewer rows than the evaluator has columns: one-shot
+  callers never pay for the build.  The tables are built lazily and never
+  pickled; re-sorting columns drops them.
 * :class:`LocalSearchSweep` — amortizes :meth:`AssignedCostEvaluator.rest_profile`
   across a whole local-search round: the sorted union of *all* variables'
   entries is maintained once per assignment, each point's rest profile is
@@ -117,6 +124,13 @@ from ..uncertain.dataset import UncertainDataset, split_rows
 #: keeps about a dozen ``(B, N)`` arrays alive, so this caps a call near
 #: 30 MB whatever the candidate count.
 BATCH_ENTRY_CAP = 1 << 18
+
+#: Most layout entries one block of the assigned rank merge
+#: (:meth:`AssignedCostEvaluator.costs`) holds.  Its sweep is cache-bound:
+#: on a 2-vCPU x86 host with 2 MB of L2 per core, the ``enum_mid`` shape
+#: (1,280 entries per row) scored 29 µs per row in blocks of 2**17 entries
+#: and 57 µs in blocks of 2**18.  Blocking never changes a cost.
+RANK_MERGE_BLOCK_ENTRIES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +215,12 @@ def _sweep_rows_presorted(
     """Row-wise ``E[max]`` for entry arrays already in union-value order.
 
     The tail of :func:`_sweep_rows` and :func:`_expected_max_rows`, shared
-    with the rank-merge unassigned sweep
-    (:meth:`repro.cost.context.CostContext.unassigned_costs`), which produces
-    its sorted entries by an integer rank merge instead of a float sort —
-    using one helper keeps the paths bit-identical by construction.
+    with both rank merges, the assigned one
+    (:meth:`AssignedCostEvaluator.costs`) and the unassigned one
+    (:meth:`repro.cost.context.CostContext.unassigned_costs`), which produce
+    their sorted entries by sorting integer ranks instead of floats — using
+    one helper keeps each merge bit-identical to its float-sort twin by
+    construction.
     """
     # ``add.accumulate`` is the arithmetic of ``cumsum`` with less dispatch.
     cumulative_log = np.add.accumulate(sorted_log_delta, axis=1)
@@ -452,15 +468,45 @@ class RestProfile:
 _VARIABLE_LISTS = ("_probabilities", "_values", "_cdfs", "_log_deltas", "_zero_deltas")
 
 
+@dataclass(frozen=True)
+class _AssignedRankTables:
+    """Global value ranks of an evaluator's presorted column entries.
+
+    Entry ``e`` is one ``(variable, sorted position)`` pair, stacked in
+    variable order (the layout a batch row concatenates), so ``owners[e]``
+    is its variable and ``offsets[e] = e * m`` the start of its row in the
+    flat ``(N, m)`` entry table.  ``ranks[e * m + c]`` is the position of
+    entry ``e`` under column ``c`` in one stable argsort of the whole table,
+    and ``values`` / ``log_deltas`` / ``zero_deltas`` hold each position's
+    entry.  The argsort breaks value ties by ``e`` (a row holds each entry
+    once), which is the tie order of the per-row stable float sort.
+    """
+
+    owners: np.ndarray
+    offsets: np.ndarray
+    ranks: np.ndarray
+    values: np.ndarray
+    log_deltas: np.ndarray
+    zero_deltas: np.ndarray
+
+
 class AssignedCostEvaluator:
     """Batch + incremental exact assigned-cost evaluation on fixed supports.
 
     The constructor sorts every ``(variable, candidate)`` column once and
     stores its partial CDFs and log/zero deltas.  After that:
 
-    * :meth:`cost` / :meth:`costs` evaluate full assignments by gathering the
-      precomputed per-column entries and running the shared sweep kernel —
-      the per-column sorts are never redone;
+    * :meth:`cost` / :meth:`costs` evaluate full assignments from the
+      precomputed per-column entries and the shared sweep kernel — the
+      per-column sorts are never redone.  :meth:`costs` is an integer rank
+      merge: one stable argsort ranks every entry of every presorted column
+      once (:class:`_AssignedRankTables`), and each row's union order comes
+      from sorting its entries' integer ranks.  :meth:`_costs_float_sort`,
+      the per-row stable float argsort, is its bit-identical reference twin,
+      and also the path of a call that finds no rank tables built and has
+      fewer rows than there are columns, so one-shot callers never pay for
+      the build.  The tables are built lazily, never pickled, and dropped
+      whenever columns are re-sorted (:meth:`_sort_columns`);
     * :meth:`rest_profile` + :meth:`move_costs` evaluate all single-point
       moves of one variable against the cached sweep of the others, without
       re-sorting the full union: the moved variable's step CDF is integrated
@@ -498,6 +544,7 @@ class AssignedCostEvaluator:
         self._cdfs: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
         self._log_deltas: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
         self._zero_deltas: list[np.ndarray] = [np.empty(block.shape) for block in blocks]
+        self._rank_tables: _AssignedRankTables | None = None
         self._sort_columns(slice(None), blocks)
 
     def __getstate__(self) -> dict[str, Any]:
@@ -515,11 +562,15 @@ class AssignedCostEvaluator:
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        """Re-slice the stacked lists into per-variable views (no copies)."""
+        """Re-slice the stacked lists into per-variable views (no copies).
+
+        The rank tables are not part of the state; they rebuild on first use.
+        """
         for name in _VARIABLE_LISTS:
             setattr(self, name, split_rows(state[name], state["starts"]))
         self.n = len(self._values)
         self.columns = state["_values"].shape[1]
+        self._rank_tables = None
 
     # -- batch path ---------------------------------------------------------
 
@@ -545,7 +596,68 @@ class AssignedCostEvaluator:
         )
 
     def costs(self, column_sets: np.ndarray, *, chunk_rows: int = 4096) -> np.ndarray:
-        """Exact ``E[max]`` for a ``(B, n)`` batch of assignments."""
+        """Exact ``E[max]`` for a ``(B, n)`` batch of assignments: the rank merge.
+
+        Each block of at most ``chunk_rows`` rows and
+        :data:`RANK_MERGE_BLOCK_ENTRIES` layout entries gathers its entries'
+        integer ranks (:meth:`_ranked_entries`) and sorts them in place.  The
+        ranks of one row are distinct, so the unstable sort is exact, and the
+        values and deltas gathered by rank are the per-row float sort's union
+        order: the costs are bit-identical to :meth:`_costs_float_sort`.  A
+        call that finds no rank tables and has fewer rows than there are
+        columns runs that twin instead of building them.
+        """
+        column_sets = self._check_columns(np.atleast_2d(np.asarray(column_sets, dtype=int)))
+        batch = column_sets.shape[0]
+        if self._rank_tables is None and batch < self._values[0].shape[1]:
+            return self._costs_float_sort(column_sets, chunk_rows=chunk_rows)
+        tables = self._ranked_entries()
+        block_rows = max(
+            1, min(int(chunk_rows), RANK_MERGE_BLOCK_ENTRIES // tables.owners.shape[0])
+        )
+        out = np.empty(batch)
+        for start in range(0, batch, block_rows):
+            rows = column_sets[start : start + block_rows]
+            # ``take`` along axis 1 returns C order whatever the input's
+            # layout, which keeps every gathered sweep array C-contiguous.
+            entries = rows.take(tables.owners, axis=1)
+            entries += tables.offsets
+            ranks = tables.ranks.take(entries)
+            ranks.sort(axis=1)  # repro: noqa[FLOAT-SORT-HOTPATH] -- the assigned rank merge: distinct integer ranks per row, no float comparisons
+            out[start : start + rows.shape[0]] = _sweep_rows_presorted(
+                tables.values.take(ranks),
+                tables.log_deltas.take(ranks),
+                tables.zero_deltas.take(ranks),
+                self.n,
+            )
+        return out
+
+    def _ranked_entries(self) -> _AssignedRankTables:
+        """The rank tables behind :meth:`costs`; built on first use."""
+        if self._rank_tables is None:
+            values = np.concatenate(self._values)
+            flat = values.ravel()
+            order = np.argsort(flat, kind="stable")
+            dtype = np.int32 if flat.shape[0] < 2**31 else np.int64
+            ranks = np.empty(flat.shape[0], dtype=dtype)
+            ranks[order] = np.arange(flat.shape[0], dtype=dtype)
+            sizes = [block.shape[0] for block in self._values]
+            self._rank_tables = _AssignedRankTables(
+                owners=np.repeat(np.arange(self.n), sizes),
+                offsets=np.arange(0, flat.shape[0], values.shape[1]),
+                ranks=ranks,
+                values=flat[order],
+                log_deltas=np.concatenate(self._log_deltas).ravel()[order],
+                zero_deltas=np.concatenate(self._zero_deltas).ravel()[order],
+            )
+        return self._rank_tables
+
+    def _costs_float_sort(self, column_sets: np.ndarray, *, chunk_rows: int = 4096) -> np.ndarray:
+        """The per-row stable float-sort batch path, kept as the reference.
+
+        Differential tests pin :meth:`costs` bit-identical to it, and the
+        ``assigned_rank_merge`` benchmark case measures the merge against it.
+        """
         column_sets = self._check_columns(np.atleast_2d(np.asarray(column_sets, dtype=int)))
         batch = column_sets.shape[0]
         out = np.empty(batch)
@@ -680,7 +792,9 @@ class AssignedCostEvaluator:
         cumulative-sum / delta pass runs as one 3-D kernel call instead of
         one per variable; every operation is independent along the variable
         and column axes, so a column's result does not depend on its group.
+        Drops the rank tables, which rank the columns' old entries.
         """
+        self._rank_tables = None
         by_size: dict[int, list[int]] = {}
         for index, block in enumerate(blocks):
             by_size.setdefault(block.shape[0], []).append(index)

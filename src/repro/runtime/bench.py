@@ -51,9 +51,11 @@ Cases
     order — best-first must certify a 1% gap in at most half the chunks
     (the gate).
 ``prune_rate_two_level``
-    PR-10 bound win: the two-level (level-1 max pair) bound plus best-first
-    incumbent must prune > 80% of the n=12, m=16, k=4 subset rows (the
-    gate), with results bit-identical to ``prune=False``.
+    The second-level bound's win: the two-level (level-1 max pair) chunk
+    bounds plus best-first incumbent must prune > 80% of the n=12, m=16,
+    k=4 subset rows (the gate), with results bit-identical to
+    ``prune=False``.  The restricted rows are cut on level 1 and the pair
+    values the chunk-bound fold computed, about 88%.
 ``shm_dispatch_bytes``
     Bytes a chunk dispatch ships under shared memory (descriptor only)
     against pickling the full brute-force payload — the zero-copy win,
@@ -66,6 +68,11 @@ Cases
     The rank-merge unassigned sweep against the historical per-row
     float-sort sweep on the same context — bit-identical costs, target
     >= 1.5x, gate >= 1.3x.
+``assigned_rank_merge``
+    The assigned rank merge (:meth:`AssignedCostEvaluator.costs`) against
+    its per-row float-sort twin on the ``enum_mid`` shape (n=80, z=16, 36
+    candidates, the ED assignments of 2,048 4-subsets), both in the merge's
+    block size — bit-identical costs, target >= 3x, gate >= 2x.
 ``bound_prefix_factor``
     The level-1 unassigned bound over all ``C(24, 4) = 10,626`` subset rows
     (n=40, z=8), prefix-factored against the plain per-point
@@ -127,7 +134,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 from typing import Callable
@@ -138,6 +145,7 @@ from ..assignments import ExpectedDistanceAssignment
 from ..baselines.brute_force import brute_force_restricted_assigned, brute_force_unassigned
 from ..cost.context import CostContext
 from ..cost.expected import (
+    RANK_MERGE_BLOCK_ENTRIES,
     _expected_max_rows,
     assigned_cost_evaluator,
     expected_one_center_cost,
@@ -177,6 +185,10 @@ POOL_AMORTIZATION_GATE = 1.5
 RANK_MERGE_SPEEDUP_TARGET = 1.5
 #: The rank-merge sweep's CI gate.
 RANK_MERGE_SPEEDUP_GATE = 1.3
+#: Speedup the assigned rank merge targets over the per-row float sort.
+ASSIGNED_RANK_MERGE_TARGET = 3.0
+#: The assigned rank merge's CI gate.
+ASSIGNED_RANK_MERGE_GATE = 2.0
 #: Speedup a ``ContextStore`` hit must reach over a cold context build.
 CONTEXT_STORE_SPEEDUP_GATE = 10.0
 #: Speedup the round-amortized local-search sweep must reach over
@@ -458,11 +470,14 @@ def bench_best_first_gap_trajectory() -> dict:
 def bench_prune_rate_two_level(repeats: int = 3) -> dict:
     """Two-level (level-1 max pair) bound prune rate on n=12, m=16, k=4.
 
-    The PR-10 acceptance case for the second-level subset bound: with the
-    pair bound stacked on the Lemma 3.2 level-1 bound and best-first
-    submission feeding the incumbent early, more than 80% of the 1820
-    subset rows must be pruned before the exact ``E[max]`` kernel runs.
-    Results stay bit-identical to ``prune=False`` (asserted here).
+    The acceptance case for the second-level subset bound: the chunk bounds
+    are two-level and order the chunks best-first, which feeds the
+    incumbent early, and more than 80% of the 1820 subset rows must be
+    pruned before the exact ``E[max]`` kernel runs.  This restricted
+    score-matrix solve prunes its rows on the Lemma 3.2 level-1 bound plus
+    the pair values the chunk-bound fold computed, without running the pair
+    kernel on the rest (about 88% pruned).  Results stay bit-identical to
+    ``prune=False`` (asserted here).
     """
     dataset, _ = gaussian_clusters(n=12, z=4, dimension=2, k_true=4, seed=1)
     candidates = dataset.all_locations()[:16]
@@ -489,7 +504,10 @@ def bench_prune_rate_two_level(repeats: int = 3) -> dict:
         "target_met": met,
         "gate": TWO_LEVEL_PRUNE_RATE_TARGET,
         "gate_met": met,
-        "note": "two-level bound + best-first incumbent; bit-identical to prune=False",
+        "note": (
+            "two-level chunk bounds + best-first incumbent, rows cut on level 1 and"
+            " the fold's pair values; bit-identical to prune=False"
+        ),
     }
 
 
@@ -575,6 +593,45 @@ def bench_rank_merge(repeats: int = 3) -> dict:
         "gate": RANK_MERGE_SPEEDUP_GATE,
         "gate_met": bool(speedup >= RANK_MERGE_SPEEDUP_GATE),
         "note": "costs are bit-identical between the two sweeps",
+    }
+
+
+def bench_assigned_rank_merge(repeats: int = 3) -> dict:
+    """Assigned rank merge vs the per-row float sort on the ``enum_mid`` shape.
+
+    ``gaussian_clusters(n=80, z=16, k_true=4, seed=0)`` with its first 36
+    locations as candidates, scoring the expected-distance assignments of
+    the first 2,048 4-subsets.  Both legs run in blocks of the merge's own
+    size (:data:`~repro.cost.expected.RANK_MERGE_BLOCK_ENTRIES` entries).
+    The costs must be bit-identical; the same-run ratio is the gate.  The
+    merge's rank tables are built by the identity check, before timing.
+    """
+    dataset, _ = gaussian_clusters(n=80, z=16, dimension=2, k_true=4, seed=0)
+    candidates = dataset.all_locations()[:36]
+    context = CostContext(dataset, candidates)
+    subsets = np.asarray(list(islice(combinations(range(candidates.shape[0]), 4), 2048)))
+    rows = context.ed_assignments(subsets)
+    evaluator = context.evaluator
+    block_rows = RANK_MERGE_BLOCK_ENTRIES // dataset.location_layout().owners.shape[0]
+    merged = evaluator.costs(rows, chunk_rows=block_rows)
+    float_sorted = evaluator._costs_float_sort(rows, chunk_rows=block_rows)
+    assert np.array_equal(merged.view(np.uint64), float_sorted.view(np.uint64))
+    merge_seconds = _best_of(lambda: evaluator.costs(rows, chunk_rows=block_rows), repeats)
+    float_seconds = _best_of(
+        lambda: evaluator._costs_float_sort(rows, chunk_rows=block_rows), repeats
+    )
+    speedup = float_seconds / max(merge_seconds, 1e-12)
+    return {
+        "float_sort_seconds": float_seconds,
+        "rank_merge_seconds": merge_seconds,
+        "rows": int(rows.shape[0]),
+        "block_rows": int(block_rows),
+        "speedup": speedup,
+        "target": ASSIGNED_RANK_MERGE_TARGET,
+        "target_met": bool(speedup >= ASSIGNED_RANK_MERGE_TARGET),
+        "gate": ASSIGNED_RANK_MERGE_GATE,
+        "gate_met": bool(speedup >= ASSIGNED_RANK_MERGE_GATE),
+        "note": "costs are bit-identical between the two batch paths",
     }
 
 
@@ -1065,6 +1122,7 @@ CASES: dict[str, Callable[[], dict]] = {
     "shm_dispatch_bytes": bench_shm_dispatch_bytes,
     "persistent_pool_amortization": bench_persistent_pool,
     "unassigned_rank_merge": bench_rank_merge,
+    "assigned_rank_merge": bench_assigned_rank_merge,
     "wang_zhang_column_splice": bench_column_splice,
     "batch_cost_kernel": bench_batch_cost_kernel,
     "bound_prefix_factor": bench_bound_prefix_factor,
@@ -1101,6 +1159,7 @@ QUICK_CASES: tuple[str, ...] = (
     "prune_rate_two_level",
     "shm_dispatch_bytes",
     "unassigned_rank_merge",
+    "assigned_rank_merge",
     "wang_zhang_column_splice",
     "batch_cost_kernel",
     "bound_prefix_factor",

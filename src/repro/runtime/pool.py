@@ -47,7 +47,10 @@ forever.
 Dispatch protocol
 -----------------
 Each work item travels as a small ``(task, payload_spec, item, threshold,
-fault_key)`` tuple and comes back as a ``(result, best)`` pair.
+fault_key)`` tuple and comes back as a ``(result, best, violations)``
+triple.  ``violations`` are the sanitizer violations the worker recorded
+while the chunk ran; the parent records them again as it harvests, so a
+worker-side violation fails an armed run like a parent-side one.
 ``threshold`` is the map's branch-and-bound incumbent
 (:mod:`repro.runtime.incumbent`) read at submission: a float, or ``None``
 for an unpruned map.  The worker binds a
@@ -210,9 +213,10 @@ def _resolve_payload(spec: tuple) -> Any:
     return payload
 
 
-def _dispatch(args: tuple) -> tuple[Any, float | None]:
-    """Run one chunk; returns ``(result, best)`` (see the dispatch protocol)."""
+def _dispatch(args: tuple) -> tuple[Any, float | None, tuple[sanitize.Violation, ...]]:
+    """Run one chunk; returns ``(result, best, violations)`` (see the dispatch protocol)."""
     task, spec, item, threshold, fault_key = args
+    recorded = len(sanitize.violations())
     # Injection points for the chaos harness: the crash fires before any
     # work happens (the honest worst case — the whole chunk is lost) and
     # both draws are keyed by the chunk's (index, attempt) so a chunk that
@@ -228,10 +232,12 @@ def _dispatch(args: tuple) -> tuple[Any, float | None]:
             if spec[0] == "shm":
                 # A failed segment attach degrades this one call to the
                 # pickled transport instead of poisoning the pool.
-                return _TransportFailure(kind=spec[0], error=repr(error)), None
+                failure = _TransportFailure(kind=spec[0], error=repr(error))
+                return failure, None, sanitize.violations()[recorded:]
             raise
         result = task(payload, item)
-    return result, None if handle is None else handle.value()
+    best = None if handle is None else handle.value()
+    return result, best, sanitize.violations()[recorded:]
 
 
 # -- parent-side executor ----------------------------------------------------
@@ -357,10 +363,19 @@ class PersistentPool:
         deadline_hit = False
         stopped = False
 
-        def harvest(index: int, attempt: int, outcome: tuple[Any, float | None]) -> None:
-            """Keep one chunk's result, or requeue it after a transport failure."""
+        def harvest(
+            index: int,
+            attempt: int,
+            outcome: tuple[Any, float | None, tuple[sanitize.Violation, ...]],
+        ) -> None:
+            """Keep one chunk's result, or requeue it after a transport failure.
+
+            Either way the violations its worker recorded are recorded here.
+            """
             nonlocal resolved_fallback
-            value, best = outcome
+            value, best, violations = outcome
+            for violation in violations:
+                sanitize.report_violation(violation.sanitizer, violation.message)
             if isinstance(value, _TransportFailure):
                 if fallback_spec is None:
                     raise RuntimeError(

@@ -26,11 +26,13 @@ what gates leaks.
 
 Worker processes receive the enabled-sanitizer names through pool
 ``initargs`` (with the armed fault spec), so ``shm`` checks run inside
-workers too, but a violation recorded in a worker is currently lost:
-forked workers end through ``os._exit``, so the ``atexit`` reporter never
-runs there, and nothing hands worker violations back to the parent (a
-known fault, listed in ``CHANGES.md``).  A double unlink inside a worker
-therefore passes an armed run.  ``det`` runs entirely in the parent.
+workers too.  Forked workers end through ``os._exit``, so the ``atexit``
+reporter never runs there; instead each chunk dispatch returns the
+violations its worker recorded while the chunk ran, and the parent records
+them again as it harvests the chunk (:mod:`repro.runtime.pool`).  A double
+unlink inside a worker therefore reaches the parent's :func:`violations`,
+its exit report and the pytest verdict.  Only a worker's own exit-time leak
+check is never run.  ``det`` runs entirely in the parent.
 """
 
 from __future__ import annotations

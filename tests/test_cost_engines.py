@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.assignments import ExpectedDistanceAssignment
 from repro.cost import (
+    assigned_cost_evaluator,
     distance_supports_for_assignment,
     distance_supports_for_centers,
     enumerate_expected_cost_assigned,
@@ -22,6 +25,7 @@ from repro.cost import (
     monte_carlo_cost_unassigned,
 )
 import repro.cost.expected as expected_module
+from repro.cost.context import CostContext
 from repro.exceptions import ValidationError
 from tests.conftest import make_graph_dataset, make_ragged_dataset, make_uncertain_dataset
 
@@ -134,6 +138,120 @@ class TestExactVsEnumeration:
         chunks = [centers[first : first + 2] for first in (0, 2, 4, 6)]
         separate = np.concatenate([expected_one_center_costs(dataset, chunk) for chunk in chunks])
         assert np.array_equal(batched, separate)
+
+
+def _bits(costs) -> np.ndarray:
+    return np.asarray(costs, dtype=float).view(np.uint64)
+
+
+def _ragged_instance(dimension: int, seed: int):
+    """A ragged dataset (zero probabilities, repeated locations) and
+    candidates with zero distances, ties and two duplicate columns."""
+    dataset = make_ragged_dataset(dimension, seed=seed)
+    rng = np.random.default_rng(seed + 400)
+    locations = dataset.all_locations()
+    candidates = np.vstack(
+        [locations[:4], rng.normal(scale=3.0, size=(3, dimension)), locations[:2]]
+    )
+    return dataset, candidates
+
+
+class TestAssignedRankMerge:
+    """``AssignedCostEvaluator.costs`` (the rank merge) against its float-sort
+    twin and the scalar ``cost``, compared bit for bit."""
+
+    @staticmethod
+    def assert_merge_exact(evaluator, rows, **kwargs):
+        merged = evaluator.costs(rows, **kwargs)
+        assert evaluator._rank_tables is not None  # the merge scored it
+        assert np.array_equal(_bits(merged), _bits(evaluator._costs_float_sort(rows)))
+        assert np.array_equal(_bits(merged), _bits([evaluator.cost(row) for row in rows]))
+        return merged
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_ragged_supports_and_duplicate_columns(self, dimension, seed):
+        dataset, candidates = _ragged_instance(dimension, seed)
+        evaluator = assigned_cost_evaluator(dataset, candidates)
+        rows = np.random.default_rng(seed).integers(
+            0, candidates.shape[0], size=(40, dataset.size)
+        )
+        # Columns 7 and 8 repeat columns 0 and 1: equal values, other ranks.
+        rows[:10] = rows[:10] % 2
+        rows[10:20] = rows[:10] + 7
+        merged = self.assert_merge_exact(evaluator, rows)
+        assert np.array_equal(_bits(merged[:10]), _bits(merged[10:20]))
+        for row, cost in zip(rows[:4], merged):
+            assert cost == pytest.approx(
+                enumerate_expected_cost_assigned(dataset, candidates, row), rel=1e-10
+            )
+
+    def test_batches_straddle_block_boundaries(self, monkeypatch):
+        dataset, candidates = _ragged_instance(2, 1)
+        evaluator = assigned_cost_evaluator(dataset, candidates)
+        rows = np.random.default_rng(7).integers(0, candidates.shape[0], size=(23, dataset.size))
+        whole = self.assert_merge_exact(evaluator, rows)
+        entries = dataset.location_layout().owners.shape[0]
+        monkeypatch.setattr(expected_module, "RANK_MERGE_BLOCK_ENTRIES", 3 * entries + 1)
+        assert np.array_equal(_bits(self.assert_merge_exact(evaluator, rows)), _bits(whole))
+        assert np.array_equal(
+            _bits(self.assert_merge_exact(evaluator, rows, chunk_rows=5)), _bits(whole)
+        )
+
+    def test_f_ordered_and_strided_rows(self):
+        dataset, candidates = _ragged_instance(2, 2)
+        evaluator = assigned_cost_evaluator(dataset, candidates)
+        rows = np.random.default_rng(9).integers(0, candidates.shape[0], size=(30, dataset.size))
+        contiguous = self.assert_merge_exact(evaluator, rows)
+        # ``rows[:, owners]`` on such inputs gathers in F order, whose
+        # sweep reductions may round an ulp apart; ``take`` keeps C order.
+        fortran = np.asfortranarray(rows)
+        strided = np.repeat(rows, 2, axis=0)[::2]
+        for layout in (fortran, strided):
+            assert not layout.flags["C_CONTIGUOUS"]
+            assert np.array_equal(_bits(evaluator.costs(layout)), _bits(contiguous))
+        reversed_rows = rows[::-1]
+        assert np.array_equal(_bits(evaluator.costs(reversed_rows)), _bits(contiguous[::-1]))
+
+    def test_replaced_columns_never_read_stale_tables(self):
+        dataset, candidates = _ragged_instance(2, 0)
+        context = CostContext(dataset, candidates)
+        rows = np.random.default_rng(4).integers(0, candidates.shape[0], size=(20, dataset.size))
+        before = self.assert_merge_exact(context.evaluator, rows)
+        replaced = np.array([1, 5])
+        new_candidates = candidates[replaced] + 0.75
+        context.replace_candidate_columns(replaced, new_candidates)
+        assert context.evaluator._rank_tables is None
+        after = self.assert_merge_exact(context.evaluator, rows)
+        fresh = CostContext(dataset, context.candidates).evaluator
+        assert np.array_equal(_bits(after), _bits(fresh.costs(rows)))
+        moved = np.isin(rows, replaced).any(axis=1)
+        assert moved.any() and not np.array_equal(_bits(after[moved]), _bits(before[moved]))
+        assert np.array_equal(_bits(after[~moved]), _bits(before[~moved]))
+
+    def test_pickle_round_trip_drops_and_rebuilds_tables(self):
+        dataset, candidates = _ragged_instance(2, 1)
+        context = CostContext(dataset, candidates)
+        rows = np.random.default_rng(5).integers(0, candidates.shape[0], size=(20, dataset.size))
+        evaluator = context.evaluator
+        unbuilt = pickle.dumps(evaluator)
+        merged = self.assert_merge_exact(evaluator, rows)
+        assert pickle.dumps(evaluator) == unbuilt  # the tables are never pickled
+        for copy in (pickle.loads(unbuilt), pickle.loads(pickle.dumps(context)).evaluator):
+            assert copy._rank_tables is None
+            assert np.array_equal(_bits(self.assert_merge_exact(copy, rows)), _bits(merged))
+
+    def test_fewer_rows_than_columns_build_no_tables(self):
+        dataset, candidates = _ragged_instance(2, 2)
+        evaluator = assigned_cost_evaluator(dataset, candidates)
+        rows = np.random.default_rng(6).integers(
+            0, candidates.shape[0], size=(candidates.shape[0], dataset.size)
+        )
+        few = evaluator.costs(rows[:-1])
+        assert evaluator._rank_tables is None
+        assert np.array_equal(_bits(few), _bits(self.assert_merge_exact(evaluator, rows)[:-1]))
+        # Once built, the tables serve small batches too.
+        assert np.array_equal(_bits(evaluator.costs(rows[:1])), _bits(few[:1]))
 
 
 class TestMonteCarlo:

@@ -161,6 +161,11 @@ def _probe_enabled(payload, item):
     return sanitize.enabled_names()
 
 
+def _report_in_worker(payload, item):
+    sanitize.report_violation("shm", f"item {item} planted in worker pid {os.getpid()}")
+    return os.getpid()
+
+
 class TestDetSan:
     def test_catches_planted_chunk_divergence(self):
         sanitize.set_enabled(("det",))
@@ -269,6 +274,22 @@ class TestWorkerHandoff:
         finally:
             set_oversubscribe(previous)
         assert results == [("shm", "det")] * 4
+
+    def test_worker_violations_reach_the_parent(self):
+        # A forked worker ends through ``os._exit`` and never reports at
+        # exit, so each dispatch hands its chunk's violations back and the
+        # parent records them as it harvests the chunk.
+        previous = set_oversubscribe(True)
+        try:
+            pids = parallel_map(_report_in_worker, range(4), workers=2)
+        finally:
+            set_oversubscribe(previous)
+        assert os.getpid() not in pids  # every chunk ran in a pool worker
+        found = sorted(messages())
+        assert len(found) == 4
+        for item, message in enumerate(found):
+            assert message.startswith(f"SHM-SAN: item {item} planted in worker pid")
+            assert int(message.rsplit(" ", 1)[1]) in pids
 
 
 class TestPytestVerdict:
