@@ -34,16 +34,18 @@ branch-and-bound instead of exhaustive scans:
 
 * an **incumbent** — the best achieved cost so far — is seeded *before*
   enumeration by a greedy cover over the cached expected-distance matrix
-  (:func:`_greedy_seed_columns`), scored through the exact kernels, so
-  pruning bites from the first chunk;
+  (:func:`_greedy_seed_columns`), scored by the one seed
+  (:func:`_seed_solution`) through the same :func:`_score_rows` call the
+  enumeration makes, so the seed is a row of the enumeration by
+  construction and pruning bites from the first chunk;
 * every chunk first evaluates a **vectorized admissible lower bound**
   (:meth:`~repro.cost.context.CostContext.subset_assigned_lower_bounds`,
   :meth:`~repro.cost.context.CostContext.subset_unassigned_lower_bounds`,
-  then, for the unassigned and black-box tasks, the pair bound on their
+  then, for the unassigned and black-box rules, the pair bound on their
   survivors, or per-assignment-row / shared-prefix bounds for the
   exhaustive-assignment stage) and skips exactly the rows whose bound
   exceeds the incumbent by more than the floating-point slack
-  (:func:`repro.bounds.lower_bounds.prune_margin`); the score-matrix tasks,
+  (:func:`repro.bounds.lower_bounds.prune_margin`); the score-matrix rules,
   whose exact rows are cheap, cut on level 1 and on the pair values the
   chunk bound already computed;
 * each subset row is bounded **once**: the subset kernels min-reduce each
@@ -54,8 +56,9 @@ branch-and-bound instead of exhaustive scans:
 * across worker shards the incumbent is **relayed**
   (:mod:`repro.runtime.incumbent`): each chunk dispatch carries the map's
   current incumbent as its threshold, and the parent proposes each
-  harvested chunk's achieved minimum back into it, so one shard's early
-  find shrinks the work of every chunk submitted after it is harvested.
+  harvested chunk's achieved value (its ``top_k``-th cheapest cost) back
+  into it, so one shard's early find shrinks the work of every chunk
+  submitted after it is harvested.
 
 Pruning is **exact**: every value the incumbent ever holds is the cost of a
 feasible solution of the same enumeration (the seed subset or a fully
@@ -80,12 +83,27 @@ admissible bound — for the subset stages a first
 the same pool, payload and transport, skipped for a lone chunk without a
 stop — then one :func:`repro.runtime.parallel.parallel_map_ordered` call
 (best-first when pruning, enumeration order otherwise), then the completed
-chunk results by chunk index.  Every enumeration — restricted
-score-matrix, restricted black-box, unassigned, and both stages of the
-unrestricted reference (its subset stage, then either the
-exhaustive-assignment enumeration or the restricted black-box enumeration of
-the local-search policy over its top subsets) — differs from the others only
-in its chunk task and its reduction, and the anytime ones share one
+chunk results by chunk index.
+
+Every candidate-subset enumeration is one **subset search**
+(:func:`_search_subsets`): one chunk task (:func:`_subset_chunk_task`) and
+one bound task (:func:`_subset_bound_task`) over the payload
+``(context, rule, chunk_rows, top_k)``.  The searches differ only in the
+*rule* a row is scored by (:func:`_score_rows`): the unassigned objective
+(:data:`UNASSIGNED`), the expected-distance rule (``None``, its matrix read
+from ``context.expected``, so nothing extra ships), a shipped ``(n, m)``
+score matrix, or a black-box policy.  The rule also picks the objective the
+bounds and the certificate use, and whether the pair kernel runs in the
+chunk.  Each chunk returns its ``top_k`` cheapest rows in ``(cost, row)``
+order: the restricted and unassigned solves run ``top_k=1`` through one
+body (:func:`_solve_subsets`), and the unrestricted reference's subset
+stage runs ``top_k=polish_top`` — a row of the global top ``polish_top`` is
+in its own chunk's top ``polish_top``, so one stable sort of the chunks'
+lists in enumeration order ranks the polishing pool exactly, while each
+chunk ships back at most ``polish_top`` rows.  Its polish stage is either
+the exhaustive-assignment enumeration (:func:`_exhaustive_chunk_task`,
+whose items are assignment ranges) or the subset search of the
+local-search policy over the top subsets.  The anytime runs share one
 certificate fold (:func:`_certificate_metadata`).
 
 ``workers=1`` — the default — runs the identical chunk loop in-process, and
@@ -196,8 +214,45 @@ def _build_context(
 
 
 # ---------------------------------------------------------------------------
-# Incumbent seeding and pruning helpers
+# Scoring rules, incumbent seeding and pruning helpers
 # ---------------------------------------------------------------------------
+
+#: The scoring rule of the unassigned objective.  The assigned rules of a
+#: subset search are ``None`` (expected distance), an ``(n, m)`` score matrix
+#: or a black-box :class:`~repro.assignments.base.AssignmentPolicy`.
+UNASSIGNED = "unassigned"
+
+
+def _objective(rule: Any) -> str:
+    """The objective ``rule`` scores, which the bounds and certificate follow."""
+    return "unassigned" if isinstance(rule, str) else "assigned"
+
+
+def _score_rows(
+    context: CostContext, rule: Any, rows: np.ndarray, chunk_rows: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact costs of ``(B, kk)`` subset rows under ``rule``, with the assignments.
+
+    The one thing the subset searches differ in.  :data:`UNASSIGNED` scores
+    the rank-merge unassigned kernel and has no assignment.  Every other rule
+    assigns each point to a candidate of its row — the expected-distance
+    rule (``None``, whose matrix is ``context.expected``) and a score matrix
+    by one batched argmin, a black-box policy through one
+    :meth:`~repro.assignments.base.AssignmentPolicy.chunk_assignments` call
+    for the whole batch (local-search rules share one evaluator across every
+    row) — and scores the ``(B, n)`` global-column assignments through the
+    shared evaluator's rank merge, one batched kernel instead of one policy
+    call and one single-row sweep per subset.
+    """
+    if isinstance(rule, str):
+        return context.unassigned_costs(rows, chunk_rows=chunk_rows), None
+    if rule is None:
+        assignments = context.ed_assignments(rows)
+    elif isinstance(rule, np.ndarray):
+        assignments = context.score_assignments(rule, rows)
+    else:
+        assignments = rule.chunk_assignments(context, rows)
+    return context.assigned_costs(assignments, chunk_rows=chunk_rows), assignments
 
 
 def _greedy_seed_columns(context: CostContext, k: int) -> np.ndarray:
@@ -223,42 +278,24 @@ def _greedy_seed_columns(context: CostContext, k: int) -> np.ndarray:
     return np.asarray(sorted(chosen), dtype=int)
 
 
-def _seed_restricted_incumbent(
-    context: CostContext,
-    scores: np.ndarray | None,
-    policy: AssignmentPolicy,
-    k: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact cost of the greedy seed subset under the call's assignment rule.
+def _seed_solution(
+    context: CostContext, rule: Any, k: int, chunk_rows: int
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Exact cost of the greedy seed subset under the search's rule.
 
-    Evaluated through the same kernels the enumeration uses, so the value is
-    achieved by a feasible enumeration row — the exactness requirement for
-    every incumbent value.  Returns ``(cost, columns, candidate_indices)``:
-    the full feasible solution, not just its cost, because a
-    ``time_budget`` run whose deadline expires before any chunk completes
-    falls back to returning the seed solution (with its certificate).
+    Scored by the :func:`_score_rows` call the enumeration makes, so the
+    value is achieved by a row of the enumeration by construction — a
+    black-box policy searches the seed row on the shared context exactly as
+    in its chunk — which is the exactness requirement for every incumbent
+    value.  Returns ``(cost, columns, candidate_indices)``, the indices
+    ``None`` for the unassigned rule: the full feasible solution, not just
+    its cost, because a ``time_budget`` run whose deadline expires before
+    any chunk completes falls back to returning the seed solution (with its
+    certificate) through :func:`_reduce_best`.
     """
     columns = _greedy_seed_columns(context, k)
-    if scores is not None:
-        candidate_indices = context.score_assignments(scores, columns[None, :])[0]
-        cost = float(context.assigned_costs(candidate_indices[None, :])[0])
-        return cost, columns, candidate_indices
-    centers = context.candidates[columns]
-    labels = np.asarray(policy(context.dataset, centers), dtype=int)
-    candidate_indices = columns[labels]
-    return float(context.evaluator.cost(candidate_indices)), columns, candidate_indices
-
-
-def _seed_unassigned_incumbent(
-    context: CostContext, k: int
-) -> tuple[float, np.ndarray, None]:
-    """Exact unassigned cost of the greedy seed subset: ``(cost, columns, None)``.
-
-    The same shape as the restricted seed (no assignment), so both reduce
-    through :func:`_reduce_best`.
-    """
-    columns = _greedy_seed_columns(context, k)
-    return float(context.unassigned_cost(columns)), columns, None
+    costs, assignments = _score_rows(context, rule, columns[None, :], chunk_rows)
+    return float(costs[0]), columns, None if assignments is None else assignments[0]
 
 
 def _prune_mask(bounds: np.ndarray, threshold: float) -> np.ndarray | None:
@@ -282,8 +319,8 @@ def _two_level_prune(
     threshold: float,
     row_bounds: np.ndarray | None,
     *,
-    objective: str = "assigned",
-    pair_kernel: bool = True,
+    objective: str,
+    pair_kernel: bool,
 ) -> np.ndarray | None:
     """Staged two-level keep-mask for one chunk of candidate subsets.
 
@@ -304,10 +341,10 @@ def _two_level_prune(
 
     ``pair_kernel=False`` runs no pair kernel: a row is cut on level 1 and
     on whatever pair value the fold already computed.  The score-matrix
-    tasks prune this way, because their exact row, a score argmin and one
+    rules prune this way, because their exact row, a score argmin and one
     rank-merge sweep, costs little more than the pair kernel it would
-    save; the unassigned and black-box tasks, whose rows cost far more,
-    keep both levels.
+    save; the unassigned and black-box rules, whose rows cost far more,
+    keep both levels (the predicate lives in :func:`_subset_chunk_task`).
     """
     if not np.isfinite(threshold):
         return None
@@ -375,18 +412,14 @@ def _chunk_bound(
     return best, row_bounds
 
 
-def _assigned_bound_task(payload, subset_rows: np.ndarray):
-    """Bound-map task of the assigned enumerations (``payload[0]`` is the context).
+def _subset_bound_task(payload, subset_rows: np.ndarray):
+    """Bound-map task of every subset search: the chunk bound of the rule's objective.
 
-    Runs over the scoring map's own payload, so a worker materializes it
-    once for both maps.
+    Runs over the scoring map's own ``(context, rule, chunk_rows, top_k)``
+    payload, so a worker materializes it once for both maps.
     """
-    return _chunk_bound(payload[0], subset_rows, "assigned")
-
-
-def _unassigned_bound_task(payload, subset_rows: np.ndarray):
-    """Bound-map task of the unassigned enumeration (``payload[0]`` is the context)."""
-    return _chunk_bound(payload[0], subset_rows, "unassigned")
+    context, rule, _, _ = payload
+    return _chunk_bound(context, subset_rows, _objective(rule))
 
 
 def _best_first_order(chunk_bounds: list[float]) -> list[int]:
@@ -518,27 +551,60 @@ def _enumerate(
     return _Enumeration(chunks, bounds, outcome)
 
 
-def _reduce_best(results: list, fallback: tuple | None) -> tuple[tuple, int, int]:
-    """First strict minimum over ``(cost, subset, assignment, pruned, evaluated)``.
+def _search_subsets(
+    chunks: list,
+    payload: tuple,
+    *,
+    seed: float | None,
+    workers: int,
+    shm: bool | None,
+    time_budget: float | None = None,
+    gap_target: float | None = None,
+) -> _Enumeration:
+    """One subset search: :func:`_subset_chunk_task` over ``chunks`` via :func:`_enumerate`.
 
-    ``results`` come in enumeration order, so the first row reaching the
-    minimum wins exactly as in a serial scan.  ``fallback`` — the greedy
-    seed solution of an anytime run — is a feasible solution evaluated by
-    the same kernels; it can only win when a stop skipped every chunk that
-    would have beaten it (a completed run always contains the seed's own
-    row, so the strict ``<`` is a no-op there).  Returns
-    ``((cost, subset, assignment), pruned_rows, evaluated_rows)``.
+    ``payload`` is ``(context, rule, chunk_rows, top_k)``; the bound pass is
+    a :func:`~repro.runtime.parallel.parallel_map` of
+    :func:`_subset_bound_task` over the same payload, pool and transport.
+    """
+    return _enumerate(
+        _subset_chunk_task,
+        chunks,
+        payload,
+        seed=seed,
+        chunk_bounds=lambda: parallel_map(
+            _subset_bound_task, chunks, payload=payload, workers=workers, shm=shm
+        ),
+        workers=workers,
+        shm=shm,
+        time_budget=time_budget,
+        gap_target=gap_target,
+    )
+
+
+def _reduce_best(results: list, fallback: tuple | None) -> tuple[tuple, int, int]:
+    """First strict minimum over ``(top, pruned, evaluated)`` chunk results.
+
+    ``results`` come in enumeration order and each ``top`` lists its chunk's
+    cheapest rows in ``(cost, row)`` order (:func:`_subset_chunk_task`), so
+    the first row reaching the minimum wins exactly as in a serial scan.
+    ``fallback`` — the greedy seed solution of an anytime run — is a
+    feasible solution evaluated by the same kernels; it can only win when a
+    stop skipped every chunk that would have beaten it (a completed run
+    always contains the seed's own row, so the strict ``<`` is a no-op
+    there).  Returns ``((cost, subset, assignment), pruned_rows,
+    evaluated_rows)``.
     """
     best: tuple = (np.inf, None, None)
     pruned_rows = 0
     evaluated_rows = 0
-    for cost, subset, assignment, pruned, evaluated in results:
+    for top, pruned, evaluated in results:
         pruned_rows += pruned
         evaluated_rows += evaluated
-        if cost < best[0]:
-            best = (float(cost), subset, assignment)
+        if top and top[0][0] < best[0]:
+            best = top[0]
     if fallback is not None and (best[1] is None or fallback[0] < best[0]):
-        best = (float(fallback[0]), fallback[1], fallback[2])
+        best = fallback
     assert best[1] is not None
     return best, pruned_rows, evaluated_rows
 
@@ -604,110 +670,57 @@ def _certificate_metadata(
 # ---------------------------------------------------------------------------
 
 
-def _chunk_best(costs: np.ndarray) -> tuple[int, float]:
-    winner = int(np.argmin(costs))
-    return winner, float(costs[winner])
+def _subset_chunk_task(payload, item):
+    """Score one chunk of candidate subsets; return its ``top_k`` cheapest rows.
 
+    ``payload`` is ``(context, rule, chunk_rows, top_k)`` (the rules are
+    :func:`_score_rows`'s) and ``item`` is ``(subset_rows, row_bounds)``
+    (:func:`_enumerate`).  Rows whose bound exceeds the map's incumbent are
+    cut first (:func:`_two_level_prune`); the pair kernel runs only for the
+    unassigned and black-box rules, whose exact rows cost far more than it
+    does.  For a black-box rule the subset bound holds for *any* assignment
+    into the subset, so pruning skips whole policy evaluations — the
+    expensive part of that path.  The survivors are scored in one
+    :func:`_score_rows` call.
 
-def _restricted_chunk_task(payload, item):
-    """Score one chunk of subsets under a score-matrix assignment rule.
-
-    ``payload`` is ``(context, scores, chunk_rows)`` with ``scores=None``
-    for the expected-distance rule, whose matrix is ``context.expected``.
-    ``item`` is ``(subset_rows, row_bounds)`` (:func:`_enumerate`).  Returns
-    ``(cost, subset, candidate_indices, pruned, evaluated)``; a fully
-    pruned chunk returns ``(inf, None, None, total, 0)``.
+    Returns ``(top, pruned, evaluated)``: ``top`` lists the ``top_k``
+    cheapest rows as ``(cost, subset, candidate_indices)`` in
+    ``(cost, row)`` order, the indices ``None`` for the unassigned rule; a
+    fully pruned chunk returns ``([], total, 0)``.  The chunk publishes its
+    ``top_k``-th smallest cost as incumbent: an upper bound on the global
+    ``top_k``-th smallest, since the chunk's rows are a subset of all rows,
+    so a row whose bound exceeds it can neither enter the global top
+    ``top_k`` nor win.  Plain solves run ``top_k=1``; stage 1 of the
+    unrestricted reference keeps a ranking of its ``polish_top`` cheapest
+    subsets and runs ``top_k=polish_top``.
     """
-    context, scores, chunk_rows = payload
-    if scores is None:
-        scores = context.expected
+    context, rule, chunk_rows, top_k = payload
     subset_rows, row_bounds = item
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
     if handle is not None:
         keep = _two_level_prune(
-            context, subset_rows, handle.value(), row_bounds, pair_kernel=False
+            context,
+            subset_rows,
+            handle.value(),
+            row_bounds,
+            objective=_objective(rule),
+            pair_kernel=not (rule is None or isinstance(rule, np.ndarray)),
         )
         if keep is not None:
             subset_rows = subset_rows[keep]
     evaluated = subset_rows.shape[0]
     if evaluated == 0:
-        return np.inf, None, None, total, 0
-    candidate_index_rows = context.score_assignments(scores, subset_rows)
-    costs = context.assigned_costs(candidate_index_rows, chunk_rows=chunk_rows)
-    winner, cost = _chunk_best(costs)
-    if handle is not None:
-        handle.propose(cost)
-    return cost, subset_rows[winner], candidate_index_rows[winner], total - evaluated, evaluated
-
-
-def _blackbox_chunk_task(payload, item):
-    """Score one chunk of subsets under a black-box assignment policy.
-
-    The subset bound holds for *any* assignment into the subset, so pruning
-    here skips whole policy evaluations — the expensive part of this path.
-    Surviving rows go through **one**
-    :meth:`~repro.assignments.base.AssignmentPolicy.chunk_assignments` call
-    for the whole chunk (score-matrix rules pay a single
-    ``candidate_scores`` evaluation; local-search rules share one evaluator
-    across every row) and one batched exact cost kernel, instead of one
-    policy call and one single-row sweep per subset.  Returns
-    ``(cost, subset, candidate_indices, pruned, evaluated)`` — the shape of
-    :func:`_restricted_chunk_task`, so both reduce the same way.
-    """
-    context, policy = payload
-    subset_rows, row_bounds = item
-    handle = incumbent_module.active()
-    total = subset_rows.shape[0]
-    if handle is not None:
-        keep = _two_level_prune(context, subset_rows, handle.value(), row_bounds)
-        if keep is not None:
-            subset_rows = subset_rows[keep]
-    evaluated = subset_rows.shape[0]
-    if evaluated == 0:
-        return np.inf, None, None, total, 0
-    candidate_index_rows = policy.chunk_assignments(context, subset_rows)
-    costs = context.assigned_costs(candidate_index_rows)
-    winner, cost = _chunk_best(costs)
-    if handle is not None:
-        handle.propose(cost)
-    return cost, subset_rows[winner], candidate_index_rows[winner], total - evaluated, evaluated
-
-
-def _ed_scored_chunk_task(payload, item):
-    """ED-score one chunk of subsets, returning every surviving row.
-
-    Stage 1 of the unrestricted search keeps a full ranking of the
-    ``polish_top`` cheapest subsets, so its incumbent is a *top-K
-    threshold*: each chunk publishes its own ``top_k``-th smallest evaluated
-    cost (an upper bound on the global ``top_k``-th smallest, since the
-    chunk's rows are a subset of all rows) and prunes rows whose lower bound
-    exceeds the shared threshold — rows that provably cannot enter the
-    global top ``top_k`` nor be the stage winner.  Returns
-    ``(kept_indices, costs, assignment_rows, pruned)``.
-    """
-    context, chunk_rows, top_k = payload
-    subset_rows, row_bounds = item
-    handle = incumbent_module.active()
-    total = subset_rows.shape[0]
-    kept = None
-    if handle is not None:
-        keep = _two_level_prune(
-            context, subset_rows, handle.value(), row_bounds, pair_kernel=False
-        )
-        if keep is not None:
-            kept = np.flatnonzero(keep)
-            subset_rows = subset_rows[kept]
-    if subset_rows.shape[0] == 0:
-        empty_assignments = np.empty((0, context.size), dtype=int)
-        return np.empty(0, dtype=int), np.empty(0), empty_assignments, total
-    candidate_index_rows = context.ed_assignments(subset_rows)
-    costs = context.assigned_costs(candidate_index_rows, chunk_rows=chunk_rows)
-    if handle is not None and costs.shape[0] >= top_k:
-        handle.propose(float(np.partition(costs, top_k - 1)[top_k - 1]))
-    if kept is None:
-        kept = np.arange(total)
-    return kept, costs, candidate_index_rows, total - subset_rows.shape[0]
+        return [], total, 0
+    costs, assignments = _score_rows(context, rule, subset_rows, chunk_rows)
+    order = np.argsort(costs, kind="stable")[:top_k]
+    if handle is not None and evaluated >= top_k:
+        handle.propose(float(costs[order[-1]]))
+    top = [
+        (float(costs[row]), subset_rows[row], None if assignments is None else assignments[row])
+        for row in order
+    ]
+    return top, total - evaluated, evaluated
 
 
 def _assignment_rows_slice(columns: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
@@ -753,43 +766,111 @@ def _exhaustive_chunk_task(payload, item):
     if evaluated == 0:
         return np.inf, None, total, 0
     costs = context.assigned_costs(assignment_rows, chunk_rows=chunk_rows)
-    winner, cost = _chunk_best(costs)
+    winner = int(np.argmin(costs))
+    cost = float(costs[winner])
     if handle is not None:
         handle.propose(cost)
     return cost, assignment_rows[winner], total - evaluated, evaluated
 
 
-def _unassigned_chunk_task(payload, item):
-    """Score one chunk of subsets on the unassigned objective.
-
-    ``item`` is ``(subset_rows, row_bounds)``.  Returns
-    ``(cost, subset, None, pruned, evaluated)`` — the restricted tasks'
-    shape with no assignment — or ``(inf, None, None, total, 0)`` for a
-    fully pruned chunk.
-    """
-    context, chunk_rows = payload
-    subset_rows, row_bounds = item
-    handle = incumbent_module.active()
-    total = subset_rows.shape[0]
-    if handle is not None:
-        keep = _two_level_prune(
-            context, subset_rows, handle.value(), row_bounds, objective="unassigned"
-        )
-        if keep is not None:
-            subset_rows = subset_rows[keep]
-    evaluated = subset_rows.shape[0]
-    if evaluated == 0:
-        return np.inf, None, None, total, 0
-    costs = context.unassigned_costs(subset_rows, chunk_rows=chunk_rows)
-    winner, cost = _chunk_best(costs)
-    if handle is not None:
-        handle.propose(cost)
-    return cost, subset_rows[winner], None, total - evaluated, evaluated
-
-
 # ---------------------------------------------------------------------------
 # Public solvers
 # ---------------------------------------------------------------------------
+
+
+def _solve_subsets(
+    dataset: UncertainDataset,
+    k: int,
+    policy: AssignmentPolicy | None,
+    *,
+    candidates: np.ndarray | None,
+    workers: int,
+    chunk_rows: int,
+    store: "ContextStore | None",
+    shm: bool | None,
+    prune: bool,
+    time_budget: float | None,
+    gap_target: float | None,
+) -> UncertainKCenterResult:
+    """The one body of the exact subset solvers: one ``top_k=1`` subset search.
+
+    ``policy`` is the restricted assignment rule
+    (:func:`brute_force_restricted_assigned`), or ``None`` for the
+    unassigned objective (:func:`brute_force_unassigned`); it picks the
+    search's rule (:func:`_score_rows`), which is all the two differ in.
+    """
+    k = check_positive_int(k, name="k")
+    if candidates is None:
+        candidates = default_candidates(dataset)
+    candidates = as_point_array(candidates, name="candidates")
+    k, k_metadata = _effective_k(k, candidates.shape[0])
+    workers = resolve_workers(workers)
+
+    context = _build_context(dataset, candidates, store)
+    rule: Any
+    if policy is None:
+        rule = UNASSIGNED
+        if workers > 1:
+            context._rank_merge_tables()  # built once, published to every worker
+    else:
+        if isinstance(policy, ExpectedDistanceAssignment):
+            # The ED matrix travels inside the context; the task reads it there.
+            context.expected  # cached; bit-identical to the policy's matrix
+            rule = None
+        else:
+            scores = policy.candidate_scores(dataset, candidates)
+            rule = policy if scores is None else scores
+        if rule is policy or workers > 1:
+            # Build the sorted columns once and ship them to every worker —
+            # without this, black-box rules would fall back to the context's
+            # lazy single-score path and re-derive distances per subset.
+            context.evaluator
+
+    seed_solution = (
+        _seed_solution(context, rule, k, chunk_rows) if prune or time_budget is not None else None
+    )
+    gap_target = _check_gap_target(gap_target, prune)
+    anytime = time_budget is not None or gap_target is not None
+    total_rows = _checked_subset_count(candidates.shape[0], k)
+    run = _search_subsets(
+        list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows)),
+        (context, rule, chunk_rows, 1),
+        seed=seed_solution[0] if prune and seed_solution is not None else None,
+        workers=workers,
+        shm=shm,
+        time_budget=time_budget,
+        gap_target=gap_target,
+    )
+    (best_cost, best_subset, candidate_indices), pruned_rows, evaluated_rows = _reduce_best(
+        run.completed(), seed_solution if anytime else None
+    )
+    metadata = {
+        "algorithm": "brute-force-unassigned" if policy is None else "brute-force-restricted",
+        "candidate_count": int(candidates.shape[0]),
+        "workers": int(workers),
+        **k_metadata,
+        "prune": bool(prune),
+        "total_rows": int(total_rows),
+        "evaluated_rows": int(evaluated_rows),
+        "pruned_rows": int(pruned_rows),
+    }
+    if anytime:
+        metadata.update(
+            _certificate_metadata(
+                context, run, best_cost, time_budget, gap_target, _objective(rule)
+            )
+        )
+    return UncertainKCenterResult(
+        centers=candidates[best_subset],
+        expected_cost=float(best_cost),
+        objective="unassigned" if policy is None else "restricted-assigned",
+        assignment=None
+        if policy is None
+        else np.asarray(np.searchsorted(best_subset, candidate_indices), dtype=int),
+        assignment_policy=None if policy is None else policy.name,
+        guaranteed_factor=None,
+        metadata=metadata,
+    )
 
 
 def brute_force_restricted_assigned(
@@ -845,82 +926,18 @@ def brute_force_restricted_assigned(
     ``gap_target=0`` the stop never fires and results are bit-identical to
     a full run.
     """
-    k = check_positive_int(k, name="k")
-    policy = assignment or ExpectedDistanceAssignment()
-    if candidates is None:
-        candidates = default_candidates(dataset)
-    candidates = as_point_array(candidates, name="candidates")
-    k, k_metadata = _effective_k(k, candidates.shape[0])
-    workers = resolve_workers(workers)
-
-    context = _build_context(dataset, candidates, store)
-    expected_distance = isinstance(policy, ExpectedDistanceAssignment)
-    if expected_distance:
-        scores = context.expected  # cached; bit-identical to the policy's matrix
-    else:
-        scores = policy.candidate_scores(dataset, candidates)
-
-    seed_solution = (
-        _seed_restricted_incumbent(context, scores, policy, k)
-        if prune or time_budget is not None
-        else None
-    )
-    gap_target = _check_gap_target(gap_target, prune)
-    anytime = time_budget is not None or gap_target is not None
-    total_rows = _checked_subset_count(candidates.shape[0], k)
-    chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
-    if scores is not None:
-        # The ED matrix travels inside the context; the task reads it there.
-        shipped = None if expected_distance else scores
-        task, payload = _restricted_chunk_task, (context, shipped, chunk_rows)
-    else:
-        # Black-box assignment rule: one batched chunk_assignments call per
-        # chunk, with the exact costs still coming from the shared
-        # evaluator's cached columns.
-        task, payload = _blackbox_chunk_task, (context, policy)
-    if scores is None or workers > 1:
-        # Build the sorted columns once and ship them to every worker —
-        # without this, black-box rules would fall back to the context's
-        # lazy single-score path and re-derive distances per subset.
-        context.evaluator
-    run = _enumerate(
-        task,
-        chunks,
-        payload,
-        seed=seed_solution[0] if prune and seed_solution is not None else None,
-        chunk_bounds=lambda: parallel_map(
-            _assigned_bound_task, chunks, payload=payload, workers=workers, shm=shm
-        ),
+    return _solve_subsets(
+        dataset,
+        k,
+        assignment or ExpectedDistanceAssignment(),
+        candidates=candidates,
         workers=workers,
+        chunk_rows=chunk_rows,
+        store=store,
         shm=shm,
+        prune=prune,
         time_budget=time_budget,
         gap_target=gap_target,
-    )
-    (best_cost, best_subset, candidate_indices), pruned_rows, evaluated_rows = _reduce_best(
-        run.completed(), seed_solution if anytime else None
-    )
-    metadata = {
-        "algorithm": "brute-force-restricted",
-        "candidate_count": int(candidates.shape[0]),
-        "workers": int(workers),
-        **k_metadata,
-        "prune": bool(prune),
-        "total_rows": int(total_rows),
-        "evaluated_rows": int(evaluated_rows),
-        "pruned_rows": int(pruned_rows),
-    }
-    if anytime:
-        metadata.update(
-            _certificate_metadata(context, run, best_cost, time_budget, gap_target, "assigned")
-        )
-    return UncertainKCenterResult(
-        centers=candidates[best_subset],
-        expected_cost=float(best_cost),
-        objective="restricted-assigned",
-        assignment=np.asarray(np.searchsorted(best_subset, candidate_indices), dtype=int),
-        assignment_policy=policy.name,
-        guaranteed_factor=None,
-        metadata=metadata,
     )
 
 
@@ -945,13 +962,15 @@ def brute_force_unrestricted_assigned(
     exhaustive assignment enumeration (exact for those subsets; enabled
     automatically when ``polish_top * k ** n`` is small, or forced with
     ``exhaustive_assignment=True``) or by single-move local search: the
-    restricted black-box enumeration of
+    restricted black-box subset search of
     :class:`~repro.assignments.policies.OptimalAssignment` (10 rounds) over
     those subsets, in ``chunk_rows`` chunks.  Either way the polish result
     replaces the stage-1 winner only when strictly cheaper, first in stage-1
-    order.  Both stages run through the one enumeration runner
-    (:func:`_enumerate`), so they shard their chunks across ``workers``
-    processes with serial-identical reductions.
+    order.  The subset stage is a subset search (:func:`_search_subsets`)
+    whose chunks each return their ``polish_top`` cheapest rows, and both
+    stages run through the one enumeration runner (:func:`_enumerate`), so
+    they shard their chunks across ``workers`` processes with
+    serial-identical reductions.
 
     With pruning on (the default) the subset stage runs under a shared
     top-``polish_top`` threshold (rows that provably cannot enter the
@@ -985,30 +1004,18 @@ def brute_force_unrestricted_assigned(
     # Best-first submission tightens the shared top-K threshold early:
     # low-bound chunks hold the cheap subsets, so the threshold other shards
     # prune against drops within the first few completions.
-    stage_payload = (context, chunk_rows, top_k)
-    stage = _enumerate(
-        _ed_scored_chunk_task,
+    stage = _search_subsets(
         subset_chunks,
-        stage_payload,
+        (context, None, chunk_rows, top_k),
         seed=np.inf if prune else None,
-        chunk_bounds=lambda: parallel_map(
-            _assigned_bound_task, subset_chunks, payload=stage_payload, workers=workers, shm=shm
-        ),
         workers=workers,
         shm=shm,
     )
-    scored: list[tuple[float, tuple[int, ...], np.ndarray]] = []
-    subset_pruned = 0
-    for subset_rows, (kept, costs, candidate_index_rows, pruned) in zip(
-        subset_chunks, stage.completed()
-    ):
-        subset_pruned += pruned
-        rows = subset_rows[kept]
-        scored.extend(
-            (float(cost), tuple(int(c) for c in subset), candidate_indices)
-            for cost, subset, candidate_indices in zip(costs, rows, candidate_index_rows)
-        )
-    scored.sort(key=lambda entry: entry[0])
+    # Each chunk's top list is in (cost, row) order, so one stable sort of
+    # the lists in enumeration order ranks the global top ``top_k`` exactly
+    # as a stable sort of every row would (:func:`_subset_chunk_task`).
+    scored = sorted((row for top, _, _ in stage.completed() for row in top), key=lambda row: row[0])
+    subset_pruned = sum(pruned for _, pruned, _ in stage.completed())
 
     polish_top = max(1, min(polish_top, len(scored)))
     if exhaustive_assignment is None:
@@ -1021,7 +1028,7 @@ def brute_force_unrestricted_assigned(
     seed = best_cost if prune else None
     if exhaustive_assignment:
         items = [
-            (np.asarray(subset, dtype=int), start, stop)
+            (subset, start, stop)
             for _, subset, _ in scored[:polish_top]
             for start, stop in iter_chunk_bounds(k**n, chunk_rows)
         ]
@@ -1048,39 +1055,27 @@ def brute_force_unrestricted_assigned(
             assignment_evaluated += evaluated
             polished.append((cost, columns, assignment_row))
     else:
-        # The restricted black-box enumeration over the top subsets, in
+        # The restricted black-box subset search over the top subsets, in
         # stage-1 order: a subset's polished cost cannot beat its admissible
         # bound, so rows bounded above the live incumbent skip the search.
-        polish_chunks = list(
-            _iter_index_chunks((subset for _, subset, _ in scored[:polish_top]), chunk_rows)
-        )
-        polish_payload = (context, OptimalAssignment(max_rounds=10))
-        local_search = _enumerate(
-            _blackbox_chunk_task,
-            polish_chunks,
-            polish_payload,
+        local_search = _search_subsets(
+            list(_iter_index_chunks((subset for _, subset, _ in scored[:polish_top]), chunk_rows)),
+            (context, OptimalAssignment(max_rounds=10), chunk_rows, 1),
             seed=seed,
-            chunk_bounds=lambda: parallel_map(
-                _assigned_bound_task, polish_chunks, payload=polish_payload, workers=workers, shm=shm
-            ),
             workers=workers,
             shm=shm,
         )
-        polished = [(cost, subset, row) for cost, subset, row, _, _ in local_search.completed()]
+        polished = [top[0] for top, _, _ in local_search.completed() if top]
     # First strict minimum in stage-1 order, so the stage-1 winner keeps ties.
     for cost, subset, candidate_indices in polished:
         if cost < best_cost:
-            best_cost = float(cost)
-            best_subset = tuple(int(c) for c in subset)
-            best_candidate_indices = candidate_indices
+            best_cost, best_subset, best_candidate_indices = float(cost), subset, candidate_indices
 
-    columns = np.asarray(best_subset, dtype=int)
-    labels = np.searchsorted(columns, best_candidate_indices)
     return UncertainKCenterResult(
-        centers=candidates[list(best_subset)],
+        centers=candidates[best_subset],
         expected_cost=float(best_cost),
         objective="unrestricted-assigned",
-        assignment=np.asarray(labels, dtype=int),
+        assignment=np.asarray(np.searchsorted(best_subset, best_candidate_indices), dtype=int),
         assignment_policy="exhaustive" if exhaustive_assignment else "optimal-local",
         guaranteed_factor=None,
         metadata={
@@ -1122,58 +1117,16 @@ def brute_force_unassigned(
     bound folded over the E[min]-based chunk bounds of every skipped chunk;
     an expired budget still returns the greedy seed subset.
     """
-    k = check_positive_int(k, name="k")
-    if candidates is None:
-        candidates = default_candidates(dataset)
-    candidates = as_point_array(candidates, name="candidates")
-    k, k_metadata = _effective_k(k, candidates.shape[0])
-    workers = resolve_workers(workers)
-
-    context = _build_context(dataset, candidates, store)
-    if workers > 1:
-        context._rank_merge_tables()  # built once, published to every worker
-    seed_solution = (
-        _seed_unassigned_incumbent(context, k) if prune or time_budget is not None else None
-    )
-    gap_target = _check_gap_target(gap_target, prune)
-    anytime = time_budget is not None or gap_target is not None
-    total_rows = _checked_subset_count(candidates.shape[0], k)
-    chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
-    payload = (context, chunk_rows)
-    run = _enumerate(
-        _unassigned_chunk_task,
-        chunks,
-        payload,
-        seed=seed_solution[0] if prune and seed_solution is not None else None,
-        chunk_bounds=lambda: parallel_map(
-            _unassigned_bound_task, chunks, payload=payload, workers=workers, shm=shm
-        ),
+    return _solve_subsets(
+        dataset,
+        k,
+        None,
+        candidates=candidates,
         workers=workers,
+        chunk_rows=chunk_rows,
+        store=store,
         shm=shm,
+        prune=prune,
         time_budget=time_budget,
         gap_target=gap_target,
-    )
-    (best_cost, best_subset, _), pruned_rows, evaluated_rows = _reduce_best(
-        run.completed(), seed_solution if anytime else None
-    )
-    metadata = {
-        "algorithm": "brute-force-unassigned",
-        "candidate_count": int(candidates.shape[0]),
-        "workers": int(workers),
-        **k_metadata,
-        "prune": bool(prune),
-        "total_rows": int(total_rows),
-        "evaluated_rows": int(evaluated_rows),
-        "pruned_rows": int(pruned_rows),
-    }
-    if anytime:
-        metadata.update(
-            _certificate_metadata(context, run, best_cost, time_budget, gap_target, "unassigned")
-        )
-    return UncertainKCenterResult(
-        centers=candidates[best_subset],
-        expected_cost=float(best_cost),
-        objective="unassigned",
-        guaranteed_factor=None,
-        metadata=metadata,
     )

@@ -126,7 +126,8 @@ from ..uncertain.dataset import UncertainDataset, split_rows
 BATCH_ENTRY_CAP = 1 << 18
 
 #: Most layout entries one block of the assigned rank merge
-#: (:meth:`AssignedCostEvaluator.costs`) holds.  Its sweep is cache-bound:
+#: (:meth:`AssignedCostEvaluator.costs`) holds, and of the unassigned one
+#: (:meth:`repro.cost.context.CostContext.unassigned_costs`).  Its sweep is cache-bound:
 #: on a 2-vCPU x86 host with 2 MB of L2 per core, the ``enum_mid`` shape
 #: (1,280 entries per row) scored 29 µs per row in blocks of 2**17 entries
 #: and 57 µs in blocks of 2**18.  Blocking never changes a cost.

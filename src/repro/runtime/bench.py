@@ -378,13 +378,19 @@ def bench_brute_force_parallel(repeats: int = 3, workers: int | None = None) -> 
 
 
 def _dispatch_payload() -> tuple:
-    """The brute-force restricted payload the dispatch benchmarks ship."""
+    """The brute-force restricted payload the dispatch benchmarks ship.
+
+    The shape a restricted expected-distance solve ships to its subset
+    search, ``(context, rule, chunk_rows, top_k)`` with ``rule=None`` (the
+    ED matrix rides inside the context) and ``top_k=1``, here at
+    ``chunk_rows=256``.
+    """
     dataset, _ = gaussian_clusters(n=30, z=4, dimension=2, k_true=3, seed=7)
     candidates = dataset.all_locations()[:40]
     context = CostContext(dataset, candidates)
     context.evaluator
     context.expected
-    return (context, None, 256)
+    return (context, None, 256, 1)
 
 
 def bench_shm_dispatch_bytes() -> dict:

@@ -37,14 +37,14 @@ from repro.assignments.policies import (
     OptimalAssignment,
 )
 from repro.baselines.brute_force import (
-    _assigned_bound_task,
+    UNASSIGNED,
     _best_first_order,
     _check_gap_target,
-    _unassigned_bound_task,
+    _subset_bound_task,
     brute_force_restricted_assigned,
     brute_force_unassigned,
 )
-from repro.cost.context import CostContext
+from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from repro.runtime import parallel_map, set_oversubscribe, shutdown_runtime
 from repro.serve import ReproServer, ServeClient, ServeConfig, ServeError
 from repro.exceptions import ValidationError
@@ -216,13 +216,15 @@ class TestPairBoundAdmissibility:
         rows = random_subset_rows(candidates.shape[0], 3, 40, seed + 800)
         # Ragged chunk sizes, including singletons.
         chunks = [rows[:1], rows[1:14], rows[14:15], rows[15:]]
-        task = _assigned_bound_task if objective == "assigned" else _unassigned_bound_task
+        task = _subset_bound_task
         level1_kernel = (
             context.subset_assigned_lower_bounds
             if objective == "assigned"
             else context.subset_unassigned_lower_bounds
         )
-        payload = (context,)
+        # The one bound task reads the objective from the search's rule.
+        rule = None if objective == "assigned" else UNASSIGNED
+        payload = (context, rule, DEFAULT_CHUNK_ROWS, 1)
         lazy = [task(payload, chunk) for chunk in chunks]
         eager = [
             float(context.subset_two_level_lower_bounds(chunk, objective=objective).min())

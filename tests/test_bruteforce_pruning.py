@@ -10,7 +10,8 @@ kernels (bound <= exact cost for every subset / assignment row) is what the
 exactness proof rests on, so it gets its own differential suite; the
 ``evaluated_rows`` / ``pruned_rows`` counters are asserted to actually drop
 on a seeded adversarial instance — pruning that never prunes would pass
-every equality test.
+every equality test.  The one subset chunk task's per-chunk top-k lists and
+the greedy seed it scores are pinned against rows scored directly.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ from repro.assignments.policies import (
     OptimalAssignment,
 )
 from repro.baselines.brute_force import (
+    UNASSIGNED,
     _assignment_prefix_bound,
     _assignment_rows_slice,
     _greedy_seed_columns,
+    _seed_solution,
+    _subset_chunk_task,
     brute_force_restricted_assigned,
     brute_force_unassigned,
     brute_force_unrestricted_assigned,
@@ -402,6 +406,78 @@ class TestEachRowBoundedOnce:
             assert certified.metadata["certificate"]["gap"] == 0.0
             assert certified.metadata["gap_target_hit"] is False
             assert_same_result(certified, lone)
+
+
+class TestSubsetChunkTask:
+    """The one subset task: per-chunk top-k ranking and the seed it scores."""
+
+    @pytest.mark.parametrize("top_k", [1, 3, 8])
+    def test_chunk_top_k_merges_to_the_stable_ranking(self, top_k):
+        dataset = make_tricky_dataset(5, n=5, z=3)
+        # Every column twice: rows that swap a column for its twin cost
+        # exactly the same, and 40-row chunks split such ties apart.
+        locations = dataset.all_locations()[:7]
+        context = CostContext(dataset, np.vstack([locations, locations]))
+        rows = np.array(list(combinations(range(context.candidate_count), 3)))
+        chunks = [rows[start : start + 40] for start in range(0, rows.shape[0], 40)]
+        direct = context.assigned_costs(context.ed_assignments(rows))
+        ranking = np.argsort(direct, kind="stable")
+        cheapest = direct[ranking[0]]
+        assert len({int(row) // 40 for row in np.flatnonzero(direct == cheapest)}) > 1
+
+        payload = (context, None, 40, top_k)
+        tops = []
+        for chunk in chunks:
+            handle = incumbent_module.SerialIncumbent(np.inf)
+            with incumbent_module.bound(handle):
+                top, pruned, evaluated = _subset_chunk_task(payload, (chunk, None))
+            assert (pruned, evaluated) == (0, chunk.shape[0])
+            costs = context.assigned_costs(context.ed_assignments(chunk))
+            order = np.argsort(costs, kind="stable")[:top_k]
+            # (cost, row) order: the chunk's own stable ranking, head only.
+            assert [cost for cost, _, _ in top] == costs[order].tolist()
+            assert np.array_equal(np.array([subset for _, subset, _ in top]), chunk[order])
+            # The chunk proposes its top_k-th cost, when it has top_k rows.
+            expected_incumbent = costs[order[-1]] if chunk.shape[0] >= top_k else np.inf
+            assert handle.value() == expected_incumbent
+            tops.append(top)
+
+        merged = sorted((row for top in tops for row in top), key=lambda row: row[0])[:top_k]
+        assert [cost for cost, _, _ in merged] == direct[ranking[:top_k]].tolist()
+        assert np.array_equal(np.array([subset for _, subset, _ in merged]), rows[ranking[:top_k]])
+        assert np.array_equal(
+            np.array([assignment for _, _, assignment in merged]),
+            context.ed_assignments(rows[ranking[:top_k]]),
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "rule_name",
+        ["expected-distance", "expected-point", "nearest", "optimal-local", "unassigned"],
+    )
+    def test_seed_is_the_task_row_bit_for_bit(self, seed, rule_name):
+        dataset = make_tricky_dataset(seed)
+        candidates = dataset.all_locations()[:9]
+        context = CostContext(dataset, candidates)
+        rule = {
+            "expected-distance": None,
+            "expected-point": ExpectedPointAssignment().candidate_scores(dataset, candidates),
+            "nearest": NearestLocationAssignment().candidate_scores(dataset, candidates),
+            "optimal-local": OptimalAssignment(),
+            "unassigned": UNASSIGNED,
+        }[rule_name]
+        cost, columns, assignment = _seed_solution(context, rule, 3, 64)
+        item = (columns[None, :], None)
+        top, pruned, evaluated = _subset_chunk_task((context, rule, 64, 1), item)
+        assert (pruned, evaluated) == (0, 1)
+        ((row_cost, row_subset, row_assignment),) = top
+        assert np.float64(row_cost).tobytes() == np.float64(cost).tobytes()
+        assert np.array_equal(row_subset, columns)
+        if rule_name == "unassigned":
+            assert assignment is None and row_assignment is None
+        else:
+            assert np.array_equal(row_assignment, assignment)
+            assert set(assignment.tolist()) <= set(columns.tolist())
 
 
 class TestWorkersAndShm:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.cost.context as context_module
 from repro.algorithms.unrestricted import solve_unrestricted_assigned
 from repro.assignments import (
     ExpectedDistanceAssignment,
@@ -230,6 +231,38 @@ class TestRankMergeSweep:
         assert np.array_equal(
             context.unassigned_costs(subsets), fresh.unassigned_costs(subsets)
         )
+
+    def test_blocks_hold_at_most_the_entry_cap(self, monkeypatch):
+        # The unassigned merge blocks by the assigned merge's entry cap,
+        # ``cap // sum_i z_i`` rows per sweep whatever the row width, and
+        # ``chunk_rows`` still caps a block; the costs never move.
+        dataset = make_tricky_dataset(13, n=5, z=4)
+        context = CostContext(dataset, dataset.all_locations())
+        rng = np.random.default_rng(91)
+        subsets = np.array(
+            [rng.choice(context.candidate_count, size=3, replace=False) for _ in range(23)]
+        )
+        twin = context._unassigned_costs_float_sort(subsets)
+        entries = dataset.all_locations().shape[0]
+        sweep = context_module._sweep_rows_presorted
+        blocks: list[int] = []
+
+        def counting_sweep(sorted_values, *rest):
+            blocks.append(sorted_values.shape[0])
+            return sweep(sorted_values, *rest)
+
+        monkeypatch.setattr(context_module, "_sweep_rows_presorted", counting_sweep)
+        for cap, chunk_rows, expected_blocks in (
+            (3 * entries + 1, 1024, [3] * 7 + [2]),
+            (entries - 1, 1024, [1] * 23),
+            (100 * entries, 5, [5] * 4 + [3]),
+            (2**17, 1024, [23]),
+        ):
+            monkeypatch.setattr(context_module, "RANK_MERGE_BLOCK_ENTRIES", cap)
+            blocks.clear()
+            merged = context.unassigned_costs(subsets, chunk_rows=chunk_rows)
+            assert blocks == expected_blocks
+            assert np.array_equal(merged, twin)
 
     def test_chunk_rows_do_not_change_results(self):
         dataset = make_tricky_dataset(11, n=5, z=4)
