@@ -61,20 +61,11 @@ default (admissible lower bounds against each solve's incumbent — see
 ``--no-prune`` as an escape hatch that forces the exhaustive scans instead;
 results are bit-identical either way (pruning only skips provably losing
 rows), so the flag exists for debugging and for measuring the pruning win.
-
-Deadlines and gap targets
--------------------------
-``table1`` and ``all`` accept ``--time-budget SECONDS`` to cap each
-brute-force reference solve.  A reference that exhausts its budget returns
-the best incumbent found so far together with a ``(cost, lower_bound,
-gap)`` optimality certificate derived from the admissible chunk bounds of
-the subsets it never scanned — the anytime contract documented in
-:mod:`repro.baselines.brute_force`.  ``--gap-target GAP`` is the precision
-analogue: the best-first enumeration stops as soon as the certified
-relative gap between the incumbent and the minimum outstanding chunk bound
-reaches ``GAP``, with the same certificate shape.  It composes with
-``--time-budget`` (whichever fires first) and requires pruning, so it
-rejects ``--no-prune``.
+The references always run to completion: each stands in for an optimum in
+a Table-1 ratio, and one stopped early could only understate that ratio.
+Deadlines and gap targets are for ``serve`` requests (``deadline_ms`` and
+``gap_target`` on ``/v1/solve``) and for the brute-force solvers' own
+``time_budget=`` and ``gap_target=`` arguments.
 """
 
 from __future__ import annotations
@@ -126,37 +117,6 @@ def _add_no_prune_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_time_budget_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget per brute-force reference solve; an exhausted "
-            "reference returns its best incumbent plus a (cost, lower_bound, "
-            "gap) optimality certificate instead of the exact optimum "
-            "(default: run to completion)"
-        ),
-    )
-
-
-def _add_gap_target_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gap-target",
-        type=float,
-        default=None,
-        metavar="GAP",
-        help=(
-            "certified relative optimality gap at which each brute-force "
-            "reference solve may stop early, e.g. 0.01 for 1%%; the precision "
-            "analogue of --time-budget, same (cost, lower_bound, gap) "
-            "certificate; needs pruning, so it rejects --no-prune "
-            "(default: run to completion)"
-        ),
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uncertain-kcenter",
@@ -169,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--output", type=Path, default=None, help="also write the report to this file")
     _add_workers_argument(table1)
     _add_no_prune_argument(table1)
-    _add_time_budget_argument(table1)
-    _add_gap_target_argument(table1)
 
     everything = subparsers.add_parser(
         "all", help="run every experiment (Table 1, scaling, ablations, sensitivity)"
@@ -179,8 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--output", type=Path, default=None, help="also write the report to this file")
     _add_workers_argument(everything)
     _add_no_prune_argument(everything)
-    _add_time_budget_argument(everything)
-    _add_gap_target_argument(everything)
 
     scaling = subparsers.add_parser("scaling", help="running-time scaling experiment (E11)")
     scaling.add_argument("--quick", action="store_true")
@@ -361,13 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     settings = Table1Settings.quick() if args.quick else Table1Settings()
-    settings = replace(
-        settings,
-        workers=args.workers,
-        prune=not args.no_prune,
-        time_budget=args.time_budget,
-        gap_target=args.gap_target,
-    )
+    settings = replace(settings, workers=args.workers, prune=not args.no_prune)
     report = render_records(run_all_table1(settings))
     print(report)
     if args.output is not None:
@@ -376,20 +326,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
-    if args.quick:
-        records = run_quick(
-            workers=args.workers,
-            prune=not args.no_prune,
-            time_budget=args.time_budget,
-            gap_target=args.gap_target,
-        )
-    else:
-        records = run_everything(
-            workers=args.workers,
-            prune=not args.no_prune,
-            time_budget=args.time_budget,
-            gap_target=args.gap_target,
-        )
+    run = run_quick if args.quick else run_everything
+    records = run(workers=args.workers, prune=not args.no_prune)
     report = render_full_report(records)
     print(report)
     if args.output is not None:

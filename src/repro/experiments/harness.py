@@ -38,8 +38,6 @@ def run_everything(
     include_sensitivity: bool = True,
     workers: int | None = None,
     prune: bool | None = None,
-    time_budget: float | None = None,
-    gap_target: float | None = None,
 ) -> Sequence[ExperimentRecord]:
     """Run every experiment (E1..E13).
 
@@ -49,12 +47,8 @@ def run_everything(
     the fitted exponents / growth verdicts).  ``prune`` (the CLI's
     ``--no-prune`` maps to ``False``) toggles branch-and-bound pruning in
     the brute-force references; records are bit-identical either way.
-    ``time_budget`` (the CLI's ``--time-budget``, seconds) caps each
-    brute-force reference solve; exhausted references report their best
-    incumbent plus an optimality certificate instead of the exact optimum.
-    ``gap_target`` (the CLI's ``--gap-target``) stops each reference as
-    soon as its certified relative optimality gap reaches the target —
-    the precision analogue of ``time_budget`` (requires pruning).
+    The references always run to completion: each stands in for an optimum
+    in a Table-1 ratio, so none takes a deadline or a gap target.
 
     Every record carries a ``"runtime_health"`` summary entry when the
     runtime degraded during its experiment (pool rebuilds, chunk retries,
@@ -70,10 +64,6 @@ def run_everything(
         sensitivity_settings = replace(sensitivity_settings, workers=workers)
     if prune is not None:
         table1_settings = replace(table1_settings, prune=prune)
-    if time_budget is not None:
-        table1_settings = replace(table1_settings, time_budget=time_budget)
-    if gap_target is not None:
-        table1_settings = replace(table1_settings, gap_target=gap_target)
     records = list(run_all_table1(table1_settings))
     if include_scaling:
         records.append(track_runtime_health(run_scaling, scaling_settings))
@@ -87,11 +77,7 @@ def run_everything(
 
 
 def run_quick(
-    *,
-    workers: int | None = None,
-    prune: bool | None = None,
-    time_budget: float | None = None,
-    gap_target: float | None = None,
+    *, workers: int | None = None, prune: bool | None = None
 ) -> Sequence[ExperimentRecord]:
     """Lightweight run used by the CLI's ``--quick`` flag and smoke tests."""
     return run_everything(
@@ -101,8 +87,6 @@ def run_quick(
         sensitivity_settings=SensitivitySettings.quick(),
         workers=workers,
         prune=prune,
-        time_budget=time_budget,
-        gap_target=gap_target,
     )
 
 

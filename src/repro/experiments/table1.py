@@ -67,7 +67,10 @@ class Table1Settings:
     benchmark run stays in the minutes range; the defaults are what
     ``python -m repro table1`` reports.  ``workers`` shards each
     experiment's trial cases across processes (1 = serial; results are
-    identical either way).
+    identical either way).  The brute-force references always run to
+    completion: a reference stopped early by a deadline or a gap target
+    would be an incumbent at or above the optimum it stands in for, and
+    could only understate a ratio.
     """
 
     trials: int = 3
@@ -82,19 +85,6 @@ class Table1Settings:
     #: ``--no-prune`` clears it).  Pruned and unpruned references are
     #: bit-identical; the flag exists to measure/debug the pruning layer.
     prune: bool = True
-    #: Wall-clock budget in seconds for each brute-force reference solve
-    #: (the CLI's ``--time-budget``).  ``None`` (the default) runs to
-    #: completion.  With a budget, a reference that runs out of time
-    #: returns its best incumbent plus a ``(cost, lower_bound, gap)``
-    #: certificate instead of the exact optimum — see
-    #: :mod:`repro.baselines.brute_force`.
-    time_budget: float | None = None
-    #: Certified relative optimality gap at which each brute-force reference
-    #: may stop early (the CLI's ``--gap-target``).  ``None`` (the default)
-    #: runs to completion; ``0.0`` never stops early (bit-identical to the
-    #: exact run).  Requires ``prune`` — the certified gap is measured
-    #: against the admissible chunk bounds the pruning layer computes.
-    gap_target: float | None = None
 
     @classmethod
     def quick(cls) -> "Table1Settings":
@@ -187,13 +177,7 @@ def _micro_case(settings: Table1Settings, item) -> list[list[tuple[str, Experime
     store = ContextStore()
     references = [
         brute_force_restricted_assigned(
-            dataset,
-            k,
-            assignment=policy,
-            store=store,
-            prune=settings.prune,
-            time_budget=settings.time_budget,
-            gap_target=settings.gap_target,
+            dataset, k, assignment=policy, store=store, prune=settings.prune
         )
         for policy in (ExpectedDistanceAssignment(), ExpectedPointAssignment())
     ]

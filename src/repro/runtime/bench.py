@@ -1318,9 +1318,9 @@ def report_comparison(document: dict, baseline_path: "str | Path") -> int:
 
     Returns 0 when clean, :data:`REGRESSION_EXIT_CODE` (3) when shared
     metrics regressed beyond 20%, and 1 when the baseline cannot be read —
-    the single implementation behind both ``python -m repro bench
-    --compare`` and ``benchmarks/run_bench.py --compare`` (an unreadable or
-    malformed baseline is reported as a failure rather than a traceback).
+    the implementation behind ``python -m repro bench --compare`` (an
+    unreadable or malformed baseline is reported as a failure rather than a
+    traceback).
     """
     baseline_path = Path(baseline_path)
     try:

@@ -96,8 +96,9 @@ class GapTracker:
     """Live optimality-gap monitor for one best-first enumeration.
 
     Constructed by the map engine of :mod:`repro.runtime.parallel` when a
-    ``gap_target`` is set; the submission loop asks :meth:`should_stop` with
-    the minimum admissible bound over the chunks not yet submitted.  Stopping
+    ``gap_target`` is set; the map's stop predicate asks :meth:`should_stop`
+    with the minimum admissible bound over the chunks still pending (not yet
+    run or submitted).  Stopping
     is sound *at submission time*: in-flight chunks still drain (they can
     only lower the final cost) and the never-submitted chunks are exactly the
     ones the bound covers, so the final ``(cost, lower_bound, gap)``

@@ -45,19 +45,20 @@ via :mod:`repro.faults`.
 
 Stops (the anytime-solver plumbing)
 -----------------------------------
-``time_budget=SECONDS`` turns an ordered map into an anytime computation:
-chunk submission stops once the monotonic deadline passes, in-flight work
-drains, and the completed chunks come back keyed by item index — under
-best-first order they need not form a prefix.  A ``gap_target`` stops the
-map the same way once the certified gap between the live incumbent and
-the outstanding chunk bounds reaches the target.  Callers pair the
-completed chunks with an admissible lower bound over the chunks never run
-to certify ``(cost, lower_bound, gap)``; see
-:mod:`repro.baselines.brute_force`.  Both stops behave the same on every
-transport, serially and in a degraded map's remainder.  Truncated maps are
-exempt from ``det`` fingerprinting the same way pruned maps are: *which*
-chunks complete is timing-dependent by design, while each returned chunk
-value is still bit-identical.
+An ordered map may carry two stops: ``time_budget=SECONDS``, a monotonic
+deadline from the map's start, and ``gap_target``, reached once the
+certified gap between the map's incumbent and the smallest bound over the
+chunks still pending is at or below it.  The engine owns both as one stop
+predicate, asked before each chunk is run (serially, and in a degraded
+map's remainder) or submitted (pooled).  Once it fires no further chunk
+starts, in-flight work drains, and the completed chunks come back keyed by
+item index (under best-first order they need not form a prefix) with the
+flag of the stop that fired.  Callers pair the completed chunks with an
+admissible lower bound over the chunks never run to certify ``(cost,
+lower_bound, gap)``; see :mod:`repro.baselines.brute_force`.  Truncated
+maps are exempt from ``det`` fingerprinting the same way pruned maps are:
+*which* chunks complete is timing-dependent by design, while each returned
+chunk value is still bit-identical.
 
 Serial fallback (never slower than ``workers=1``)
 -------------------------------------------------
@@ -106,7 +107,8 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .._env import env_flag
 from ..sanitize import det_san
@@ -114,10 +116,25 @@ from . import health
 from . import incumbent as incumbent_module
 from . import pool as pool_module
 from . import shm as shm_module
-from .pool import MapOutcome
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+@dataclass
+class MapOutcome:
+    """What one map produced.
+
+    ``results`` is keyed by *original* item index (whatever the submission
+    order was), so reductions can walk ``sorted(results)`` and keep the
+    submission-order first-strict-minimum tie rule.  ``deadline_hit`` /
+    ``gap_target_hit`` say which stop ended the map early, if one did.
+    """
+
+    results: dict[int, Any]
+    deadline_hit: bool = False
+    gap_target_hit: bool = False
+
 
 #: Fewest work items worth dispatching to a pool at all.
 DEFAULT_MIN_ITEMS = 2
@@ -152,22 +169,20 @@ def available_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def effective_workers(workers: int | None, item_count: int, min_items: int = DEFAULT_MIN_ITEMS) -> int:
+def effective_workers(workers: int | None, item_count: int) -> int:
     """The worker count a call will actually use after every fallback rule.
 
     Clamps to the item count and — unless oversubscription is enabled — the
-    CPU count, and collapses to serial below the item threshold.  This is
-    the single place the "never slower than ``workers=1``" guarantee lives.
+    CPU count, and collapses to serial below :data:`DEFAULT_MIN_ITEMS`
+    items.  This is the single place the "never slower than ``workers=1``"
+    guarantee lives.
     """
     workers = resolve_workers(workers)
-    if workers <= 1:
+    if workers <= 1 or item_count < DEFAULT_MIN_ITEMS:
         return 1
     if not _OVERSUBSCRIBE:
         workers = min(workers, available_workers())
-    workers = min(workers, item_count)
-    if item_count < max(2, int(min_items)):
-        return 1
-    return max(1, workers)
+    return min(workers, item_count)
 
 
 def parallel_map(
@@ -209,7 +224,7 @@ def parallel_map(
     needs an incumbent or a stop is :func:`parallel_map_ordered`.
     """
     items = list(items)
-    outcome = _Map(task, items, payload, list(range(len(items))), None).run(workers, shm, None)
+    outcome = _Map(task, items, payload, list(range(len(items)))).run(workers, shm, None)
     return [outcome.results[index] for index in range(len(items))]
 
 
@@ -243,8 +258,8 @@ def parallel_map_ordered(
     exactness contract in :mod:`repro.baselines.brute_force`.
 
     ``time_budget`` is a wall-clock budget in seconds for the whole map.
-    When it runs out, submission stops, in-flight chunks drain, and the
-    completed chunks come back with ``deadline_hit`` set; ``None`` (the
+    When it runs out, no further chunk starts, in-flight chunks drain, and
+    the completed chunks come back with ``deadline_hit`` set; ``None`` (the
     default) never stops.
 
     ``order`` is a permutation of item indexes (ascending admissible chunk
@@ -253,10 +268,10 @@ def parallel_map_ordered(
     back keyed by original index, so the final reduction is
     order-independent.  ``chunk_bounds[i]`` must lower-bound every solution
     in item ``i``; with ``gap_target`` set (which needs both the bounds and
-    an ``incumbent_seed``), submission stops as soon as the certified gap
-    between the live incumbent and the minimum outstanding chunk bound
-    reaches the target (:class:`repro.runtime.incumbent.GapTracker`) —
-    exactly like a ``time_budget`` deadline, and combinable with one.
+    an ``incumbent_seed``), the map stops as soon as the certified gap
+    between the live incumbent and the smallest bound over the chunks still
+    pending reaches the target (:class:`repro.runtime.incumbent.GapTracker`)
+    — exactly like a ``time_budget`` deadline, and combinable with one.
     ``task``, ``items``, ``payload``, ``workers`` and ``shm`` mean what they
     mean for :func:`parallel_map`.
     """
@@ -274,32 +289,42 @@ def parallel_map_ordered(
 
 @dataclass
 class _Map:
-    """The map engine behind both public adapters: one map's fixed inputs."""
+    """The map engine behind both public adapters: one map and its stops."""
 
     task: Callable[[Any, Any], Any]
     items: list[Any]
     payload: Any
     submission: list[int]
-    time_budget: float | None
+    time_budget: float | None = None
     chunk_bounds: Sequence[float] | None = None
     gap_target: float | None = None
+    handle: "incumbent_module.SerialIncumbent | None" = field(init=False, default=None)
+    tracker: "incumbent_module.GapTracker | None" = field(init=False, default=None)
     deadline: float | None = field(init=False, default=None)
+    deadline_hit: bool = field(init=False, default=False)
 
     def run(self, workers: int | None, shm: bool | None, seed: float | None) -> MapOutcome:
-        """Run serially or pooled, then the bookkeeping every path shares.
+        """Arm the map's incumbent and stops, run it, then the shared bookkeeping.
 
         That is the stop counters and the ``det`` fingerprint of complete
         maps.  ``seed`` is the incumbent seed (``None``: an unpruned map).
         """
         workers = effective_workers(workers, len(self.items))
+        if seed is not None:
+            self.handle = incumbent_module.SerialIncumbent(seed)
+            if self.gap_target is not None:
+                self.tracker = incumbent_module.GapTracker(self.gap_target, self.handle)
         if self.time_budget is not None:
             self.deadline = time.monotonic() + float(self.time_budget)
-        outcome = self.serial(seed) if workers <= 1 else self.pooled(workers, shm, seed)
+        results = self.finish({}) if workers <= 1 else self.pooled(workers, shm)
+        outcome = MapOutcome(
+            results, self.deadline_hit, self.tracker is not None and self.tracker.hit
+        )
         if outcome.deadline_hit:
             health.record(deadline_hits=1)
         if outcome.gap_target_hit:
             health.record(gap_target_hits=1)
-        if len(outcome.results) == len(self.items):
+        if len(results) == len(self.items):
             # DET-SAN fingerprints per-chunk results of complete, un-pruned
             # maps so a workers=1 vs workers=N divergence is caught at the
             # first differing chunk; no-op unless REPRO_SANITIZE enables det.
@@ -307,44 +332,35 @@ class _Map:
                 self.task,
                 self.items,
                 self.payload,
-                [outcome.results[index] for index in range(len(self.items))],
+                [results[index] for index in range(len(self.items))],
                 workers=workers,
                 pruned=seed is not None,
             )
         return outcome
 
-    def _tracker(
-        self, handle: "incumbent_module.SerialIncumbent | None"
-    ) -> "incumbent_module.GapTracker | None":
-        if self.gap_target is None or handle is None:
-            return None
-        return incumbent_module.GapTracker(self.gap_target, handle)
+    def stop(self, pending: Iterable[int]) -> bool:
+        """The map's one stop predicate, asked before each chunk is run or submitted.
 
-    def serial(self, seed: float | None) -> MapOutcome:
-        """The whole map in-process, under a fresh serial incumbent."""
-        handle = None if seed is None else incumbent_module.SerialIncumbent(seed)
-        return self.finish({}, handle, self._tracker(handle))
+        True once the deadline has passed, or once the certified gap between
+        the incumbent and the smallest bound over the ``pending`` chunks (not
+        yet run or submitted) reaches the gap target.  Both are sticky.
+        """
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            self.deadline_hit = True
+            return True
+        if self.tracker is None:
+            return False
+        assert self.chunk_bounds is not None
+        return self.tracker.should_stop(min(float(self.chunk_bounds[i]) for i in pending))
 
-    def pooled(self, workers: int, shm: bool | None, seed: float | None) -> MapOutcome:
+    def pooled(self, workers: int, shm: bool | None) -> dict[int, Any]:
         """The map across the persistent pool, finished here if it degrades.
 
         The map's incumbent stays in the parent: the pool sends its value
         with each chunk and proposes each harvested chunk's best into it,
         and a degraded remainder keeps pruning against it.
         """
-        handle = None if seed is None else incumbent_module.SerialIncumbent(seed)
-        tracker = self._tracker(handle)
-        stop_check: Callable[[list[int]], bool] | None = None
-        if tracker is not None:
-            assert self.chunk_bounds is not None
-            bounds: Sequence[float] = self.chunk_bounds
-            gap: incumbent_module.GapTracker = tracker
-
-            def _stop_check(pending_indexes: list[int]) -> bool:
-                return gap.should_stop(min(float(bounds[i]) for i in pending_indexes))
-
-            stop_check = _stop_check
-
+        stoppable = self.deadline is not None or self.tracker is not None
         spec, call_lease, fallback_spec = _resolve_transport(self.payload, shm)
         try:
             return pool_module.executor().map(
@@ -352,11 +368,10 @@ class _Map:
                 self.items,
                 spec,
                 workers,
-                handle,
+                self.handle,
                 fallback_spec=fallback_spec,
-                deadline=self.deadline,
                 order=self.submission,
-                stop_check=stop_check,
+                stop=self.stop if stoppable else None,
             )
         except pool_module.PoolDegradedError as degraded:
             # The pool broke more times than the retry budget allows (the
@@ -365,48 +380,28 @@ class _Map:
             # parent — identical results by the determinism contract,
             # degraded wall clock, all of it counted.
             health.record(serial_fallbacks=1)
-            return self.finish(dict(degraded.completed), handle, tracker)
+            return self.finish(dict(degraded.completed))
         finally:
             if call_lease is not None:
                 call_lease.close()
 
-    def finish(
-        self,
-        completed: dict[int, Any],
-        handle: "incumbent_module.SerialIncumbent | None",
-        tracker: "incumbent_module.GapTracker | None",
-    ) -> MapOutcome:
+    def finish(self, completed: dict[int, Any]) -> dict[int, Any]:
         """The one in-process loop: serial maps and degraded maps' remainders.
 
-        Runs the items not yet in ``completed`` in submission order with
-        ``handle`` bound as the calling thread's incumbent — the map's own
-        incumbent (for a degraded map, already tightened by every chunk the
-        pool harvested), ``None`` for an unpruned map — so each chunk sees
-        the improvements of its predecessors and no other map's.
-        The deadline and gap stops fire between chunks.  The outstanding
-        bound at each position is the suffix minimum of the chunk bounds,
-        which conservatively includes already completed chunks — a smaller
-        outstanding bound only *delays* the gap stop, never unsoundly
-        triggers it.
+        Runs the items not yet in ``completed`` in submission order with the
+        map's incumbent bound as the calling thread's (for a degraded map,
+        already tightened by every chunk the pool harvested; ``None`` for an
+        unpruned map), so each chunk sees the improvements of its
+        predecessors and no other map's.  :meth:`stop` is asked before each
+        item with the items still pending.
         """
-        submission = self.submission
-        suffix = [float("inf")] * (len(submission) + 1)
-        if tracker is not None and self.chunk_bounds is not None:
-            for position in range(len(submission) - 1, -1, -1):
-                chunk_bound = float(self.chunk_bounds[submission[position]])
-                suffix[position] = min(chunk_bound, suffix[position + 1])
-        deadline_hit = False
-        with incumbent_module.bound(handle):
-            for position, index in enumerate(submission):
-                if index in completed:
-                    continue
-                if self.deadline is not None and time.monotonic() >= self.deadline:
-                    deadline_hit = True
-                    break
-                if tracker is not None and tracker.should_stop(suffix[position]):
+        pending = [index for index in self.submission if index not in completed]
+        with incumbent_module.bound(self.handle):
+            for position, index in enumerate(pending):
+                if self.stop(islice(pending, position, None)):
                     break
                 completed[index] = self.task(self.payload, self.items[index])
-        return MapOutcome(completed, deadline_hit, tracker is not None and tracker.hit)
+        return completed
 
 
 def _pickled_spec(payload: Any) -> tuple:

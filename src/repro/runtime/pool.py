@@ -14,8 +14,8 @@ startup dominated (the ``BENCH_PR3.json`` 0.76x case).  This module keeps
 * safe against nesting: pool workers mark themselves via :func:`in_worker`
   and any parallel request made inside one degrades to serial;
 * one submission loop: :meth:`PersistentPool.map` submits chunks in the
-  caller's order (best-first for the enumerators) and returns a
-  :class:`MapOutcome` keyed by item index;
+  caller's order (best-first for the enumerators) and returns their
+  results keyed by item index;
 * safe against worker death: on :class:`BrokenProcessPool`, the map keeps
   every chunk result already harvested (futures that completed before the
   break retain their values), rebuilds the executor with exponential
@@ -23,10 +23,10 @@ startup dominated (the ``BENCH_PR3.json`` 0.76x case).  This module keeps
   :class:`PoolDegradedError` carrying the completed work, so the caller can
   finish the remainder serially instead of recomputing everything (results
   are identical either way by the determinism contract);
-* stoppable: an optional monotonic ``deadline`` or a caller predicate
-  (the gap-target check) stops chunk submission, drains in-flight work and
-  returns what completed — the plumbing the anytime solvers'
-  ``time_budget`` and ``gap_target`` stand on;
+* stoppable: the map's one stop predicate (its deadline and gap-target
+  check, owned by the map engine of :mod:`repro.runtime.parallel`), when
+  the map has one, ends chunk submission; in-flight work drains and what
+  completed comes back;
 * degradable per transport: a worker that cannot attach a shared-memory
   segment (injected or real) returns a :class:`_TransportFailure` marker
   instead of poisoning the pool, and the chunk is resubmitted on the
@@ -66,8 +66,8 @@ other's pruning state.  The payload spec is one of
 * ``("shm", descriptor)`` — a :class:`~repro.runtime.shm.PayloadDescriptor`
   for payloads containing a ``CostContext``; the worker attaches the
   shared-memory segments, unpickles the payload over read-only views of
-  their out-of-band buffers and memoizes it by the descriptor's token,
-  closing evicted attachments;
+  their out-of-band buffers and memoizes it by the descriptor's token (an
+  evicted payload's attachments close once its last array is collected);
 * ``("pickled", token, blob)`` — for context-free payloads (experiment
   settings), for every payload when shared memory is disabled or
   unavailable, and for chunks whose segment attach failed: the pre-pickled
@@ -126,21 +126,6 @@ class PoolDegradedError(RuntimeError):
         self.completed = completed
 
 
-@dataclass
-class MapOutcome:
-    """What one map produced.
-
-    ``results`` is keyed by *original* item index (whatever the submission
-    order was), so reductions can walk ``sorted(results)`` and keep the
-    submission-order first-strict-minimum tie rule.  ``deadline_hit`` /
-    ``gap_target_hit`` say why submission stopped early, if it did.
-    """
-
-    results: dict[int, Any]
-    deadline_hit: bool = False
-    gap_target_hit: bool = False
-
-
 @dataclass(frozen=True)
 class _TransportFailure:
     """Worker-side marker: the payload transport failed, the pool is fine.
@@ -157,7 +142,7 @@ class _TransportFailure:
 # -- worker-side state -------------------------------------------------------
 
 _IN_WORKER = False
-_PAYLOAD_CACHE: "OrderedDict[str, tuple[Any, Callable[[], None] | None]]" = OrderedDict()
+_PAYLOAD_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 
 
 def in_worker() -> bool:
@@ -184,12 +169,10 @@ def _init_pool_worker(sanitizer_names: tuple[str, ...] = (), fault_spec: str = "
     faults.set_enabled(fault_spec)
 
 
-def _cache_payload(token: str, payload: Any, closer: Callable[[], None] | None) -> None:
-    _PAYLOAD_CACHE[token] = (payload, closer)
+def _cache_payload(token: str, payload: Any) -> None:
+    _PAYLOAD_CACHE[token] = payload
     while len(_PAYLOAD_CACHE) > WORKER_PAYLOAD_CACHE:
-        _, (_, old_closer) = _PAYLOAD_CACHE.popitem(last=False)
-        if old_closer is not None:
-            old_closer()
+        _PAYLOAD_CACHE.popitem(last=False)
 
 
 def _resolve_payload(spec: tuple) -> Any:
@@ -200,16 +183,14 @@ def _resolve_payload(spec: tuple) -> Any:
     if kind not in ("pickled", "shm"):
         raise ValueError(f"unknown payload spec kind: {kind!r}")
     token = spec[1] if kind == "pickled" else spec[1].token
-    cached = _PAYLOAD_CACHE.get(token)
-    if cached is not None:
+    if token in _PAYLOAD_CACHE:
         _PAYLOAD_CACHE.move_to_end(token)
-        return cached[0]
-    closer: Callable[[], None] | None = None
+        return _PAYLOAD_CACHE[token]
     if kind == "pickled":
         payload = pickle.loads(spec[2])
     else:
-        payload, closer = shm_module.materialize_payload(spec[1])
-    _cache_payload(token, payload, closer)
+        payload = shm_module.materialize_payload(spec[1])
+    _cache_payload(token, payload)
     return payload
 
 
@@ -311,11 +292,10 @@ class PersistentPool:
         incumbent: "incumbent_module.SerialIncumbent | None" = None,
         *,
         fallback_spec: Callable[[], tuple] | None = None,
-        deadline: float | None = None,
         order: "list[int] | None" = None,
-        stop_check: Callable[[list[int]], bool] | None = None,
-    ) -> MapOutcome:
-        """``task(payload, item)`` for every item across the pool.
+        stop: Callable[[Iterable[int]], bool] | None = None,
+    ) -> dict[int, Any]:
+        """``task(payload, item)`` for every item across the pool, keyed by index.
 
         Chunks are *submitted* in ``order`` (a permutation of the item
         indexes, item order when ``None``) and results come back keyed by
@@ -341,11 +321,10 @@ class PersistentPool:
         ``("pickled", ...)`` spec a chunk is resubmitted on when its worker
         reports a failed shared-memory attach (:class:`_TransportFailure`),
         whether the report is harvested in order or during crash recovery.
-        ``deadline`` (a ``time.monotonic`` instant) stops chunk submission
-        once passed; ``stop_check`` receives the indexes not yet submitted
-        before each new submission and returns ``True`` to stop submitting
-        (the ``gap_target`` predicate).  Either way in-flight work is
-        drained and the :class:`MapOutcome` says why submission stopped.
+        ``stop`` (the map's stop predicate; ``None`` never stops) receives
+        the indexes not yet submitted before each new submission; once it
+        returns ``True`` nothing more is submitted, in-flight work drains,
+        and the chunks never submitted are absent from the result.
         Task-level exceptions propagate as-is.
         """
         workers = max(1, int(workers))
@@ -360,8 +339,6 @@ class PersistentPool:
         rebuilds = 0
         backoff = MAP_BACKOFF_INITIAL
         resolved_fallback: tuple | None = None
-        deadline_hit = False
-        stopped = False
 
         def harvest(
             index: int,
@@ -395,16 +372,9 @@ class PersistentPool:
         while pending or window:
             try:
                 while pending and len(window) < workers:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        deadline_hit = True
-                        break
-                    if stop_check is not None and stop_check(
-                        [entry[0] for entry in pending]
-                    ):
-                        # The caller's predicate (certified gap <= target)
-                        # says the never-submitted chunks can no longer
-                        # matter; drain in-flight work and stop.
-                        stopped = True
+                    if stop is not None and stop(entry[0] for entry in pending):
+                        # A deadline or gap stop: the never-submitted chunks
+                        # are skipped, in-flight work drains.
                         pending.clear()
                         break
                     index, attempt, item_spec = pending.popleft()
@@ -420,7 +390,7 @@ class PersistentPool:
                     )
                     window.append((index, attempt, item_spec, future))
                 if not window:
-                    break  # deadline stopped submission with nothing in flight
+                    break  # a stop fired with nothing in flight
                 index, attempt, item_spec, future = window.popleft()
                 outcome = future.result()
             except BrokenProcessPool:
@@ -449,7 +419,7 @@ class PersistentPool:
                 executor = self.ensure(workers)
                 continue
             harvest(index, attempt, outcome)
-        return MapOutcome(results, deadline_hit or bool(pending), stopped)
+        return results
 
     def shutdown(self) -> None:
         """Stop the workers (idempotent).  Cached publications are separate.

@@ -49,7 +49,9 @@ Segments are refcounted explicitly, not via the resource tracker:
 * *workers* attach without registering with the resource tracker (Python
   3.11 registers on attach, which would let a worker's tracker unlink a
   segment the parent still owns — the classic bpo-38119 double-unlink) and
-  cache a bounded number of attachments, closing evicted ones.
+  cache a bounded number of payloads.  An attachment closes itself once
+  the last array over it is collected (:func:`unpack_arrays`), so a cache
+  eviction only drops a payload and can never unmap an array still in use.
 
 ``publish_payload`` memoizes per-context publications keyed on object
 identity and :attr:`~repro.cost.context.CostContext.version`, which the
@@ -72,7 +74,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -213,9 +215,17 @@ def pack_arrays(arrays: Sequence[Any]) -> tuple[SegmentDescriptor, SegmentLease]
 def unpack_arrays(
     descriptor: SegmentDescriptor, segment: shared_memory.SharedMemory
 ) -> list[np.ndarray]:
-    """Read-only zero-copy byte views of every buffer packed in ``segment``."""
+    """Read-only zero-copy byte views of every buffer packed in ``segment``.
+
+    The views share one root view of the whole segment: it is their
+    ``.base``, and the ``.base`` of every array NumPy unpickles over them.
+    ``segment`` closes when that root is collected, i.e. after the last
+    array over the mapping is gone.  (The root holds no buffer export, so
+    an earlier ``close()`` would unmap the arrays under their readers.)
+    """
     whole = np.ndarray((descriptor.nbytes,), dtype=np.uint8, buffer=segment.buf)
     whole.flags.writeable = False
+    weakref.finalize(whole, segment.close)
     return [whole[start : start + length] for start, length in descriptor.spans]
 
 
@@ -355,13 +365,11 @@ def publish_payload(payload: Any) -> tuple[PayloadDescriptor, SegmentLease | Non
     return descriptor, call_lease
 
 
-def materialize_payload(
-    descriptor: PayloadDescriptor,
-) -> tuple[Any, Callable[[], None]]:
-    """Attach a published payload zero-copy.
+def materialize_payload(descriptor: PayloadDescriptor) -> Any:
+    """Attach a published payload zero-copy and rebuild it.
 
-    Returns the rebuilt payload and a closer that releases the segment
-    mappings (the worker cache calls it on eviction).
+    Each attachment stays mapped while any array of the payload points into
+    it and closes once the last one is collected (:func:`unpack_arrays`).
     """
     attachments = [_attach_segment(segment.name) for segment in descriptor.segments]
     *context_buffers, blob = unpack_arrays(descriptor.segments[0], attachments[0])
@@ -369,16 +377,7 @@ def materialize_payload(
     call_buffers: list[np.ndarray] = []
     if len(attachments) > 1:
         call_buffers = unpack_arrays(descriptor.segments[1], attachments[1])
-    payload = _PayloadUnpickler(io.BytesIO(descriptor.structure), context, call_buffers).load()
-
-    def closer() -> None:
-        for segment in attachments:
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - mapping already gone
-                pass
-
-    return payload, closer
+    return _PayloadUnpickler(io.BytesIO(descriptor.structure), context, call_buffers).load()
 
 
 def live_segments() -> list[str]:

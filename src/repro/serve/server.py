@@ -213,6 +213,7 @@ def _handle_solve(state: ServerState, payload: Mapping[str, Any], request_id: in
         else:
             state.pool_gate.release()
             gated = False
+    clean = False
     try:
         if objective == "restricted":
             result = brute_force_restricted_assigned(
@@ -237,9 +238,12 @@ def _handle_solve(state: ServerState, payload: Mapping[str, Any], request_id: in
             )
     finally:
         if gated:
+            # Only the request driving the pool observes the runtime, and
+            # before it lets another take the pool: a serial solve cannot
+            # rebuild or degrade the pool, so what moved is this request's.
+            clean = state.observe_runtime() == 0
             state.pool_gate.release()
-    degradations = state.observe_runtime()
-    if workers > 1 and degradations == 0:
+    if clean:
         state.breaker.record_probe_success()
     return {
         "request_id": request_id,

@@ -26,11 +26,13 @@ socket:
   because the store looks up and inserts under one lock and builds lazily.
 
 Thread-safety: the HTTP server handles each request on its own thread, so
-every structure here guards its state with a lock; the runtime health
-counters are process-global, which is why degradation observation runs
-through one :meth:`ServerState.observe_runtime` choke point holding the
-state lock (per-request attribution is impossible with concurrent maps,
-and the breaker only needs "degradation happened in the window").
+every structure here guards its state with a lock.  The runtime health
+counters are process-global, so degradation observation runs through one
+:meth:`ServerState.observe_runtime` choke point holding the state lock,
+called only by the request holding :attr:`ServerState.pool_gate`, before it
+releases the gate.  Only a pooled map can rebuild or degrade the pool, so
+what moved since the last observation is that request's: a serial request
+can neither trip the breaker nor close it on a probe's account.
 """
 
 from __future__ import annotations

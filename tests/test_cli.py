@@ -80,3 +80,31 @@ class TestOtherCommands:
         assert output.exists()
         text = output.read_text()
         assert "E1" in text and "E10" in text
+
+
+class TestReferencesRunToCompletion:
+    """Table-1 references stand in for optima, so nothing can stop them early.
+
+    A reference stopped by a deadline or a gap target is an incumbent at or
+    above the optimum, and a ratio over it can only be understated.
+    """
+
+    @pytest.mark.parametrize("command", ["table1", "all"])
+    @pytest.mark.parametrize("flag", ["--time-budget", "--gap-target"])
+    def test_stop_flags_are_usage_errors(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--quick", flag, "0.5"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_settings_and_harness_take_no_stop(self):
+        from dataclasses import fields
+        from inspect import signature
+
+        from repro.experiments.harness import run_everything, run_quick
+        from repro.experiments.table1 import Table1Settings
+
+        stops = {"time_budget", "gap_target"}
+        assert not stops & {field.name for field in fields(Table1Settings)}
+        for function in (run_everything, run_quick):
+            assert not stops & set(signature(function).parameters)

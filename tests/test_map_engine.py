@@ -14,6 +14,9 @@ Three contracts the engine owns beyond plain bit-identity:
 * **Stops on the pickled transport** — with shared memory off, a pooled
   enumeration still honors ``gap_target`` and ``time_budget`` and reports
   them with a sound certificate, whatever the payload size.
+* **Settings flipped mid-solve** — oversubscription and the ``det``
+  sanitizer, flipped from another thread between and during maps, change
+  no result of concurrent serial solves or of a pooled one.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, sanitize
 from repro.baselines.brute_force import brute_force_restricted_assigned, brute_force_unassigned
 from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from repro.runtime import PersistentPool, health, parallel_map, set_oversubscribe, shutdown_runtime
@@ -46,9 +50,9 @@ def _instance(seed: int, candidate_count: int = 18):
     return dataset, dataset.all_locations()[:candidate_count]
 
 
-def _solve(dataset, candidates, restricted: bool, chunk_rows: int = 32):
+def _solve(dataset, candidates, restricted: bool, chunk_rows: int = 32, workers: int = 1):
     solver = brute_force_restricted_assigned if restricted else brute_force_unassigned
-    return solver(dataset, 4, candidates=candidates, chunk_rows=chunk_rows)
+    return solver(dataset, 4, candidates=candidates, chunk_rows=chunk_rows, workers=workers)
 
 
 class TestPerThreadIncumbent:
@@ -200,10 +204,10 @@ class TestIncumbentRelay:
         items = list(range(len(RELAY_PROPOSALS)))
         pool = PersistentPool()
         try:
-            outcome = pool.map(_relay_task, items, ("none",), 2, incumbent)
+            results = pool.map(_relay_task, items, ("none",), 2, incumbent)
         finally:
             pool.shutdown()
-        thresholds = [outcome.results[item] for item in items]
+        thresholds = [results[item] for item in items]
         # Every submission read the parent's incumbent once, in item order,
         # and got the least of the seed and every best harvested before it.
         reads = [
@@ -297,3 +301,88 @@ class TestStopsWithoutSharedMemory:
         assert result.expected_cost == reference.expected_cost
         assert np.array_equal(result.centers, reference.centers)
         assert np.array_equal(result.assignment, reference.assignment)
+
+
+#: Serial solver threads beside the pooled one, and solves per thread.
+FLIP_SERIAL_THREADS = 3
+FLIP_SOLVES = 6
+
+
+@pytest.fixture()
+def restore_flipped_settings():
+    """Put oversubscription and the sanitizers back, whatever a test flipped."""
+    previous_oversubscribe = set_oversubscribe(False)
+    previous_sanitizers = sanitize.enabled_names()
+    yield
+    set_oversubscribe(previous_oversubscribe)
+    sanitize.set_enabled(previous_sanitizers)
+    shutdown_runtime()
+
+
+@pytest.mark.usefixtures("restore_flipped_settings")
+class TestSettingFlips:
+    def test_flips_between_and_during_maps_change_no_result(self):
+        """Serve threads read both settings at every map; neither may move a result.
+
+        One thread solves at ``workers=4`` under a lock, as serve's pool gate
+        does, the others serially, while another thread keeps flipping
+        ``set_oversubscribe`` (which resizes or bypasses the pool) and the
+        ``det`` sanitizer (which respawns the pool and fingerprints maps).
+        """
+        instances = [_instance(seed) for seed in range(3)]
+        references = {
+            (seed, restricted): _solve(*instances[seed], restricted)
+            for seed in range(len(instances))
+            for restricted in (True, False)
+        }
+        pool_gate = threading.Lock()
+        solving = threading.Event()
+        solving.set()
+        flips = 0
+
+        def flipper() -> None:
+            nonlocal flips
+            while solving.is_set():
+                flips += 1
+                set_oversubscribe(flips % 2 == 1)
+                sanitize.set_enabled(("det",) if flips % 3 else ())
+                time.sleep(0.002)
+
+        def solver(thread: int) -> list:
+            solved = []
+            for solve in range(FLIP_SOLVES):
+                key = ((thread + solve) % len(instances), solve % 2 == 0)
+                if thread == 0:
+                    with pool_gate:
+                        result = _solve(*instances[key[0]], key[1], workers=4)
+                else:
+                    result = _solve(*instances[key[0]], key[1])
+                solved.append((key, result))
+            return solved
+
+        before = health.snapshot()
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave flips with the solves' chunks more often
+        flipping = threading.Thread(target=flipper)
+        flipping.start()
+        try:
+            with ThreadPoolExecutor(1 + FLIP_SERIAL_THREADS) as executor:
+                outcomes = [
+                    pair
+                    for solved in executor.map(solver, range(1 + FLIP_SERIAL_THREADS))
+                    for pair in solved
+                ]
+        finally:
+            solving.clear()
+            flipping.join(timeout=30.0)
+            sys.setswitchinterval(previous_interval)
+        assert not flipping.is_alive()
+        assert flips >= len(outcomes)  # flipped during maps, not only between solves
+        assert health.delta(before).chunks_submitted > 0  # the pooled thread took the pool
+        assert len(outcomes) == (1 + FLIP_SERIAL_THREADS) * FLIP_SOLVES
+        for key, result in outcomes:
+            reference = references[key]
+            assert result.expected_cost == reference.expected_cost, key
+            assert np.array_equal(result.centers, reference.centers), key
+            if reference.assignment is not None:
+                assert np.array_equal(result.assignment, reference.assignment), key

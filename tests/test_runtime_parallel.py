@@ -107,7 +107,6 @@ class TestSerialFallback:
 
     def test_too_few_items_run_serially(self):
         assert effective_workers(4, item_count=1) == 1
-        assert effective_workers(4, item_count=3, min_items=4) == 1
 
     def test_single_cpu_request_never_starts_a_pool(self, monkeypatch):
         set_oversubscribe(False)

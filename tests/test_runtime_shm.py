@@ -8,6 +8,9 @@ The zero-copy runtime's contracts (see :mod:`repro.runtime.shm`):
 * segments are unlinked deterministically — publication-cache eviction,
   garbage collection of the published context, explicit shutdown — and a
   crashing worker never strands one;
+* an attachment stays mapped while any array of its payload lives, so a
+  worker-cache eviction never unmaps an array still in use, and unmaps
+  once the last one goes;
 * brute-force results are bit-identical at every worker count with shared
   memory on or off;
 * the worker pool is persistent: repeated calls reuse the same processes and
@@ -19,6 +22,9 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +50,8 @@ from repro.workloads import gaussian_clusters
 from test_bruteforce_pruning import make_ragged_dataset, make_tricky_dataset
 
 pytestmark = pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _own_segments() -> list[str]:
@@ -87,59 +95,47 @@ class TestDescriptorRoundTrip:
         context = _full_context(dataset, candidates)
         descriptor, call_lease = publish_payload((context, 128))
         assert call_lease is None  # no extra arrays outside the context
-        payload, closer = materialize_payload(descriptor)
-        try:
-            twin, chunk_rows = payload
-            assert chunk_rows == 128
-            assert np.array_equal(twin.candidates, context.candidates)
-            assert all(
-                np.array_equal(a, b) for a, b in zip(twin.probabilities, context.probabilities)
-            )
-            assert all(np.array_equal(a, b) for a, b in zip(twin.supports, context.supports))
-            assert np.array_equal(twin.expected, context.expected)
-            for attribute in ("_values", "_cdfs", "_log_deltas", "_zero_deltas"):
-                ours = getattr(context.evaluator, attribute)
-                theirs = getattr(twin.evaluator, attribute)
-                assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
-            ours_rm = context._rank_merge_tables()
-            theirs_rm = twin._rank_merge_tables()
-            assert np.array_equal(ours_rm.values_by_rank, theirs_rm.values_by_rank)
-            for (pa, ra, wa), (pb, rb, wb) in zip(ours_rm.groups, theirs_rm.groups):
-                assert np.array_equal(pa, pb)
-                assert np.array_equal(ra, rb)
-                assert np.array_equal(wa, wb)
-        finally:
-            closer()
+        twin, chunk_rows = materialize_payload(descriptor)
+        assert chunk_rows == 128
+        assert np.array_equal(twin.candidates, context.candidates)
+        assert all(
+            np.array_equal(a, b) for a, b in zip(twin.probabilities, context.probabilities)
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(twin.supports, context.supports))
+        assert np.array_equal(twin.expected, context.expected)
+        for attribute in ("_values", "_cdfs", "_log_deltas", "_zero_deltas"):
+            ours = getattr(context.evaluator, attribute)
+            theirs = getattr(twin.evaluator, attribute)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        ours_rm = context._rank_merge_tables()
+        theirs_rm = twin._rank_merge_tables()
+        assert np.array_equal(ours_rm.values_by_rank, theirs_rm.values_by_rank)
+        for (pa, ra, wa), (pb, rb, wb) in zip(ours_rm.groups, theirs_rm.groups):
+            assert np.array_equal(pa, pb)
+            assert np.array_equal(ra, rb)
+            assert np.array_equal(wa, wb)
 
     def test_materialized_context_scores_identically(self, instance):
         dataset, candidates = instance
         context = _full_context(dataset, candidates)
         descriptor, _ = publish_payload((context, 64))
-        payload, closer = materialize_payload(descriptor)
-        try:
-            twin = payload[0]
-            labels = np.arange(dataset.size) % candidates.shape[0]
-            assert twin.assigned_cost(labels) == context.assigned_cost(labels)
-            subsets = np.asarray([[0, 1, 2], [3, 4, 5], [1, 7, 9]])
-            assert np.array_equal(twin.unassigned_costs(subsets), context.unassigned_costs(subsets))
-            assert np.array_equal(
-                twin.assigned_costs(np.tile(labels, (4, 1))),
-                context.assigned_costs(np.tile(labels, (4, 1))),
-            )
-        finally:
-            closer()
+        twin = materialize_payload(descriptor)[0]
+        labels = np.arange(dataset.size) % candidates.shape[0]
+        assert twin.assigned_cost(labels) == context.assigned_cost(labels)
+        subsets = np.asarray([[0, 1, 2], [3, 4, 5], [1, 7, 9]])
+        assert np.array_equal(twin.unassigned_costs(subsets), context.unassigned_costs(subsets))
+        assert np.array_equal(
+            twin.assigned_costs(np.tile(labels, (4, 1))),
+            context.assigned_costs(np.tile(labels, (4, 1))),
+        )
 
     def test_materialized_views_are_read_only(self, instance):
         dataset, candidates = instance
         context = _full_context(dataset, candidates)
         descriptor, _ = publish_payload((context, 64))
-        payload, closer = materialize_payload(descriptor)
-        try:
-            twin = payload[0]
-            with pytest.raises((ValueError, RuntimeError)):
-                twin.expected[0, 0] = 1.0
-        finally:
-            closer()
+        twin = materialize_payload(descriptor)[0]
+        with pytest.raises((ValueError, RuntimeError)):
+            twin.expected[0, 0] = 1.0
 
     def test_extra_arrays_travel_in_per_call_segment(self, instance):
         dataset, candidates = instance
@@ -147,11 +143,10 @@ class TestDescriptorRoundTrip:
         scores = np.random.default_rng(0).random((dataset.size, candidates.shape[0]))
         descriptor, call_lease = publish_payload((context, scores, 32))
         assert call_lease is not None
-        payload, closer = materialize_payload(descriptor)
+        payload = materialize_payload(descriptor)
         try:
             assert np.array_equal(payload[1], scores)
         finally:
-            closer()
             call_lease.close()
 
     def test_descriptor_is_small_and_picklable(self, instance):
@@ -207,7 +202,7 @@ class TestOneSerialization:
         scores = np.random.default_rng(seed).random((dataset.size, context.candidate_count))
         payload = (context, scores, 16)
         descriptor, call_lease = publish_payload(payload)
-        materialized, closer = materialize_payload(descriptor)
+        materialized = materialize_payload(descriptor)
         try:
             unpickled = pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
             _assert_same_fields(materialized, unpickled)
@@ -219,7 +214,6 @@ class TestOneSerialization:
                 point.label for point in dataset.points
             ]
         finally:
-            closer()
             call_lease.close()
 
 
@@ -257,11 +251,68 @@ class TestSegmentLifecycle:
         context._rank_merge_tables()
         second, _ = publish_payload((context, 1))
         assert first.segments[0].name != second.segments[0].name
-        payload, closer = materialize_payload(second)
-        try:
-            assert np.array_equal(payload[0].candidates, context.candidates)
-        finally:
-            closer()
+        assert np.array_equal(materialize_payload(second)[0].candidates, context.candidates)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+    def test_array_outlives_its_evicted_payload(self):
+        """An attachment stays mapped while an array points into it.
+
+        A worker keeps an array of a cached payload, then caches enough
+        other payloads to evict it.  The array must still read its values,
+        and its segment must unmap once the array goes.  Run in a fresh
+        interpreter because reading an unmapped array kills the process.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _KEPT_ARRAY_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["values", "mapped", "unmapped"]
+        assert "BufferError" not in completed.stderr
+        assert "Exception ignored" not in completed.stderr
+
+
+#: Keeps ``context.expected`` of a worker-cached payload past its eviction.
+_KEPT_ARRAY_SCRIPT = """
+import gc
+
+import numpy as np
+
+from repro.cost.context import CostContext
+from repro.runtime import parallel, pool, shm
+from repro.workloads import gaussian_clusters
+
+dataset, _ = gaussian_clusters(n=8, z=3, dimension=2, k_true=3, seed=4)
+context = CostContext(dataset, dataset.all_locations()[:16])
+reference = context.expected.copy()
+descriptor, _ = shm.publish_payload((context, 8))
+name = descriptor.segments[0].name
+
+
+def mappings():
+    with open("/proc/self/maps") as maps:
+        return maps.read().count(name)
+
+
+published = mappings()
+kept = pool._resolve_payload(("shm", descriptor))[0].expected
+for value in range(pool.WORKER_PAYLOAD_CACHE):
+    pool._resolve_payload(parallel._pickled_spec(value))
+assert descriptor.token not in pool._PAYLOAD_CACHE
+gc.collect()
+print("values" if np.array_equal(kept, reference) else "wrong values")
+print("mapped" if mappings() == published + 1 else "not mapped")
+del kept
+gc.collect()
+print("unmapped" if mappings() == published else "still mapped")
+"""
 
 
 def _crash_task(payload, item):

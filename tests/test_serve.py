@@ -504,6 +504,26 @@ class TestBreakerOverHttp:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_solve_observes_no_degradation(self, workers):
+        """Only the request driving the pool charges the breaker.
+
+        A rebuild planted in the health counters (another request's, as far
+        as this one can tell) must not be charged to a serial solve: one on
+        a serial server, and one on a pooled server whose pool gate is held.
+        """
+        server = ReproServer(ServeConfig(port=0, workers=workers))
+        server.start()
+        try:
+            client = ServeClient(server.url, max_retries=2)
+            health.record(pool_rebuilds=1)
+            with server.state.pool_gate:
+                served = client.solve(_dataset(), 2)
+            assert served["workers"] == 1
+            assert client.stats()["breaker"]["window_events"] == 0
+        finally:
+            server.stop()
+
 
 # ---------------------------------------------------------------------------
 # lifecycle: prewarm + drain
