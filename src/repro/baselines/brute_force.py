@@ -29,8 +29,8 @@ chunk over the shared evaluator.
 
 Branch-and-bound pruning
 ------------------------
-By default (``prune=True``) the enumerations run as best-first
-branch-and-bound instead of exhaustive scans:
+By default (``prune=True``) the enumerations run as branch-and-bound
+instead of exhaustive scans:
 
 * an **incumbent** — the best achieved cost so far — is seeded *before*
   enumeration by a greedy cover over the cached expected-distance matrix
@@ -46,13 +46,13 @@ branch-and-bound instead of exhaustive scans:
   exhaustive-assignment stage) and skips exactly the rows whose bound
   exceeds the incumbent by more than the floating-point slack
   (:func:`repro.bounds.lower_bounds.prune_margin`); the score-matrix rules,
-  whose exact rows are cheap, cut on level 1 and on the pair values the
-  chunk bound already computed;
+  whose exact rows are cheap, cut on level 1 and on whatever pair values
+  an anytime search's bound map already computed;
 * each subset row is bounded **once**: the subset kernels min-reduce each
   run of rows sharing their first ``k - 1`` candidates once (the
-  enumeration emits rows in such runs), and the per-row bounds a chunk's
-  bound task computed ride into its scoring task with it
-  (:func:`_chunk_bound`, :func:`_two_level_prune`);
+  enumeration emits rows in such runs), and in an anytime search the
+  per-row bounds a chunk's bound task computed ride into its scoring task
+  with it (:func:`_chunk_bound`, :func:`_two_level_prune`);
 * across worker shards the incumbent is **relayed**
   (:mod:`repro.runtime.incumbent`): each chunk dispatch carries the map's
   current incumbent as its threshold, and the parent proposes each
@@ -72,51 +72,56 @@ records ``evaluated_rows`` / ``pruned_rows`` next to ``requested_k`` /
 ``effective_k`` so the win is observable (counts are deterministic serially;
 under workers they depend on cross-shard timing while results never do).
 
-One enumeration runner
-----------------------
+One map per plain search
+------------------------
 Every enumeration is chunked into ``(B, .)`` batches of at most
 ``chunk_rows`` rows (default :data:`~repro.cost.context.DEFAULT_CHUNK_ROWS`,
-which also bounds per-worker batch memory) and run by one runner,
-:func:`_enumerate`: when pruning, a bound pass gives every chunk its
-admissible bound — for the subset stages a first
-:func:`repro.runtime.parallel.parallel_map` of a per-chunk bound task over
-the same pool, payload and transport, skipped for a lone chunk without a
-stop — then one :func:`repro.runtime.parallel.parallel_map_ordered` call
-(best-first when pruning, enumeration order otherwise), then the completed
-chunk results by chunk index.
+which also bounds per-worker batch memory) and run as one
+:func:`repro.runtime.parallel.parallel_map_ordered` call in enumeration
+order, each chunk bounding its own rows against the relayed incumbent;
+the results are read back by chunk index.  Only an **anytime** search (a
+``time_budget`` or ``gap_target`` with pruning on) reads chunk bounds
+before its chunks run — the gap stop, the best-first order and the
+certificate need them — so only it runs a bound map first, a
+:func:`repro.runtime.parallel.parallel_map` of a per-chunk bound task
+over the same pool, payload and transport, and then submits its chunks
+best-first.
 
 Every candidate-subset enumeration is one **subset search**
-(:func:`_search_subsets`): one chunk task (:func:`_subset_chunk_task`) and
-one bound task (:func:`_subset_bound_task`) over the payload
-``(context, rule, chunk_rows, top_k)``.  The searches differ only in the
-*rule* a row is scored by (:func:`_score_rows`): the unassigned objective
-(:data:`UNASSIGNED`), the expected-distance rule (``None``, its matrix read
-from ``context.expected``, so nothing extra ships), a shipped ``(n, m)``
-score matrix, or a black-box policy.  The rule also picks the objective the
-bounds and the certificate use, and whether the pair kernel runs in the
-chunk.  Each chunk returns its ``top_k`` cheapest rows in ``(cost, row)``
-order: the restricted and unassigned solves run ``top_k=1`` through one
-body (:func:`_solve_subsets`), and the unrestricted reference's subset
-stage runs ``top_k=polish_top`` — a row of the global top ``polish_top`` is
-in its own chunk's top ``polish_top``, so one stable sort of the chunks'
-lists in enumeration order ranks the polishing pool exactly, while each
-chunk ships back at most ``polish_top`` rows.  Its polish stage is either
-the exhaustive-assignment enumeration (:func:`_exhaustive_chunk_task`,
-whose items are assignment ranges) or the subset search of the
-local-search policy over the top subsets.  The anytime runs share one
-certificate fold (:func:`_certificate_metadata`).
+(:func:`_search_subsets`): one chunk task (:func:`_subset_chunk_task`) and,
+for anytime searches, one bound task (:func:`_subset_bound_task`) over the
+payload ``(context, rule, chunk_rows, top_k)``.  The searches differ only
+in the *rule* a row is scored by (:func:`_score_rows`): the unassigned
+objective (:data:`UNASSIGNED`), the expected-distance rule (``None``, its
+matrix read from ``context.expected``, so nothing extra ships), a shipped
+``(n, m)`` score matrix, or a black-box policy.  The rule also picks the
+objective the bounds and the certificate use, and whether the pair kernel
+runs in the chunk.  Each chunk returns its ``top_k`` cheapest rows in
+``(cost, row)`` order: the restricted and unassigned solves run
+``top_k=1`` through one body (:func:`_solve_subsets`), and the
+unrestricted reference's subset stage runs ``top_k=polish_top`` — a row
+of the global top ``polish_top`` is in its own chunk's top
+``polish_top``, so one stable sort of the chunks' lists in enumeration
+order ranks the polishing pool exactly, while each chunk ships back at
+most ``polish_top`` rows.  Its polish stage is either the
+exhaustive-assignment enumeration (:func:`_exhaustive_chunk_task`, whose
+items are assignment ranges) or the subset search of the local-search
+policy over the top subsets.  The anytime runs share one certificate fold
+(:func:`_certificate_metadata`).
 
 ``workers=1`` — the default — runs the identical chunk loop in-process, and
-a requested worker count is clamped to the CPUs actually available, so
-``workers=N`` is never slower than serial on a small box.  The fully built
-context (pinned supports, sorted CDF columns, the unassigned rank-merge
-tables where needed) is published to shared memory once and each chunk
-dispatch to the persistent worker pool carries only the descriptor, its
-work slice and the incumbent's current value (``shm=False`` ships the
-payload pickled instead, unpickled once per worker); chunks reduce in
-enumeration order with the same first-strict-minimum rule serial execution
-applies, so results are bit-identical for every worker count, with shared
-memory on or off.
+a requested worker count is clamped to the CPUs actually available and to
+the chunk count, so a lone chunk runs in-process too.  The clamp does not
+look at the work: a pooled search whose chunks are mostly pruned pays
+more in dispatch than it saves and can run slower than ``workers=1``
+(ROADMAP.md, item 1).  The fully built context (pinned supports, sorted
+CDF columns, the unassigned rank-merge tables where needed) is published
+to shared memory once and each chunk dispatch to the persistent worker
+pool carries only the descriptor, its work slice and the incumbent's
+current value (``shm=False`` ships the payload pickled instead, unpickled
+once per worker); chunks reduce in enumeration order with the same
+first-strict-minimum rule serial execution applies, so results are
+bit-identical for every worker count, with shared memory on or off.
 
 When ``k`` exceeds the number of available candidates the solvers run with
 the largest feasible ``k`` and record both ``requested_k`` and
@@ -129,7 +134,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -337,7 +342,7 @@ def _two_level_prune(
     lazy fold skipped a row (:func:`_chunk_bound`).  Level 1 is then never
     recomputed and the pair kernel runs only on survivors that lack a pair
     value, so every row is bounded at most once per level.  ``None`` (no
-    bound pass ran) computes level 1 here.
+    bound map ran) computes level 1 here.
 
     ``pair_kernel=False`` runs no pair kernel: a row is cut on level 1 and
     on whatever pair value the fold already computed.  The score-matrix
@@ -413,7 +418,7 @@ def _chunk_bound(
 
 
 def _subset_bound_task(payload, subset_rows: np.ndarray):
-    """Bound-map task of every subset search: the chunk bound of the rule's objective.
+    """Bound-map task of an anytime subset search: the chunk bound of the rule's objective.
 
     Runs over the scoring map's own ``(context, rule, chunk_rows, top_k)``
     payload, so a worker materializes it once for both maps.
@@ -479,7 +484,7 @@ def _assignment_prefix_bound(
 
 
 # ---------------------------------------------------------------------------
-# The enumeration runner
+# The subset search
 # ---------------------------------------------------------------------------
 
 
@@ -496,48 +501,54 @@ class _Enumeration:
         return [self.outcome.results[index] for index in sorted(self.outcome.results)]
 
 
-def _enumerate(
-    task: Callable[[Any, Any], Any],
+def _search_subsets(
     chunks: list,
-    payload: Any,
+    payload: tuple,
     *,
     seed: float | None,
-    chunk_bounds: Callable[[], list[tuple[float, Any]]],
     workers: int,
     shm: bool | None,
     time_budget: float | None = None,
     gap_target: float | None = None,
 ) -> _Enumeration:
-    """The one enumeration runner: a bound pass, one scoring map, results by index.
+    """One subset search: :func:`_subset_chunk_task` over ``chunks``, results by index.
 
-    With pruning on, ``seed`` is the incumbent's starting value (an achieved
-    feasible cost, or ``inf``) and ``chunk_bounds()`` returns one
-    ``(bound, row_bounds)`` pair per chunk: an admissible lower bound on
-    every row of the chunk, and whatever per-row bounds the pass computed
-    on the way.  The chunks are submitted best-first, in ascending-bound
-    order (:func:`_best_first_order`), with the bounds doubling as the gap
-    tracker's outstanding bound; each chunk's ``row_bounds`` ride into its
-    scoring task with it, so no row is bounded twice.  The bound pass takes
+    ``payload`` is ``(context, rule, chunk_rows, top_k)`` and ``seed`` the
+    incumbent's starting value (an achieved feasible cost, or ``inf``);
+    ``seed=None`` runs the chunks with no incumbent and no bounds at all.
+    A search without a stop is one
+    :func:`~repro.runtime.parallel.parallel_map_ordered` call in enumeration
+    order: each chunk bounds its own rows against the relayed incumbent.
+
+    A pruned search with a ``time_budget`` or ``gap_target`` reads chunk
+    bounds before its chunks run, so it first runs a bound map — a
+    :func:`~repro.runtime.parallel.parallel_map` of
+    :func:`_subset_bound_task` over the same payload, pool and transport —
+    that returns one ``(bound, row_bounds)`` pair per chunk: an admissible
+    lower bound on every row of the chunk, and the per-row bounds computed
+    on the way.  The chunks are then submitted best-first, in
+    ascending-bound order (:func:`_best_first_order`), with the bounds
+    doubling as the gap tracker's outstanding bound and as the certificate's
+    bound on chunks never run; each chunk's ``row_bounds`` ride into its
+    scoring task with it, so no row is bounded twice.  The bound map takes
     no stop: a certificate needs every chunk's bound, and the deadline
     clock starts with the scoring map.
 
-    The pass is skipped when there is one chunk and no ``time_budget`` or
-    ``gap_target``: ordering a lone chunk buys nothing, and its scoring task
-    bounds its own rows against the seed.  ``seed=None`` runs the chunks in
-    enumeration order with no incumbent and no bounds at all.  Either way
-    every scoring item is ``(chunk, row_bounds)`` (``None`` without a pass)
-    and the reduction walks completed chunks by enumeration index
-    (:meth:`_Enumeration.completed`), so the schedule never changes a result.
+    Either way every scoring item is ``(chunk, row_bounds)`` (``None``
+    without a bound map) and the reduction walks completed chunks by
+    enumeration index (:meth:`_Enumeration.completed`), so the schedule
+    never changes a result.
     """
     bounds = None
     row_bounds: list = [None] * len(chunks)
-    anytime = time_budget is not None or gap_target is not None
-    if seed is not None and (len(chunks) > 1 or anytime):
-        bounded = chunk_bounds()
+    if seed is not None and (time_budget is not None or gap_target is not None):
+        bounded = parallel_map(
+            _subset_bound_task, chunks, payload=payload, workers=workers, shm=shm
+        )
         bounds = [bound for bound, _ in bounded]
         row_bounds = [rows for _, rows in bounded]
     outcome = parallel_map_ordered(
-        task,
+        _subset_chunk_task,
         list(zip(chunks, row_bounds)),
         payload=payload,
         workers=workers,
@@ -549,37 +560,6 @@ def _enumerate(
         gap_target=gap_target,
     )
     return _Enumeration(chunks, bounds, outcome)
-
-
-def _search_subsets(
-    chunks: list,
-    payload: tuple,
-    *,
-    seed: float | None,
-    workers: int,
-    shm: bool | None,
-    time_budget: float | None = None,
-    gap_target: float | None = None,
-) -> _Enumeration:
-    """One subset search: :func:`_subset_chunk_task` over ``chunks`` via :func:`_enumerate`.
-
-    ``payload`` is ``(context, rule, chunk_rows, top_k)``; the bound pass is
-    a :func:`~repro.runtime.parallel.parallel_map` of
-    :func:`_subset_bound_task` over the same payload, pool and transport.
-    """
-    return _enumerate(
-        _subset_chunk_task,
-        chunks,
-        payload,
-        seed=seed,
-        chunk_bounds=lambda: parallel_map(
-            _subset_bound_task, chunks, payload=payload, workers=workers, shm=shm
-        ),
-        workers=workers,
-        shm=shm,
-        time_budget=time_budget,
-        gap_target=gap_target,
-    )
 
 
 def _reduce_best(results: list, fallback: tuple | None) -> tuple[tuple, int, int]:
@@ -624,8 +604,8 @@ def _certificate_metadata(
     is ``(cost, lower_bound, gap)``: ``best_cost`` is achieved by a feasible
     solution (an upper bound on the enumeration optimum ``C*``), and every
     skipped chunk contributes the minimum of its admissible per-row lower
-    bounds — the runner's chunk bounds when the run pruned, otherwise its
-    two-level bound for ``objective`` — so
+    bounds — the bound map's chunk bounds when the run pruned, otherwise
+    its two-level bound for ``objective`` — so
     ``lower_bound = min(best_cost, min over skipped chunks)`` satisfies
     ``lower_bound <= C* <= cost``: rows pruned inside *completed* chunks had
     ``cost > threshold >= best_cost`` by the branch-and-bound exactness
@@ -675,7 +655,7 @@ def _subset_chunk_task(payload, item):
 
     ``payload`` is ``(context, rule, chunk_rows, top_k)`` (the rules are
     :func:`_score_rows`'s) and ``item`` is ``(subset_rows, row_bounds)``
-    (:func:`_enumerate`).  Rows whose bound exceeds the map's incumbent are
+    (:func:`_search_subsets`).  Rows whose bound exceeds the map's incumbent are
     cut first (:func:`_two_level_prune`); the pair kernel runs only for the
     unassigned and black-box rules, whose exact rows cost far more than it
     does.  For a black-box rule the subset bound holds for *any* assignment
@@ -740,25 +720,24 @@ def _assignment_rows_slice(columns: np.ndarray, n: int, start: int, stop: int) -
 def _exhaustive_chunk_task(payload, item):
     """Best assignment within one shard of one subset's ``kk ** n`` space.
 
-    Two pruning levels: the shared-prefix bound can drop the whole shard
-    before any row is decoded, then per-row bounds (one gather + row max
-    over the expected matrix) drop individual assignments.  ``item`` is
-    ``((columns, start, stop), prefix_bound)``, the bound the runner's pass
-    already computed (``None`` without a pass).  Returns
+    Two pruning levels: the shared-prefix bound
+    (:func:`_assignment_prefix_bound`) can drop the whole shard before any
+    row is decoded, then per-row bounds (one gather + row max over the
+    expected matrix) drop individual assignments.  ``item`` is
+    ``(columns, start, stop)``.  Returns
     ``(cost, assignment_row, pruned, evaluated)``.
     """
     context, n, chunk_rows = payload
-    (columns, start, stop), prefix_bound = item
+    columns, start, stop = item
     handle = incumbent_module.active()
     total = stop - start
     threshold = handle.value() if handle is not None else np.inf
-    if handle is not None and np.isfinite(threshold):
-        if prefix_bound is None:
-            prefix_bound = _assignment_prefix_bound(context, columns, start, stop)
+    if np.isfinite(threshold):
+        prefix_bound = _assignment_prefix_bound(context, columns, start, stop)
         if prefix_bound > threshold + prune_margin(threshold):
             return np.inf, None, total, 0
     assignment_rows = _assignment_rows_slice(columns, n, start, stop)
-    if handle is not None and np.isfinite(threshold):
+    if np.isfinite(threshold):
         keep = _prune_mask(context.assignment_lower_bounds(assignment_rows), threshold)
         if keep is not None:
             assignment_rows = assignment_rows[keep]
@@ -898,14 +877,8 @@ def brute_force_restricted_assigned(
     branch-and-bound layer (the CLI's ``--no-prune``) — results are
     bit-identical either way, pruning only skips provably losing rows.
 
-    With pruning on, chunks are scheduled **best-first**: every chunk's
-    admissible two-level lower bound is computed up front, by a bound map
-    over the same pool, and chunks are submitted in ascending-bound order
-    (:func:`_best_first_order`), so the
-    cheapest regions of the subset space are searched first and the
-    certified optimality gap shrinks as fast as the bounds allow — while
-    the final result stays bit-identical to submission order, because the
-    reduction walks completed chunks by enumeration index either way.
+    With pruning on and no stop, the chunks run in one map, in enumeration
+    order, each bounding its own rows against the incumbent.
 
     ``time_budget`` (seconds) turns the call into an **anytime** solve: the
     enumeration stops when the budget expires and the best solution found so
@@ -925,6 +898,15 @@ def brute_force_restricted_assigned(
     combinable with ``time_budget`` (whichever fires first).  At
     ``gap_target=0`` the stop never fires and results are bit-identical to
     a full run.
+
+    With pruning on, either stop schedules the chunks **best-first**: every
+    chunk's admissible two-level lower bound is computed up front, by a
+    bound map over the same pool, and chunks are submitted in
+    ascending-bound order (:func:`_best_first_order`), so the cheapest
+    regions of the subset space are searched first and the certified
+    optimality gap shrinks as fast as the bounds allow — while the final
+    result stays bit-identical to enumeration order, because the reduction
+    walks completed chunks by enumeration index either way.
     """
     return _solve_subsets(
         dataset,
@@ -967,20 +949,19 @@ def brute_force_unrestricted_assigned(
     those subsets, in ``chunk_rows`` chunks.  Either way the polish result
     replaces the stage-1 winner only when strictly cheaper, first in stage-1
     order.  The subset stage is a subset search (:func:`_search_subsets`)
-    whose chunks each return their ``polish_top`` cheapest rows, and both
-    stages run through the one enumeration runner (:func:`_enumerate`), so
-    they shard their chunks across ``workers`` processes with
-    serial-identical reductions.
+    whose chunks each return their ``polish_top`` cheapest rows, and each
+    stage is one map in enumeration order, so both shard their chunks
+    across ``workers`` processes with serial-identical reductions.
 
     With pruning on (the default) the subset stage runs under a shared
-    top-``polish_top`` threshold (rows that provably cannot enter the
+    top-``polish_top`` threshold, which starts at ``inf`` and drops once
+    the first chunk is harvested (rows that provably cannot enter the
     polishing pool nor win the stage are skipped — the pool membership and
     order are preserved exactly), and the polish stage under the stage-1
     winner's cost as incumbent: the exhaustive enumeration with per-row and
     shared-prefix bounds, the local search with the two-level subset bound,
     so a subset whose bound exceeds the live incumbent skips its search
-    entirely.  Both stages submit their chunks best-first (ascending
-    admissible bound).
+    entirely.
 
     For an exact optimum over the candidate set pass
     ``polish_top >= C(m, k)`` together with ``exhaustive_assignment=True``
@@ -1001,9 +982,6 @@ def brute_force_unrestricted_assigned(
     top_k = max(1, int(polish_top))
     subset_chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
     subset_total = sum(chunk.shape[0] for chunk in subset_chunks)
-    # Best-first submission tightens the shared top-K threshold early:
-    # low-bound chunks hold the cheap subsets, so the threshold other shards
-    # prune against drops within the first few completions.
     stage = _search_subsets(
         subset_chunks,
         (context, None, chunk_rows, top_k),
@@ -1032,25 +1010,17 @@ def brute_force_unrestricted_assigned(
             for _, subset, _ in scored[:polish_top]
             for start, stop in iter_chunk_bounds(k**n, chunk_rows)
         ]
-        # The shared-prefix bound the shards prune with, computed up front
-        # per item, doubles as the best-first priority and rides into its
-        # shard, which then need not recompute it.
-        exhaustive = _enumerate(
+        exhaustive = parallel_map_ordered(
             _exhaustive_chunk_task,
             items,
-            (context, n, chunk_rows),
-            seed=seed,
-            chunk_bounds=lambda: [
-                (bound, bound)
-                for bound in (_assignment_prefix_bound(context, *item) for item in items)
-            ],
+            payload=(context, n, chunk_rows),
             workers=workers,
             shm=shm,
+            incumbent_seed=seed,
         )
         polished = []
-        for (columns, _, _), (cost, assignment_row, pruned, evaluated) in zip(
-            items, exhaustive.completed()
-        ):
+        for index, (columns, _, _) in enumerate(items):
+            cost, assignment_row, pruned, evaluated = exhaustive.results[index]
             assignment_pruned += pruned
             assignment_evaluated += evaluated
             polished.append((cost, columns, assignment_row))

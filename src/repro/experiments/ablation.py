@@ -16,7 +16,7 @@ Per-(trial, workload) cases are independent, seeded, and mapped over
 shards them across processes with identical records at every worker count.
 The runtime's persistent pool is shared with every other experiment of the
 run, and requested counts clamp to the available CPUs — ``--workers 8`` on
-a laptop never runs slower than serial.
+a 2-CPU laptop starts 2 worker processes.
 """
 
 from __future__ import annotations

@@ -44,8 +44,9 @@ context payload bytes, a **store** tier that owns built-context reuse, and an
   payload transport (shared memory for payloads that contain a context, a
   per-worker-memoized pickle for everything else and whenever shared
   memory is off), clamps the requested worker count to the CPUs actually
-  available and to the amount of work (``workers=N`` is never slower than
-  serial on a small box), and runs serial maps and degraded maps'
+  available and to the item count (a one-CPU box or a one-item map runs
+  serially; a pooled map of cheap items can still be slower than serial,
+  see ROADMAP.md, item 1), and runs serial maps and degraded maps'
   remainders through one in-process loop.  Serial (``workers=1``) is the
   default; worker counts and transports change wall clock only, never
   results.

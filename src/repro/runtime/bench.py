@@ -51,11 +51,12 @@ Cases
     order — best-first must certify a 1% gap in at most half the chunks
     (the gate).
 ``prune_rate_two_level``
-    The second-level bound's win: the two-level (level-1 max pair) chunk
-    bounds plus best-first incumbent must prune > 80% of the n=12, m=16,
-    k=4 subset rows (the gate), with results bit-identical to
-    ``prune=False``.  The restricted rows are cut on level 1 and the pair
-    values the chunk-bound fold computed, about 88%.
+    A plain restricted solve must prune > 80% of the n=12, m=16, k=4
+    subset rows (the gate), with results bit-identical to
+    ``prune=False``.  Its 1,820 rows are one chunk, so it runs one map
+    with no bound map, and its expected-distance rows are cut on level 1
+    against the greedy seed alone (about 88%): despite the name, no pair
+    bound runs here.
 ``shm_dispatch_bytes``
     Bytes a chunk dispatch ships under shared memory (descriptor only)
     against pickling the full brute-force payload — the zero-copy win,
@@ -370,9 +371,11 @@ def bench_brute_force_parallel(repeats: int = 3, workers: int | None = None) -> 
         "gate": PARALLEL_SPEEDUP_TARGET,
         "gate_met": met,
         "note": (
-            "requested workers are clamped to available CPUs, so workers=N is "
-            "never slower than serial; the >=2x target needs >=2 physical CPUs "
-            "and results are bit-identical at every worker count"
+            "requested workers are clamped to available CPUs and to the chunk "
+            "count, not to the work left after pruning, so this mostly pruned "
+            "instance can run slower at 2 workers than serially (ROADMAP.md, "
+            "item 1); the >=2x target needs >=2 physical CPUs and results are "
+            "bit-identical at every worker count"
         ),
     }
 
@@ -474,16 +477,16 @@ def bench_best_first_gap_trajectory() -> dict:
 
 
 def bench_prune_rate_two_level(repeats: int = 3) -> dict:
-    """Two-level (level-1 max pair) bound prune rate on n=12, m=16, k=4.
+    """Prune rate of a plain restricted solve on n=12, m=16, k=4.
 
-    The acceptance case for the second-level subset bound: the chunk bounds
-    are two-level and order the chunks best-first, which feeds the
-    incumbent early, and more than 80% of the 1820 subset rows must be
-    pruned before the exact ``E[max]`` kernel runs.  This restricted
-    score-matrix solve prunes its rows on the Lemma 3.2 level-1 bound plus
-    the pair values the chunk-bound fold computed, without running the pair
-    kernel on the rest (about 88% pruned).  Results stay bit-identical to
-    ``prune=False`` (asserted here).
+    More than 80% of the 1,820 subset rows must be pruned before the exact
+    ``E[max]`` kernel runs.  The rows fit in one chunk
+    (:data:`~repro.cost.context.DEFAULT_CHUNK_ROWS`), and a solve without a
+    stop runs no bound map, so this expected-distance solve cuts its rows
+    on the Lemma 3.2 level-1 bound against the greedy seed alone; a
+    score-matrix rule runs no pair kernel in the chunk, so despite the
+    case's name no pair bound runs (about 88% pruned).  Results stay
+    bit-identical to ``prune=False`` (asserted here).
     """
     dataset, _ = gaussian_clusters(n=12, z=4, dimension=2, k_true=4, seed=1)
     candidates = dataset.all_locations()[:16]
@@ -511,8 +514,8 @@ def bench_prune_rate_two_level(repeats: int = 3) -> dict:
         "gate": TWO_LEVEL_PRUNE_RATE_TARGET,
         "gate_met": met,
         "note": (
-            "two-level chunk bounds + best-first incumbent, rows cut on level 1 and"
-            " the fold's pair values; bit-identical to prune=False"
+            "one chunk and no stop, so one map and no bound map: rows cut on level 1"
+            " against the greedy seed, no pair bound; bit-identical to prune=False"
         ),
     }
 

@@ -10,7 +10,7 @@ One private engine runs that shape serially (``workers <= 1``, the default
 persistent process pool, and two public adapters expose it:
 
 * :func:`parallel_map` returns a plain list of every result (the trial
-  loops, the chunk-bound maps and the public API);
+  loops, the anytime enumerators' chunk-bound maps and the public API);
 * :func:`parallel_map_ordered` returns a :class:`MapOutcome` keyed by item
   index and adds a per-map incumbent, best-first submission order and the
   deadline and gap-target stops (the branch-and-bound enumerators of
@@ -60,16 +60,18 @@ maps are exempt from ``det`` fingerprinting the same way pruned maps are:
 *which* chunks complete is timing-dependent by design, while each returned
 chunk value is still bit-identical.
 
-Serial fallback (never slower than ``workers=1``)
--------------------------------------------------
+Serial fallback
+---------------
 Requesting ``workers=N`` is an *upper bound*, not a demand: the effective
 worker count is clamped to :func:`available_workers`, so on a single-CPU box
 every call runs serially and never pays pool or pickling overhead (the
 ``BENCH_PR3.json`` 0.76x regression).  Work below a threshold (fewer than
 :data:`DEFAULT_MIN_ITEMS` items) also runs serially — too few chunks cannot
-amortize a dispatch.  Tests and benchmarks that must exercise the pool on
-small machines enable :func:`set_oversubscribe` (or set
-``REPRO_OVERSUBSCRIBE=1``).
+amortize a dispatch.  The clamp counts items, not the work in them, so a
+pooled map of many cheap items (say, mostly pruned chunks) can still run
+slower than ``workers=1`` (ROADMAP.md, item 1).  Tests and benchmarks that
+must exercise the pool on small machines enable :func:`set_oversubscribe`
+(or set ``REPRO_OVERSUBSCRIBE=1``).
 
 Determinism contract
 --------------------
@@ -174,8 +176,9 @@ def effective_workers(workers: int | None, item_count: int) -> int:
 
     Clamps to the item count and — unless oversubscription is enabled — the
     CPU count, and collapses to serial below :data:`DEFAULT_MIN_ITEMS`
-    items.  This is the single place the "never slower than ``workers=1``"
-    guarantee lives.
+    items.  This is the single place the serial fallback lives.  It reads
+    only counts, not the work per item, so it does not keep a pooled map of
+    cheap items from running slower than ``workers=1``.
     """
     workers = resolve_workers(workers)
     if workers <= 1 or item_count < DEFAULT_MIN_ITEMS:

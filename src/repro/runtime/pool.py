@@ -14,7 +14,7 @@ startup dominated (the ``BENCH_PR3.json`` 0.76x case).  This module keeps
 * safe against nesting: pool workers mark themselves via :func:`in_worker`
   and any parallel request made inside one degrades to serial;
 * one submission loop: :meth:`PersistentPool.map` submits chunks in the
-  caller's order (best-first for the enumerators) and returns their
+  caller's order (best-first for anytime enumerations) and returns their
   results keyed by item index;
 * safe against worker death: on :class:`BrokenProcessPool`, the map keeps
   every chunk result already harvested (futures that completed before the

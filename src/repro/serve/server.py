@@ -213,7 +213,6 @@ def _handle_solve(state: ServerState, payload: Mapping[str, Any], request_id: in
         else:
             state.pool_gate.release()
             gated = False
-    clean = False
     try:
         if objective == "restricted":
             result = brute_force_restricted_assigned(
@@ -241,10 +240,11 @@ def _handle_solve(state: ServerState, payload: Mapping[str, Any], request_id: in
             # Only the request driving the pool observes the runtime, and
             # before it lets another take the pool: a serial solve cannot
             # rebuild or degrade the pool, so what moved is this request's.
-            clean = state.observe_runtime() == 0
+            # A half-open probe reports back here on every exit path, a
+            # raising solve included, or the breaker would stay half-open.
+            if state.observe_runtime() == 0:
+                state.breaker.record_probe_success()
             state.pool_gate.release()
-    if clean:
-        state.breaker.record_probe_success()
     return {
         "request_id": request_id,
         "objective": result.objective,

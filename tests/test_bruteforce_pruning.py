@@ -39,7 +39,7 @@ from repro.baselines.brute_force import (
     brute_force_unrestricted_assigned,
 )
 from repro.bounds.lower_bounds import prune_margin
-from repro.cost.context import CostContext
+from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from repro.metrics import EuclideanMetric
 from repro.runtime import incumbent as incumbent_module
 from repro.runtime import set_oversubscribe, shutdown_runtime
@@ -315,9 +315,11 @@ class TestPruningCounters:
 class TestEachRowBoundedOnce:
     """Every subset row gets each bound at most once per solve.
 
-    The bound pass hands each chunk its per-row level-1 values and the pair
-    values its fold computed, so the scoring task never recomputes level 1
-    and runs the pair kernel only on survivors that lack one.
+    A plain search runs one map, whose chunks bound their own rows.  An
+    anytime search's bound map hands each chunk its per-row level-1 values
+    and the pair values its fold computed, so the scoring task never
+    recomputes level 1 and runs the pair kernel only on survivors that lack
+    one.
     """
 
     LEVEL1 = ("subset_assigned_lower_bounds", "subset_unassigned_lower_bounds")
@@ -377,35 +379,46 @@ class TestEachRowBoundedOnce:
         result = brute_force_unrestricted_assigned(dataset, 4, candidates=candidates, chunk_rows=256)
         assert result.metadata["exhaustive_assignment"] is True  # no subset-bounded polish
         assert result.metadata["subset_pruned_rows"] > 0
-        assert len(level1) == 1820
+        # One map in enumeration order: the first chunk runs under the
+        # stage's infinite seed and bounds nothing, every later row once.
+        first_chunk = set(list(combinations(range(16), 4))[:256])
+        assert len(level1) == 1820 - 256
+        assert sorted(level1) == sorted(set(level1))
+        assert not first_chunk & set(level1)
         assert len(pair) == len(set(pair))
 
-    def test_lone_chunk_skips_the_bound_map(self, counted, instance, monkeypatch):
+    @pytest.mark.parametrize("chunk_rows", [DEFAULT_CHUNK_ROWS, 256], ids=["1-chunk", "8-chunks"])
+    def test_only_a_stop_runs_the_bound_map(self, counted, instance, monkeypatch, chunk_rows):
         import repro.baselines.brute_force as brute_force
 
         dataset, candidates = instance
         level1, _ = counted
         calls = []
-        original = brute_force.parallel_map
+        for name in ("parallel_map", "parallel_map_ordered"):
 
-        def counting_map(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+            def counting_map(*args, _name=name, _original=getattr(brute_force, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(brute_force, "parallel_map", counting_map)
+            monkeypatch.setattr(brute_force, name, counting_map)
         for solver in (brute_force_restricted_assigned, brute_force_unassigned):
             del level1[:]
-            lone = solver(dataset, 4, candidates=candidates)  # 1,820 rows, one chunk
-            assert lone.metadata["pruned_rows"] > 0
-            assert calls == []
+            plain = solver(dataset, 4, candidates=candidates, chunk_rows=chunk_rows)
+            assert plain.metadata["pruned_rows"] > 0
+            assert calls == ["parallel_map_ordered"]  # one scoring map, no bound map
             assert len(level1) == 1820
-            certified = solver(dataset, 4, candidates=candidates, gap_target=0.0)
-            assert len(calls) == 1  # the certificate needs the chunk bound
-            assert len(level1) == 2 * 1820  # ... computed once, in the bound map
             calls.clear()
-            assert certified.metadata["certificate"]["gap"] == 0.0
-            assert certified.metadata["gap_target_hit"] is False
-            assert_same_result(certified, lone)
+            for stop in ({"gap_target": 0.0}, {"time_budget": 600.0}):
+                del level1[:]
+                anytime = solver(dataset, 4, candidates=candidates, chunk_rows=chunk_rows, **stop)
+                # The stop reads the chunk bounds before any chunk runs ...
+                assert calls == ["parallel_map", "parallel_map_ordered"]
+                assert len(level1) == 1820  # ... computed once, in the bound map
+                calls.clear()
+                assert anytime.metadata["certificate"]["gap"] == 0.0
+                assert anytime.metadata["deadline_hit"] is False
+                assert anytime.metadata.get("gap_target_hit", False) is False
+                assert_same_result(anytime, plain)
 
 
 class TestSubsetChunkTask:
@@ -529,8 +542,17 @@ class TestWorkersAndShm:
             ),
             lambda d, **kw: brute_force_unassigned(d, 3, **kw),
             lambda d, **kw: brute_force_unrestricted_assigned(d, 2, polish_top=3, **kw),
+            lambda d, **kw: brute_force_restricted_assigned(d, 3, gap_target=0.0, **kw),
+            lambda d, **kw: brute_force_unassigned(d, 3, gap_target=0.0, **kw),
         ],
-        ids=["restricted-ed", "restricted-nearest", "unassigned", "unrestricted"],
+        ids=[
+            "restricted-ed",
+            "restricted-nearest",
+            "unassigned",
+            "unrestricted",
+            "restricted-ed-gap-target",
+            "unassigned-gap-target",
+        ],
     )
     def test_bound_map_and_scoring_map_publish_the_context_once(
         self, micro, solve, monkeypatch

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.experiments import (
     Table1Settings,
     run_everything,
 )
+from repro.runtime import bench as bench_module
 from repro.runtime.bench import CASES, assert_gate, run_bench
 
 
@@ -126,9 +129,18 @@ class TestBenchRunner:
 
         stamp = datetime.datetime.fromisoformat(document["created_iso"])
         assert abs(stamp.timestamp() - document["created_unix"]) < 2.0
-        # This repo is a git checkout, so the revision must resolve.
-        assert isinstance(document["git_revision"], str)
-        assert len(document["git_revision"]) == 40
+        # The revision is HEAD of the tree the package sits in, or None
+        # where that tree is not a git checkout (an exported copy).
+        root = Path(bench_module.__file__).resolve().parents[3]
+        try:
+            head = subprocess.run(
+                ["git", "rev-parse", "HEAD"], capture_output=True, text=True, cwd=root, timeout=10
+            )
+        except OSError:  # no git binary at all
+            expected = None
+        else:
+            expected = head.stdout.strip() if head.returncode == 0 else None
+        assert document["git_revision"] == expected
 
 
 class TestBenchCompare:

@@ -310,12 +310,14 @@ FLIP_SOLVES = 6
 
 @pytest.fixture()
 def restore_flipped_settings():
-    """Put oversubscription and the sanitizers back, whatever a test flipped."""
+    """Put oversubscription, the sanitizers and the faults back, whatever a test flipped."""
     previous_oversubscribe = set_oversubscribe(False)
     previous_sanitizers = sanitize.enabled_names()
+    previous_faults = faults.enabled_spec()
     yield
     set_oversubscribe(previous_oversubscribe)
     sanitize.set_enabled(previous_sanitizers)
+    faults.set_enabled(previous_faults or None)
     shutdown_runtime()
 
 
@@ -326,8 +328,10 @@ class TestSettingFlips:
 
         One thread solves at ``workers=4`` under a lock, as serve's pool gate
         does, the others serially, while another thread keeps flipping
-        ``set_oversubscribe`` (which resizes or bypasses the pool) and the
-        ``det`` sanitizer (which respawns the pool and fingerprints maps).
+        ``set_oversubscribe`` (which resizes or bypasses the pool), the
+        ``det`` sanitizer (which respawns the pool and fingerprints maps) and
+        a 1 ms ``slow`` fault (which respawns the pool and delays its
+        dispatches), as the chaos bench flips ``faults.set_enabled``.
         """
         instances = [_instance(seed) for seed in range(3)]
         references = {
@@ -346,6 +350,7 @@ class TestSettingFlips:
                 flips += 1
                 set_oversubscribe(flips % 2 == 1)
                 sanitize.set_enabled(("det",) if flips % 3 else ())
+                faults.set_enabled("slow:p=1:ms=1" if flips % 5 < 2 else None)
                 time.sleep(0.002)
 
         def solver(thread: int) -> list:

@@ -504,6 +504,41 @@ class TestBreakerOverHttp:
         finally:
             server.stop()
 
+    def test_raising_probe_still_reports_back(self, monkeypatch):
+        """A half-open probe whose solve raises must not leave the breaker probing.
+
+        Otherwise ``allow_parallel`` answers False for good and every later
+        solve runs serially.
+        """
+        import repro.serve.server as server_module
+
+        original = server_module.brute_force_unassigned
+        probes = []
+
+        def raise_once(*args, **kwargs):
+            if not probes:
+                probes.append(kwargs["workers"])
+                raise RuntimeError("planted probe failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "brute_force_unassigned", raise_once)
+        config = ServeConfig(port=0, breaker_cooldown_seconds=0.05, workers=2)
+        server = ReproServer(config)
+        server.start()
+        try:
+            client = ServeClient(server.url, max_retries=2)
+            server.state.breaker.record_degradation(config.breaker_threshold)
+            time.sleep(0.1)  # past the cooldown: the next solve is the probe
+            with pytest.raises(ServeError) as failure:
+                client.solve(_dataset(), 2)
+            assert failure.value.status == 500
+            assert probes == [2]  # the raising solve was the pooled probe
+            served = client.solve(_dataset(), 2)
+            assert served["workers"] == 2
+            assert client.stats()["breaker"]["state"] == "closed"
+        finally:
+            server.stop()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_serial_solve_observes_no_degradation(self, workers):
         """Only the request driving the pool charges the breaker.
