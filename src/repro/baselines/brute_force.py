@@ -8,7 +8,7 @@ enumerated exhaustively).
 * :func:`brute_force_restricted_assigned` — best centers from a candidate
   set for a fixed restricted assignment rule.
 * :func:`brute_force_unrestricted_assigned` — best centers from a candidate
-  set together with the best assignment (exhaustive over the ``k^n``
+  set together with the best assignment (the cheapest of a subset's ``k^n``
   assignments when affordable, local-search polish otherwise).
 * :func:`brute_force_unassigned` — best centers from a candidate set for the
   unassigned objective.
@@ -22,10 +22,9 @@ passed): assigned costs through its cached per-candidate sorted CDF columns
 and every "argmin of a score" assignment rule (ED, EP, OC, nearest-mode)
 through :meth:`~repro.assignments.base.AssignmentPolicy.candidate_scores`,
 which turns the per-subset policy evaluation into one vectorized argmin —
-only genuinely black-box rules (local-search optimal assignment) search per
-subset, through one
-:meth:`~repro.assignments.base.AssignmentPolicy.chunk_assignments` call per
-chunk over the shared evaluator.
+only genuinely black-box rules (local-search optimal assignment, and the
+unrestricted reference's exact polish) search per subset, through one
+``chunk_assignments`` call per chunk over the shared evaluator.
 
 Branch-and-bound pruning
 ------------------------
@@ -42,9 +41,8 @@ instead of exhaustive scans:
   (:meth:`~repro.cost.context.CostContext.subset_assigned_lower_bounds`,
   :meth:`~repro.cost.context.CostContext.subset_unassigned_lower_bounds`,
   then, for the unassigned and black-box rules, the pair bound on their
-  survivors, or per-assignment-row / shared-prefix bounds for the
-  exhaustive-assignment stage) and skips exactly the rows whose bound
-  exceeds the incumbent by more than the floating-point slack
+  survivors) and skips exactly the rows whose bound exceeds the incumbent
+  by more than the floating-point slack
   (:func:`repro.bounds.lower_bounds.prune_margin`); the score-matrix rules,
   whose exact rows are cheap, cut on level 1 and on whatever pair values
   an anytime search's bound map already computed;
@@ -80,21 +78,21 @@ which also bounds per-worker batch memory) and run as one
 :func:`repro.runtime.parallel.parallel_map_ordered` call in enumeration
 order, each chunk bounding its own rows against the relayed incumbent;
 the results are read back by chunk index.  Only an **anytime** search (a
-``time_budget`` or ``gap_target`` with pruning on) reads chunk bounds
-before its chunks run — the gap stop, the best-first order and the
-certificate need them — so only it runs a bound map first, a
+``time_budget`` or ``gap_target``, either of which needs pruning on)
+reads chunk bounds before its chunks run — the gap stop, the best-first
+order and the certificate need them — so only it runs a bound map first, a
 :func:`repro.runtime.parallel.parallel_map` of a per-chunk bound task
 over the same pool, payload and transport, and then submits its chunks
 best-first.
 
-Every candidate-subset enumeration is one **subset search**
-(:func:`_search_subsets`): one chunk task (:func:`_subset_chunk_task`) and,
-for anytime searches, one bound task (:func:`_subset_bound_task`) over the
-payload ``(context, rule, chunk_rows, top_k)``.  The searches differ only
-in the *rule* a row is scored by (:func:`_score_rows`): the unassigned
-objective (:data:`UNASSIGNED`), the expected-distance rule (``None``, its
-matrix read from ``context.expected``, so nothing extra ships), a shipped
-``(n, m)`` score matrix, or a black-box policy.  The rule also picks the
+Every enumeration is one **subset search** (:func:`_search_subsets`):
+one chunk task (:func:`_subset_chunk_task`) and, for anytime searches,
+one bound task (:func:`_subset_bound_task`) over the payload
+``(context, rule, top_k)``.  The searches differ only in the *rule* a row
+is scored by (:func:`_score_rows`): the unassigned objective
+(:data:`UNASSIGNED`), the expected-distance rule (``None``, its matrix
+read from ``context.expected``, so nothing extra ships), a shipped
+``(n, m)`` score matrix, or a black-box rule.  The rule also picks the
 objective the bounds and the certificate use, and whether the pair kernel
 runs in the chunk.  Each chunk returns its ``top_k`` cheapest rows in
 ``(cost, row)`` order: the restricted and unassigned solves run
@@ -103,10 +101,10 @@ unrestricted reference's subset stage runs ``top_k=polish_top`` — a row
 of the global top ``polish_top`` is in its own chunk's top
 ``polish_top``, so one stable sort of the chunks' lists in enumeration
 order ranks the polishing pool exactly, while each chunk ships back at
-most ``polish_top`` rows.  Its polish stage is either the
-exhaustive-assignment enumeration (:func:`_exhaustive_chunk_task`, whose
-items are assignment ranges) or the subset search of the local-search
-policy over the top subsets.  The anytime runs share one certificate fold
+most ``polish_top`` rows.  Its polish is a second subset search over
+those subsets, under a black-box rule: the exact one
+(:class:`_ExactAssignment`, the cheapest assignment into each subset) or
+local search.  The anytime runs share one certificate fold
 (:func:`_certificate_metadata`).
 
 ``workers=1`` — the default — runs the identical chunk loop in-process, and
@@ -133,7 +131,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb
+from math import comb, prod
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -146,13 +144,7 @@ from ..bounds.lower_bounds import prune_margin
 from ..cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from ..exceptions import ValidationError
 from ..runtime import incumbent as incumbent_module
-from ..runtime.parallel import (
-    MapOutcome,
-    iter_chunk_bounds,
-    parallel_map,
-    parallel_map_ordered,
-    resolve_workers,
-)
+from ..runtime.parallel import MapOutcome, parallel_map, parallel_map_ordered, resolve_workers
 from ..uncertain.dataset import UncertainDataset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -224,7 +216,8 @@ def _build_context(
 
 #: The scoring rule of the unassigned objective.  The assigned rules of a
 #: subset search are ``None`` (expected distance), an ``(n, m)`` score matrix
-#: or a black-box :class:`~repro.assignments.base.AssignmentPolicy`.
+#: or a black-box rule: an :class:`~repro.assignments.base.AssignmentPolicy`
+#: or :class:`_ExactAssignment`.
 UNASSIGNED = "unassigned"
 
 
@@ -234,7 +227,7 @@ def _objective(rule: Any) -> str:
 
 
 def _score_rows(
-    context: CostContext, rule: Any, rows: np.ndarray, chunk_rows: int
+    context: CostContext, rule: Any, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact costs of ``(B, kk)`` subset rows under ``rule``, with the assignments.
 
@@ -242,22 +235,70 @@ def _score_rows(
     the rank-merge unassigned kernel and has no assignment.  Every other rule
     assigns each point to a candidate of its row — the expected-distance
     rule (``None``, whose matrix is ``context.expected``) and a score matrix
-    by one batched argmin, a black-box policy through one
-    :meth:`~repro.assignments.base.AssignmentPolicy.chunk_assignments` call
-    for the whole batch (local-search rules share one evaluator across every
+    by one batched argmin, a black-box rule (a policy, or
+    :class:`_ExactAssignment`) through one ``chunk_assignments`` call for
+    the whole batch (local-search rules share one evaluator across every
     row) — and scores the ``(B, n)`` global-column assignments through the
     shared evaluator's rank merge, one batched kernel instead of one policy
     call and one single-row sweep per subset.
     """
     if isinstance(rule, str):
-        return context.unassigned_costs(rows, chunk_rows=chunk_rows), None
+        return context.unassigned_costs(rows), None
     if rule is None:
         assignments = context.ed_assignments(rows)
     elif isinstance(rule, np.ndarray):
         assignments = context.score_assignments(rule, rows)
     else:
         assignments = rule.chunk_assignments(context, rows)
-    return context.assigned_costs(assignments, chunk_rows=chunk_rows), assignments
+    return context.assigned_costs(assignments), assignments
+
+
+class _ExactAssignment:
+    """Black-box rule of the exact polish: the cheapest assignment into each subset.
+
+    A row's ``kk ** n`` assignments are searched as the product of per-point
+    allowed sets: candidate ``c`` of the row is allowed for point ``i`` when
+    ``E[d(P_i, c)]`` is at most the active incumbent plus its
+    :func:`~repro.bounds.lower_bounds.prune_margin` — exactly the
+    assignments :meth:`~repro.cost.context.CostContext.assignment_lower_bounds`
+    keeps, so every skipped one costs more than the incumbent and cannot
+    win — and every candidate when no incumbent is bound.  The product is
+    scored in the order of the full product, in blocks of
+    :data:`~repro.cost.context.DEFAULT_CHUNK_ROWS` rows, and the row keeps
+    its first cheapest assignment, whose achieved cost is proposed to the
+    incumbent.  A row whose product is empty keeps its ED assignment: some
+    point is then farther than the incumbent from every candidate of the
+    row, so that assignment costs more than the incumbent too.
+    """
+
+    def chunk_assignments(self, context: CostContext, subset_rows: np.ndarray) -> np.ndarray:
+        assignments = context.ed_assignments(subset_rows)
+        handle = incumbent_module.active()
+        expected = context.expected
+        points = np.arange(context.size)
+        for row, columns in enumerate(subset_rows):
+            threshold = np.inf if handle is None else handle.value()
+            allowed = expected[:, columns] <= threshold + prune_margin(threshold)
+            sizes = allowed.sum(axis=1)
+            total = prod(int(size) for size in sizes)
+            if total == 0:
+                continue
+            # Point i's allowed columns first, in row order; the product is
+            # decoded in mixed radix, point 0 the most significant digit.
+            choices = columns[np.argsort(~allowed, axis=1, kind="stable")]
+            strides = np.append(np.cumprod(sizes[:0:-1])[::-1], 1)
+            best = np.inf
+            for start in range(0, total, DEFAULT_CHUNK_ROWS):
+                indices = np.arange(start, min(start + DEFAULT_CHUNK_ROWS, total))
+                block = choices[points, indices[:, None] // strides % sizes]
+                costs = context.assigned_costs(block)
+                winner = int(np.argmin(costs))
+                if costs[winner] < best:
+                    best = float(costs[winner])
+                    assignments[row] = block[winner]
+            if handle is not None:
+                handle.propose(best)
+        return assignments
 
 
 def _greedy_seed_columns(context: CostContext, k: int) -> np.ndarray:
@@ -284,7 +325,7 @@ def _greedy_seed_columns(context: CostContext, k: int) -> np.ndarray:
 
 
 def _seed_solution(
-    context: CostContext, rule: Any, k: int, chunk_rows: int
+    context: CostContext, rule: Any, k: int
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Exact cost of the greedy seed subset under the search's rule.
 
@@ -299,23 +340,8 @@ def _seed_solution(
     certificate) through :func:`_reduce_best`.
     """
     columns = _greedy_seed_columns(context, k)
-    costs, assignments = _score_rows(context, rule, columns[None, :], chunk_rows)
+    costs, assignments = _score_rows(context, rule, columns[None, :])
     return float(costs[0]), columns, None if assignments is None else assignments[0]
-
-
-def _prune_mask(bounds: np.ndarray, threshold: float) -> np.ndarray | None:
-    """Keep-mask for one chunk, or ``None`` when nothing can be pruned.
-
-    A row survives unless its lower bound exceeds the incumbent by more than
-    the floating-point slack — so bound-kernel rounding can only reduce
-    pruning, never drop a row that ties the optimum.
-    """
-    if not np.isfinite(threshold):
-        return None
-    keep = bounds <= threshold + prune_margin(threshold)
-    if keep.all():
-        return None
-    return keep
 
 
 def _two_level_prune(
@@ -420,10 +446,10 @@ def _chunk_bound(
 def _subset_bound_task(payload, subset_rows: np.ndarray):
     """Bound-map task of an anytime subset search: the chunk bound of the rule's objective.
 
-    Runs over the scoring map's own ``(context, rule, chunk_rows, top_k)``
-    payload, so a worker materializes it once for both maps.
+    Runs over the scoring map's own ``(context, rule, top_k)`` payload, so a
+    worker materializes it once for both maps.
     """
-    context, rule, _, _ = payload
+    context, rule, _ = payload
     return _chunk_bound(context, subset_rows, _objective(rule))
 
 
@@ -437,50 +463,25 @@ def _best_first_order(chunk_bounds: list[float]) -> list[int]:
     return sorted(range(len(chunk_bounds)), key=lambda index: (chunk_bounds[index], index))
 
 
-def _check_gap_target(gap_target: float | None, prune: bool) -> float | None:
-    """Validate the anytime gap target: needs bounds, hence pruning."""
+def _check_stops(
+    time_budget: float | None, gap_target: float | None, prune: bool
+) -> float | None:
+    """Validate the anytime stops and return the gap target.
+
+    Either stop needs bounds, hence pruning: the best-first order, the gap
+    and the certificate all read the admissible chunk bounds.
+    """
+    if not prune and (time_budget is not None or gap_target is not None):
+        raise ValidationError(
+            "time_budget and gap_target need prune=True: the certificate and the gap "
+            "are measured against the admissible chunk bounds the pruning layer computes"
+        )
     if gap_target is None:
         return None
-    if not prune:
-        raise ValidationError(
-            "gap_target needs prune=True: the certified gap is measured against "
-            "the admissible chunk bounds the pruning layer computes"
-        )
     gap_target = float(gap_target)
     if not gap_target >= 0.0:
         raise ValidationError("gap_target must be a non-negative relative gap")
     return gap_target
-
-
-def _assignment_prefix_bound(
-    context: CostContext, columns: np.ndarray, start: int, stop: int
-) -> float:
-    """Admissible bound on *every* assignment row in shard ``[start, stop)``.
-
-    Rows are base-``kk`` encodings, most-significant digit first, so the
-    digits shared by ``start`` and ``stop - 1`` pin the assignments of a
-    prefix of points for the whole shard; those points contribute their
-    exact expected distances, the free suffix is relaxed to each point's
-    subset minimum.  When the bound already exceeds the incumbent the shard
-    is skipped without even decoding its rows.
-    """
-    n = context.size
-    kk = int(columns.shape[0])
-    expected = context.expected
-    subset_min = expected[:, columns].min(axis=1)
-    shared = 0
-    while shared < n:
-        divisor = kk ** (n - shared - 1)
-        if start // divisor != (stop - 1) // divisor:
-            break
-        shared += 1
-    bound = float(subset_min[shared:].max()) if shared < n else -np.inf
-    if shared > 0:
-        exponents = np.arange(n - 1, n - shared - 1, -1, dtype=np.int64)
-        digits = (start // kk ** exponents) % kk
-        prefix = expected[np.arange(shared), columns[digits]]
-        bound = max(bound, float(prefix.max()))
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +514,15 @@ def _search_subsets(
 ) -> _Enumeration:
     """One subset search: :func:`_subset_chunk_task` over ``chunks``, results by index.
 
-    ``payload`` is ``(context, rule, chunk_rows, top_k)`` and ``seed`` the
-    incumbent's starting value (an achieved feasible cost, or ``inf``);
-    ``seed=None`` runs the chunks with no incumbent and no bounds at all.
-    A search without a stop is one
+    ``payload`` is ``(context, rule, top_k)`` and ``seed`` the incumbent's
+    starting value (an achieved feasible cost, or ``inf``); ``seed=None``
+    runs the chunks with no incumbent and no bounds at all.  A search
+    without a stop is one
     :func:`~repro.runtime.parallel.parallel_map_ordered` call in enumeration
     order: each chunk bounds its own rows against the relayed incumbent.
 
-    A pruned search with a ``time_budget`` or ``gap_target`` reads chunk
-    bounds before its chunks run, so it first runs a bound map — a
+    A search with a ``time_budget`` or ``gap_target`` (both need a seed)
+    reads chunk bounds before its chunks run, so it first runs a bound map — a
     :func:`~repro.runtime.parallel.parallel_map` of
     :func:`_subset_bound_task` over the same payload, pool and transport —
     that returns one ``(bound, row_bounds)`` pair per chunk: an admissible
@@ -541,7 +542,7 @@ def _search_subsets(
     """
     bounds = None
     row_bounds: list = [None] * len(chunks)
-    if seed is not None and (time_budget is not None or gap_target is not None):
+    if time_budget is not None or gap_target is not None:
         bounded = parallel_map(
             _subset_bound_task, chunks, payload=payload, workers=workers, shm=shm
         )
@@ -590,12 +591,10 @@ def _reduce_best(results: list, fallback: tuple | None) -> tuple[tuple, int, int
 
 
 def _certificate_metadata(
-    context: CostContext,
     run: _Enumeration,
     best_cost: float,
     time_budget: float | None,
     gap_target: float | None,
-    objective: str,
 ) -> dict:
     """The anytime metadata of one driven enumeration, certificate included.
 
@@ -603,9 +602,8 @@ def _certificate_metadata(
     ``chunks_total`` / ``chunks_completed`` how far it got.  ``certificate``
     is ``(cost, lower_bound, gap)``: ``best_cost`` is achieved by a feasible
     solution (an upper bound on the enumeration optimum ``C*``), and every
-    skipped chunk contributes the minimum of its admissible per-row lower
-    bounds — the bound map's chunk bounds when the run pruned, otherwise
-    its two-level bound for ``objective`` — so
+    skipped chunk contributes its bound map's chunk bound, the minimum of
+    its admissible per-row lower bounds, so
     ``lower_bound = min(best_cost, min over skipped chunks)`` satisfies
     ``lower_bound <= C* <= cost``: rows pruned inside *completed* chunks had
     ``cost > threshold >= best_cost`` by the branch-and-bound exactness
@@ -625,16 +623,10 @@ def _certificate_metadata(
         metadata["gap_target_hit"] = bool(run.outcome.gap_target_hit)
     metadata["chunks_total"] = len(run.chunks)
     metadata["chunks_completed"] = len(run.outcome.results)
+    assert run.bounds is not None
     skipped = [index for index in range(len(run.chunks)) if index not in run.outcome.results]
     cost = float(best_cost)
-    lower_bound = cost
-    for index in skipped:
-        if run.bounds is not None:
-            bound = run.bounds[index]
-        else:
-            rows = run.chunks[index]
-            bound = float(context.subset_two_level_lower_bounds(rows, objective=objective).min())
-        lower_bound = min(lower_bound, bound)
+    lower_bound = min([cost, *(run.bounds[index] for index in skipped)])
     if skipped:
         lower_bound -= prune_margin(lower_bound)
     if lower_bound > 0:
@@ -653,7 +645,7 @@ def _certificate_metadata(
 def _subset_chunk_task(payload, item):
     """Score one chunk of candidate subsets; return its ``top_k`` cheapest rows.
 
-    ``payload`` is ``(context, rule, chunk_rows, top_k)`` (the rules are
+    ``payload`` is ``(context, rule, top_k)`` (the rules are
     :func:`_score_rows`'s) and ``item`` is ``(subset_rows, row_bounds)``
     (:func:`_search_subsets`).  Rows whose bound exceeds the map's incumbent are
     cut first (:func:`_two_level_prune`); the pair kernel runs only for the
@@ -674,7 +666,7 @@ def _subset_chunk_task(payload, item):
     unrestricted reference keeps a ranking of its ``polish_top`` cheapest
     subsets and runs ``top_k=polish_top``.
     """
-    context, rule, chunk_rows, top_k = payload
+    context, rule, top_k = payload
     subset_rows, row_bounds = item
     handle = incumbent_module.active()
     total = subset_rows.shape[0]
@@ -692,7 +684,7 @@ def _subset_chunk_task(payload, item):
     evaluated = subset_rows.shape[0]
     if evaluated == 0:
         return [], total, 0
-    costs, assignments = _score_rows(context, rule, subset_rows, chunk_rows)
+    costs, assignments = _score_rows(context, rule, subset_rows)
     order = np.argsort(costs, kind="stable")[:top_k]
     if handle is not None and evaluated >= top_k:
         handle.propose(float(costs[order[-1]]))
@@ -701,55 +693,6 @@ def _subset_chunk_task(payload, item):
         for row in order
     ]
     return top, total - evaluated, evaluated
-
-
-def _assignment_rows_slice(columns: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``[start, stop)`` of the ``kk ** n`` assignment enumeration.
-
-    Decodes the enumeration indices in base ``kk`` (most-significant digit
-    first), which reproduces ``itertools.product(range(kk), repeat=n)`` order
-    without iterating from the beginning of the stream — what lets shards
-    start mid-enumeration in O(chunk) instead of O(stream prefix).
-    """
-    kk = columns.shape[0]
-    indices = np.arange(start, stop, dtype=np.int64)[:, None]
-    powers = kk ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return columns[(indices // powers) % kk]
-
-
-def _exhaustive_chunk_task(payload, item):
-    """Best assignment within one shard of one subset's ``kk ** n`` space.
-
-    Two pruning levels: the shared-prefix bound
-    (:func:`_assignment_prefix_bound`) can drop the whole shard before any
-    row is decoded, then per-row bounds (one gather + row max over the
-    expected matrix) drop individual assignments.  ``item`` is
-    ``(columns, start, stop)``.  Returns
-    ``(cost, assignment_row, pruned, evaluated)``.
-    """
-    context, n, chunk_rows = payload
-    columns, start, stop = item
-    handle = incumbent_module.active()
-    total = stop - start
-    threshold = handle.value() if handle is not None else np.inf
-    if np.isfinite(threshold):
-        prefix_bound = _assignment_prefix_bound(context, columns, start, stop)
-        if prefix_bound > threshold + prune_margin(threshold):
-            return np.inf, None, total, 0
-    assignment_rows = _assignment_rows_slice(columns, n, start, stop)
-    if np.isfinite(threshold):
-        keep = _prune_mask(context.assignment_lower_bounds(assignment_rows), threshold)
-        if keep is not None:
-            assignment_rows = assignment_rows[keep]
-    evaluated = assignment_rows.shape[0]
-    if evaluated == 0:
-        return np.inf, None, total, 0
-    costs = context.assigned_costs(assignment_rows, chunk_rows=chunk_rows)
-    winner = int(np.argmin(costs))
-    cost = float(costs[winner])
-    if handle is not None:
-        handle.propose(cost)
-    return cost, assignment_rows[winner], total - evaluated, evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -805,16 +748,14 @@ def _solve_subsets(
             # lazy single-score path and re-derive distances per subset.
             context.evaluator
 
-    seed_solution = (
-        _seed_solution(context, rule, k, chunk_rows) if prune or time_budget is not None else None
-    )
-    gap_target = _check_gap_target(gap_target, prune)
+    gap_target = _check_stops(time_budget, gap_target, prune)
     anytime = time_budget is not None or gap_target is not None
+    seed_solution = _seed_solution(context, rule, k) if prune else None
     total_rows = _checked_subset_count(candidates.shape[0], k)
     run = _search_subsets(
         list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows)),
-        (context, rule, chunk_rows, 1),
-        seed=seed_solution[0] if prune and seed_solution is not None else None,
+        (context, rule, 1),
+        seed=None if seed_solution is None else seed_solution[0],
         workers=workers,
         shm=shm,
         time_budget=time_budget,
@@ -834,11 +775,7 @@ def _solve_subsets(
         "pruned_rows": int(pruned_rows),
     }
     if anytime:
-        metadata.update(
-            _certificate_metadata(
-                context, run, best_cost, time_budget, gap_target, _objective(rule)
-            )
-        )
+        metadata.update(_certificate_metadata(run, best_cost, time_budget, gap_target))
     return UncertainKCenterResult(
         centers=candidates[best_subset],
         expected_cost=float(best_cost),
@@ -887,8 +824,9 @@ def brute_force_restricted_assigned(
     together with a ``certificate`` metadata entry,
     ``(cost, lower_bound, gap)``, where the lower bound folds the admissible
     chunk bounds of every subset chunk never run
-    (:func:`_certificate_metadata`'s exactness argument).  ``None`` (the
-    default) never truncates and adds no metadata.
+    (:func:`_certificate_metadata`'s exactness argument).  Requires
+    ``prune=True``.  ``None`` (the default) never truncates and adds no
+    metadata.
 
     ``gap_target`` stops the same way on *precision* instead of time: once
     ``(incumbent - min outstanding chunk bound) / lower <= gap_target``
@@ -899,7 +837,7 @@ def brute_force_restricted_assigned(
     ``gap_target=0`` the stop never fires and results are bit-identical to
     a full run.
 
-    With pruning on, either stop schedules the chunks **best-first**: every
+    Either stop schedules the chunks **best-first**: every
     chunk's admissible two-level lower bound is computed up front, by a
     bound map over the same pool, and chunks are submitted in
     ascending-bound order (:func:`_best_first_order`), so the cheapest
@@ -940,28 +878,29 @@ def brute_force_unrestricted_assigned(
 
     Every ``C(m, k)`` candidate subset is scored with the expected-distance
     assignment (one batched exact cost evaluation per chunk of subsets).  The
-    ``polish_top`` cheapest subsets are then re-optimised, either by
-    exhaustive assignment enumeration (exact for those subsets; enabled
+    ``polish_top`` cheapest subsets are then re-optimised by a second subset
+    search over them, in stage-1 order and in ``chunk_rows`` chunks, under
+    a black-box rule: the cheapest assignment into each subset
+    (:class:`_ExactAssignment`, exact for those subsets; chosen
     automatically when ``polish_top * k ** n`` is small, or forced with
-    ``exhaustive_assignment=True``) or by single-move local search: the
-    restricted black-box subset search of
-    :class:`~repro.assignments.policies.OptimalAssignment` (10 rounds) over
-    those subsets, in ``chunk_rows`` chunks.  Either way the polish result
-    replaces the stage-1 winner only when strictly cheaper, first in stage-1
-    order.  The subset stage is a subset search (:func:`_search_subsets`)
-    whose chunks each return their ``polish_top`` cheapest rows, and each
-    stage is one map in enumeration order, so both shard their chunks
-    across ``workers`` processes with serial-identical reductions.
+    ``exhaustive_assignment=True``) or single-move local search
+    (:class:`~repro.assignments.policies.OptimalAssignment`, 10 rounds).
+    The polish result replaces the stage-1 winner only when strictly
+    cheaper, first in stage-1 order.  The subset stage is a subset search
+    (:func:`_search_subsets`) whose chunks each return their ``polish_top``
+    cheapest rows, and each stage is one map in enumeration order, so both
+    shard their chunks across ``workers`` processes with serial-identical
+    reductions.  The row counters in the metadata are the subset stage's;
+    the polish adds none.
 
     With pruning on (the default) the subset stage runs under a shared
     top-``polish_top`` threshold, which starts at ``inf`` and drops once
     the first chunk is harvested (rows that provably cannot enter the
     polishing pool nor win the stage are skipped — the pool membership and
-    order are preserved exactly), and the polish stage under the stage-1
-    winner's cost as incumbent: the exhaustive enumeration with per-row and
-    shared-prefix bounds, the local search with the two-level subset bound,
-    so a subset whose bound exceeds the live incumbent skips its search
-    entirely.
+    order are preserved exactly), and the polish under the stage-1 winner's
+    cost as incumbent: a subset whose two-level bound exceeds the live
+    incumbent skips its search entirely, and the exact rule scores only the
+    assignments whose per-point expected distances stay within it.
 
     For an exact optimum over the candidate set pass
     ``polish_top >= C(m, k)`` together with ``exhaustive_assignment=True``
@@ -972,74 +911,43 @@ def brute_force_unrestricted_assigned(
         candidates = default_candidates(dataset)
     candidates = as_point_array(candidates, name="candidates")
     k, k_metadata = _effective_k(k, candidates.shape[0])
-    n = dataset.size
     workers = resolve_workers(workers)
 
     context = _build_context(dataset, candidates, store)
     if workers > 1 or prune:
         context.expected  # pin before shipping: workers share, never rebuild
         context.evaluator
-    top_k = max(1, int(polish_top))
     subset_chunks = list(_iter_subset_chunks(candidates.shape[0], k, chunk_rows))
     subset_total = sum(chunk.shape[0] for chunk in subset_chunks)
     stage = _search_subsets(
         subset_chunks,
-        (context, None, chunk_rows, top_k),
+        (context, None, max(1, int(polish_top))),
         seed=np.inf if prune else None,
         workers=workers,
         shm=shm,
     )
     # Each chunk's top list is in (cost, row) order, so one stable sort of
-    # the lists in enumeration order ranks the global top ``top_k`` exactly
-    # as a stable sort of every row would (:func:`_subset_chunk_task`).
+    # the lists in enumeration order ranks the global top ``polish_top``
+    # exactly as a stable sort of every row would (:func:`_subset_chunk_task`).
     scored = sorted((row for top, _, _ in stage.completed() for row in top), key=lambda row: row[0])
     subset_pruned = sum(pruned for _, pruned, _ in stage.completed())
 
     polish_top = max(1, min(polish_top, len(scored)))
     if exhaustive_assignment is None:
-        exhaustive_assignment = polish_top * (k**n) <= MAX_ASSIGNMENT_ENUMERATION
-
+        exhaustive_assignment = polish_top * (k**dataset.size) <= MAX_ASSIGNMENT_ENUMERATION
+    rule = _ExactAssignment() if exhaustive_assignment else OptimalAssignment(max_rounds=10)
     best_cost, best_subset, best_candidate_indices = scored[0]
-    assignment_pruned = 0
-    assignment_evaluated = 0
-    # Both polish stages prune against the stage-1 winner's achieved cost.
-    seed = best_cost if prune else None
-    if exhaustive_assignment:
-        items = [
-            (subset, start, stop)
-            for _, subset, _ in scored[:polish_top]
-            for start, stop in iter_chunk_bounds(k**n, chunk_rows)
-        ]
-        exhaustive = parallel_map_ordered(
-            _exhaustive_chunk_task,
-            items,
-            payload=(context, n, chunk_rows),
-            workers=workers,
-            shm=shm,
-            incumbent_seed=seed,
-        )
-        polished = []
-        for index, (columns, _, _) in enumerate(items):
-            cost, assignment_row, pruned, evaluated = exhaustive.results[index]
-            assignment_pruned += pruned
-            assignment_evaluated += evaluated
-            polished.append((cost, columns, assignment_row))
-    else:
-        # The restricted black-box subset search over the top subsets, in
-        # stage-1 order: a subset's polished cost cannot beat its admissible
-        # bound, so rows bounded above the live incumbent skip the search.
-        local_search = _search_subsets(
-            list(_iter_index_chunks((subset for _, subset, _ in scored[:polish_top]), chunk_rows)),
-            (context, OptimalAssignment(max_rounds=10), chunk_rows, 1),
-            seed=seed,
-            workers=workers,
-            shm=shm,
-        )
-        polished = [top[0] for top, _, _ in local_search.completed() if top]
+    polish = _search_subsets(
+        list(_iter_index_chunks((subset for _, subset, _ in scored[:polish_top]), chunk_rows)),
+        (context, rule, 1),
+        seed=best_cost if prune else None,
+        workers=workers,
+        shm=shm,
+    )
     # First strict minimum in stage-1 order, so the stage-1 winner keeps ties.
-    for cost, subset, candidate_indices in polished:
-        if cost < best_cost:
-            best_cost, best_subset, best_candidate_indices = float(cost), subset, candidate_indices
+    for top, _, _ in polish.completed():
+        if top and top[0][0] < best_cost:
+            best_cost, best_subset, best_candidate_indices = top[0]
 
     return UncertainKCenterResult(
         centers=candidates[best_subset],
@@ -1056,11 +964,9 @@ def brute_force_unrestricted_assigned(
             "workers": int(workers),
             **k_metadata,
             "prune": bool(prune),
-            "total_rows": int(subset_total + (polish_top * (k**n) if exhaustive_assignment else 0)),
-            "evaluated_rows": int(subset_total - subset_pruned + assignment_evaluated),
-            "pruned_rows": int(subset_pruned + assignment_pruned),
-            "subset_pruned_rows": int(subset_pruned),
-            "assignment_pruned_rows": int(assignment_pruned),
+            "total_rows": int(subset_total),
+            "evaluated_rows": int(subset_total - subset_pruned),
+            "pruned_rows": int(subset_pruned),
         },
     )
 
@@ -1081,8 +987,8 @@ def brute_force_unassigned(
     """Best candidate centers for the unassigned expected cost (exact over the set).
 
     ``time_budget`` and ``gap_target`` make the call anytime, exactly like
-    :func:`brute_force_restricted_assigned`: with pruning on, chunks run
-    best-first in ascending two-level-bound order, and a ``certificate``
+    :func:`brute_force_restricted_assigned` (both need ``prune=True``):
+    chunks run best-first in ascending two-level-bound order, and a ``certificate``
     metadata entry reports ``(cost, lower_bound, gap)`` with the lower
     bound folded over the E[min]-based chunk bounds of every skipped chunk;
     an expired budget still returns the greedy seed subset.

@@ -211,7 +211,7 @@ def subset_two_level_lower_bounds(
 
 
 def assignment_lower_bounds(context: CostContext, candidate_index_rows: np.ndarray) -> np.ndarray:
-    """Per-assignment-row bounds for the exhaustive enumeration stage.
+    """Per-assignment-row bounds on explicit assignments.
 
     Admissible by the row-wise Lemma 3.2 argument: an assignment's cost
     ``E[max_i d(P_i, c_i)]`` is at least ``max_i E[d(P_i, c_i)]`` (Jensen on

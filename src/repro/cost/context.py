@@ -97,7 +97,9 @@ from .expected import (
     expected_max_of_independent,
 )
 
-#: Rows per chunk pushed through the batched sweep kernels.
+#: Rows per enumeration chunk of the brute-force searches, and so the most
+#: rows one batched kernel call scores there; the kernels block a call by
+#: entry count themselves (:data:`~repro.cost.expected.RANK_MERGE_BLOCK_ENTRIES`).
 DEFAULT_CHUNK_ROWS = 2048
 
 
@@ -405,14 +407,12 @@ class CostContext:
         values = [support[:, column] for support, column in zip(self._supports, candidate_indices)]
         return expected_max_of_independent(values, self.probabilities)
 
-    def assigned_costs(
-        self, candidate_index_rows: np.ndarray, *, chunk_rows: int = DEFAULT_CHUNK_ROWS
-    ) -> np.ndarray:
+    def assigned_costs(self, candidate_index_rows: np.ndarray) -> np.ndarray:
         """Exact assigned costs for a ``(B, n)`` batch of assignments.
 
         The evaluator's rank merge (:meth:`AssignedCostEvaluator.costs`).
         """
-        return self.evaluator.costs(candidate_index_rows, chunk_rows=chunk_rows)
+        return self.evaluator.costs(candidate_index_rows)
 
     def local_search_sweep(self, candidate_indices: np.ndarray) -> LocalSearchSweep:
         """Round-amortized single-point-move machinery over this context."""
@@ -462,9 +462,7 @@ class CostContext:
             raise ValidationError("subsets must contain at least one candidate")
         return subset_rows
 
-    def unassigned_costs(
-        self, subset_rows: np.ndarray, *, chunk_rows: int = DEFAULT_CHUNK_ROWS
-    ) -> np.ndarray:
+    def unassigned_costs(self, subset_rows: np.ndarray) -> np.ndarray:
         """Exact unassigned costs for a ``(B, kk)`` batch of candidate subsets.
 
         The rank-merge sweep: every support entry's position in the globally
@@ -507,9 +505,8 @@ class CostContext:
         # the row width.  On a 2-vCPU x86 host the ``enum_mid`` shape (1,280
         # entries per row) scored a median 120 µs per row in its 102-row
         # blocks against 151 µs in fixed 512-row blocks (9 alternating
-        # pairs).  Blocking never changes results (rows are independent);
-        # callers' ``chunk_rows`` still caps the block as a memory bound.
-        block_rows = max(1, min(int(chunk_rows), RANK_MERGE_BLOCK_ENTRIES // total_z))
+        # pairs).  Blocking never changes results (rows are independent).
+        block_rows = max(1, RANK_MERGE_BLOCK_ENTRIES // total_z)
         out = np.empty(batch)
         for start in range(0, batch, block_rows):
             rows = subset_rows[start : start + block_rows]
@@ -672,10 +669,10 @@ class CostContext:
 
         Admissible by Jensen applied to the max:
         ``E[max_i d(P_i, A(i))] >= max_i E[d(P_i, A(i))]`` — one gather from
-        the cached expected matrix and a row max.  This is the per-row form
-        the exhaustive-assignment enumeration prunes on (its prefix bound is
-        the same quantity with unassigned points relaxed to their subset
-        minimum).
+        the cached expected matrix and a row max.  The unrestricted
+        reference's exact polish keeps exactly the assignments this bound
+        keeps, as a product of per-point allowed candidates
+        (:class:`repro.baselines.brute_force._ExactAssignment`).
         """
         candidate_index_rows = np.atleast_2d(np.asarray(candidate_index_rows, dtype=int))
         if candidate_index_rows.shape[1] != self.size:

@@ -596,12 +596,12 @@ class AssignedCostEvaluator:
             _sweep_rows(values[None, :], log_delta[None, :], zero_delta[None, :], self.n)[0]
         )
 
-    def costs(self, column_sets: np.ndarray, *, chunk_rows: int = 4096) -> np.ndarray:
+    def costs(self, column_sets: np.ndarray) -> np.ndarray:
         """Exact ``E[max]`` for a ``(B, n)`` batch of assignments: the rank merge.
 
-        Each block of at most ``chunk_rows`` rows and
-        :data:`RANK_MERGE_BLOCK_ENTRIES` layout entries gathers its entries'
-        integer ranks (:meth:`_ranked_entries`) and sorts them in place.  The
+        Each block of at most :data:`RANK_MERGE_BLOCK_ENTRIES` layout entries
+        gathers its entries' integer ranks (:meth:`_ranked_entries`) and
+        sorts them in place.  The
         ranks of one row are distinct, so the unstable sort is exact, and the
         values and deltas gathered by rank are the per-row float sort's union
         order: the costs are bit-identical to :meth:`_costs_float_sort`.  A
@@ -611,11 +611,9 @@ class AssignedCostEvaluator:
         column_sets = self._check_columns(np.atleast_2d(np.asarray(column_sets, dtype=int)))
         batch = column_sets.shape[0]
         if self._rank_tables is None and batch < self._values[0].shape[1]:
-            return self._costs_float_sort(column_sets, chunk_rows=chunk_rows)
+            return self._costs_float_sort(column_sets)
         tables = self._ranked_entries()
-        block_rows = max(
-            1, min(int(chunk_rows), RANK_MERGE_BLOCK_ENTRIES // tables.owners.shape[0])
-        )
+        block_rows = max(1, RANK_MERGE_BLOCK_ENTRIES // tables.owners.shape[0])
         out = np.empty(batch)
         for start in range(0, batch, block_rows):
             rows = column_sets[start : start + block_rows]

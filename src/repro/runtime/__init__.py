@@ -69,7 +69,7 @@ context payload bytes, a **store** tier that owns built-context reuse, and an
   so a stale threshold only prunes less.  No synchronized
   ``multiprocessing`` primitive is involved.
 
-Consumers: the three brute-force enumerators (sharded subset/assignment
+Consumers: the three brute-force enumerators (sharded subset
 chunks over shared-memory descriptors, pruned against each map's incumbent
 via the admissible bound kernels on
 :class:`~repro.cost.context.CostContext` — see
@@ -84,7 +84,6 @@ from .incumbent import SerialIncumbent
 from .parallel import (
     available_workers,
     effective_workers,
-    iter_chunk_bounds,
     parallel_map,
     resolve_workers,
     set_oversubscribe,
@@ -100,7 +99,6 @@ from .store import (
 __all__ = [
     "available_workers",
     "effective_workers",
-    "iter_chunk_bounds",
     "parallel_map",
     "resolve_workers",
     "set_oversubscribe",

@@ -51,12 +51,13 @@ Cases
     order — best-first must certify a 1% gap in at most half the chunks
     (the gate).
 ``prune_rate_two_level``
-    A plain restricted solve must prune > 80% of the n=12, m=16, k=4
-    subset rows (the gate), with results bit-identical to
-    ``prune=False``.  Its 1,820 rows are one chunk, so it runs one map
-    with no bound map, and its expected-distance rows are cut on level 1
-    against the greedy seed alone (about 88%): despite the name, no pair
-    bound runs here.
+    Two plain solves of one n=12, m=16, k=4 instance, bit-identical to
+    ``prune=False``.  Its 1,820 rows are one chunk, so each runs one map
+    with no bound map.  The restricted solve must prune > 80% of the rows
+    (the gate); its expected-distance rows are cut on level 1 against the
+    greedy seed alone (about 88%).  The unassigned solve runs the pair
+    bound on its level-1 survivors and must prune more rows than level 1
+    alone does at the same seed (1,660 against 1,604 here).
 ``shm_dispatch_bytes``
     Bytes a chunk dispatch ships under shared memory (descriptor only)
     against pickling the full brute-force payload — the zero-copy win,
@@ -143,7 +144,13 @@ from typing import Callable
 import numpy as np
 
 from ..assignments import ExpectedDistanceAssignment
-from ..baselines.brute_force import brute_force_restricted_assigned, brute_force_unassigned
+from ..baselines.brute_force import (
+    UNASSIGNED,
+    _seed_solution,
+    brute_force_restricted_assigned,
+    brute_force_unassigned,
+)
+from ..bounds.lower_bounds import prune_margin
 from ..cost.context import CostContext
 from ..cost.expected import (
     RANK_MERGE_BLOCK_ENTRIES,
@@ -198,8 +205,8 @@ LOCAL_SEARCH_SWEEP_GATE = 3.0
 #: Chunk-count ratio (best-first / submission order) to reach a 1% certified
 #: gap — the best-first scheduler must need at most half the chunks.
 BEST_FIRST_CHUNK_RATIO_TARGET = 0.5
-#: Fraction of subset rows the two-level bound must prune on the PR-10
-#: acceptance instance.
+#: Fraction of subset rows the restricted leg of ``prune_rate_two_level``
+#: must prune on the PR-10 acceptance instance.
 TWO_LEVEL_PRUNE_RATE_TARGET = 0.8
 #: Most a scalar ``expected_one_center_cost`` call may take, as a multiple of
 #: the bare ``E[max]`` kernel on the same distances.
@@ -477,16 +484,22 @@ def bench_best_first_gap_trajectory() -> dict:
 
 
 def bench_prune_rate_two_level(repeats: int = 3) -> dict:
-    """Prune rate of a plain restricted solve on n=12, m=16, k=4.
+    """Prune rates of plain restricted and unassigned solves on n=12, m=16, k=4.
 
-    More than 80% of the 1,820 subset rows must be pruned before the exact
-    ``E[max]`` kernel runs.  The rows fit in one chunk
-    (:data:`~repro.cost.context.DEFAULT_CHUNK_ROWS`), and a solve without a
-    stop runs no bound map, so this expected-distance solve cuts its rows
-    on the Lemma 3.2 level-1 bound against the greedy seed alone; a
-    score-matrix rule runs no pair kernel in the chunk, so despite the
-    case's name no pair bound runs (about 88% pruned).  Results stay
-    bit-identical to ``prune=False`` (asserted here).
+    Two legs over the same 1,820 subset rows, each bit-identical to
+    ``prune=False`` (asserted here).  The rows fit in one chunk
+    (:data:`~repro.cost.context.DEFAULT_CHUNK_ROWS`) and a solve without a
+    stop runs no bound map, so each leg cuts its rows against its greedy
+    seed alone.
+
+    * The restricted (expected-distance) leg must prune more than 80% of
+      the rows.  A score-matrix rule runs no pair kernel in the chunk, so
+      it cuts on the Lemma 3.2 level-1 bound alone (about 88%).
+    * The unassigned leg runs the pair kernel on its level-1 survivors and
+      must prune more rows than level 1 alone does at the same seed
+      threshold, replayed on the solve's own context.  A lost pair bound
+      fails this, where a rate gate would not: level 1 alone already
+      prunes 1,604 of the rows (0.881).
     """
     dataset, _ = gaussian_clusters(n=12, z=4, dimension=2, k_true=4, seed=1)
     candidates = dataset.all_locations()[:16]
@@ -501,7 +514,21 @@ def bench_prune_rate_two_level(repeats: int = 3) -> dict:
     pruned_seconds = _best_of(
         lambda: brute_force_restricted_assigned(dataset, 4, **kwargs), repeats
     )
-    met = bool(prune_rate > TWO_LEVEL_PRUNE_RATE_TARGET)
+
+    store = ContextStore()
+    unassigned = brute_force_unassigned(dataset, 4, store=store, **kwargs)
+    unassigned_unpruned = brute_force_unassigned(dataset, 4, prune=False, **kwargs)
+    assert unassigned.expected_cost == unassigned_unpruned.expected_cost
+    assert np.array_equal(unassigned.centers, unassigned_unpruned.centers)
+    context = store.get(dataset, candidates)
+    seed_cost = _seed_solution(context, UNASSIGNED, 4)[0]
+    rows = np.asarray(list(combinations(range(candidates.shape[0]), 4)))
+    level1 = context.subset_unassigned_lower_bounds(rows)
+    level1_pruned = int(np.count_nonzero(level1 > seed_cost + prune_margin(seed_cost)))
+    unassigned_pruned = int(unassigned.metadata["pruned_rows"])
+
+    restricted_met = bool(prune_rate > TWO_LEVEL_PRUNE_RATE_TARGET)
+    pair_met = unassigned_pruned > level1_pruned
     return {
         "subsets": comb(candidates.shape[0], 4),
         "total_rows": total,
@@ -509,13 +536,17 @@ def bench_prune_rate_two_level(repeats: int = 3) -> dict:
         "pruned_rows": int(metadata["pruned_rows"]),
         "prune_rate": float(prune_rate),
         "pruned_seconds": pruned_seconds,
+        "unassigned_pruned_rows": unassigned_pruned,
+        "unassigned_level1_pruned_rows": level1_pruned,
         "target": TWO_LEVEL_PRUNE_RATE_TARGET,
-        "target_met": met,
+        "target_met": restricted_met and pair_met,
         "gate": TWO_LEVEL_PRUNE_RATE_TARGET,
-        "gate_met": met,
+        "gate_met": restricted_met and pair_met,
         "note": (
-            "one chunk and no stop, so one map and no bound map: rows cut on level 1"
-            " against the greedy seed, no pair bound; bit-identical to prune=False"
+            "one chunk and no stop, so one map and no bound map: the restricted rows are"
+            " cut on level 1 against the greedy seed (rate > gate); the unassigned leg"
+            " must prune more rows than level 1 alone at its seed, which only the pair"
+            " bound can do; both bit-identical to prune=False"
         ),
     }
 
@@ -622,10 +653,10 @@ def bench_assigned_rank_merge(repeats: int = 3) -> dict:
     rows = context.ed_assignments(subsets)
     evaluator = context.evaluator
     block_rows = RANK_MERGE_BLOCK_ENTRIES // dataset.location_layout().owners.shape[0]
-    merged = evaluator.costs(rows, chunk_rows=block_rows)
+    merged = evaluator.costs(rows)
     float_sorted = evaluator._costs_float_sort(rows, chunk_rows=block_rows)
     assert np.array_equal(merged.view(np.uint64), float_sorted.view(np.uint64))
-    merge_seconds = _best_of(lambda: evaluator.costs(rows, chunk_rows=block_rows), repeats)
+    merge_seconds = _best_of(lambda: evaluator.costs(rows), repeats)
     float_seconds = _best_of(
         lambda: evaluator._costs_float_sort(rows, chunk_rows=block_rows), repeats
     )

@@ -94,12 +94,11 @@ unpruned map), so serial skip sets are deterministic too, and a pooled map
 relays it through its own dispatches, so concurrent solves never prune
 against each other.
 
-Worker memory is bounded by the work-item granularity: the brute-force
-shards pass ``chunk_rows`` (default
-:data:`repro.cost.context.DEFAULT_CHUNK_ROWS`) through
-:func:`iter_chunk_bounds`, so a worker never materializes more than
-``chunk_rows`` batch rows at a time regardless of how large the enumeration
-is.
+Worker memory is bounded by the work-item granularity: every brute-force
+work item is one chunk of at most ``chunk_rows`` candidate subsets (default
+:data:`repro.cost.context.DEFAULT_CHUNK_ROWS`), and the kernels that score
+it block by entry count, so a worker's batch memory does not grow with the
+enumeration.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .._env import env_flag
 from ..sanitize import det_san
@@ -432,14 +431,3 @@ def _resolve_transport(
         return _pickled_spec(payload), None, None
     descriptor, call_lease = shm_module.publish_payload(payload)
     return ("shm", descriptor), call_lease, lambda: _pickled_spec(payload)
-
-
-def iter_chunk_bounds(total: int, chunk_rows: int) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` bounds carving ``range(total)`` into chunks.
-
-    Shared by the serial and sharded brute-force paths so both score the
-    exact same batches — the precondition for bit-identical reductions.
-    """
-    chunk_rows = max(1, int(chunk_rows))
-    for start in range(0, total, chunk_rows):
-        yield start, min(start + chunk_rows, total)

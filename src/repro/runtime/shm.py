@@ -356,8 +356,8 @@ def publish_payload(payload: Any) -> tuple[PayloadDescriptor, SegmentLease | Non
         call_descriptor, call_lease = pack_arrays([buffer.raw() for buffer in buffers])
         segments.append(call_descriptor)
     # The worker-side cache key must distinguish different payload structures
-    # wrapped around the same published segments (e.g. the ED-scored and
-    # exhaustive stages of one brute-force call share the context segment).
+    # wrapped around the same published segments (e.g. the ED-scored stage
+    # and the polish of one brute-force call share the context segment).
     token = ":".join(
         [segment.name for segment in segments] + [hashlib.sha1(structure).hexdigest()[:12]]
     )

@@ -194,10 +194,8 @@ def _handle_solve(state: ServerState, payload: Mapping[str, Any], request_id: in
     time_budget = _parse_deadline(payload)
     gap_target = _parse_gap_target(payload)
 
-    # Single-flight context warm-up: N concurrent requests over the same
-    # (dataset, candidates) fingerprints cost one build; the solve below then
-    # hits the store.
-    state.contexts.get(dataset, candidates)
+    # The solver's one store lookup is single-flight: N concurrent requests
+    # over the same (dataset, candidates) fingerprints cost one build.
 
     # Pool discipline: the worker pool is process-global and not safe for
     # concurrent maps, so at most one request drives it (non-blocking gate);

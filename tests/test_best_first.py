@@ -39,12 +39,12 @@ from repro.assignments.policies import (
 from repro.baselines.brute_force import (
     UNASSIGNED,
     _best_first_order,
-    _check_gap_target,
+    _check_stops,
     _subset_bound_task,
     brute_force_restricted_assigned,
     brute_force_unassigned,
 )
-from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
+from repro.cost.context import CostContext
 from repro.runtime import parallel_map, set_oversubscribe, shutdown_runtime
 from repro.serve import ReproServer, ServeClient, ServeConfig, ServeError
 from repro.exceptions import ValidationError
@@ -224,7 +224,7 @@ class TestPairBoundAdmissibility:
         )
         # The one bound task reads the objective from the search's rule.
         rule = None if objective == "assigned" else UNASSIGNED
-        payload = (context, rule, DEFAULT_CHUNK_ROWS, 1)
+        payload = (context, rule, 1)
         lazy = [task(payload, chunk) for chunk in chunks]
         eager = [
             float(context.subset_two_level_lower_bounds(chunk, objective=objective).min())
@@ -323,13 +323,20 @@ class TestBestFirstBitIdentity:
                 dataset, 2, candidates=candidates, prune=False, gap_target=0.1
             )
 
+    def test_time_budget_requires_prune(self, micro):
+        dataset, candidates = micro
+        for solver in (brute_force_restricted_assigned, brute_force_unassigned):
+            with pytest.raises(ValidationError, match="prune=True"):
+                solver(dataset, 2, candidates=candidates, prune=False, time_budget=1.0)
+
     def test_gap_target_validation(self):
-        assert _check_gap_target(None, False) is None
-        assert _check_gap_target(0.0, True) == 0.0
+        assert _check_stops(None, None, False) is None
+        assert _check_stops(1.0, None, True) is None
+        assert _check_stops(None, 0.0, True) == 0.0
         with pytest.raises(ValidationError):
-            _check_gap_target(-0.5, True)
+            _check_stops(None, -0.5, True)
         with pytest.raises(ValidationError):
-            _check_gap_target(float("nan"), True)
+            _check_stops(None, float("nan"), True)
 
 
 class TestGapCertificateSoundness:

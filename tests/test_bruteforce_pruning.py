@@ -11,12 +11,13 @@ exactness proof rests on, so it gets its own differential suite; the
 ``evaluated_rows`` / ``pruned_rows`` counters are asserted to actually drop
 on a seeded adversarial instance — pruning that never prunes would pass
 every equality test.  The one subset chunk task's per-chunk top-k lists and
-the greedy seed it scores are pinned against rows scored directly.
+the greedy seed it scores are pinned against rows scored directly, and the
+unrestricted reference's exact polish rule against plain product scans.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -29,8 +30,7 @@ from repro.assignments.policies import (
 )
 from repro.baselines.brute_force import (
     UNASSIGNED,
-    _assignment_prefix_bound,
-    _assignment_rows_slice,
+    _ExactAssignment,
     _greedy_seed_columns,
     _seed_solution,
     _subset_chunk_task,
@@ -43,7 +43,6 @@ from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
 from repro.metrics import EuclideanMetric
 from repro.runtime import incumbent as incumbent_module
 from repro.runtime import set_oversubscribe, shutdown_runtime
-from repro.runtime.parallel import iter_chunk_bounds
 from repro.uncertain import UncertainDataset, UncertainPoint
 from repro.workloads import gaussian_clusters
 
@@ -151,24 +150,6 @@ class TestBoundAdmissibility:
         costs = context.assigned_costs(rows)
         slack = 1e-12 * np.maximum(1.0, np.abs(costs))
         assert np.all(bounds <= costs + slack)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_prefix_bound_below_every_row_in_shard(self, seed):
-        dataset = make_tricky_dataset(seed, n=4, z=3)
-        candidates = dataset.all_locations()[:6]
-        context = CostContext(dataset, candidates)
-        columns = np.asarray([0, 2, 5])
-        n = dataset.size
-        total = columns.shape[0] ** n
-        for start, stop in iter_chunk_bounds(total, 17):
-            prefix = _assignment_prefix_bound(context, columns, start, stop)
-            rows = _assignment_rows_slice(columns, n, start, stop)
-            costs = context.assigned_costs(rows)
-            slack = 1e-12 * max(1.0, float(np.abs(costs).max()))
-            assert prefix <= costs.min() + slack
-            # ... and it must never beat the per-row bounds it coarsens.
-            row_bounds = context.assignment_lower_bounds(rows)
-            assert prefix <= row_bounds.min() + slack
 
 
 class TestDifferentialPrunedVsReference:
@@ -299,18 +280,6 @@ class TestPruningCounters:
         assert result.metadata["pruned_rows"] > 0
         assert_counter_invariants(result)
 
-    def test_unrestricted_records_per_stage_counts(self):
-        dataset = make_tricky_dataset(3, n=5, z=3)
-        result = brute_force_unrestricted_assigned(dataset, 2, polish_top=2)
-        metadata = result.metadata
-        assert metadata["subset_pruned_rows"] >= 0
-        assert metadata["assignment_pruned_rows"] >= 0
-        assert (
-            metadata["subset_pruned_rows"] + metadata["assignment_pruned_rows"]
-            == metadata["pruned_rows"]
-        )
-        assert_counter_invariants(result)
-
 
 class TestEachRowBoundedOnce:
     """Every subset row gets each bound at most once per solve.
@@ -377,14 +346,20 @@ class TestEachRowBoundedOnce:
         candidates = dataset.all_locations()[:16]
         level1, pair = counted
         result = brute_force_unrestricted_assigned(dataset, 4, candidates=candidates, chunk_rows=256)
-        assert result.metadata["exhaustive_assignment"] is True  # no subset-bounded polish
-        assert result.metadata["subset_pruned_rows"] > 0
+        assert result.metadata["exhaustive_assignment"] is True
+        assert result.metadata["pruned_rows"] > 0
         # One map in enumeration order: the first chunk runs under the
         # stage's infinite seed and bounds nothing, every later row once.
+        # The polish is a subset search over the 8 top subsets, one chunk
+        # under the stage-1 cost, which bounds those subsets again.
+        polished = result.metadata["polished_subsets"]
+        assert polished == 8
+        stage, polish = level1[:-polished], level1[-polished:]
         first_chunk = set(list(combinations(range(16), 4))[:256])
-        assert len(level1) == 1820 - 256
-        assert sorted(level1) == sorted(set(level1))
-        assert not first_chunk & set(level1)
+        assert len(stage) == 1820 - 256
+        assert sorted(stage) == sorted(set(stage))
+        assert not first_chunk & set(stage)
+        assert len(set(polish)) == polished
         assert len(pair) == len(set(pair))
 
     @pytest.mark.parametrize("chunk_rows", [DEFAULT_CHUNK_ROWS, 256], ids=["1-chunk", "8-chunks"])
@@ -438,7 +413,7 @@ class TestSubsetChunkTask:
         cheapest = direct[ranking[0]]
         assert len({int(row) // 40 for row in np.flatnonzero(direct == cheapest)}) > 1
 
-        payload = (context, None, 40, top_k)
+        payload = (context, None, top_k)
         tops = []
         for chunk in chunks:
             handle = incumbent_module.SerialIncumbent(np.inf)
@@ -479,9 +454,9 @@ class TestSubsetChunkTask:
             "optimal-local": OptimalAssignment(),
             "unassigned": UNASSIGNED,
         }[rule_name]
-        cost, columns, assignment = _seed_solution(context, rule, 3, 64)
+        cost, columns, assignment = _seed_solution(context, rule, 3)
         item = (columns[None, :], None)
-        top, pruned, evaluated = _subset_chunk_task((context, rule, 64, 1), item)
+        top, pruned, evaluated = _subset_chunk_task((context, rule, 1), item)
         assert (pruned, evaluated) == (0, 1)
         ((row_cost, row_subset, row_assignment),) = top
         assert np.float64(row_cost).tobytes() == np.float64(cost).tobytes()
@@ -611,7 +586,7 @@ def _single_move_polish(context, columns, candidate_indices, max_rounds=10):
     return assignment
 
 
-def _serial_polish_reference(dataset, k, candidates, *, polish_top, chunk_rows, prune):
+def _serial_polish_reference(dataset, k, candidates, *, polish_top, prune):
     """The unrestricted reference's local-search stage as a serial loop.
 
     Stage 1 ED-scores every subset; the pruned stage keeps the same
@@ -625,7 +600,7 @@ def _serial_polish_reference(dataset, k, candidates, *, polish_top, chunk_rows, 
     context = CostContext(dataset, candidates)
     rows = np.asarray(list(combinations(range(candidates.shape[0]), k)), dtype=int)
     seeds = context.ed_assignments(rows)
-    costs = context.assigned_costs(seeds, chunk_rows=chunk_rows)
+    costs = context.assigned_costs(seeds)
     top = np.argsort(costs, kind="stable")[:polish_top]
     best = (float(costs[top[0]]), rows[top[0]], seeds[top[0]])
     with incumbent_module.bound(incumbent_module.SerialIncumbent(best[0])) as handle:
@@ -668,7 +643,6 @@ class TestLocalSearchPolish:
         # second round of moves.
         dataset = make_tricky_dataset(seed + 40, n=n, z=4, jitter=8.0)
         candidates = dataset.all_locations()[:10]
-        polish = {"polish_top": 12, "chunk_rows": 4}
         result = brute_force_unrestricted_assigned(
             dataset,
             k,
@@ -676,10 +650,11 @@ class TestLocalSearchPolish:
             exhaustive_assignment=False,
             workers=workers,
             prune=prune,
-            **polish,
+            polish_top=12,
+            chunk_rows=4,
         )
         cost, subset, candidate_indices = _serial_polish_reference(
-            dataset, k, candidates, prune=prune, **polish
+            dataset, k, candidates, polish_top=12, prune=prune
         )
         assert result.expected_cost == cost
         assert np.array_equal(result.centers, candidates[subset])
@@ -688,7 +663,7 @@ class TestLocalSearchPolish:
         # Stage-1 pruning counts are timing-dependent under workers; the
         # polish stage adds no rows to any counter.
         subset_total = comb(candidates.shape[0], k)
-        subset_pruned = result.metadata["subset_pruned_rows"]
+        subset_pruned = result.metadata["pruned_rows"]
         assert result.metadata == {
             "algorithm": "brute-force-unrestricted",
             "candidate_count": candidates.shape[0],
@@ -701,10 +676,126 @@ class TestLocalSearchPolish:
             "total_rows": subset_total,
             "evaluated_rows": subset_total - subset_pruned,
             "pruned_rows": subset_pruned,
-            "subset_pruned_rows": subset_pruned,
-            "assignment_pruned_rows": 0,
         }
         assert prune or subset_pruned == 0
+
+
+def _product_scan(context, columns, threshold=np.inf):
+    """First cheapest assignment into ``columns`` by a plain product scan.
+
+    Scans ``itertools.product(columns, repeat=n)`` and keeps the assignments
+    whose every point's expected distance is within ``threshold`` plus its
+    margin.  Returns ``(cost, assignment)``, or ``None`` when none is kept.
+    """
+    rows = np.asarray(list(product(columns.tolist(), repeat=context.size)), dtype=int)
+    cut = threshold + prune_margin(threshold)
+    rows = rows[context.expected[np.arange(context.size), rows].max(axis=1) <= cut]
+    if rows.shape[0] == 0:
+        return None
+    costs = context.assigned_costs(rows)
+    winner = int(np.argmin(costs))
+    return costs[winner], rows[winner]
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestExactAssignment:
+    """The exact polish rule and the forced-exact reference against product scans."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        dataset, _ = gaussian_clusters(n=5, z=3, dimension=2, k_true=3, seed=2)
+        candidates = dataset.all_locations()[:7]
+        rows = np.asarray(list(combinations(range(candidates.shape[0]), 3)), dtype=int)
+        return CostContext(dataset, candidates), rows
+
+    def test_no_incumbent_scans_the_whole_product(self, instance):
+        context, rows = instance
+        assert incumbent_module.active() is None
+        assignments = _ExactAssignment().chunk_assignments(context, rows)
+        costs = context.assigned_costs(assignments)
+        for row, columns in enumerate(rows):
+            cost, assignment = _product_scan(context, columns)
+            assert np.array_equal(assignments[row], assignment)
+            assert _bits(costs[row]) == _bits(cost)
+
+    @pytest.mark.parametrize("position", ["below-every-bound", "below", "at", "above"])
+    def test_incumbent_cuts_only_assignments_that_cannot_win(self, instance, position):
+        context, rows = instance
+        cut_below_optimum = 0
+        for columns in rows:
+            optimum, optimal = _product_scan(context, columns)
+            # No assignment into the subset has a smaller row bound.
+            level1 = context.subset_assigned_lower_bounds(columns[None, :])[0]
+            threshold = {
+                "below-every-bound": 0.99 * level1,
+                "below": 0.5 * (level1 + optimum),
+                "at": optimum,
+                "above": 1.1 * optimum,
+            }[position]
+            handle = incumbent_module.SerialIncumbent(threshold)
+            with incumbent_module.bound(handle):
+                (assignment,) = _ExactAssignment().chunk_assignments(context, columns[None, :])
+            cost = context.assigned_costs(assignment[None, :])[0]
+            kept = _product_scan(context, columns, threshold)
+            assert (kept is None) == (position == "below-every-bound")
+            if kept is None:
+                # Nothing within the incumbent: the row keeps its ED
+                # assignment, which costs more than the incumbent.
+                assert np.array_equal(assignment, context.ed_assignment(columns))
+                assert cost > threshold
+                assert handle.value() == threshold
+                continue
+            assert np.array_equal(assignment, kept[1])
+            assert _bits(cost) == _bits(kept[0])
+            assert handle.value() == min(threshold, cost)
+            if threshold < optimum:
+                cut_below_optimum += 1
+                assert cost > threshold
+            else:
+                # The optimum is within the incumbent, so it is found exactly.
+                assert np.array_equal(assignment, optimal)
+                assert _bits(cost) == _bits(optimum)
+        # A subset whose optimum is its level-1 bound puts "below" at it.
+        assert (cut_below_optimum > 0) == (position == "below")
+
+    @pytest.fixture()
+    def _pool_on_one_cpu(self):
+        previous = set_oversubscribe(True)
+        yield
+        set_oversubscribe(previous)
+        shutdown_runtime()
+
+    @pytest.mark.usefixtures("_pool_on_one_cpu")
+    @pytest.mark.parametrize(
+        "workers, shm", [(1, None), (2, True), (2, False)], ids=["serial", "shm", "pickled"]
+    )
+    def test_forced_exact_reference_equals_full_scan(self, instance, workers, shm):
+        context, rows = instance
+        dataset, candidates = context.dataset, context.candidates
+        best = None
+        for columns in rows:
+            cost, assignment = _product_scan(context, columns)
+            if best is None or cost < best[0]:
+                best = (cost, assignment)
+        result = brute_force_unrestricted_assigned(
+            dataset,
+            3,
+            candidates=candidates,
+            polish_top=10_000,
+            exhaustive_assignment=True,
+            workers=workers,
+            shm=shm,
+            chunk_rows=8,
+        )
+        assert result.assignment_policy == "exhaustive"
+        assert result.metadata["polished_subsets"] == rows.shape[0]
+        assert _bits(result.expected_cost) == _bits(best[0])
+        # Subsets that differ only in an unused center tie exactly; each
+        # point's center is what the optimum pins.
+        assert np.array_equal(result.centers[result.assignment], candidates[best[1]])
 
 
 class TestIncumbentMachinery:

@@ -184,7 +184,7 @@ class TestRankMergeSweep:
     """
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_bit_identical_to_float_sort(self, seed):
+    def test_bit_identical_to_float_sort(self, seed, monkeypatch):
         dataset = make_tricky_dataset(seed, n=5, z=4)
         candidates = np.vstack([dataset.all_locations(), dataset.expected_points()])
         context = CostContext(dataset, candidates)
@@ -192,12 +192,15 @@ class TestRankMergeSweep:
         subsets = np.array(
             [rng.choice(candidates.shape[0], size=3, replace=False) for _ in range(40)]
         )
-        merged = context.unassigned_costs(subsets, chunk_rows=16)
+        # 16-row blocks, the twin's block size.
+        entries = dataset.all_locations().shape[0]
+        monkeypatch.setattr(context_module, "RANK_MERGE_BLOCK_ENTRIES", 16 * entries)
+        merged = context.unassigned_costs(subsets)
         float_sorted = context._unassigned_costs_float_sort(subsets, chunk_rows=16)
         assert np.array_equal(merged, float_sorted)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_bit_identical_on_ragged_supports(self, seed):
+    def test_bit_identical_on_ragged_supports(self, seed, monkeypatch):
         dataset = make_ragged_dataset(seed)
         candidates = dataset.all_locations()
         context = CostContext(dataset, candidates)
@@ -206,7 +209,9 @@ class TestRankMergeSweep:
         subsets = np.array(
             [rng.choice(candidates.shape[0], size=size, replace=False) for _ in range(25)]
         )
-        merged = context.unassigned_costs(subsets, chunk_rows=7)
+        # 7-row blocks, the twin's block size.
+        monkeypatch.setattr(context_module, "RANK_MERGE_BLOCK_ENTRIES", 7 * candidates.shape[0])
+        merged = context.unassigned_costs(subsets)
         float_sorted = context._unassigned_costs_float_sort(subsets, chunk_rows=7)
         assert np.array_equal(merged, float_sorted)
 
@@ -234,8 +239,8 @@ class TestRankMergeSweep:
 
     def test_blocks_hold_at_most_the_entry_cap(self, monkeypatch):
         # The unassigned merge blocks by the assigned merge's entry cap,
-        # ``cap // sum_i z_i`` rows per sweep whatever the row width, and
-        # ``chunk_rows`` still caps a block; the costs never move.
+        # ``cap // sum_i z_i`` rows per sweep whatever the row width; the
+        # costs never move.
         dataset = make_tricky_dataset(13, n=5, z=4)
         context = CostContext(dataset, dataset.all_locations())
         rng = np.random.default_rng(91)
@@ -252,30 +257,30 @@ class TestRankMergeSweep:
             return sweep(sorted_values, *rest)
 
         monkeypatch.setattr(context_module, "_sweep_rows_presorted", counting_sweep)
-        for cap, chunk_rows, expected_blocks in (
-            (3 * entries + 1, 1024, [3] * 7 + [2]),
-            (entries - 1, 1024, [1] * 23),
-            (100 * entries, 5, [5] * 4 + [3]),
-            (2**17, 1024, [23]),
+        for cap, expected_blocks in (
+            (3 * entries + 1, [3] * 7 + [2]),
+            (entries - 1, [1] * 23),
+            (5 * entries, [5] * 4 + [3]),
+            (2**17, [23]),
         ):
             monkeypatch.setattr(context_module, "RANK_MERGE_BLOCK_ENTRIES", cap)
             blocks.clear()
-            merged = context.unassigned_costs(subsets, chunk_rows=chunk_rows)
+            merged = context.unassigned_costs(subsets)
             assert blocks == expected_blocks
             assert np.array_equal(merged, twin)
 
-    def test_chunk_rows_do_not_change_results(self):
+    def test_block_rows_do_not_change_results(self, monkeypatch):
         dataset = make_tricky_dataset(11, n=5, z=4)
         context = CostContext(dataset, dataset.all_locations())
         rng = np.random.default_rng(77)
         subsets = np.array(
             [rng.choice(context.candidate_count, size=2, replace=False) for _ in range(23)]
         )
-        baseline = context.unassigned_costs(subsets, chunk_rows=1024)
-        for chunk_rows in (1, 5, 23):
-            assert np.array_equal(
-                context.unassigned_costs(subsets, chunk_rows=chunk_rows), baseline
-            )
+        baseline = context.unassigned_costs(subsets)
+        entries = dataset.all_locations().shape[0]
+        for block_rows in (1, 5, 23):
+            monkeypatch.setattr(context_module, "RANK_MERGE_BLOCK_ENTRIES", block_rows * entries)
+            assert np.array_equal(context.unassigned_costs(subsets), baseline)
 
 
 class TestCandidateScores:

@@ -161,8 +161,8 @@ class TestAssignedRankMerge:
     twin and the scalar ``cost``, compared bit for bit."""
 
     @staticmethod
-    def assert_merge_exact(evaluator, rows, **kwargs):
-        merged = evaluator.costs(rows, **kwargs)
+    def assert_merge_exact(evaluator, rows):
+        merged = evaluator.costs(rows)
         assert evaluator._rank_tables is not None  # the merge scored it
         assert np.array_equal(_bits(merged), _bits(evaluator._costs_float_sort(rows)))
         assert np.array_equal(_bits(merged), _bits([evaluator.cost(row) for row in rows]))
@@ -192,11 +192,9 @@ class TestAssignedRankMerge:
         rows = np.random.default_rng(7).integers(0, candidates.shape[0], size=(23, dataset.size))
         whole = self.assert_merge_exact(evaluator, rows)
         entries = dataset.location_layout().owners.shape[0]
-        monkeypatch.setattr(expected_module, "RANK_MERGE_BLOCK_ENTRIES", 3 * entries + 1)
-        assert np.array_equal(_bits(self.assert_merge_exact(evaluator, rows)), _bits(whole))
-        assert np.array_equal(
-            _bits(self.assert_merge_exact(evaluator, rows, chunk_rows=5)), _bits(whole)
-        )
+        for cap in (3 * entries + 1, 5 * entries):
+            monkeypatch.setattr(expected_module, "RANK_MERGE_BLOCK_ENTRIES", cap)
+            assert np.array_equal(_bits(self.assert_merge_exact(evaluator, rows)), _bits(whole))
 
     def test_f_ordered_and_strided_rows(self):
         dataset, candidates = _ragged_instance(2, 2)

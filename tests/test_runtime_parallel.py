@@ -20,7 +20,6 @@ from repro.assignments.policies import (
     OptimalAssignment,
 )
 from repro.baselines.brute_force import (
-    _assignment_rows_slice,
     brute_force_restricted_assigned,
     brute_force_unassigned,
     brute_force_unrestricted_assigned,
@@ -37,7 +36,6 @@ from repro.experiments import (
 )
 from repro.runtime import (
     effective_workers,
-    iter_chunk_bounds,
     parallel_map,
     resolve_workers,
     set_oversubscribe,
@@ -87,11 +85,6 @@ class TestExecutor:
         assert resolve_workers(0) == 1
         assert resolve_workers(-4) == 1
         assert resolve_workers(3) == 3
-
-    def test_iter_chunk_bounds_cover_range_without_overlap(self):
-        bounds = list(iter_chunk_bounds(10, 3))
-        assert bounds == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert list(iter_chunk_bounds(0, 3)) == []
 
 
 class TestSerialFallback:
@@ -220,20 +213,6 @@ class TestBruteForceSharding:
         for chunk_rows in (1, 7, 64):
             result = brute_force_restricted_assigned(micro_instance, 2, chunk_rows=chunk_rows)
             assert result.expected_cost == baseline.expected_cost
-
-    def test_assignment_slice_matches_itertools_product(self):
-        from itertools import product
-
-        columns = np.asarray([4, 7, 9])
-        n = 4
-        full = np.asarray([
-            [columns[c] for c in choice] for choice in product(range(3), repeat=n)
-        ])
-        total = 3**n
-        for start, stop in iter_chunk_bounds(total, 17):
-            np.testing.assert_array_equal(
-                _assignment_rows_slice(columns, n, start, stop), full[start:stop]
-            )
 
 
 class TestExperimentDeterminism:

@@ -81,3 +81,18 @@ class TestExampleScripts:
         for name in ("sensor_network_graph.py", "fleet_tracking_extensions.py"):
             module = _load_example(name)
             assert hasattr(module, "main")
+
+    def test_sensor_network_example_runs(self, capsys):
+        # The one shipped run of the reference's local-search polish.
+        module = _load_example("sensor_network_graph.py")
+        module.main()
+        out = capsys.readouterr().out
+        assert "brute-force reference cost" in out
+        assert "empirical ratio vs reference" in out
+
+    def test_fleet_tracking_example_runs(self, capsys):
+        module = _load_example("fleet_tracking_extensions.py")
+        module.main()
+        out = capsys.readouterr().out
+        assert "k-median extension" in out
+        assert "serialization round trip via fleet.json: ok" in out

@@ -280,6 +280,13 @@ class TestEndpoints:
         assert stats["contexts"]["builds"] == 0
         assert stats["runtime_health"] is not None
 
+    def test_each_solve_looks_up_its_context_once(self, server, client):
+        dataset = _dataset()
+        for _ in range(3):
+            client.solve(dataset, 2)
+        # The first solve builds the context; each later one hits it once.
+        assert client.stats()["contexts"] == {"builds": 1, "hits": 2, "misses": 1}
+
     def test_unknown_endpoint_and_malformed_json(self, server, client):
         with pytest.raises(ServeError) as outcome:
             client.request("POST", "/v1/nope", {"x": 1})
