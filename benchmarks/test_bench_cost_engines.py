@@ -143,6 +143,15 @@ def test_bound_prefix_factor_ratio():
     assert_gate("bound_prefix_factor")
 
 
+def test_level1_cut_ratio():
+    """Same-run ratio guard: the unassigned level-1 bound at the greedy
+    seed's cut against ``cut=inf`` over the 29 chunks of the enum_mid rows
+    (n=80, z=16, 36 candidates, k=4), with equal keep masks and identical
+    values at or below the cut (the case asserts both).  Reducing every
+    point for every row, as ``cut=inf`` does, puts the ratio at 1x."""
+    assert_gate("level1_cut")
+
+
 def test_assigned_rank_merge_speedup():
     """Same-run ratio guard: the assigned rank merge against its per-row
     float-sort twin on the enum_mid shape (n=80, z=16, 36 candidates, the

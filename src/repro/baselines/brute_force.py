@@ -45,10 +45,15 @@ instead of exhaustive scans:
   by more than the floating-point slack
   (:func:`repro.bounds.lower_bounds.prune_margin`); the score-matrix rules,
   whose exact rows are cheap, cut on level 1 and on whatever pair values
-  an anytime search's bound map already computed;
+  an anytime search's bound map already computed.  The unassigned level 1
+  takes that cut: it visits the points farthest-first (by
+  ``E[min over all candidates]``) and stops reducing a row once its
+  partial bound exceeds the cut (at ``enum_mid``'s greedy-seed cut the
+  first point alone settles every row that level 1 cuts);
 * each subset row is bounded **once**: the subset kernels min-reduce each
   run of rows sharing their first ``k - 1`` candidates once (the
-  enumeration emits rows in such runs), and in an anytime search the
+  enumeration emits rows in such runs), from candidate-major tables whose
+  rows are whole candidate columns, and in an anytime search the
   per-row bounds a chunk's bound task computed ride into its scoring task
   with it (:func:`_chunk_bound`, :func:`_two_level_prune`);
 * across worker shards the incumbent is **relayed**
@@ -130,7 +135,7 @@ different problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from math import comb, prod
 from typing import TYPE_CHECKING, Any
 
@@ -180,9 +185,32 @@ def _checked_subset_count(candidate_count: int, k: int) -> int:
     return total
 
 
-def _iter_center_subsets(candidate_count: int, k: int):
+def _subset_rows(candidate_count: int, k: int) -> np.ndarray:
+    """All ``C(m, k)`` ``k``-subsets of ``range(m)`` as a ``(C(m, k), k)`` array.
+
+    Rows come in lexicographic order, the order of
+    :func:`itertools.combinations`.  The count is checked against the cap
+    before anything is allocated.  The array is built from its last column
+    back, one column per step: a row whose new first entry is ``a`` ends in
+    a subset of ``range(a + 1, m)``, and those subsets are a suffix of the
+    previous step's rows, so each column costs one ``repeat`` and one
+    ``concatenate``.
+    """
     _checked_subset_count(candidate_count, k)
-    yield from combinations(range(candidate_count), k)
+    spare = candidate_count - k
+    # Step ``length`` holds every ``length``-subset of range(k - length, m).
+    rows = np.arange(k - 1, candidate_count).reshape(-1, 1)
+    for length in range(2, k + 1):
+        firsts = np.arange(k - length, k - length + spare + 1)
+        counts = [comb(candidate_count - 1 - first, length - 1) for first in firsts]
+        tails = rows.shape[0]
+        rows = np.column_stack(
+            [
+                np.repeat(firsts, counts),
+                np.concatenate([rows[tails - count :] for count in counts]),
+            ]
+        )
+    return rows
 
 
 def _iter_index_chunks(iterator, chunk_rows: int = DEFAULT_CHUNK_ROWS):
@@ -196,8 +224,14 @@ def _iter_index_chunks(iterator, chunk_rows: int = DEFAULT_CHUNK_ROWS):
 
 
 def _iter_subset_chunks(candidate_count: int, k: int, chunk_rows: int = DEFAULT_CHUNK_ROWS):
-    """Yield ``(B, k)`` arrays of candidate subsets, ``B <= chunk_rows``."""
-    yield from _iter_index_chunks(_iter_center_subsets(candidate_count, k), chunk_rows)
+    """Yield ``(B, k)`` arrays of candidate subsets, ``B <= chunk_rows``.
+
+    Consecutive slices of :func:`_subset_rows`, in lexicographic order.
+    """
+    rows = _subset_rows(candidate_count, k)
+    chunk_rows = max(1, int(chunk_rows))
+    for start in range(0, rows.shape[0], chunk_rows):
+        yield rows[start : start + chunk_rows]
 
 
 def _build_context(
@@ -368,7 +402,10 @@ def _two_level_prune(
     lazy fold skipped a row (:func:`_chunk_bound`).  Level 1 is then never
     recomputed and the pair kernel runs only on survivors that lack a pair
     value, so every row is bounded at most once per level.  ``None`` (no
-    bound map ran) computes level 1 here.
+    bound map ran) computes level 1 here, with the cut: the unassigned
+    kernel then stops reducing a row once its partial bound exceeds the
+    cut, which gives the same keep mask.  The bound map's values stay
+    exact, because the certificate reads them.
 
     ``pair_kernel=False`` runs no pair kernel: a row is cut on level 1 and
     on whatever pair value the fold already computed.  The score-matrix
@@ -379,12 +416,12 @@ def _two_level_prune(
     """
     if not np.isfinite(threshold):
         return None
+    cut = threshold + prune_margin(threshold)
     if row_bounds is None:
-        level1 = _level1_bounds(context, subset_rows, objective)
+        level1 = _level1_bounds(context, subset_rows, objective, cut)
         pair = np.full(level1.shape, np.nan)
     else:
         level1, pair = row_bounds
-    cut = threshold + prune_margin(threshold)
     keep = level1 <= cut
     survivors = np.flatnonzero(keep)
     if survivors.size:
@@ -401,11 +438,19 @@ def _two_level_prune(
     return keep
 
 
-def _level1_bounds(context: CostContext, subset_rows: np.ndarray, objective: str) -> np.ndarray:
-    """The first-level subset bound of ``objective``, by its traced method name."""
+def _level1_bounds(
+    context: CostContext, subset_rows: np.ndarray, objective: str, cut: float = np.inf
+) -> np.ndarray:
+    """The first-level subset bound of ``objective``, by its traced method name.
+
+    ``cut`` reaches the unassigned kernel, which stops reducing a row once
+    its partial bound exceeds it
+    (:meth:`~repro.cost.context.CostContext.subset_unassigned_lower_bounds`):
+    the values at or below ``cut`` are exact, the others only exceed it.
+    """
     if objective == "assigned":
         return context.subset_assigned_lower_bounds(subset_rows)
-    return context.subset_unassigned_lower_bounds(subset_rows)
+    return context.subset_unassigned_lower_bounds(subset_rows, cut=cut)
 
 
 def _chunk_bound(

@@ -30,7 +30,12 @@ and caches:
   recovered in sorted order from per-location rank minima, keyed on the
   precomputed per-candidate value order — the min-reduced float values
   themselves are never comparison-sorted per chunk (an integer rank sort of
-  the same shape replaces it; the union sweep dominates either way).
+  the same shape replaces it; the union sweep dominates either way);
+* *candidate-major tables* for the subset bound kernels: the ``(m, n)``
+  transpose of ``expected`` (read without pinning the supports), each
+  point's ``(m, z_i)`` support transpose, and one point order, by
+  descending ``E[min over all candidates]``.  A subset's columns are then
+  whole contiguous rows of a table.
 
 The cached structure also powers the **admissible lower-bound kernels**
 behind the branch-and-bound brute force
@@ -41,9 +46,15 @@ context by :mod:`repro.bounds.lower_bounds`): pure gathers/min-reductions
 over the expected matrix and pinned supports, no sorts, so bounding a chunk
 is an order of magnitude cheaper than exactly scoring it.  The subset
 kernels are **prefix-factored** (:func:`_subset_minima`): each run of rows
-sharing their first ``k - 1`` candidates is min-reduced once, and each row
-then takes one ``minimum`` with its last candidate.  ``min`` is exact, so
-the bounds are bit-identical to the plain gather for any row order.
+sharing their first ``k - 1`` candidates is min-reduced once, from whole
+rows of a candidate-major table, and each row then takes one elementwise
+``minimum`` with its last candidate's row.  ``min`` is exact, and the
+result is handed back as the transpose of a C-order ``(B, r)`` array, the
+plain gather's memory layout, so the bounds and the dot products over them
+are bit-identical to the plain gather for any row order.  The unassigned
+level 1 also takes a ``cut``: it visits points in the cached order and
+stops reducing a row once its running maximum exceeds the cut, which is
+all the pruning layer asks of that row.
 
 Consumers: :class:`repro.assignments.policies.OptimalAssignment` (whose
 one local-search loop, ``chunk_assignments``, both its own ``assign`` and
@@ -72,8 +83,8 @@ serialization serves both payload transports of :mod:`repro.runtime`: the
 pickled transport ships it in band, and shared memory publishes the same
 pickle with its arrays as protocol-5 out-of-band buffers
 (:mod:`repro.runtime.shm`), which workers load as read-only views.  The
-evaluator's rank tables are not pickled: each process that scores a large
-enough batch builds its own on first use.
+evaluator's rank tables and the candidate-major tables are not pickled:
+each process that needs them builds its own on first use.
 """
 
 from __future__ import annotations
@@ -126,6 +137,20 @@ class _RankMergeTables:
     groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]  # (points, ranks, weights)
 
 
+@dataclass
+class _CandidateMajorSupports:
+    """The supports laid out for the subset bound kernels.
+
+    ``tables[i]`` is point ``i``'s ``(m, z_i)`` support transpose, so a
+    candidate's distances are one contiguous row, and ``order`` lists the
+    points by descending ``E[min over all candidates]`` (stable), the order
+    in which the unassigned level 1 visits them under a cut.
+    """
+
+    tables: list[np.ndarray]
+    order: np.ndarray
+
+
 class CostContext:
     """Incremental exact-cost service for a fixed (dataset, candidates) pair."""
 
@@ -151,6 +176,8 @@ class CostContext:
         self._expected: np.ndarray | None = None
         self._rank_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._rank_merge: _RankMergeTables | None = None
+        self._expected_by_candidate: np.ndarray | None = None
+        self._supports_by_candidate: _CandidateMajorSupports | None = None
         self._version = 0
 
     def __getstate__(self) -> dict[str, Any]:
@@ -159,9 +186,9 @@ class CostContext:
         The supports are stacked in layout order like the dataset's rows
         and re-sliced on load.  The evaluator's probability vectors are the
         dataset's, so its state points at the dataset's stacked array and
-        pickle writes that once.  The float-sort reference's rank tables and
-        the evaluator's assigned rank tables are left out; they rebuild on
-        first use.
+        pickle writes that once.  The float-sort reference's rank tables,
+        the evaluator's assigned rank tables and the candidate-major tables
+        are left out; they rebuild on first use.
         """
         layout = self.dataset.location_layout()
         evaluator = None
@@ -192,6 +219,8 @@ class CostContext:
             self._evaluator.__setstate__(state["evaluator"])
         self._rank_tables = None
         self._rank_merge = state["rank_merge"]
+        self._expected_by_candidate = None
+        self._supports_by_candidate = None
         self._version = 0
 
     # -- cached structure ---------------------------------------------------
@@ -323,6 +352,34 @@ class CostContext:
             self._version += 1
         return self._rank_merge
 
+    def _candidate_major_expected(self) -> np.ndarray:
+        """The ``(m, n)`` C-order transpose of :attr:`expected`; built once per process.
+
+        Not pickled and not part of :attr:`version`: it is derived from
+        ``expected``, so a worker rebuilds it from the shipped matrix.
+        """
+        if self._expected_by_candidate is None:
+            self._expected_by_candidate = np.ascontiguousarray(self.expected.T)
+        return self._expected_by_candidate
+
+    def _candidate_major_supports(self) -> _CandidateMajorSupports:
+        """Per-point ``(m, z_i)`` support transposes and the visiting order.
+
+        Built once per process like :meth:`_candidate_major_expected`.
+        """
+        if self._supports_by_candidate is None:
+            tables = [np.ascontiguousarray(support.T) for support in self.supports]
+            nearest = np.array(
+                [
+                    probabilities @ table.min(axis=0)
+                    for probabilities, table in zip(self.probabilities, tables)
+                ]
+            )
+            self._supports_by_candidate = _CandidateMajorSupports(
+                tables=tables, order=np.argsort(-nearest, kind="stable")
+            )
+        return self._supports_by_candidate
+
     # -- incremental candidate updates --------------------------------------
 
     def _new_support_blocks(self, new_candidates: np.ndarray) -> list[np.ndarray]:
@@ -342,7 +399,8 @@ class CostContext:
         and the evaluator re-sorts just the replaced CDF columns
         (:meth:`AssignedCostEvaluator.replace_candidate_columns`).  The
         unassigned rank tables are global per point, so they are invalidated
-        and rebuilt lazily on the next unassigned query.
+        and rebuilt lazily on the next unassigned query, and so are the
+        candidate-major tables of the bound kernels.
 
         This is what lets ``wang_zhang_1d``'s coordinate descent keep one
         context per start and splice the moving grid/center columns per sweep
@@ -363,6 +421,8 @@ class CostContext:
         self.candidates = self.candidates.copy()
         self.candidates[columns] = new_candidates
         self._version += 1
+        self._expected_by_candidate = None
+        self._supports_by_candidate = None
         needs_supports = (
             self._supports is not None or self._evaluator is not None or self._expected is not None
         )
@@ -503,9 +563,10 @@ class CostContext:
         # ``(B, sum_i z_i)`` arrays — so a block holds at most
         # RANK_MERGE_BLOCK_ENTRIES entries, the assigned merge's cap, whatever
         # the row width.  On a 2-vCPU x86 host the ``enum_mid`` shape (1,280
-        # entries per row) scored a median 120 µs per row in its 102-row
-        # blocks against 151 µs in fixed 512-row blocks (9 alternating
-        # pairs).  Blocking never changes results (rows are independent).
+        # entries per row) scored a median 97 µs per row in its 51-row
+        # blocks against 114 µs in 102-row blocks (9 alternating repeats
+        # over 2,048 rows).  Blocking never changes results (rows are
+        # independent).
         block_rows = max(1, RANK_MERGE_BLOCK_ENTRIES // total_z)
         out = np.empty(batch)
         for start in range(0, batch, block_rows):
@@ -559,17 +620,21 @@ class CostContext:
 
         — the per-point Lemma 3.2 argument applied subset-wise, so the bound
         is admissible for *every* restricted assignment rule at once.  Reads
-        only the cached ``(n, m)`` expected-distance matrix, prefix-factored
-        (:func:`_subset_minima`): one gather and min-reduce per run of rows
-        sharing their first ``kk - 1`` columns, one ``minimum`` per row with
-        its last column, one max-reduce; no sorts.  Bit-identical to the
-        plain ``(n, B, kk)`` gather for any row order, since ``min`` is
-        exact.
+        only the expected-distance matrix, through its candidate-major
+        transpose and prefix-factored (:func:`_subset_minima`): one
+        min-reduce of whole table rows per run of rows sharing their first
+        ``kk - 1`` columns, one ``minimum`` per row with its last column,
+        one max-reduce; no sorts.  Bit-identical to the plain ``(n, B, kk)``
+        gather for any row order, since ``min`` is exact.
         """
         subset_rows = self._check_subset_rows(subset_rows)
-        return _subset_minima(self.expected, _prefix_runs(subset_rows)).max(axis=0)
+        return _subset_minima(
+            self._candidate_major_expected(), _prefix_runs(subset_rows)
+        ).max(axis=0)
 
-    def subset_unassigned_lower_bounds(self, subset_rows: np.ndarray) -> np.ndarray:
+    def subset_unassigned_lower_bounds(
+        self, subset_rows: np.ndarray, *, cut: float = np.inf
+    ) -> np.ndarray:
         """``(B,)`` lower bounds on the unassigned cost of candidate subsets.
 
         ``E[max_i min_{c in S} d(P_i, c)] >= max_i E[min_{c in S} d(P_i, c)]``
@@ -583,14 +648,51 @@ class CostContext:
         are found once per call and reused for every point) and keeps the
         plain gather's memory layout, so even the dot product is
         bit-identical to the unfactored kernel for any row order.
+
+        ``cut`` is the pruning threshold.  Points are visited in the cached
+        order (descending ``E[min over all candidates]``), and after the
+        1st, 2nd, 4th, 8th, ... point every row whose running maximum
+        already exceeds ``cut`` is dropped: no later point is reduced for
+        it.  A dropped row returns that partial maximum, which is still
+        admissible — it is the same ``max_i E[min_{c in S} d(P_i, c)]``
+        over a subset of the points, and each term is a lower bound on the
+        cost by the argument above — and it lies above ``cut``, so the
+        keep mask ``bounds <= cut`` is exactly the one the full bound
+        gives.  A kept row returns the full maximum with the bits the call
+        returns at ``cut=inf``, which drops nothing.  Every point's dot
+        product runs over the whole batch in its original positions (a
+        dropped row reads zeros, below its nonnegative partial maximum), so
+        a BLAS reduction that depends on a column's position in the batch
+        still sees each kept row where it would without a cut.
         """
         subset_rows = self._check_subset_rows(subset_rows)
-        runs = _prefix_runs(subset_rows)
-        best: np.ndarray | None = None
-        for support, probabilities in zip(self.supports, self.probabilities):
-            bounds = probabilities @ _subset_minima(support, runs)
-            best = bounds if best is None else np.maximum(best, bounds, out=best)
-        assert best is not None
+        batch = subset_rows.shape[0]
+        prefixes, run_of_row, last = _prefix_runs(subset_rows)
+        supports = self._candidate_major_supports()
+        best = np.full(batch, -np.inf)
+        live: np.ndarray | None = None  # None while no row is dropped
+        # Per support size: the (B, z) minima of the live rows in their
+        # batch positions, zero on dropped rows.
+        minima_by_size: dict[int, np.ndarray] = {}
+        for visited, point in enumerate(supports.order, 1):
+            minima = _subset_minima(supports.tables[point], (prefixes, run_of_row, last))
+            if live is not None:
+                size = minima.shape[0]
+                if size not in minima_by_size:
+                    minima_by_size[size] = np.zeros((batch, size))
+                minima_by_size[size][live] = minima.T
+                minima = minima_by_size[size].T
+            np.maximum(best, self.probabilities[point] @ minima, out=best)
+            if visited & (visited - 1) == 0:  # after the 1st, 2nd, 4th, ... point
+                keep = (best if live is None else best[live]) <= cut
+                if not keep.all():
+                    dropped = np.flatnonzero(~keep) if live is None else live[~keep]
+                    live = np.flatnonzero(keep) if live is None else live[keep]
+                    for positioned in minima_by_size.values():
+                        positioned[dropped] = 0.0
+                    run_of_row, last = run_of_row[keep], last[keep]
+                    if live.size == 0:
+                        break
         return best
 
     def subset_pair_lower_bounds(self, subset_rows: np.ndarray) -> np.ndarray:
@@ -623,11 +725,11 @@ class CostContext:
         n = self.size
         if n < 2 or batch == 0:
             return np.zeros(batch)
-        supports = self.supports
+        tables = self._candidate_major_supports().tables
         runs = _prefix_runs(subset_rows)
         expected_minima = np.empty((n, batch))
-        for i, (support, weight) in enumerate(zip(supports, self.probabilities)):
-            expected_minima[i] = weight @ _subset_minima(support, runs)
+        for i, (table, weight) in enumerate(zip(tables, self.probabilities)):
+            expected_minima[i] = weight @ _subset_minima(table, runs)
         top_two = np.argpartition(expected_minima, n - 2, axis=0)[n - 2 :]
         first = np.minimum(top_two[0], top_two[1])
         second = np.maximum(top_two[0], top_two[1])
@@ -637,8 +739,8 @@ class CostContext:
             mask = pair_keys == key
             i, j = int(key) // n, int(key) % n
             group_runs = _prefix_runs(subset_rows[mask])
-            reduced_i = _subset_minima(supports[i], group_runs)  # (z_i, Bg)
-            reduced_j = _subset_minima(supports[j], group_runs)  # (z_j, Bg)
+            reduced_i = _subset_minima(tables[i], group_runs)  # (z_i, Bg)
+            reduced_j = _subset_minima(tables[j], group_runs)  # (z_j, Bg)
             pairwise_max = np.maximum(reduced_i[:, None, :], reduced_j[None, :, :])
             out[mask] = np.einsum(
                 "i,j,ijb->b", self.probabilities[i], self.probabilities[j], pairwise_max
@@ -738,23 +840,30 @@ def _prefix_runs(subset_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _subset_minima(
-    matrix: np.ndarray, runs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    table: np.ndarray, runs: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """``matrix[:, rows].min(axis=2)`` with each run's shared prefix reduced once.
+    """``table.T[:, rows].min(axis=2)`` with each run's shared prefix reduced once.
 
-    ``runs`` is :func:`_prefix_runs` of ``rows``.  The ``(r, R)`` prefix
-    minima are gathered once per run, then each row takes one ``minimum``
-    with its last column.  ``min`` is exact, so the values are bit-identical
-    to the plain gather for any row order; the result also keeps the plain
-    gather's column-major memory layout (fancy indexing along axis 1 puts
-    the row axis outermost), so a dot product over it accumulates in the
-    same order and stays bit-identical too.
+    ``table`` is candidate-major, ``(m, r)``: row ``c`` holds candidate
+    ``c``'s ``r`` values, and ``runs`` is :func:`_prefix_runs` of ``rows``.
+    Each run's ``(R, r)`` prefix minima are reduced once from whole table
+    rows (``take`` along axis 0 and an elementwise ``minimum`` per prefix
+    column), then each row takes one ``minimum`` with its last column's row.
+    ``min`` is exact, so the values are bit-identical to the plain gather
+    for any row order.  The result is the ``(r, B)`` transpose view of a
+    C-order ``(B, r)`` array, which is the plain gather's memory layout
+    (fancy indexing along axis 1 puts the row axis outermost), so a dot
+    product over it accumulates in the same order and stays bit-identical
+    too.
     """
     prefixes, run_of_row, last = runs
-    if prefixes.shape[1] == 0:
-        return matrix[:, last]
-    minima = matrix[:, prefixes].min(axis=2)[:, run_of_row]
-    return np.minimum(minima, matrix[:, last], out=minima)
+    minima = table.take(last, axis=0)
+    if prefixes.shape[1]:
+        prefix_minima = table.take(prefixes[:, 0], axis=0)
+        for column in prefixes.T[1:]:
+            np.minimum(prefix_minima, table.take(column, axis=0), out=prefix_minima)
+        np.minimum(prefix_minima.take(run_of_row, axis=0), minima, out=minima)
+    return minima.T
 
 
 def cost_context(dataset: UncertainDataset, candidates: np.ndarray) -> CostContext:

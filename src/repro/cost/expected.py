@@ -127,11 +127,15 @@ BATCH_ENTRY_CAP = 1 << 18
 
 #: Most layout entries one block of the assigned rank merge
 #: (:meth:`AssignedCostEvaluator.costs`) holds, and of the unassigned one
-#: (:meth:`repro.cost.context.CostContext.unassigned_costs`).  Its sweep is cache-bound:
-#: on a 2-vCPU x86 host with 2 MB of L2 per core, the ``enum_mid`` shape
-#: (1,280 entries per row) scored 29 µs per row in blocks of 2**17 entries
-#: and 57 µs in blocks of 2**18.  Blocking never changes a cost.
-RANK_MERGE_BLOCK_ENTRIES = 1 << 17
+#: (:meth:`repro.cost.context.CostContext.unassigned_costs`).  Both sweeps are
+#: cache-bound.  On a 2-vCPU x86 host with 2 MB of L2 per core, 2,048 rows of
+#: the ``enum_mid`` shape (1,280 entries per row, 51-row blocks) scored
+#: 97 µs per row unassigned and 32 µs assigned in blocks of 2**16 entries,
+#: against 114 and 35 µs in blocks of 2**17; the 2,024 rows of a
+#: ``serve_mixed`` instance (240 entries per row) scored 20.6 and 5.5 µs
+#: against 24.5 and 6.1 µs (medians of 9 alternating repeats).  Blocking
+#: never changes a cost.
+RANK_MERGE_BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------

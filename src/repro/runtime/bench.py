@@ -81,6 +81,12 @@ Cases
     ``support[:, rows].min(axis=2)`` gather on the same rows — bit-identical
     bounds, a same-run ratio with gate and target >= 1.5x; the milliseconds
     per call are a trend only.
+``level1_cut``
+    The unassigned level-1 bound over the 29 chunks of all ``C(36, 4) =
+    58,905`` ``enum_mid`` rows (n=80, z=16), one call per chunk, at the
+    greedy seed's cut against ``cut=inf`` — equal keep masks and identical
+    values at or below the cut, a same-run ratio with gate and target
+    >= 1.5x; the milliseconds per pass are a trend only.
 ``scalar_cost_overhead``
     One ``expected_one_center_cost`` call (n=25, z=3, d=8: an E1 instance)
     divided by the bare ``E[max]`` kernel on the same ``(1, N)`` distances —
@@ -146,6 +152,7 @@ import numpy as np
 from ..assignments import ExpectedDistanceAssignment
 from ..baselines.brute_force import (
     UNASSIGNED,
+    _iter_subset_chunks,
     _seed_solution,
     brute_force_restricted_assigned,
     brute_force_unassigned,
@@ -217,6 +224,9 @@ BOUND_PREFIX_FACTOR_TARGET = 1.5
 #: Speedup one batched one-center cost call over 16 polls must reach over
 #: 16 scalar calls on the same centers.
 ONE_CENTER_BATCH_TARGET = 3.0
+#: Speedup the unassigned level-1 bound at a pruning cut must reach over the
+#: same kernel at ``cut=inf`` on the same chunks.
+LEVEL1_CUT_TARGET = 1.5
 #: Slowdown (new/old) past which ``--compare`` reports a regression.
 REGRESSION_TOLERANCE = 1.2
 #: Timings below this are dominated by noise; ``--compare`` skips them.
@@ -737,9 +747,9 @@ def bench_bound_prefix_factor(repeats: int = 5) -> dict:
     ``gaussian_clusters(n=40, z=8, k_true=4, seed=0)`` with its first 24
     locations as candidates, in enumeration order, in one call.  The plain
     leg min-reduces one ``(z_i, B, k)`` gather per point; the factored
-    kernel gathers each run of rows sharing their first ``k - 1`` columns
-    once.  The two must agree exactly; the ratio, taken within one run, is
-    the gate.
+    kernel reduces each run of rows sharing their first ``k - 1`` columns
+    once, from whole rows of the candidate-major support tables.  The two
+    must agree exactly; the ratio, taken within one run, is the gate.
     """
     dataset, _ = gaussian_clusters(n=40, z=8, dimension=2, k_true=4, seed=0)
     candidates = dataset.all_locations()[:24]
@@ -768,6 +778,65 @@ def bench_bound_prefix_factor(repeats: int = 5) -> dict:
         "gate": BOUND_PREFIX_FACTOR_TARGET,
         "gate_met": met,
         "note": "bounds are bit-identical; per-call milliseconds are a trend only, the same-run ratio is the gate",
+    }
+
+
+def bench_level1_cut(repeats: int = 5) -> dict:
+    """The unassigned level-1 bound at a pruning cut against ``cut=inf``.
+
+    The ``enum_mid`` instance: ``gaussian_clusters(n=80, z=16, k_true=4,
+    seed=0)`` with its first 36 locations as candidates and ``k=4``, all
+    ``C(36, 4) = 58,905`` rows in the solve's 29 chunks, one call per chunk.
+    The cut is the greedy seed's cost plus its prune margin, the threshold
+    a serial solve's first chunk prunes at.  Both legs must give the same
+    keep mask ``bounds <= cut``, and the same bits on every row at or below
+    the cut; the ratio, taken within one run, is the gate.
+    """
+    dataset, _ = gaussian_clusters(n=80, z=16, dimension=2, k_true=4, seed=0)
+    candidates = dataset.all_locations()[:36]
+    context = CostContext(dataset, candidates)
+    chunks = list(_iter_subset_chunks(candidates.shape[0], 4))
+    seed_cost = _seed_solution(context, UNASSIGNED, 4)[0]
+    cut = seed_cost + prune_margin(seed_cost)
+    kept = 0
+    for chunk in chunks:
+        exact = context.subset_unassigned_lower_bounds(chunk)
+        partial = context.subset_unassigned_lower_bounds(chunk, cut=cut)
+        keep = exact <= cut
+        assert np.array_equal(partial <= cut, keep)
+        assert np.array_equal(partial[keep].view(np.uint64), exact[keep].view(np.uint64))
+        kept += int(keep.sum())
+
+    def full_pass() -> None:
+        for chunk in chunks:
+            context.subset_unassigned_lower_bounds(chunk)
+
+    def cut_pass() -> None:
+        for chunk in chunks:
+            context.subset_unassigned_lower_bounds(chunk, cut=cut)
+
+    # Alternate the legs, so a slow spell of a shared host reaches both.
+    full_seconds = cut_seconds = np.inf
+    for _ in range(repeats):
+        full_seconds = min(full_seconds, _best_of(full_pass, 1))
+        cut_seconds = min(cut_seconds, _best_of(cut_pass, 1))
+    speedup = full_seconds / max(cut_seconds, 1e-12)
+    met = bool(speedup >= LEVEL1_CUT_TARGET)
+    return {
+        "cut_pass_ms": cut_seconds * 1e3,
+        "full_pass_ms": full_seconds * 1e3,
+        "rows": int(sum(chunk.shape[0] for chunk in chunks)),
+        "chunks": len(chunks),
+        "kept_rows": kept,
+        "speedup": speedup,
+        "target": LEVEL1_CUT_TARGET,
+        "target_met": met,
+        "gate": LEVEL1_CUT_TARGET,
+        "gate_met": met,
+        "note": (
+            "equal keep masks and bit-identical values at or below the cut; per-pass"
+            " milliseconds are a trend only, the same-run ratio is the gate"
+        ),
     }
 
 
@@ -1166,6 +1235,7 @@ CASES: dict[str, Callable[[], dict]] = {
     "wang_zhang_column_splice": bench_column_splice,
     "batch_cost_kernel": bench_batch_cost_kernel,
     "bound_prefix_factor": bench_bound_prefix_factor,
+    "level1_cut": bench_level1_cut,
     "scalar_cost_overhead": bench_scalar_cost_overhead,
     "one_center_batch": bench_one_center_batch,
     "local_search_sweep": bench_local_search_sweep,
@@ -1203,6 +1273,7 @@ QUICK_CASES: tuple[str, ...] = (
     "wang_zhang_column_splice",
     "batch_cost_kernel",
     "bound_prefix_factor",
+    "level1_cut",
     "scalar_cost_overhead",
     "one_center_batch",
     "context_store_memoization",

@@ -28,18 +28,22 @@ from repro.assignments.policies import (
     NearestLocationAssignment,
     OptimalAssignment,
 )
+import repro.baselines.brute_force as brute_force
 from repro.baselines.brute_force import (
     UNASSIGNED,
     _ExactAssignment,
     _greedy_seed_columns,
+    _iter_subset_chunks,
     _seed_solution,
     _subset_chunk_task,
+    _subset_rows,
     brute_force_restricted_assigned,
     brute_force_unassigned,
     brute_force_unrestricted_assigned,
 )
 from repro.bounds.lower_bounds import prune_margin
 from repro.cost.context import DEFAULT_CHUNK_ROWS, CostContext
+from repro.exceptions import ValidationError
 from repro.metrics import EuclideanMetric
 from repro.runtime import incumbent as incumbent_module
 from repro.runtime import set_oversubscribe, shutdown_runtime
@@ -96,6 +100,35 @@ def assert_counter_invariants(result):
     metadata = result.metadata
     assert metadata["evaluated_rows"] + metadata["pruned_rows"] == metadata["total_rows"]
     assert metadata["evaluated_rows"] >= 1  # a winner was evaluated
+
+
+class TestSubsetRows:
+    """The enumeration's rows: every ``k``-subset, in ``combinations`` order."""
+
+    def test_rows_equal_combinations(self):
+        for m in range(1, 13):
+            for k in range(1, m + 1):
+                rows = _subset_rows(m, k)
+                reference = np.asarray(list(combinations(range(m), k)))
+                assert rows.dtype == reference.dtype and rows.flags.c_contiguous
+                assert np.array_equal(rows, reference), (m, k)
+
+    def test_chunks_are_consecutive_slices(self):
+        chunks = list(_iter_subset_chunks(9, 4, chunk_rows=10))
+        assert [chunk.shape[0] for chunk in chunks] == [10] * 12 + [6]
+        assert np.array_equal(np.concatenate(chunks), _subset_rows(9, 4))
+
+    def test_cap_raises_before_anything_is_allocated(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        for name in ("arange", "repeat", "concatenate", "column_stack"):
+            monkeypatch.setattr(np, name, no_allocation)
+        with pytest.raises(ValidationError, match="cap is"):
+            _subset_rows(400, 200)  # C(400, 200) rows could never be allocated
+        monkeypatch.setattr(brute_force, "MAX_CENTER_SUBSETS", comb(10, 3) - 1)
+        with pytest.raises(ValidationError, match="cap is"):
+            _subset_rows(10, 3)
 
 
 class TestBoundAdmissibility:
@@ -302,9 +335,9 @@ class TestEachRowBoundedOnce:
             original = getattr(CostContext, name)
             sink = pair if name == "subset_pair_lower_bounds" else level1
 
-            def wrapped(self, subset_rows, _original=original, _sink=sink):
+            def wrapped(self, subset_rows, _original=original, _sink=sink, **kwargs):
                 _sink.extend(tuple(row) for row in np.atleast_2d(subset_rows).tolist())
-                return _original(self, subset_rows)
+                return _original(self, subset_rows, **kwargs)
 
             monkeypatch.setattr(CostContext, name, wrapped)
         return level1, pair

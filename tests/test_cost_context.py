@@ -12,6 +12,9 @@ the only permitted difference.
 
 from __future__ import annotations
 
+import pickle
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,8 @@ from repro.exceptions import ValidationError
 from repro.experiments.ablation import AblationSettings, run_assignment_ablation
 from repro.metrics import EuclideanMetric
 from repro.uncertain import UncertainDataset, UncertainPoint
+
+from test_best_first import plain_bounds
 
 RTOL = 1e-12
 ATOL = 1e-12
@@ -281,6 +286,128 @@ class TestRankMergeSweep:
         for block_rows in (1, 5, 23):
             monkeypatch.setattr(context_module, "RANK_MERGE_BLOCK_ENTRIES", block_rows * entries)
             assert np.array_equal(context.unassigned_costs(subsets), baseline)
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def bound_rows(candidates: int, k: int, order: str, seed: int) -> np.ndarray:
+    """Every ``k``-subset, in lexicographic order or not."""
+    rows = np.asarray(list(combinations(range(candidates), k)))
+    rng = np.random.default_rng(seed)
+    if order == "shuffled":
+        return rows[rng.permutation(rows.shape[0])]
+    if order == "unsorted-columns":
+        return rng.permuted(rows[rng.permutation(rows.shape[0])], axis=1)
+    assert order == "lexicographic"
+    return rows
+
+
+class TestCandidateMajorBounds:
+    """The bound kernels read candidate-major tables with the plain gather's bits.
+
+    Each candidate's values are one contiguous row of a transposed table,
+    and the minima come back as the transpose of a C-order ``(B, r)``
+    array, the plain gather's layout, so even the dot products match bit
+    for bit.  The unassigned level 1 also takes a ``cut``: the rows it
+    keeps carry exactly the ``cut=inf`` bits, and the rows it drops a
+    partial maximum above the cut.
+    """
+
+    @pytest.mark.parametrize("order", ["lexicographic", "shuffled", "unsorted-columns"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_kernels_equal_plain_gather(self, seed, make, k, order):
+        dataset = make(seed)
+        context = CostContext(dataset, dataset.all_locations()[:9])
+        rows = bound_rows(context.candidate_count, k, order, seed)
+        for name, reference in plain_bounds(context, rows).items():
+            assert_same_bits(getattr(context, name)(rows), reference)
+
+    @pytest.mark.parametrize("where", ["below-all", "above-all", "at-a-row"])
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cut_keeps_exact_bits_and_the_keep_mask(self, seed, make, where):
+        # Enough points that rows drop at several of the 1st, 2nd, 4th,
+        # 8th, ... visiting checkpoints.
+        dataset = make(seed, n=12)
+        context = CostContext(dataset, dataset.all_locations()[:10])
+        rows = bound_rows(context.candidate_count, 3, "shuffled", seed)
+        exact = context.subset_unassigned_lower_bounds(rows)
+        cut = {
+            "below-all": float(exact.min()) / 2,
+            "above-all": float(exact.max()) + 1.0,
+            "at-a-row": float(np.sort(exact)[exact.shape[0] // 3]),
+        }[where]
+        partial = context.subset_unassigned_lower_bounds(rows, cut=cut)
+        keep = exact <= cut
+        assert np.array_equal(partial <= cut, keep)
+        assert np.all(partial <= exact)
+        assert np.all(partial[~keep] > cut)
+        assert_same_bits(partial[keep], exact[keep])
+        if where == "above-all":
+            assert_same_bits(partial, exact)
+
+    def test_cut_keeps_bits_where_a_compacted_batch_would_not(self):
+        # A BLAS dot product can round a column differently by its position
+        # in the batch (a remainder block), so the same row's E[min] over a
+        # batch of only the kept rows may differ in the last bit.  On this
+        # instance (z=12) it does with OpenBLAS's Haswell kernels; the
+        # kernel runs every dot product over the whole batch in the
+        # original positions instead.
+        dataset = make_tricky_dataset(2, n=30, z=12)
+        context = CostContext(dataset, dataset.all_locations()[:20])
+        rows = bound_rows(context.candidate_count, 3, "lexicographic", 2)
+        rows = rows[np.random.default_rng(2).permutation(rows.shape[0])]
+        exact = context.subset_unassigned_lower_bounds(rows)
+        cut = float(np.quantile(exact, 0.8))
+        partial = context.subset_unassigned_lower_bounds(rows, cut=cut)
+        keep = exact <= cut
+        assert np.array_equal(partial <= cut, keep)
+        assert_same_bits(partial[keep], exact[keep])
+
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    def test_tables_follow_replace_candidate_columns(self, make):
+        dataset = make(2, n=8)
+        candidates = dataset.all_locations()[:9]
+        context = CostContext(dataset, candidates)
+        rows = bound_rows(candidates.shape[0], 3, "lexicographic", 2)
+        for name in plain_bounds(context, rows):
+            getattr(context, name)(rows)  # builds the candidate-major tables
+        context.replace_candidate_columns(np.array([1, 4]), candidates[[1, 4]] + 0.6)
+        fresh = CostContext(dataset, context.candidates.copy())
+        # The spliced expected matrix may differ from a fresh one by an ulp
+        # (its new columns are dot products over a 2-column block), so the
+        # assigned bound is pinned to a plain gather over the context's own
+        # matrix; the support-only kernels match a fresh context exactly.
+        for name, reference in plain_bounds(context, rows).items():
+            assert_same_bits(getattr(context, name)(rows), reference)
+        for name in ("subset_unassigned_lower_bounds", "subset_pair_lower_bounds"):
+            assert_same_bits(getattr(context, name)(rows), getattr(fresh, name)(rows))
+        cut = float(np.median(fresh.subset_unassigned_lower_bounds(rows)))
+        assert_same_bits(
+            context.subset_unassigned_lower_bounds(rows, cut=cut),
+            fresh.subset_unassigned_lower_bounds(rows, cut=cut),
+        )
+
+    def test_tables_are_per_process(self):
+        # Derived tables: never pickled, and building them does not change
+        # what a shared-memory publication keys on.
+        dataset = make_tricky_dataset(3, n=6)
+        context = CostContext(dataset, dataset.all_locations()[:8])
+        context.expected
+        version = context.version
+        rows = bound_rows(context.candidate_count, 2, "lexicographic", 3)
+        bounds = context.subset_unassigned_lower_bounds(rows)
+        context.subset_assigned_lower_bounds(rows)
+        assert context.version == version
+        loaded = pickle.loads(pickle.dumps(context))
+        assert loaded._expected_by_candidate is None
+        assert loaded._supports_by_candidate is None
+        assert_same_bits(loaded.subset_unassigned_lower_bounds(rows), bounds)
 
 
 class TestCandidateScores:
