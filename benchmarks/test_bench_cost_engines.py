@@ -152,6 +152,15 @@ def test_level1_cut_ratio():
     assert_gate("level1_cut")
 
 
+def test_pair_from_level1_ratio():
+    """Same-run ratio guard: the unassigned two-level prune over the same 29
+    enum_mid chunks at the same cut, its pair kernel fed level 1's per-point
+    E[min] against running its own per-point pass, with equal keep masks
+    (the case asserts it).  Recomputing the per-point pass puts the ratio
+    at 1x."""
+    assert_gate("pair_from_level1")
+
+
 def test_assigned_rank_merge_speedup():
     """Same-run ratio guard: the assigned rank merge against its per-row
     float-sort twin on the enum_mid shape (n=80, z=16, 36 candidates, the

@@ -53,9 +53,12 @@ instead of exhaustive scans:
 * each subset row is bounded **once**: the subset kernels min-reduce each
   run of rows sharing their first ``k - 1`` candidates once (the
   enumeration emits rows in such runs), from candidate-major tables whose
-  rows are whole candidate columns, and in an anytime search the
-  per-row bounds a chunk's bound task computed ride into its scoring task
-  with it (:func:`_chunk_bound`, :func:`_two_level_prune`);
+  rows are whole candidate columns; in a plain unassigned search level 1
+  also writes every point's ``E[min]`` of the rows it keeps, and the pair
+  kernel reads those instead of reducing the survivors' points again; and
+  in an anytime search the per-row bounds a chunk's bound task computed
+  ride into its scoring task with it (:func:`_chunk_bound`,
+  :func:`_two_level_prune`);
 * across worker shards the incumbent is **relayed**
   (:mod:`repro.runtime.incumbent`): each chunk dispatch carries the map's
   current incumbent as its threshold, and the parent proposes each
@@ -405,7 +408,12 @@ def _two_level_prune(
     bound map ran) computes level 1 here, with the cut: the unassigned
     kernel then stops reducing a row once its partial bound exceeds the
     cut, which gives the same keep mask.  The bound map's values stay
-    exact, because the certificate reads them.
+    exact, because the certificate reads them.  The unassigned level 1
+    run here also writes each point's ``E[min]`` for every row it keeps,
+    and the pair kernel takes the survivors' columns instead of running
+    its own per-point pass.  A black-box rule's level 1 is the assigned
+    bound, which has no per-point ``E[min]``, and an anytime search's ran
+    in the bound map, so both leave the pair kernel its own pass.
 
     ``pair_kernel=False`` runs no pair kernel: a row is cut on level 1 and
     on whatever pair value the fold already computed.  The score-matrix
@@ -417,8 +425,11 @@ def _two_level_prune(
     if not np.isfinite(threshold):
         return None
     cut = threshold + prune_margin(threshold)
+    point_minima = None
     if row_bounds is None:
-        level1 = _level1_bounds(context, subset_rows, objective, cut)
+        if pair_kernel and objective == "unassigned":
+            point_minima = np.empty((context.size, subset_rows.shape[0]))
+        level1 = _level1_bounds(context, subset_rows, objective, cut, point_minima)
         pair = np.full(level1.shape, np.nan)
     else:
         level1, pair = row_bounds
@@ -428,8 +439,10 @@ def _two_level_prune(
         survivor_pair = pair[survivors]
         missing = np.isnan(survivor_pair)
         if pair_kernel and missing.any():
+            rows = survivors[missing]
             survivor_pair[missing] = context.subset_pair_lower_bounds(
-                subset_rows[survivors[missing]]
+                subset_rows[rows],
+                point_minima=None if point_minima is None else point_minima[:, rows],
             )
         # A NaN (no pair value) compares False, so its row stays kept.
         keep[survivors[survivor_pair > cut]] = False
@@ -439,18 +452,25 @@ def _two_level_prune(
 
 
 def _level1_bounds(
-    context: CostContext, subset_rows: np.ndarray, objective: str, cut: float = np.inf
+    context: CostContext,
+    subset_rows: np.ndarray,
+    objective: str,
+    cut: float = np.inf,
+    point_minima: np.ndarray | None = None,
 ) -> np.ndarray:
     """The first-level subset bound of ``objective``, by its traced method name.
 
-    ``cut`` reaches the unassigned kernel, which stops reducing a row once
-    its partial bound exceeds it
+    ``cut`` and ``point_minima`` reach the unassigned kernel, which stops
+    reducing a row once its partial bound exceeds the cut and writes each
+    point's ``E[min]`` into the buffer
     (:meth:`~repro.cost.context.CostContext.subset_unassigned_lower_bounds`):
     the values at or below ``cut`` are exact, the others only exceed it.
     """
     if objective == "assigned":
         return context.subset_assigned_lower_bounds(subset_rows)
-    return context.subset_unassigned_lower_bounds(subset_rows, cut=cut)
+    return context.subset_unassigned_lower_bounds(
+        subset_rows, cut=cut, point_minima=point_minima
+    )
 
 
 def _chunk_bound(

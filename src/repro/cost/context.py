@@ -393,14 +393,16 @@ class CostContext:
     def replace_candidate_columns(self, columns: np.ndarray, new_candidates: np.ndarray) -> None:
         """Swap ``candidates[columns]`` for ``new_candidates``, splicing caches.
 
-        Everything already materialized is updated incrementally instead of
-        rebuilt: the pinned support matrices get new columns from one metric
-        pass, the expected matrix new dot products for those columns only,
+        The pinned support matrices get new columns from one metric pass,
         and the evaluator re-sorts just the replaced CDF columns
         (:meth:`AssignedCostEvaluator.replace_candidate_columns`).  The
-        unassigned rank tables are global per point, so they are invalidated
-        and rebuilt lazily on the next unassigned query, and so are the
-        candidate-major tables of the bound kernels.
+        expected matrix is dropped and rebuilt lazily on the next read, by
+        the product a fresh build runs: a BLAS product rounds a column by
+        its position, so dot products over the replaced columns alone could
+        differ from a rebuild in the last bit.  The unassigned rank tables
+        are global per point, so they are invalidated and rebuilt lazily on
+        the next unassigned query, and so are the candidate-major tables of
+        the bound kernels.
 
         This is what lets ``wang_zhang_1d``'s coordinate descent keep one
         context per start and splice the moving grid/center columns per sweep
@@ -421,20 +423,15 @@ class CostContext:
         self.candidates = self.candidates.copy()
         self.candidates[columns] = new_candidates
         self._version += 1
+        self._expected = None
         self._expected_by_candidate = None
         self._supports_by_candidate = None
-        needs_supports = (
-            self._supports is not None or self._evaluator is not None or self._expected is not None
-        )
-        if not needs_supports:
+        if self._supports is None and self._evaluator is None:
             return
         blocks = self._new_support_blocks(new_candidates)
         if self._supports is not None:
             for support, block in zip(self._supports, blocks):
                 support[:, columns] = block
-        if self._expected is not None:
-            for row, (probabilities, block) in enumerate(zip(self.probabilities, blocks)):
-                self._expected[row, columns] = probabilities @ block
         if self._evaluator is not None:
             self._evaluator.replace_candidate_columns(columns, blocks)
         self._rank_tables = None
@@ -543,11 +540,17 @@ class CostContext:
         bits come back out with a mask to index the probability rows.  The
         low bits never reorder anything — ranks are distinct, so the packed
         order *is* the rank order.
+
+        The sorted ranks also give each point's first positive-mass rank,
+        where its min-reduced CDF first turns positive; a row's first live
+        position (:func:`~repro.cost.expected._sweep_rows_presorted`) is the
+        count of its ranks below the largest of them, the position the
+        twin's zero-mass counter reaches 0 at, so no zero-mass array is
+        built.
         """
         subset_rows = self._check_subset_rows(subset_rows)
         batch = subset_rows.shape[0]
         tables = self._rank_merge_tables()
-        n = self.size
         groups = []
         for _, ranks, weights in tables.groups:
             g, z, _ = ranks.shape
@@ -574,7 +577,8 @@ class CostContext:
             width = rows.shape[0]
             merged_ranks = np.empty((width, total_z), dtype=np.int64)
             log_delta = np.empty((width, total_z))
-            zero_delta = np.empty((width, total_z))
+            # Per row, the largest rank at which a point first gets mass.
+            last_mass = np.zeros(width, dtype=np.int64)
             column = 0
             for ranks, weights, z, shift, dtype, locations in groups:
                 g = ranks.shape[0]
@@ -590,20 +594,21 @@ class CostContext:
                 log_after = np.where(positive, np.log(np.where(positive, cdf_after, 1.0)), 0.0)
                 log_block = log_after.copy()
                 log_block[:, :, 1:] -= log_after[:, :, :-1]
-                zero_block = np.zeros((width, g, z))
-                zero_block[:, :, 0] -= positive[:, :, 0]
-                zero_block[:, :, 1:] -= positive[:, :, 1:] & ~positive[:, :, :-1]
-                merged_ranks[:, column : column + span] = (packed >> shift).reshape(width, span)
+                packed >>= shift
+                # A dataset point always has mass, so ``argmax`` finds the
+                # first positive CDF of every point.
+                first_mass = np.take_along_axis(packed, positive.argmax(axis=2)[:, :, None], axis=2)
+                np.maximum(last_mass, first_mass.max(axis=(1, 2)), out=last_mass)
+                merged_ranks[:, column : column + span] = packed.reshape(width, span)
                 log_delta[:, column : column + span] = log_block.reshape(width, span)
-                zero_delta[:, column : column + span] = zero_block.reshape(width, span)
                 column += span
             final = np.argsort(merged_ranks, axis=1)  # distinct keys: unstable ok
-            sorted_values = tables.values_by_rank[np.take_along_axis(merged_ranks, final, axis=1)]
+            sorted_ranks = np.take_along_axis(merged_ranks, final, axis=1)
             out[start : start + width] = _sweep_rows_presorted(
-                sorted_values,
+                sorted_ranks,
+                tables.values_by_rank,
                 np.take_along_axis(log_delta, final, axis=1),
-                np.take_along_axis(zero_delta, final, axis=1),
-                n,
+                np.count_nonzero(merged_ranks < last_mass[:, None], axis=1),
             )
         return out
 
@@ -633,7 +638,11 @@ class CostContext:
         ).max(axis=0)
 
     def subset_unassigned_lower_bounds(
-        self, subset_rows: np.ndarray, *, cut: float = np.inf
+        self,
+        subset_rows: np.ndarray,
+        *,
+        cut: float = np.inf,
+        point_minima: np.ndarray | None = None,
     ) -> np.ndarray:
         """``(B,)`` lower bounds on the unassigned cost of candidate subsets.
 
@@ -664,6 +673,12 @@ class CostContext:
         dropped row reads zeros, below its nonnegative partial maximum), so
         a BLAS reduction that depends on a column's position in the batch
         still sees each kept row where it would without a cut.
+
+        ``point_minima``, an ``(n, B)`` buffer, receives every point's
+        ``E[min_{c in S} d(P_i, c)]``: on each kept row (bound at or below
+        ``cut``) all ``n`` values, the per-point pass
+        :meth:`subset_pair_lower_bounds` would otherwise repeat; the other
+        columns hold partial values and are not to be read.
         """
         subset_rows = self._check_subset_rows(subset_rows)
         batch = subset_rows.shape[0]
@@ -682,7 +697,10 @@ class CostContext:
                     minima_by_size[size] = np.zeros((batch, size))
                 minima_by_size[size][live] = minima.T
                 minima = minima_by_size[size].T
-            np.maximum(best, self.probabilities[point] @ minima, out=best)
+            expected_minima = self.probabilities[point] @ minima
+            if point_minima is not None:
+                point_minima[point] = expected_minima
+            np.maximum(best, expected_minima, out=best)
             if visited & (visited - 1) == 0:  # after the 1st, 2nd, 4th, ... point
                 keep = (best if live is None else best[live]) <= cut
                 if not keep.all():
@@ -695,7 +713,9 @@ class CostContext:
                         break
         return best
 
-    def subset_pair_lower_bounds(self, subset_rows: np.ndarray) -> np.ndarray:
+    def subset_pair_lower_bounds(
+        self, subset_rows: np.ndarray, *, point_minima: np.ndarray | None = None
+    ) -> np.ndarray:
         """``(B,)`` second-level bounds: the two-point max of per-point minima.
 
         Admissible for both objectives: with ``m_i(x) = min_{c in S} d(x, c)``
@@ -718,7 +738,11 @@ class CostContext:
         times per chunk, not per subset.  Both passes min-reduce
         prefix-factored (:func:`_subset_minima`; a pair's rows are a
         subsequence of the batch, so its runs stay contiguous), bit-identical
-        to the plain gather for any row order.
+        to the plain gather for any row order.  ``point_minima`` skips the
+        first pass: the ``(n, B)`` expected minima the unassigned level 1
+        already wrote for these rows
+        (:meth:`subset_unassigned_lower_bounds`).  They only pick each
+        row's pair, so the bound stays admissible whatever their last bits.
         """
         subset_rows = self._check_subset_rows(subset_rows)
         batch = subset_rows.shape[0]
@@ -726,10 +750,12 @@ class CostContext:
         if n < 2 or batch == 0:
             return np.zeros(batch)
         tables = self._candidate_major_supports().tables
-        runs = _prefix_runs(subset_rows)
-        expected_minima = np.empty((n, batch))
-        for i, (table, weight) in enumerate(zip(tables, self.probabilities)):
-            expected_minima[i] = weight @ _subset_minima(table, runs)
+        expected_minima = point_minima
+        if expected_minima is None:
+            runs = _prefix_runs(subset_rows)
+            expected_minima = np.empty((n, batch))
+            for i, (table, weight) in enumerate(zip(tables, self.probabilities)):
+                expected_minima[i] = weight @ _subset_minima(table, runs)
         top_two = np.argpartition(expected_minima, n - 2, axis=0)[n - 2 :]
         first = np.minimum(top_two[0], top_two[1])
         second = np.maximum(top_two[0], top_two[1])

@@ -21,16 +21,25 @@ it scores ``B`` rows of values over one entry layout at once.  Each support
 entry is turned into a *log-space delta* ``log F_i(after) - log F_i(before)``
 of its variable's partial CDF (one stable argsort per row into union-value
 order, one stable argsort of the owners in that order to group each
-variable's entries, and segment cumulative sums), plus an explicit
-zero-mass delta that records when a variable's CDF first becomes positive.
-Cumulative sums over the union order then yield ``F`` at every sweep
-position — no Python-level loop over entries or rows.  Tracking "how many
-variables still have zero CDF" as its own counter (rather than inferring it
-from which entries have been folded) makes zero-probability supports
-correct *by construction*.  Every ``E[max]`` here ends in one reduction
-(:func:`_cdf_expectation`), and a row's arithmetic never depends on the
-other rows of its batch, so a scalar cost is bit-identical to the same row
-of a batched call on the same values.
+variable's entries, and segment cumulative sums).  A cumulative sum over
+the union order then yields ``log F`` at every sweep position — no
+Python-level loop over entries or rows.  ``F`` is exactly 0 until every
+variable has positive mass, so each row also carries its *first live
+position*: the union position of the last variable's *first-mass entry*,
+the entry at which its CDF turns positive (not its smallest entry when that
+one has probability 0).  The sweep (:func:`_sweep_rows_presorted`)
+exponentiates, gathers values and takes CDF increments only from there; on
+the rows a mid-size exact enumeration scores, under 2% of the union
+positions are live.  Taking the position from the transitions to positive
+mass, rather than from which entries have been folded, makes
+zero-probability supports correct *by construction*.  This kernel and the
+float-sort twins count those transitions with a zero-mass counter
+(:func:`_first_live_by_zero_count`); the rank merges read the position off
+per-column first-mass ranks they already hold, and the differential tests
+hold them to the counter bit for bit.  Every ``E[max]`` here ends in one
+reduction (:func:`_cdf_expectation`), and a row's arithmetic never depends
+on the other rows of its batch, so a scalar cost is bit-identical to the
+same row of a batched call on the same values.
 
 Zero-probability semantics
 --------------------------
@@ -41,7 +50,7 @@ until every variable has accumulated *positive* mass.  The historical
 pure-Python sweep (kept as :func:`_expected_max_reference`) decremented its
 zero counter as soon as a variable's smallest entry was folded in, even when
 that entry had probability 0, silently corrupting the result; the vectorized
-kernel's zero-mass deltas fire only on the transition to positive mass.
+kernels' first-mass entries are exactly the transitions to positive mass.
 
 Batch and incremental APIs
 --------------------------
@@ -196,28 +205,48 @@ def _log_zero_deltas(cdf_after: np.ndarray, cdf_before: np.ndarray) -> tuple[np.
     return log_delta, zero_delta
 
 
-def _cdf_expectation(sorted_values: np.ndarray, cdf_of_max: np.ndarray) -> np.ndarray:
-    """Row-wise ``sum_t v_t (F_t - F_{t-1})`` over union-sorted ``(B, T)`` arrays.
+def _cdf_expectation(sorted_values: np.ndarray, cdf_tail: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum_t v_t (F_t - F_{t-1})`` over union-sorted ``(B, T)`` values.
 
+    ``cdf_tail`` is the last ``T'`` columns of the CDF of the max ``F``, whose
+    earlier columns are exact zeros (``T' = T`` passes all of it).  The
+    increments are built from the tail alone — before it they are ``0 - 0``,
+    and its first one is ``F - 0`` — but the sum runs over the full width.
     The one reduction every ``E[max]`` in this module ends in, so a scalar
     cost and the same row of a batch round alike.  Guards against log-space
     drift: the final CDF must be 1, and any missing mass is conservatively
     placed on the largest value.
     """
-    increments = cdf_of_max.copy()
-    increments[:, 1:] -= cdf_of_max[:, :-1]
+    batch, total = sorted_values.shape
+    start = total - cdf_tail.shape[1]
+    increments = np.zeros((batch, total))
+    increments[:, start:] = cdf_tail
+    increments[:, start + 1 :] -= cdf_tail[:, :-1]
     expected = np.einsum("bt,bt->b", sorted_values, increments)
-    expected += sorted_values[:, -1] * np.maximum(0.0, 1.0 - cdf_of_max[:, -1])
+    expected += sorted_values[:, -1] * np.maximum(0.0, 1.0 - cdf_tail[:, -1])
     return expected
 
 
 def _sweep_rows_presorted(
-    sorted_values: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
     sorted_log_delta: np.ndarray,
-    sorted_zero_delta: np.ndarray,
-    n: int,
+    first_live: np.ndarray,
 ) -> np.ndarray:
-    """Row-wise ``E[max]`` for entry arrays already in union-value order.
+    """Row-wise ``E[max]`` for ``(B, T)`` entries already in union-value order.
+
+    Row ``b``'s ``t``-th entry in union order has the value
+    ``values[positions[b, t]]`` and the log-CDF delta
+    ``sorted_log_delta[b, t]``; ``first_live[b]`` is its *first live
+    position*, where the last variable first gets mass (``T`` when one never
+    does).  Before it the CDF of the max and its increments are exact
+    zeros, so the sweep exponentiates each row only from its first live
+    position and gathers values only from the block's earliest one, leaving
+    zeros before it; the CDF of the max it hands on is that tail alone.  The
+    log-CDF fold stays one sequential accumulate over the whole row and the
+    expectation one full-width reduction (:func:`_cdf_expectation`), so every
+    cost keeps the bits of a sweep that exponentiates and gathers every
+    position.
 
     The tail of :func:`_sweep_rows` and :func:`_expected_max_rows`, shared
     with both rank merges, the assigned one
@@ -227,21 +256,49 @@ def _sweep_rows_presorted(
     one helper keeps each merge bit-identical to its float-sort twin by
     construction.
     """
+    batch, total = positions.shape
     # ``add.accumulate`` is the arithmetic of ``cumsum`` with less dispatch.
     cumulative_log = np.add.accumulate(sorted_log_delta, axis=1)
+    # The block's earliest live position, and the last column always: the
+    # missing-mass term reads it.
+    start = int(first_live.min(initial=total - 1))
+    cdf_tail = np.zeros((batch, total - start))
+    np.exp(
+        np.minimum(cumulative_log[:, start:], 0.0),
+        out=cdf_tail,
+        where=np.arange(start, total) >= first_live[:, None],
+    )
+    sorted_values = np.zeros((batch, total))
+    sorted_values[:, start:] = values.take(positions[:, start:])
+    return _cdf_expectation(sorted_values, cdf_tail)
+
+
+def _first_live_by_zero_count(sorted_zero_delta: np.ndarray, n: int) -> np.ndarray:
+    """Each row's first live position by the zero-mass counter.
+
+    ``n`` plus the running sum of the ``-1`` zero-mass transitions counts the
+    variables that still have no mass; the positions where it is positive
+    are a prefix of the row, and its length is the first live position.
+    """
     zero_count = float(n) + np.add.accumulate(sorted_zero_delta, axis=1, dtype=float)
-    cdf_of_max = np.where(zero_count < 0.5, np.exp(np.minimum(cumulative_log, 0.0)), 0.0)
-    return _cdf_expectation(sorted_values, cdf_of_max)
+    return np.count_nonzero(zero_count >= 0.5, axis=1)
 
 
 def _sweep_rows(
     values: np.ndarray, log_delta: np.ndarray, zero_delta: np.ndarray, n: int
 ) -> np.ndarray:
-    """Row-wise ``E[max]`` for ``(B, N)`` entry arrays sharing a variable count."""
+    """Row-wise ``E[max]`` for ``(B, N)`` entry arrays sharing a variable count.
+
+    The float-sort path: one stable argsort per row, and the first live
+    position from the zero-mass counter (:func:`_first_live_by_zero_count`).
+    """
     order = np.argsort(values, axis=1, kind="stable")
     order += np.arange(0, values.size, values.shape[1])[:, None]
     return _sweep_rows_presorted(
-        values.ravel()[order], log_delta.ravel()[order], zero_delta.ravel()[order], n
+        order,
+        values.ravel(),
+        log_delta.ravel()[order],
+        _first_live_by_zero_count(zero_delta.ravel()[order], n),
     )
 
 
@@ -264,8 +321,10 @@ def _expected_max_rows(
     on ``(owner, value)`` gives, without its 2-D cost).  A cumulative sum
     over the grouped row minus each variable's running offset gives every
     partial CDF, whose log/zero-mass deltas are scattered back into union
-    order for the sweep.  Indexing goes through flat offsets rather than
-    ``take_along_axis``, which is what keeps the ``B = 1`` row cheap.
+    order; the zero-mass counter turns the latter into the row's first live
+    position (:func:`_first_live_by_zero_count`).  Indexing goes through
+    flat offsets rather than ``take_along_axis``, which is what keeps the
+    ``B = 1`` row cheap.
     """
     batch, total = values.shape
     base = np.arange(0, batch * total, total)[:, None]
@@ -293,10 +352,10 @@ def _expected_max_rows(
     sorted_zero = np.empty(batch * total, dtype=np.int8)
     sorted_zero[by_owner] = -first_mass.view(np.int8)
     return _sweep_rows_presorted(
-        values.ravel()[order + base],
+        order + base,
+        values.ravel(),
         sorted_log.reshape(batch, total),
-        sorted_zero.reshape(batch, total),
-        starts.shape[0] + 1,
+        _first_live_by_zero_count(sorted_zero.reshape(batch, total), starts.shape[0] + 1),
     )
 
 
@@ -482,9 +541,13 @@ class _AssignedRankTables:
     is its variable and ``offsets[e] = e * m`` the start of its row in the
     flat ``(N, m)`` entry table.  ``ranks[e * m + c]`` is the position of
     entry ``e`` under column ``c`` in one stable argsort of the whole table,
-    and ``values`` / ``log_deltas`` / ``zero_deltas`` hold each position's
-    entry.  The argsort breaks value ties by ``e`` (a row holds each entry
-    once), which is the tie order of the per-row stable float sort.
+    and ``values`` / ``log_deltas`` hold each position's entry.  The argsort
+    breaks value ties by ``e`` (a row holds each entry once), which is the
+    tie order of the per-row stable float sort.  ``first_mass[i, c]`` is the
+    rank of the entry where column ``c`` of variable ``i`` first gets mass
+    (the entry count, above every rank, if it never does), so a row's first
+    live position is the number of its ranks below its largest
+    ``first_mass``.
     """
 
     owners: np.ndarray
@@ -492,7 +555,7 @@ class _AssignedRankTables:
     ranks: np.ndarray
     values: np.ndarray
     log_deltas: np.ndarray
-    zero_deltas: np.ndarray
+    first_mass: np.ndarray
 
 
 class AssignedCostEvaluator:
@@ -609,8 +672,11 @@ class AssignedCostEvaluator:
         ranks of one row are distinct, so the unstable sort is exact, and the
         values and deltas gathered by rank are the per-row float sort's union
         order: the costs are bit-identical to :meth:`_costs_float_sort`.  A
-        call that finds no rank tables and has fewer rows than there are
-        columns runs that twin instead of building them.
+        row's first live position is the count of its ranks below the
+        largest first-mass rank of its columns, the position the twin's
+        zero-mass counter reaches 0 at.  A call that finds no rank tables
+        and has fewer rows than there are columns runs that twin instead of
+        building them.
         """
         column_sets = self._check_columns(np.atleast_2d(np.asarray(column_sets, dtype=int)))
         batch = column_sets.shape[0]
@@ -618,6 +684,7 @@ class AssignedCostEvaluator:
             return self._costs_float_sort(column_sets)
         tables = self._ranked_entries()
         block_rows = max(1, RANK_MERGE_BLOCK_ENTRIES // tables.owners.shape[0])
+        variables = np.arange(self.n)
         out = np.empty(batch)
         for start in range(0, batch, block_rows):
             rows = column_sets[start : start + block_rows]
@@ -627,11 +694,12 @@ class AssignedCostEvaluator:
             entries += tables.offsets
             ranks = tables.ranks.take(entries)
             ranks.sort(axis=1)  # repro: noqa[FLOAT-SORT-HOTPATH] -- the assigned rank merge: distinct integer ranks per row, no float comparisons
+            last_mass = tables.first_mass[variables, rows].max(axis=1)
             out[start : start + rows.shape[0]] = _sweep_rows_presorted(
-                tables.values.take(ranks),
+                ranks,
+                tables.values,
                 tables.log_deltas.take(ranks),
-                tables.zero_deltas.take(ranks),
-                self.n,
+                np.count_nonzero(ranks < last_mass[:, None], axis=1),
             )
         return out
 
@@ -645,13 +713,18 @@ class AssignedCostEvaluator:
             ranks = np.empty(flat.shape[0], dtype=dtype)
             ranks[order] = np.arange(flat.shape[0], dtype=dtype)
             sizes = [block.shape[0] for block in self._values]
+            owners = np.repeat(np.arange(self.n), sizes)
+            # A column's one -1 zero delta sits at its first-mass entry.
+            entry, column = np.nonzero(np.concatenate(self._zero_deltas) < 0.0)
+            first_mass = np.full((self.n, values.shape[1]), flat.shape[0], dtype=dtype)
+            first_mass[owners[entry], column] = ranks.reshape(values.shape)[entry, column]
             self._rank_tables = _AssignedRankTables(
-                owners=np.repeat(np.arange(self.n), sizes),
+                owners=owners,
                 offsets=np.arange(0, flat.shape[0], values.shape[1]),
                 ranks=ranks,
                 values=flat[order],
                 log_deltas=np.concatenate(self._log_deltas).ravel()[order],
-                zero_deltas=np.concatenate(self._zero_deltas).ravel()[order],
+                first_mass=first_mass,
             )
         return self._rank_tables
 

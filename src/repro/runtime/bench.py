@@ -69,12 +69,15 @@ Cases
 ``unassigned_rank_merge``
     The rank-merge unassigned sweep against the historical per-row
     float-sort sweep on the same context — bit-identical costs, target
-    >= 1.5x, gate >= 1.3x.
+    >= 1.5x, gate >= 1.3x.  ``live_fraction`` records the share of union
+    positions where the CDF of the max is positive, the only positions a
+    sweep exponentiates (non-gating).
 ``assigned_rank_merge``
     The assigned rank merge (:meth:`AssignedCostEvaluator.costs`) against
     its per-row float-sort twin on the ``enum_mid`` shape (n=80, z=16, 36
     candidates, the ED assignments of 2,048 4-subsets), both in the merge's
-    block size — bit-identical costs, target >= 3x, gate >= 2x.
+    block size — bit-identical costs, target >= 3x, gate >= 2x, and the
+    ``live_fraction`` of its rows (non-gating).
 ``bound_prefix_factor``
     The level-1 unassigned bound over all ``C(24, 4) = 10,626`` subset rows
     (n=40, z=8), prefix-factored against the plain per-point
@@ -87,6 +90,11 @@ Cases
     greedy seed's cut against ``cut=inf`` — equal keep masks and identical
     values at or below the cut, a same-run ratio with gate and target
     >= 1.5x; the milliseconds per pass are a trend only.
+``pair_from_level1``
+    The unassigned two-level prune over the same 29 chunks at the same cut,
+    its pair kernel fed level 1's per-point ``E[min]`` against running its
+    own per-point pass — equal keep masks, a same-run ratio with gate and
+    target >= 1.2x; the milliseconds per pass are a trend only.
 ``scalar_cost_overhead``
     One ``expected_one_center_cost`` call (n=25, z=3, d=8: an E1 instance)
     divided by the bare ``E[max]`` kernel on the same ``(1, N)`` distances —
@@ -154,6 +162,7 @@ from ..baselines.brute_force import (
     UNASSIGNED,
     _iter_subset_chunks,
     _seed_solution,
+    _two_level_prune,
     brute_force_restricted_assigned,
     brute_force_unassigned,
 )
@@ -166,6 +175,7 @@ from ..cost.expected import (
     expected_one_center_cost,
     expected_one_center_costs,
 )
+from ..uncertain.dataset import UncertainDataset
 from ..workloads.synthetic import gaussian_clusters, line_workload
 from . import pool as pool_module
 from . import shm as shm_module
@@ -227,6 +237,9 @@ ONE_CENTER_BATCH_TARGET = 3.0
 #: Speedup the unassigned level-1 bound at a pruning cut must reach over the
 #: same kernel at ``cut=inf`` on the same chunks.
 LEVEL1_CUT_TARGET = 1.5
+#: Speedup the unassigned two-level prune must reach when its pair kernel
+#: takes level 1's per-point ``E[min]`` over the pair kernel's own pass.
+PAIR_FROM_LEVEL1_TARGET = 1.2
 #: Slowdown (new/old) past which ``--compare`` reports a regression.
 REGRESSION_TOLERANCE = 1.2
 #: Timings below this are dominated by noise; ``--compare`` skips them.
@@ -617,6 +630,25 @@ def bench_persistent_pool(calls: int = 20, repeats: int = 1) -> dict:
     }
 
 
+def _live_fraction(values: np.ndarray, dataset: UncertainDataset) -> float:
+    """Share of the union positions of ``(B, N)`` layout rows where the CDF of the max is positive.
+
+    A row's union order is its stable value sort, the order every sweep
+    reads.  A point first gets mass at its earliest entry in that order with
+    positive probability, and the CDF of the max is positive from the
+    latest such position on.
+    """
+    layout = dataset.location_layout()
+    batch, total = values.shape
+    positions = np.empty((batch, total), dtype=np.int64)
+    np.put_along_axis(
+        positions, np.argsort(values, axis=1, kind="stable"), np.arange(total), axis=1
+    )
+    massive = np.where(layout.probabilities > 0.0, positions, total)
+    first_mass = np.minimum.reduceat(massive, np.r_[0, layout.starts], axis=1)
+    return float((total - first_mass.max(axis=1)).sum() / values.size)
+
+
 def bench_rank_merge(repeats: int = 3) -> dict:
     """Rank-merge unassigned sweep vs the historical per-row float sort."""
     from itertools import combinations
@@ -637,6 +669,9 @@ def bench_rank_merge(repeats: int = 3) -> dict:
         "float_sort_seconds": float_seconds,
         "rank_merge_seconds": merge_seconds,
         "subsets": int(subset_rows.shape[0]),
+        "live_fraction": _live_fraction(
+            np.concatenate(context.supports)[:, subset_rows].min(axis=2).T, dataset
+        ),
         "speedup": speedup,
         "target": RANK_MERGE_SPEEDUP_TARGET,
         "target_met": bool(speedup >= RANK_MERGE_SPEEDUP_TARGET),
@@ -671,11 +706,14 @@ def bench_assigned_rank_merge(repeats: int = 3) -> dict:
         lambda: evaluator._costs_float_sort(rows, chunk_rows=block_rows), repeats
     )
     speedup = float_seconds / max(merge_seconds, 1e-12)
+    owners = dataset.location_layout().owners
+    assigned_values = np.concatenate(context.supports)[np.arange(owners.shape[0]), rows[:, owners]]
     return {
         "float_sort_seconds": float_seconds,
         "rank_merge_seconds": merge_seconds,
         "rows": int(rows.shape[0]),
         "block_rows": int(block_rows),
+        "live_fraction": _live_fraction(assigned_values, dataset),
         "speedup": speedup,
         "target": ASSIGNED_RANK_MERGE_TARGET,
         "target_met": bool(speedup >= ASSIGNED_RANK_MERGE_TARGET),
@@ -781,22 +819,30 @@ def bench_bound_prefix_factor(repeats: int = 5) -> dict:
     }
 
 
-def bench_level1_cut(repeats: int = 5) -> dict:
-    """The unassigned level-1 bound at a pruning cut against ``cut=inf``.
+def _enum_mid_chunks() -> tuple[CostContext, list[np.ndarray], float]:
+    """The ``enum_mid`` unassigned search: its context, chunks and greedy-seed cost.
 
-    The ``enum_mid`` instance: ``gaussian_clusters(n=80, z=16, k_true=4,
-    seed=0)`` with its first 36 locations as candidates and ``k=4``, all
-    ``C(36, 4) = 58,905`` rows in the solve's 29 chunks, one call per chunk.
-    The cut is the greedy seed's cost plus its prune margin, the threshold
-    a serial solve's first chunk prunes at.  Both legs must give the same
-    keep mask ``bounds <= cut``, and the same bits on every row at or below
-    the cut; the ratio, taken within one run, is the gate.
+    ``gaussian_clusters(n=80, z=16, k_true=4, seed=0)`` with its first 36
+    locations as candidates and ``k=4``: all ``C(36, 4) = 58,905`` rows in
+    the solve's 29 chunks.  The seed's cost is the threshold a serial
+    solve's first chunk prunes at.
     """
     dataset, _ = gaussian_clusters(n=80, z=16, dimension=2, k_true=4, seed=0)
     candidates = dataset.all_locations()[:36]
     context = CostContext(dataset, candidates)
     chunks = list(_iter_subset_chunks(candidates.shape[0], 4))
-    seed_cost = _seed_solution(context, UNASSIGNED, 4)[0]
+    return context, chunks, _seed_solution(context, UNASSIGNED, 4)[0]
+
+
+def bench_level1_cut(repeats: int = 5) -> dict:
+    """The unassigned level-1 bound at a pruning cut against ``cut=inf``.
+
+    The ``enum_mid`` chunks (:func:`_enum_mid_chunks`), one call per chunk.
+    The cut is the greedy seed's cost plus its prune margin.  Both legs must
+    give the same keep mask ``bounds <= cut``, and the same bits on every
+    row at or below the cut; the ratio, taken within one run, is the gate.
+    """
+    context, chunks, seed_cost = _enum_mid_chunks()
     cut = seed_cost + prune_margin(seed_cost)
     kept = 0
     for chunk in chunks:
@@ -836,6 +882,64 @@ def bench_level1_cut(repeats: int = 5) -> dict:
         "note": (
             "equal keep masks and bit-identical values at or below the cut; per-pass"
             " milliseconds are a trend only, the same-run ratio is the gate"
+        ),
+    }
+
+
+def bench_pair_from_level1(repeats: int = 5) -> dict:
+    """The unassigned two-level prune with and without level 1's per-point ``E[min]``.
+
+    The ``enum_mid`` chunks (:func:`_enum_mid_chunks`) at the greedy seed's
+    cut, one prune per chunk.  The product leg is :func:`_two_level_prune`,
+    whose level 1 writes each point's ``E[min]`` of the rows it keeps and
+    hands the survivors' columns to the pair kernel; the other leg runs the
+    same level 1 and lets the pair kernel run its own per-point pass on the
+    survivors.  Both must give the same keep mask; the ratio, taken within
+    one run, is the gate.
+    """
+    context, chunks, seed_cost = _enum_mid_chunks()
+    cut = seed_cost + prune_margin(seed_cost)
+
+    def reused(chunk: np.ndarray) -> np.ndarray:
+        keep = _two_level_prune(
+            context, chunk, seed_cost, None, objective="unassigned", pair_kernel=True
+        )
+        return np.ones(chunk.shape[0], dtype=bool) if keep is None else keep
+
+    def own_pass(chunk: np.ndarray) -> np.ndarray:
+        keep = context.subset_unassigned_lower_bounds(chunk, cut=cut) <= cut
+        survivors = np.flatnonzero(keep)
+        if survivors.size:
+            keep[survivors[context.subset_pair_lower_bounds(chunk[survivors]) > cut]] = False
+        return keep
+
+    kept = 0
+    for chunk in chunks:
+        keep = reused(chunk)
+        assert np.array_equal(keep, own_pass(chunk))
+        kept += int(keep.sum())
+
+    # Alternate the legs, so a slow spell of a shared host reaches both.
+    reused_seconds = own_seconds = np.inf
+    for _ in range(repeats):
+        own_seconds = min(own_seconds, _best_of(lambda: [own_pass(c) for c in chunks], 1))
+        reused_seconds = min(reused_seconds, _best_of(lambda: [reused(c) for c in chunks], 1))
+    speedup = own_seconds / max(reused_seconds, 1e-12)
+    met = bool(speedup >= PAIR_FROM_LEVEL1_TARGET)
+    return {
+        "reused_pass_ms": reused_seconds * 1e3,
+        "own_pass_ms": own_seconds * 1e3,
+        "rows": int(sum(chunk.shape[0] for chunk in chunks)),
+        "chunks": len(chunks),
+        "kept_rows": kept,
+        "speedup": speedup,
+        "target": PAIR_FROM_LEVEL1_TARGET,
+        "target_met": met,
+        "gate": PAIR_FROM_LEVEL1_TARGET,
+        "gate_met": met,
+        "note": (
+            "equal keep masks; per-pass milliseconds are a trend only, the same-run"
+            " ratio is the gate"
         ),
     }
 
@@ -1236,6 +1340,7 @@ CASES: dict[str, Callable[[], dict]] = {
     "batch_cost_kernel": bench_batch_cost_kernel,
     "bound_prefix_factor": bench_bound_prefix_factor,
     "level1_cut": bench_level1_cut,
+    "pair_from_level1": bench_pair_from_level1,
     "scalar_cost_overhead": bench_scalar_cost_overhead,
     "one_center_batch": bench_one_center_batch,
     "local_search_sweep": bench_local_search_sweep,
@@ -1274,6 +1379,7 @@ QUICK_CASES: tuple[str, ...] = (
     "batch_cost_kernel",
     "bound_prefix_factor",
     "level1_cut",
+    "pair_from_level1",
     "scalar_cost_overhead",
     "one_center_batch",
     "context_store_memoization",

@@ -321,26 +321,33 @@ class TestEachRowBoundedOnce:
     anytime search's bound map hands each chunk its per-row level-1 values
     and the pair values its fold computed, so the scoring task never
     recomputes level 1 and runs the pair kernel only on survivors that lack
-    one.
+    one.  In a plain unassigned search the pair kernel also takes level 1's
+    per-point ``E[min]`` of the rows it kept, so it never runs its own
+    per-point pass.
     """
 
     LEVEL1 = ("subset_assigned_lower_bounds", "subset_unassigned_lower_bounds")
 
     @pytest.fixture()
     def counted(self, monkeypatch):
-        """Rows passed to the level-1 and pair kernels, as tuples."""
+        """Rows passed to the level-1 and pair kernels, as tuples, and the
+        pair rows whose per-point ``E[min]`` the pair kernel reduces itself."""
         level1: list[tuple[int, ...]] = []
         pair: list[tuple[int, ...]] = []
+        own_pass: list[tuple[int, ...]] = []
         for name in (*self.LEVEL1, "subset_pair_lower_bounds"):
             original = getattr(CostContext, name)
             sink = pair if name == "subset_pair_lower_bounds" else level1
 
             def wrapped(self, subset_rows, _original=original, _sink=sink, **kwargs):
-                _sink.extend(tuple(row) for row in np.atleast_2d(subset_rows).tolist())
+                rows = [tuple(row) for row in np.atleast_2d(subset_rows).tolist()]
+                _sink.extend(rows)
+                if _sink is pair and kwargs.get("point_minima") is None:
+                    own_pass.extend(rows)
                 return _original(self, subset_rows, **kwargs)
 
             monkeypatch.setattr(CostContext, name, wrapped)
-        return level1, pair
+        return level1, pair, own_pass
 
     @pytest.fixture(scope="class")
     def instance(self):
@@ -361,9 +368,9 @@ class TestEachRowBoundedOnce:
         ],
         ids=["restricted-ed", "restricted-nearest", "restricted-blackbox", "unassigned"],
     )
-    def test_subset_solves_bound_each_row_once(self, counted, instance, solve):
+    def test_subset_solves_bound_each_row_once(self, counted, instance, solve, request):
         dataset, candidates = instance
-        level1, pair = counted
+        level1, pair, own_pass = counted
         result = solve(dataset, candidates, chunk_rows=256)
         total = result.metadata["total_rows"]
         assert total == 1820
@@ -371,13 +378,18 @@ class TestEachRowBoundedOnce:
         assert len(level1) == total
         assert sorted(level1) == sorted(set(level1))
         assert len(pair) == len(set(pair))
+        if request.node.callspec.id == "unassigned":
+            # Level 1 reduced every point of every row it kept.
+            assert pair and not own_pass
+        else:
+            assert own_pass == pair
         reference = solve(dataset, candidates, prune=False)
         assert_same_result(result, reference)
 
     def test_unrestricted_subset_stage_bounds_each_row_once(self, counted):
         dataset, _ = gaussian_clusters(n=5, z=4, dimension=2, k_true=4, seed=9)
         candidates = dataset.all_locations()[:16]
-        level1, pair = counted
+        level1, pair, own_pass = counted
         result = brute_force_unrestricted_assigned(dataset, 4, candidates=candidates, chunk_rows=256)
         assert result.metadata["exhaustive_assignment"] is True
         assert result.metadata["pruned_rows"] > 0
@@ -394,13 +406,14 @@ class TestEachRowBoundedOnce:
         assert not first_chunk & set(stage)
         assert len(set(polish)) == polished
         assert len(pair) == len(set(pair))
+        assert own_pass == pair  # black-box rules: the assigned level 1 has no E[min]
 
     @pytest.mark.parametrize("chunk_rows", [DEFAULT_CHUNK_ROWS, 256], ids=["1-chunk", "8-chunks"])
     def test_only_a_stop_runs_the_bound_map(self, counted, instance, monkeypatch, chunk_rows):
         import repro.baselines.brute_force as brute_force
 
         dataset, candidates = instance
-        level1, _ = counted
+        level1, pair, own_pass = counted
         calls = []
         for name in ("parallel_map", "parallel_map_ordered"):
 
@@ -410,18 +423,21 @@ class TestEachRowBoundedOnce:
 
             monkeypatch.setattr(brute_force, name, counting_map)
         for solver in (brute_force_restricted_assigned, brute_force_unassigned):
-            del level1[:]
+            del level1[:], own_pass[:]
             plain = solver(dataset, 4, candidates=candidates, chunk_rows=chunk_rows)
             assert plain.metadata["pruned_rows"] > 0
             assert calls == ["parallel_map_ordered"]  # one scoring map, no bound map
             assert len(level1) == 1820
+            assert not own_pass
             calls.clear()
             for stop in ({"gap_target": 0.0}, {"time_budget": 600.0}):
-                del level1[:]
+                del level1[:], pair[:], own_pass[:]
                 anytime = solver(dataset, 4, candidates=candidates, chunk_rows=chunk_rows, **stop)
                 # The stop reads the chunk bounds before any chunk runs ...
                 assert calls == ["parallel_map", "parallel_map_ordered"]
                 assert len(level1) == 1820  # ... computed once, in the bound map
+                # Level 1 ran in the bound map: the pair kernel keeps its own pass.
+                assert own_pass == pair
                 calls.clear()
                 assert anytime.metadata["certificate"]["gap"] == 0.0
                 assert anytime.metadata["deadline_hit"] is False

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.cost.context as context_module
+import repro.cost.expected as expected_module
 from repro.algorithms.unrestricted import solve_unrestricted_assigned
 from repro.assignments import (
     ExpectedDistanceAssignment,
@@ -257,9 +258,9 @@ class TestRankMergeSweep:
         sweep = context_module._sweep_rows_presorted
         blocks: list[int] = []
 
-        def counting_sweep(sorted_values, *rest):
-            blocks.append(sorted_values.shape[0])
-            return sweep(sorted_values, *rest)
+        def counting_sweep(positions, *rest):
+            blocks.append(positions.shape[0])
+            return sweep(positions, *rest)
 
         monkeypatch.setattr(context_module, "_sweep_rows_presorted", counting_sweep)
         for cap, expected_blocks in (
@@ -379,18 +380,47 @@ class TestCandidateMajorBounds:
             getattr(context, name)(rows)  # builds the candidate-major tables
         context.replace_candidate_columns(np.array([1, 4]), candidates[[1, 4]] + 0.6)
         fresh = CostContext(dataset, context.candidates.copy())
-        # The spliced expected matrix may differ from a fresh one by an ulp
-        # (its new columns are dot products over a 2-column block), so the
-        # assigned bound is pinned to a plain gather over the context's own
-        # matrix; the support-only kernels match a fresh context exactly.
+        assert_same_bits(context.expected, fresh.expected)
         for name, reference in plain_bounds(context, rows).items():
             assert_same_bits(getattr(context, name)(rows), reference)
-        for name in ("subset_unassigned_lower_bounds", "subset_pair_lower_bounds"):
             assert_same_bits(getattr(context, name)(rows), getattr(fresh, name)(rows))
         cut = float(np.median(fresh.subset_unassigned_lower_bounds(rows)))
         assert_same_bits(
             context.subset_unassigned_lower_bounds(rows, cut=cut),
             fresh.subset_unassigned_lower_bounds(rows, cut=cut),
+        )
+
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    def test_streamed_splice_keeps_a_rebuilds_bits(self, make):
+        # The test above pins the supports (the bound kernels do); a
+        # streamed context that built only ``expected`` must match a fresh
+        # one too, where dot products over the replaced columns alone
+        # differ from a rebuild in the last bit.
+        dataset = make(2, n=8)
+        candidates = dataset.all_locations()[:9]
+        context = CostContext(dataset, candidates, pin_supports=False)
+        context.expected
+        context.replace_candidate_columns(np.array([1, 4]), candidates[[1, 4]] + 0.6)
+        fresh = CostContext(dataset, context.candidates.copy(), pin_supports=False)
+        assert_same_bits(context.expected, fresh.expected)
+
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_level1_point_minima_feed_the_pair_kernel(self, seed, make):
+        # Level 1 writes every point's E[min] of each row it keeps; the pair
+        # kernel fed those columns gives its own first pass's bounds.
+        dataset = make(seed, n=12)
+        context = CostContext(dataset, dataset.all_locations()[:10])
+        rows = bound_rows(context.candidate_count, 3, "shuffled", seed)
+        cut = float(np.median(context.subset_unassigned_lower_bounds(rows)))
+        point_minima = np.full((dataset.size, rows.shape[0]), np.nan)
+        bounds = context.subset_unassigned_lower_bounds(rows, cut=cut, point_minima=point_minima)
+        keep = bounds <= cut
+        assert keep.any() and not keep.all()
+        assert not np.isnan(point_minima[:, keep]).any()
+        assert_same_bits(
+            context.subset_pair_lower_bounds(rows[keep], point_minima=point_minima[:, keep]),
+            context.subset_pair_lower_bounds(rows[keep]),
         )
 
     def test_tables_are_per_process(self):
@@ -408,6 +438,184 @@ class TestCandidateMajorBounds:
         assert loaded._expected_by_candidate is None
         assert loaded._supports_by_candidate is None
         assert_same_bits(loaded.subset_unassigned_lower_bounds(rows), bounds)
+
+
+def zero_count_sweep(
+    sorted_values: np.ndarray, sorted_log_delta: np.ndarray, sorted_zero_delta: np.ndarray, n: int
+) -> np.ndarray:
+    """The sweep before first live positions: a zero-mass counter over every position."""
+    cumulative_log = np.add.accumulate(sorted_log_delta, axis=1)
+    zero_count = float(n) + np.add.accumulate(sorted_zero_delta, axis=1, dtype=float)
+    cdf_of_max = np.where(zero_count < 0.5, np.exp(np.minimum(cumulative_log, 0.0)), 0.0)
+    increments = cdf_of_max.copy()
+    increments[:, 1:] -= cdf_of_max[:, :-1]
+    expected = np.einsum("bt,bt->b", sorted_values, increments)
+    expected += sorted_values[:, -1] * np.maximum(0.0, 1.0 - cdf_of_max[:, -1])
+    return expected
+
+
+def union_zero_deltas(values: np.ndarray, probabilities: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """``-1`` where each variable first gets mass, in each row's stable union order."""
+    order = np.argsort(values, axis=1, kind="stable")
+    zero = np.zeros(values.shape)
+    for row, row_order in enumerate(order):
+        massive = np.flatnonzero(probabilities[row_order] > 0.0)
+        first = np.unique(owners[row_order][massive], return_index=True)[1]
+        zero[row, massive[first]] = -1.0
+    return zero
+
+
+def layout_values(context: CostContext, rows: np.ndarray, *, assigned: bool) -> np.ndarray:
+    """``(B, N)`` values a kernel sweeps, in layout order: assigned columns or subset minima."""
+    flat = np.concatenate(context.supports)
+    if assigned:
+        owners = context.dataset.location_layout().owners
+        return flat[np.arange(flat.shape[0]), rows[:, owners]]
+    return flat[:, rows].min(axis=2).T
+
+
+class TestFirstLivePosition:
+    """Each kernel's first live position is where today's zero-mass counter reaches 0.
+
+    The zero-count sweep below is the one every kernel ran before: it folds
+    a ``-1`` per variable's first mass over every position.  Swapping it in
+    for a kernel's sweep, with the transitions of each row's stable union
+    order, must give the kernel's costs bit for bit, and the kernel's first
+    live positions must be where that counter reaches 0.
+    """
+
+    @staticmethod
+    def through_zero_count(monkeypatch, module, kernel, zero: np.ndarray, n: int):
+        """``kernel()`` with ``module``'s sweep swapped for :func:`zero_count_sweep`."""
+        first_live: list[np.ndarray] = []
+
+        def sweep(positions, values, sorted_log_delta, live):
+            start = sum(block.shape[0] for block in first_live)
+            first_live.append(live)
+            return zero_count_sweep(
+                values.take(positions), sorted_log_delta, zero[start : start + live.shape[0]], n
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_sweep_rows_presorted", sweep)
+            costs = kernel()
+        return costs, np.concatenate(first_live)
+
+    @staticmethod
+    def counted_first_live(zero: np.ndarray, n: int) -> np.ndarray:
+        zero_count = n + np.add.accumulate(zero, axis=1)
+        return np.count_nonzero(zero_count >= 0.5, axis=1)
+
+    @pytest.mark.parametrize("live", ["random", "from-zero", "never"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_equals_zero_count_sweep(self, seed, live):
+        rng = np.random.default_rng(seed)
+        batch, total = 9, int(rng.integers(1, 40))
+        n = int(rng.integers(1, total + 1))
+        values = np.sort(rng.integers(0, 6, size=(batch, total)).astype(float), axis=1)
+        log_delta = np.log(rng.uniform(0.5, 1.0, size=(batch, total)))
+        zero = np.zeros((batch, total))
+        for row in zero:
+            row[rng.choice(total, size=n, replace=False)] = -1.0
+        if live == "from-zero":
+            zero[:] = 0.0
+            zero[:, 0] = -n
+        elif live == "never":
+            zero[np.arange(batch), zero.argmin(axis=1)] = 0.0  # one variable never gets mass
+        first_live = self.counted_first_live(zero, n)
+        positions = np.arange(batch * total).reshape(batch, total)
+        assert_same_bits(
+            expected_module._sweep_rows_presorted(positions, values.ravel(), log_delta, first_live),
+            zero_count_sweep(values, log_delta, zero, n),
+        )
+
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_assigned_merge(self, seed, make, monkeypatch):
+        dataset = make(seed)
+        context = CostContext(dataset, dataset.all_locations()[:7])
+        rows = np.random.default_rng(seed).integers(0, 7, size=(40, dataset.size))
+        evaluator = context.evaluator
+        evaluator._ranked_entries()
+        monkeypatch.setattr(expected_module, "RANK_MERGE_BLOCK_ENTRIES", 9 * len(dataset.all_locations()))
+        layout = dataset.location_layout()
+        zero = union_zero_deltas(
+            layout_values(context, rows, assigned=True), layout.probabilities, layout.owners
+        )
+        today, first_live = self.through_zero_count(
+            monkeypatch, expected_module, lambda: evaluator.costs(rows), zero, dataset.size
+        )
+        assert_same_bits(evaluator.costs(rows), today)
+        assert np.array_equal(first_live, self.counted_first_live(zero, dataset.size))
+
+    @pytest.mark.parametrize("make", [make_tricky_dataset, make_ragged_dataset])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unassigned_merge(self, seed, make, monkeypatch):
+        dataset = make(seed)
+        context = CostContext(dataset, dataset.all_locations()[:8])
+        rows = np.asarray(list(combinations(range(8), 3)))
+        monkeypatch.setattr(context_module, "RANK_MERGE_BLOCK_ENTRIES", 9 * len(dataset.all_locations()))
+        layout = dataset.location_layout()
+        zero = union_zero_deltas(
+            layout_values(context, rows, assigned=False), layout.probabilities, layout.owners
+        )
+        today, first_live = self.through_zero_count(
+            monkeypatch, context_module, lambda: context.unassigned_costs(rows), zero, dataset.size
+        )
+        assert_same_bits(context.unassigned_costs(rows), today)
+        assert np.array_equal(first_live, self.counted_first_live(zero, dataset.size))
+
+    @pytest.mark.parametrize("massless", [False, True], ids=["all-mass", "massless"])
+    @pytest.mark.parametrize("points", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expected_max_rows(self, seed, points, massless, monkeypatch):
+        # Small integer values tie within and across variables, at first
+        # mass too; a zeroed probability moves a variable's first mass off
+        # its smallest entry; one variable is live from position 0.  A
+        # variable with no mass at all leaves its rows no live position.
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=points)
+        probabilities = np.concatenate([rng.dirichlet(np.ones(z)) for z in sizes])
+        starts = np.cumsum(sizes)[:-1]
+        for first, size in zip(np.r_[0, starts], sizes):
+            if size > 1 and rng.random() < 0.7:
+                probabilities[first + rng.integers(0, size)] = 0.0
+        if massless:
+            probabilities[: sizes[0]] = 0.0
+        owners = np.repeat(np.arange(points), sizes)
+        values = rng.integers(0, 4, size=(25, owners.shape[0])).astype(float)
+        zero = union_zero_deltas(values, probabilities, owners)
+        kernel = lambda: expected_module._expected_max_rows(values, probabilities, owners, starts)  # noqa: E731
+        today, first_live = self.through_zero_count(monkeypatch, expected_module, kernel, zero, points)
+        assert_same_bits(kernel(), today)
+        assert np.array_equal(first_live, self.counted_first_live(zero, points))
+        if massless:
+            assert np.all(first_live == owners.shape[0])
+        elif points == 1 and probabilities[0] > 0.0:
+            assert np.all(first_live[values[:, 0] == values.min(axis=1)] == 0)
+
+    def test_first_mass_table_rebuilds_and_is_never_pickled(self):
+        dataset = make_tricky_dataset(4, n=6)
+        candidates = dataset.all_locations()[:9]
+        context = CostContext(dataset, candidates)
+        rows = np.random.default_rng(4).integers(0, 9, size=(30, dataset.size))
+        evaluator = context.evaluator
+        payload = pickle.dumps(context, protocol=5)
+        costs = context.assigned_costs(rows)
+        table = evaluator._ranked_entries().first_mass
+        assert pickle.dumps(context, protocol=5) == payload
+        loaded = pickle.loads(payload)
+        assert loaded.evaluator._rank_tables is None
+        assert_same_bits(loaded.assigned_costs(rows), costs)
+        assert np.array_equal(loaded.evaluator._ranked_entries().first_mass, table)
+        context.replace_candidate_columns(np.array([0, 5]), candidates[[0, 5]] + 0.4)
+        assert evaluator._rank_tables is None
+        spliced = context.assigned_costs(rows)
+        fresh = CostContext(dataset, context.candidates.copy())
+        assert_same_bits(spliced, fresh.assigned_costs(rows))
+        assert np.array_equal(
+            evaluator._ranked_entries().first_mass, fresh.evaluator._ranked_entries().first_mass
+        )
 
 
 class TestCandidateScores:
